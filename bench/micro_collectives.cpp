@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): wall-clock throughput of the mpsim
-// collectives on the thread runtime and of the derived operators.  On this
-// single-core container these measure runtime overhead (scheduling,
-// mailboxes), not parallel speedup — see DESIGN.md §2.
+// collectives on the thread runtime, of the derived operators and of the
+// simnet butterfly schedules.  On a single core the mpsim rows measure
+// runtime overhead (scheduling, mailboxes), not parallel speedup — see
+// DESIGN.md §2.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "colop/mpsim/mpsim.h"
 #include "colop/obs/sink.h"
 #include "colop/rules/derived_ops.h"
+#include "colop/simnet/schedules.h"
 
 namespace {
 
@@ -206,6 +208,46 @@ void BM_ValueTupleOps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValueTupleOps);
+
+// simnet at p = 2^12..2^16: one butterfly schedule on a reset machine per
+// iteration, m = 1024.  Items are simulated messages, so items/s is the
+// engine's messages/s.
+template <class Schedule>
+void simnet_rounds(benchmark::State& state, Schedule schedule) {
+  simnet::SimMachine mach(static_cast<int>(state.range(0)), simnet::NetParams{});
+  std::uint64_t messages = 0;
+  for (auto _ : state) {
+    mach.reset();
+    schedule(mach);
+    messages += mach.messages();
+    benchmark::DoNotOptimize(mach.makespan());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(messages));
+}
+
+void BM_SimnetBcastButterfly(benchmark::State& state) {
+  simnet_rounds(state, [](simnet::SimMachine& m) {
+    simnet::bcast_butterfly(m, 1024, 1);
+  });
+}
+BENCHMARK(BM_SimnetBcastButterfly)->RangeMultiplier(4)->Range(1 << 12, 1 << 16)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_SimnetScanButterfly(benchmark::State& state) {
+  simnet_rounds(state, [](simnet::SimMachine& m) {
+    simnet::scan_butterfly(m, 1024, 1, 1);
+  });
+}
+BENCHMARK(BM_SimnetScanButterfly)->RangeMultiplier(4)->Range(1 << 12, 1 << 16)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_SimnetAllreduceButterfly(benchmark::State& state) {
+  simnet_rounds(state, [](simnet::SimMachine& m) {
+    simnet::allreduce_butterfly(m, 1024, 1, 1);
+  });
+}
+BENCHMARK(BM_SimnetAllreduceButterfly)->RangeMultiplier(4)
+    ->Range(1 << 12, 1 << 16)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

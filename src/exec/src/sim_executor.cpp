@@ -1,5 +1,7 @@
 #include "colop/exec/sim_executor.h"
 
+#include <algorithm>
+
 #include "colop/ir/overlap.h"
 #include "colop/simnet/schedules.h"
 #include "colop/support/bits.h"
@@ -23,11 +25,15 @@ void sim_stage(const ir::Stage& stage, simnet::SimMachine& mach, double m,
     }
     case Kind::MapIndexed: {
       const auto& s = static_cast<const ir::MapIndexedStage&>(stage);
-      for (int r = 0; r < p; ++r) {
+      // Ranks with equally many binary digits do equal work: sweep the
+      // classes {0}, {1}, [2, 4), [4, 8), ... in rank order.
+      for (int first = 0; first < p;) {
+        const int last = first == 0 ? 1 : first + std::min(first, p - first);
         const double levels =
-            static_cast<double>(binary_digits(static_cast<std::uint64_t>(r)));
+            static_cast<double>(binary_digits(static_cast<std::uint64_t>(first)));
         const double ops = s.fn.ops_cost + s.fn.ops_per_logp * levels;
-        if (ops > 0) mach.compute(r, m * ops);
+        if (ops > 0) mach.compute_range(first, last, m * ops);
+        first = last;
       }
       break;
     }

@@ -49,9 +49,12 @@ Op parse_op(const Event& e) {
   return op;
 }
 
-/// Index of the last op on `rank` whose end is within tol of `t` (ops are
-/// non-overlapping and time-sorted, so at most one qualifies); -1 if the
-/// latest op below t ends strictly earlier.
+/// Index of the last op on `rank` of positive length whose end is within
+/// tol of `t` (ops are non-overlapping and time-sorted, so at most one
+/// qualifies); -1 if the latest such op below t ends strictly earlier.
+/// Zero-length ops (the combine steps of a zero-cost operator such as
+/// `first`) are stepped over: they start where they end, so taking one as
+/// the cause would leave the backward walk standing at t.
 int op_ending_at(const std::vector<Op>& ops, double t, double tol) {
   int lo = 0, hi = static_cast<int>(ops.size()) - 1, found = -1;
   while (lo <= hi) {
@@ -63,9 +66,12 @@ int op_ending_at(const std::vector<Op>& ops, double t, double tol) {
       hi = mid - 1;
     }
   }
+  const auto op = [&](int i) -> const Op& {
+    return ops[static_cast<std::size_t>(i)];
+  };
+  while (found >= 0 && op(found).end - op(found).start <= tol) --found;
   if (found < 0) return -1;
-  return std::abs(ops[static_cast<std::size_t>(found)].end - t) <= tol ? found
-                                                                       : -1;
+  return std::abs(op(found).end - t) <= tol ? found : -1;
 }
 
 std::string pct(double part, double whole) {
@@ -88,9 +94,12 @@ Profile profile_events(const std::vector<Event>& machine_events, int procs,
     if (e.tid < 0 || e.tid >= procs) continue;
     by_rank[static_cast<std::size_t>(e.tid)].push_back(parse_op(e));
   }
+  // By start, then end: a zero-length op sorts before the op that starts
+  // where it ends, so ends stay non-decreasing for op_ending_at.
   for (auto& ops : by_rank)
-    std::sort(ops.begin(), ops.end(),
-              [](const Op& a, const Op& b) { return a.start < b.start; });
+    std::sort(ops.begin(), ops.end(), [](const Op& a, const Op& b) {
+      return a.start < b.start || (a.start == b.start && a.end < b.end);
+    });
 
   if (makespan < 0) {
     makespan = 0;
@@ -145,7 +154,7 @@ Profile profile_events(const std::vector<Event>& machine_events, int procs,
       // No cause on this rank: idle back to its previous op (or to zero).
       double prev_end = 0;
       for (const Op& op : ops)
-        if (op.end <= t + tol) prev_end = std::max(prev_end, op.end);
+        if (op.end < t - tol) prev_end = std::max(prev_end, op.end);
       path.push_back({rank, prev_end, t, prev_end > tol ? "idle" : "start",
                       -1});
       if (prev_end <= tol) break;

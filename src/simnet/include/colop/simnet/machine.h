@@ -1,10 +1,19 @@
 #pragma once
-// simnet: a discrete-event simulator of the paper's machine model
-// (Section 4.1) — a virtual, fully connected system with bidirectional
-// links.  Sending m words costs ts + m*tw; one computation operation is
-// one time unit; senders are busy for the whole transfer (one-port model,
-// which makes a binomial broadcast cost log p sequential sends at the
-// root, exactly as the paper's estimates assume).
+// simnet: a simulator of the paper's machine model (Section 4.1) — a
+// virtual, fully connected system with bidirectional links.  Sending m
+// words costs ts + m*tw; one computation operation is one time unit;
+// senders are busy for the whole transfer (one-port model, which makes a
+// binomial broadcast cost log p sequential sends at the root, exactly as
+// the paper's estimates assume).
+//
+// The engine's unit of work is a butterfly round, as in the paper's cost
+// calculus (Eqs 15-17: a sum over log p rounds of ts + m*tw plus the
+// combine sweep): exchange_xor() and the compute sweeps advance every
+// clock of a round in one contiguous loop and update the counters once.
+// Point-to-point send/recv/exchange/compute remain for the schedules that
+// are not round-structured, and are the per-message fallback each round
+// primitive replays when a trace sink is attached or the topology is not
+// fully connected — so traced runs see exactly one event per message.
 //
 // The simulator executes the SAME communication schedules as the mpsim
 // thread runtime, but advances virtual per-processor clocks instead of
@@ -14,8 +23,6 @@
 // clocks reproduce the model the paper itself evaluates against.
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,6 +76,27 @@ class SimMachine {
   /// Tsend_recv): both clocks advance to max(clock_a, clock_b) + ts + w*tw.
   void exchange(int a, int b, double words);
 
+  // --- round primitives ----------------------------------------------------
+  // Each is exactly the per-message loop in its comment (same clocks,
+  // counters and, with a trace sink attached, the same events in the same
+  // order), executed as one bulk update when no sink is attached (and, for
+  // exchange_xor, the topology is fully connected, so every pair has the
+  // same transfer time).
+
+  /// One butterfly round: exchange(r, r ^ mask, words) for every r < p with
+  /// r < r ^ mask < p, in ascending r.  `mask` is a power of two below p.
+  void exchange_xor(int mask, double words);
+
+  /// compute(r, ops) for every r in [first, last), in ascending r.
+  void compute_range(int first, int last, double ops);
+  /// compute(r, ops) on every processor.
+  void compute_all(double ops) { compute_range(0, p_, ops); }
+
+  /// The combine sweep after exchange_xor(mask, ...): compute(r, lo) on the
+  /// lower end of every pair (r < r ^ mask) and compute(r, hi) on the upper
+  /// end, in ascending r; ranks whose partner is >= p do nothing.
+  void compute_xor(int mask, double lo, double hi);
+
   /// Completion time so far: max over all processor clocks.
   [[nodiscard]] double makespan() const;
   [[nodiscard]] double clock(int proc) const;
@@ -113,11 +141,21 @@ class SimMachine {
   void check(int proc) const {
     COLOP_REQUIRE(proc >= 0 && proc < p_, "simnet: processor out of range");
   }
+  void check_mask(int mask) const;
+
+  /// A message in flight: its sender and the time it becomes receivable.
+  struct Pending {
+    int from;
+    double arrival;
+  };
 
   int p_;
   NetParams net_;
   std::vector<double> clock_;
-  std::map<std::pair<int, int>, std::deque<double>> inflight_;
+  /// Per-receiver FIFO of in-flight messages in send order (FIFO per
+  /// channel = first entry with the matching sender).  Allocated on the
+  /// first send; reset() clears the queues but keeps their capacity.
+  std::vector<std::vector<Pending>> inbox_;
   std::uint64_t messages_ = 0;
   double words_ = 0;
   obs::Sink* trace_ = nullptr;

@@ -3,7 +3,26 @@
 #include <algorithm>
 #include <cmath>
 
+#include "colop/support/bits.h"
+
 namespace colop::simnet {
+namespace {
+
+// Integral word counts below 2^53 add exactly in any order, so one
+// multiply-add equals the per-pair sum; anything else (fractional words,
+// or a running total that already is) replays the per-pair additions.
+void add_words(double& total, double words, std::uint64_t n) {
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  const double bulk = 2 * words * static_cast<double>(n);
+  if (std::floor(words) == words && std::floor(total) == total &&
+      words >= 0 && total + bulk < kExact) {
+    total += bulk;
+    return;
+  }
+  for (std::uint64_t i = 0; i < n; ++i) total += 2 * words;
+}
+
+}  // namespace
 
 SimMachine::SimMachine(int p, NetParams net)
     : p_(p), net_(net), clock_(static_cast<std::size_t>(p), 0.0) {
@@ -72,7 +91,8 @@ void SimMachine::send(int from, int to, double words) {
   auto& c = clock_[static_cast<std::size_t>(from)];
   const double t0 = c;
   c += transfer_time(from, to, words);
-  inflight_[{from, to}].push_back(c);
+  if (inbox_.empty()) inbox_.resize(static_cast<std::size_t>(p_));
+  inbox_[static_cast<std::size_t>(to)].push_back({from, c});
   ++messages_;
   words_ += words;
   trace("send", from, t0, c, words, to);
@@ -81,11 +101,16 @@ void SimMachine::send(int from, int to, double words) {
 void SimMachine::recv(int at, int from) {
   check(at);
   check(from);
-  auto it = inflight_.find({from, at});
-  COLOP_REQUIRE(it != inflight_.end() && !it->second.empty(),
-                "simnet: recv with no matching message (schedule bug)");
-  const double arrival = it->second.front();
-  it->second.pop_front();
+  constexpr const char* kNoMessage =
+      "simnet: recv with no matching message (schedule bug)";
+  COLOP_REQUIRE(!inbox_.empty(), kNoMessage);
+  auto& q = inbox_[static_cast<std::size_t>(at)];
+  const auto it = std::find_if(q.begin(), q.end(), [from](const Pending& msg) {
+    return msg.from == from;
+  });
+  COLOP_REQUIRE(it != q.end(), kNoMessage);
+  const double arrival = it->arrival;
+  q.erase(it);
   auto& c = clock_[static_cast<std::size_t>(at)];
   const double t0 = c;
   c = std::max(c, arrival);
@@ -104,6 +129,66 @@ void SimMachine::exchange(int a, int b, double words) {
   words_ += 2 * words;
   trace("exchange", a, t0, t1, words, b);
   trace("exchange", b, t0, t1, words, a);
+}
+
+void SimMachine::check_mask(int mask) const {
+  COLOP_REQUIRE(mask >= 1 && mask < p_ &&
+                    is_pow2(static_cast<std::uint64_t>(mask)),
+                "simnet: butterfly mask must be a power of two below p");
+}
+
+void SimMachine::exchange_xor(int mask, double words) {
+  check_mask(mask);
+  if (trace_ != nullptr || net_.topology != Topology::fully_connected) {
+    for (int r = 0; r < p_; ++r) {
+      const int partner = r ^ mask;
+      if (partner > r && partner < p_) exchange(r, partner, words);
+    }
+    return;
+  }
+  const double t = transfer_time(0, mask, words);
+  double* c = clock_.data();
+  std::uint64_t pairs = 0;
+  for (int b = 0; b + mask < p_; b += 2 * mask) {
+    const int n = std::min(mask, p_ - mask - b);
+    double* lo = c + b;
+    double* hi = lo + mask;
+    for (int i = 0; i < n; ++i) {
+      const double t1 = std::max(lo[i], hi[i]) + t;
+      lo[i] = t1;
+      hi[i] = t1;
+    }
+    pairs += static_cast<std::uint64_t>(n);
+  }
+  messages_ += 2 * pairs;
+  add_words(words_, words, pairs);
+}
+
+void SimMachine::compute_range(int first, int last, double ops) {
+  COLOP_REQUIRE(0 <= first && first <= last && last <= p_,
+                "simnet: processor range [first, last) out of bounds");
+  if (trace_ != nullptr) {
+    for (int r = first; r < last; ++r) compute(r, ops);
+    return;
+  }
+  for (int r = first; r < last; ++r) clock_[static_cast<std::size_t>(r)] += ops;
+}
+
+void SimMachine::compute_xor(int mask, double lo, double hi) {
+  check_mask(mask);
+  if (trace_ != nullptr) {
+    for (int r = 0; r < p_; ++r) {
+      const int partner = r ^ mask;
+      if (partner < p_) compute(r, partner < r ? hi : lo);
+    }
+    return;
+  }
+  double* c = clock_.data();
+  for (int b = 0; b + mask < p_; b += 2 * mask) {
+    const int n = std::min(mask, p_ - mask - b);
+    for (int i = 0; i < n; ++i) c[b + i] += lo;
+    for (int i = 0; i < n; ++i) c[b + mask + i] += hi;
+  }
 }
 
 double SimMachine::makespan() const {
@@ -128,7 +213,7 @@ void SimMachine::barrier() {
 
 void SimMachine::reset() {
   std::fill(clock_.begin(), clock_.end(), 0.0);
-  inflight_.clear();
+  for (auto& q : inbox_) q.clear();
   messages_ = 0;
   words_ = 0;
 }

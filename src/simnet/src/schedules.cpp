@@ -31,6 +31,11 @@ void bcast_butterfly(SimMachine& mach, double m, double w, int root) {
   const int p = mach.size();
   const double words = m * w;
   for (int k = 0; (1 << k) < p; ++k) {
+    if (root % p == 0) {
+      mach.exchange_xor(1 << k, words);
+      continue;
+    }
+    // A rotated root relabels the ranks: its pairs are not XOR partners.
     for (int vr = 0; vr < p; ++vr) {
       const int partner = vr ^ (1 << k);
       if (partner >= p || partner < vr) continue;  // each pair once
@@ -96,12 +101,8 @@ void allreduce_vdg(SimMachine& mach, double m, double w, double ops) {
     int len = p;
     while (len > 1) {
       const int half = len / 2;
-      for (int r = 0; r < p; ++r) {
-        const int partner = r ^ half;
-        if (partner < r) continue;
-        mach.exchange(r, partner, half * seg * w);
-      }
-      for (int r = 0; r < p; ++r) mach.compute(r, half * seg * ops);
+      mach.exchange_xor(half, half * seg * w);
+      mach.compute_all(half * seg * ops);
       len = half;
     }
   } else {
@@ -151,6 +152,12 @@ void allreduce_butterfly(SimMachine& mach, double m, double w, double ops) {
   }
   auto real = [&](int v) { return v < rem ? 2 * v : v + rem; };
   for (int k = 0; (1 << k) < q; ++k) {
+    if (rem == 0) {
+      mach.exchange_xor(1 << k, words);
+      mach.compute_all(m * ops);
+      continue;
+    }
+    // After the fold the survivors are not contiguous: pair by real().
     for (int vr = 0; vr < q; ++vr) {
       const int partner = vr ^ (1 << k);
       if (partner < vr) continue;
@@ -169,18 +176,10 @@ void scan_butterfly(SimMachine& mach, double m, double w, double ops) {
   const int p = mach.size();
   const double words = m * w;
   for (int k = 0; (1 << k) < p; ++k) {
-    for (int r = 0; r < p; ++r) {
-      const int partner = r ^ (1 << k);
-      if (partner >= p || partner < r) continue;
-      mach.exchange(r, partner, words);
-    }
-    for (int r = 0; r < p; ++r) {
-      const int partner = r ^ (1 << k);
-      if (partner >= p) continue;
-      // Upper side updates prefix and total (2 ops/element), lower side
-      // only the total (1 op/element).
-      mach.compute(r, m * ops * (partner < r ? 2 : 1));
-    }
+    mach.exchange_xor(1 << k, words);
+    // Upper side updates prefix and total (2 ops/element), lower side
+    // only the total (1 op/element).
+    mach.compute_xor(1 << k, m * ops, m * ops * 2);
   }
 }
 
@@ -217,13 +216,8 @@ void scan_balanced(SimMachine& mach, double m, double w, double ops) {
   const int p = mach.size();
   const double words = m * w;
   for (int k = 0; (1 << k) < p; ++k) {
-    for (int r = 0; r < p; ++r) {
-      const int partner = r ^ (1 << k);
-      if (partner >= p || partner < r) continue;
-      mach.exchange(r, partner, words);
-    }
-    for (int r = 0; r < p; ++r)
-      if ((r ^ (1 << k)) < p) mach.compute(r, m * ops);
+    mach.exchange_xor(1 << k, words);
+    mach.compute_xor(1 << k, m * ops, m * ops);
   }
 }
 
@@ -232,12 +226,8 @@ void allreduce_balanced(SimMachine& mach, double m, double w, double ops) {
   if (is_pow2(static_cast<std::uint64_t>(p))) {
     const double words = m * w;
     for (int k = 0; (1 << k) < p; ++k) {
-      for (int r = 0; r < p; ++r) {
-        const int partner = r ^ (1 << k);
-        if (partner < r) continue;
-        mach.exchange(r, partner, words);
-      }
-      for (int r = 0; r < p; ++r) mach.compute(r, m * ops);
+      mach.exchange_xor(1 << k, words);
+      mach.compute_all(m * ops);
     }
     return;
   }
@@ -283,7 +273,7 @@ void comcast_naive(SimMachine& mach, double m, double w, double ops_g,
 
 void local_map(SimMachine& mach, double m, double ops) {
   if (ops == 0) return;
-  for (int r = 0; r < mach.size(); ++r) mach.compute(r, m * ops);
+  mach.compute_all(m * ops);
 }
 
 void local_iter(SimMachine& mach, double m, double ops, double levels) {

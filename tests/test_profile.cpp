@@ -97,6 +97,24 @@ TEST(Profile, EmptyProgramProfilesCleanly) {
   EXPECT_EQ(prof.bottleneck(), nullptr);
 }
 
+TEST(Profile, CriticalPathStepsOverZeroLengthOps) {
+  // `first` costs 0 ops per element, so its combine steps are zero-length
+  // compute events; the backward walk must pass them and still reach 0.
+  for (const char* text :
+       {"scan(first)", "reduce(first) ; bcast", "scan(first) ; scan(+)",
+        "allreduce(+) ; scan(first)"})
+    for (const int p : {2, 5, 8}) {
+      const model::Machine mach{.p = p, .m = 4, .ts = 400, .tw = 2};
+      const auto prof = profile_program(ir::parse_program(text), mach);
+      EXPECT_TRUE(prof.balanced()) << text << " p=" << p;
+      EXPECT_TRUE(prof.path_complete())
+          << text << " p=" << p << "\n" << prof.render_text();
+      EXPECT_EQ(prof.makespan,
+                exec::run_on_simnet(ir::parse_program(text), mach).time)
+          << text << " p=" << p;
+    }
+}
+
 TEST(Provenance, ReplaysTheDerivationSplices) {
   // SS2-Scan on a high-startup machine: scan(*) ; scan(+) becomes
   // map(pair) ; scan(op_sr2) ; map(pi1), all three produced by the rule.
