@@ -44,59 +44,43 @@ void sim_stage(const ir::Stage& stage, simnet::SimMachine& mach, double m,
     }
     case Kind::Reduce:
     case Kind::IStartReduce: {
-      const int words = stage.kind() == Kind::Reduce
-                            ? static_cast<const ir::ReduceStage&>(stage).words
-                            : static_cast<const ir::IStartReduceStage&>(stage).words;
-      const double ops =
-          stage.kind() == Kind::Reduce
-              ? static_cast<const ir::ReduceStage&>(stage).op->ops_cost()
-              : static_cast<const ir::IStartReduceStage&>(stage).op->ops_cost();
+      const auto& s = static_cast<const ir::ReduceStage&>(stage);
+      const double ops = s.op->ops_cost();
       if (sched.reduce == SimSchedules::Reduce::binomial)
-        simnet::reduce_binomial(mach, m, words, ops);
+        simnet::reduce_binomial(mach, m, s.words, ops);
       else if (sched.reduce == SimSchedules::Reduce::vdg)
-        simnet::allreduce_vdg(mach, m, words, ops);
+        simnet::allreduce_vdg(mach, m, s.words, ops);
       else
-        simnet::allreduce_butterfly(mach, m, words, ops);
+        simnet::allreduce_butterfly(mach, m, s.words, ops);
       break;
     }
     case Kind::AllReduce:
     case Kind::IStartAllReduce: {
-      const int words =
-          stage.kind() == Kind::AllReduce
-              ? static_cast<const ir::AllReduceStage&>(stage).words
-              : static_cast<const ir::IStartAllReduceStage&>(stage).words;
-      const double ops =
-          stage.kind() == Kind::AllReduce
-              ? static_cast<const ir::AllReduceStage&>(stage).op->ops_cost()
-              : static_cast<const ir::IStartAllReduceStage&>(stage).op->ops_cost();
+      const auto& s = static_cast<const ir::AllReduceStage&>(stage);
+      const double ops = s.op->ops_cost();
       if (sched.reduce == SimSchedules::Reduce::vdg)
-        simnet::allreduce_vdg(mach, m, words, ops);
+        simnet::allreduce_vdg(mach, m, s.words, ops);
       else
-        simnet::allreduce_butterfly(mach, m, words, ops);
+        simnet::allreduce_butterfly(mach, m, s.words, ops);
       break;
     }
     case Kind::Bcast:
     case Kind::IStartBcast: {
-      const int words = stage.kind() == Kind::Bcast
-                            ? static_cast<const ir::BcastStage&>(stage).words
-                            : static_cast<const ir::IStartBcastStage&>(stage).words;
-      const int root = stage.kind() == Kind::Bcast
-                           ? static_cast<const ir::BcastStage&>(stage).root
-                           : static_cast<const ir::IStartBcastStage&>(stage).root;
+      const auto& s = static_cast<const ir::BcastStage&>(stage);
       switch (sched.bcast) {
         case SimSchedules::Bcast::butterfly:
-          simnet::bcast_butterfly(mach, m, words, root);
+          simnet::bcast_butterfly(mach, m, s.words, s.root);
           break;
         case SimSchedules::Bcast::binomial:
-          simnet::bcast_binomial(mach, m, words, root);
+          simnet::bcast_binomial(mach, m, s.words, s.root);
           break;
         case SimSchedules::Bcast::vdg:
-          simnet::bcast_vdg(mach, m, words);
+          simnet::bcast_vdg(mach, m, s.words);
           break;
         case SimSchedules::Bcast::pipelined:
           simnet::bcast_pipelined(
-              mach, m, words,
-              simnet::optimal_segments(p, m * words, mach.net().ts,
+              mach, m, s.words,
+              simnet::optimal_segments(p, m * s.words, mach.net().ts,
                                        mach.net().tw));
           break;
       }

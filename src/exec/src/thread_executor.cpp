@@ -114,7 +114,6 @@ B run_rank(const ir::Program& prog, mpsim::Comm& comm, B block, bool packed,
 // The output is identical to the blocking twin followed by the maps.
 void run_window_boxed(const ir::Program& prog, const ir::OverlapWindow& w,
                       int segments, mpsim::Comm& comm, Block& block) {
-  const ir::Stage& c = prog.stage(w.istart);
   const std::size_t m = block.size();
   const std::size_t want = segments > 0 ? static_cast<std::size_t>(segments) : 1;
   const std::size_t K = std::max<std::size_t>(1, std::min(want, std::max<std::size_t>(m, 1)));
@@ -123,42 +122,8 @@ void run_window_boxed(const ir::Program& prog, const ir::OverlapWindow& w,
     const std::size_t hi = m * (k + 1) / K;
     Block seg(block.begin() + static_cast<std::ptrdiff_t>(lo),
               block.begin() + static_cast<std::ptrdiff_t>(hi));
-    switch (c.kind()) {
-      case ir::Stage::Kind::IStartReduce: {
-        const auto& s = static_cast<const ir::IStartReduceStage&>(c);
-        seg = mpsim::reduce(comm, std::move(seg),
-                            lift2([op = s.op](const Value& a, const Value& b) {
-                              return (*op)(a, b);
-                            }),
-                            s.root);
-        break;
-      }
-      case ir::Stage::Kind::IStartAllReduce: {
-        const auto& s = static_cast<const ir::IStartAllReduceStage&>(c);
-        seg = mpsim::allreduce(comm, std::move(seg),
-                               lift2([op = s.op](const Value& a, const Value& b) {
-                                 return (*op)(a, b);
-                               }));
-        break;
-      }
-      case ir::Stage::Kind::IStartBcast: {
-        const auto& s = static_cast<const ir::IStartBcastStage&>(c);
-        seg = mpsim::bcast(comm, std::move(seg), s.root);
-        break;
-      }
-      default:
-        COLOP_ASSERT(false, "overlap window does not start at an istart");
-    }
-    for (std::size_t j = w.istart + 1; j < w.wait; ++j) {
-      const ir::Stage& interior = prog.stage(j);
-      if (interior.kind() == ir::Stage::Kind::Map) {
-        const auto& s = static_cast<const ir::MapStage&>(interior);
-        for (auto& v : seg) v = s.fn(v);
-      } else {
-        const auto& s = static_cast<const ir::MapIndexedStage&>(interior);
-        for (auto& v : seg) v = s.fn(comm.rank(), v);
-      }
-    }
+    for (std::size_t j = w.istart; j < w.wait; ++j)
+      exec_stage(prog.stage(j), comm, seg);
     std::move(seg.begin(), seg.end(),
               block.begin() + static_cast<std::ptrdiff_t>(lo));
   }
@@ -194,7 +159,12 @@ void exec_stage(const ir::Stage& stage, mpsim::Comm& comm, Block& block) {
                           }));
       return;
     }
-    case Kind::Reduce: {
+    // Split-phase: an istart runs its blocking collective and wait
+    // completes nothing.  Eligible overlap windows run whole in
+    // run_window_boxed, which calls this once per segment; outside one the
+    // blocking fallback is always semantics-preserving.
+    case Kind::Reduce:
+    case Kind::IStartReduce: {
       const auto& s = static_cast<const ir::ReduceStage&>(stage);
       block = mpsim::reduce(comm, std::move(block),
                             lift2([op = s.op](const Value& a, const Value& b) {
@@ -203,7 +173,8 @@ void exec_stage(const ir::Stage& stage, mpsim::Comm& comm, Block& block) {
                             s.root);
       return;
     }
-    case Kind::AllReduce: {
+    case Kind::AllReduce:
+    case Kind::IStartAllReduce: {
       const auto& s = static_cast<const ir::AllReduceStage&>(stage);
       block = mpsim::allreduce(comm, std::move(block),
                                lift2([op = s.op](const Value& a, const Value& b) {
@@ -211,7 +182,8 @@ void exec_stage(const ir::Stage& stage, mpsim::Comm& comm, Block& block) {
                                }));
       return;
     }
-    case Kind::Bcast: {
+    case Kind::Bcast:
+    case Kind::IStartBcast: {
       const auto& s = static_cast<const ir::BcastStage&>(stage);
       block = mpsim::bcast(comm, std::move(block), s.root);
       return;
@@ -253,32 +225,6 @@ void exec_stage(const ir::Stage& stage, mpsim::Comm& comm, Block& block) {
       } else {
         for (auto& v : block) v = Value::undefined();
       }
-      return;
-    }
-    // Split-phase fallback: outside an eligible overlap window the istart
-    // degenerates to its blocking twin and wait completes nothing — always
-    // semantics-preserving.  Eligible windows never reach here: run_rank's
-    // overlap engine executes them whole (run_window_boxed).
-    case Kind::IStartReduce: {
-      const auto& s = static_cast<const ir::IStartReduceStage&>(stage);
-      block = mpsim::reduce(comm, std::move(block),
-                            lift2([op = s.op](const Value& a, const Value& b) {
-                              return (*op)(a, b);
-                            }),
-                            s.root);
-      return;
-    }
-    case Kind::IStartAllReduce: {
-      const auto& s = static_cast<const ir::IStartAllReduceStage&>(stage);
-      block = mpsim::allreduce(comm, std::move(block),
-                               lift2([op = s.op](const Value& a, const Value& b) {
-                                 return (*op)(a, b);
-                               }));
-      return;
-    }
-    case Kind::IStartBcast: {
-      const auto& s = static_cast<const ir::IStartBcastStage&>(stage);
-      block = mpsim::bcast(comm, std::move(block), s.root);
       return;
     }
     case Kind::Wait:

@@ -3,7 +3,7 @@
 //
 // A program runs packed when every stage has a compiled kernel AND the
 // element shape stays flat (scalar or tuple-of-scalars) at every program
-// point — checked statically by packable() via the stage shape
+// point — checked statically by packed_ineligibility() via the stage shape
 // transformers.  Data must also fit: try_pack_dist() packs every block
 // (uniform block size, homogeneous lanes) or reports failure.  Whenever
 // either check fails the callers (Program::eval_reference, the exec
@@ -13,7 +13,9 @@
 // Selection can be forced for benchmarks and differential tests, either
 // per call (DataPlane) or globally via COLOP_DATA_PLANE=boxed|packed|auto.
 
+#include <cstddef>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "colop/ir/packed.h"
@@ -34,11 +36,26 @@ enum class DataPlane {
 /// One block per rank, every one packed.
 using PackedDist = std::vector<PackedBlock>;
 
-/// Static check: every stage of `prog` has a flat-plane kernel and keeps
-/// the element shape flat, starting from `input`.  `p` is the processor
-/// count (iter is packable only for powers of two, where the doubling
-/// step applies verbatim).
-[[nodiscard]] bool packable(const Program& prog, const Shape& input, int p);
+/// What keeps a program off the flat plane: the first stage that does
+/// (none when the input shape is nested or a shape transformer rejects),
+/// and why.
+struct PackedIneligibility {
+  std::optional<std::size_t> stage;
+  std::string reason;
+};
+
+/// The one eligibility walk, read by packable() and by the verifier's V208
+/// lint: every stage of `prog` must have a flat-plane kernel and keep the
+/// element shape flat, starting from `input`.  `p` is the processor count
+/// (iter is packable only for powers of two, where the doubling step
+/// applies verbatim).  nullopt means eligible.
+[[nodiscard]] std::optional<PackedIneligibility> packed_ineligibility(
+    const Program& prog, const Shape& input, int p);
+
+[[nodiscard]] inline bool packable(const Program& prog, const Shape& input,
+                                   int p) {
+  return !packed_ineligibility(prog, input, p);
+}
 
 /// Element shape of a distributed list, if uniform and flat: scalar,
 /// or tuple of scalars (undefined elements/components are compatible with

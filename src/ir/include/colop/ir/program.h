@@ -50,15 +50,13 @@ class Program {
   }
   Program& istart_reduce(BinOpPtr op, int root = 0, int words = 1,
                          int handle = 0) {
-    return push(std::make_shared<IStartReduceStage>(std::move(op), root, words,
-                                                    handle));
+    return push(std::make_shared<ReduceStage>(std::move(op), root, words, handle));
   }
   Program& istart_bcast(int root = 0, int words = 1, int handle = 0) {
-    return push(std::make_shared<IStartBcastStage>(root, words, handle));
+    return push(std::make_shared<BcastStage>(root, words, handle));
   }
   Program& istart_allreduce(BinOpPtr op, int words = 1, int handle = 0) {
-    return push(std::make_shared<IStartAllReduceStage>(std::move(op), words,
-                                                       handle));
+    return push(std::make_shared<AllReduceStage>(std::move(op), words, handle));
   }
   Program& wait(int handle = 0) {
     return push(std::make_shared<WaitStage>(handle));

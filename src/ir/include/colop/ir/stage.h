@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -125,39 +126,69 @@ struct ScanStage final : Stage {
   void eval_reference(Dist& state) const override;
 };
 
+// reduce, allreduce and bcast carry an optional request handle.  Set, the
+// stage is istart_X(h): its kind is IStartX, it evaluates exactly like X
+// (the continuation-overlap reading in Stage::Kind), and the matching
+// wait(h) — a value-level no-op — completes it.
+
+namespace detail {
+inline std::string handle_suffix(const std::optional<int>& handle) {
+  return handle.value_or(0) ? ",h=" + std::to_string(*handle) : "";
+}
+}  // namespace detail
+
 struct ReduceStage final : Stage {
-  explicit ReduceStage(BinOpPtr o, int root_rank = 0, int elem_words = 1)
-      : op(std::move(o)), root(root_rank), words(elem_words) {}
+  explicit ReduceStage(BinOpPtr o, int root_rank = 0, int elem_words = 1,
+                       std::optional<int> req_handle = std::nullopt)
+      : op(std::move(o)), root(root_rank), words(elem_words), handle(req_handle) {}
   BinOpPtr op;
   int root;
   int words;  ///< transmitted words per element
-  [[nodiscard]] Kind kind() const override { return Kind::Reduce; }
+  std::optional<int> handle;  ///< set for istart_reduce: its request handle
+  [[nodiscard]] Kind kind() const override {
+    return handle ? Kind::IStartReduce : Kind::Reduce;
+  }
   [[nodiscard]] std::string show() const override {
-    return "reduce(" + op->name() + (root ? ",root=" + std::to_string(root) : "") + ")";
+    return (handle ? "istart_reduce(" : "reduce(") + op->name() +
+           (root ? ",root=" + std::to_string(root) : "") +
+           detail::handle_suffix(handle) + ")";
   }
   void eval_reference(Dist& state) const override;
 };
 
 struct AllReduceStage final : Stage {
-  explicit AllReduceStage(BinOpPtr o, int elem_words = 1)
-      : op(std::move(o)), words(elem_words) {}
+  explicit AllReduceStage(BinOpPtr o, int elem_words = 1,
+                          std::optional<int> req_handle = std::nullopt)
+      : op(std::move(o)), words(elem_words), handle(req_handle) {}
   BinOpPtr op;
   int words;  ///< transmitted words per element
-  [[nodiscard]] Kind kind() const override { return Kind::AllReduce; }
+  std::optional<int> handle;  ///< set for istart_allreduce: its request handle
+  [[nodiscard]] Kind kind() const override {
+    return handle ? Kind::IStartAllReduce : Kind::AllReduce;
+  }
   [[nodiscard]] std::string show() const override {
-    return "allreduce(" + op->name() + ")";
+    return (handle ? "istart_allreduce(" : "allreduce(") + op->name() +
+           detail::handle_suffix(handle) + ")";
   }
   void eval_reference(Dist& state) const override;
 };
 
 struct BcastStage final : Stage {
-  explicit BcastStage(int root_rank = 0, int elem_words = 1)
-      : root(root_rank), words(elem_words) {}
+  explicit BcastStage(int root_rank = 0, int elem_words = 1,
+                      std::optional<int> req_handle = std::nullopt)
+      : root(root_rank), words(elem_words), handle(req_handle) {}
   int root;
   int words;  ///< transmitted words per element
-  [[nodiscard]] Kind kind() const override { return Kind::Bcast; }
+  std::optional<int> handle;  ///< set for istart_bcast: its request handle
+  [[nodiscard]] Kind kind() const override {
+    return handle ? Kind::IStartBcast : Kind::Bcast;
+  }
   [[nodiscard]] std::string show() const override {
-    return root ? "bcast(root=" + std::to_string(root) + ")" : "bcast";
+    std::string args = root ? "root=" + std::to_string(root) : "";
+    if (handle.value_or(0))
+      args += (args.empty() ? "h=" : ",h=") + std::to_string(*handle);
+    const std::string name = handle ? "istart_bcast" : "bcast";
+    return args.empty() ? name : name + "(" + args + ")";
   }
   void eval_reference(Dist& state) const override;
 };
@@ -211,71 +242,6 @@ struct IterStage final : Stage {
   void eval_reference(Dist& state) const override;
   /// Shared by the reference evaluator and the executors.
   [[nodiscard]] Value apply_local(int p, const Value& x) const;
-};
-
-// --- split-phase (nonblocking) stages ------------------------------------
-//
-// Reference semantics follow the continuation-overlap reading: the istart
-// applies its blocking twin immediately (the collective's result is the
-// value the following stages see), and wait(h) is a value-level no-op.
-// This makes `istart_X(h) ; L ; wait(h)` extensionally equal to `X ; L`
-// for any local stages L, which is exactly the side condition the
-// Overlap-Split / Wait-Sink rules rely on.  The executors are free to
-// realise the window with genuine communication/computation overlap
-// (segmented pipelining) as long as they reproduce this semantics.
-
-namespace detail {
-inline std::string handle_suffix(int handle) {
-  return handle ? ",h=" + std::to_string(handle) : "";
-}
-}  // namespace detail
-
-struct IStartReduceStage final : Stage {
-  explicit IStartReduceStage(BinOpPtr o, int root_rank = 0, int elem_words = 1,
-                             int req_handle = 0)
-      : op(std::move(o)), root(root_rank), words(elem_words), handle(req_handle) {}
-  BinOpPtr op;
-  int root;
-  int words;   ///< transmitted words per element
-  int handle;  ///< request handle matched by the wait
-  [[nodiscard]] Kind kind() const override { return Kind::IStartReduce; }
-  [[nodiscard]] std::string show() const override {
-    return "istart_reduce(" + op->name() +
-           (root ? ",root=" + std::to_string(root) : "") +
-           detail::handle_suffix(handle) + ")";
-  }
-  void eval_reference(Dist& state) const override;
-};
-
-struct IStartBcastStage final : Stage {
-  explicit IStartBcastStage(int root_rank = 0, int elem_words = 1,
-                            int req_handle = 0)
-      : root(root_rank), words(elem_words), handle(req_handle) {}
-  int root;
-  int words;   ///< transmitted words per element
-  int handle;  ///< request handle matched by the wait
-  [[nodiscard]] Kind kind() const override { return Kind::IStartBcast; }
-  [[nodiscard]] std::string show() const override {
-    std::string args;
-    if (root) args = "root=" + std::to_string(root);
-    if (handle) args += (args.empty() ? "h=" : ",h=") + std::to_string(handle);
-    return args.empty() ? "istart_bcast" : "istart_bcast(" + args + ")";
-  }
-  void eval_reference(Dist& state) const override;
-};
-
-struct IStartAllReduceStage final : Stage {
-  explicit IStartAllReduceStage(BinOpPtr o, int elem_words = 1,
-                                int req_handle = 0)
-      : op(std::move(o)), words(elem_words), handle(req_handle) {}
-  BinOpPtr op;
-  int words;   ///< transmitted words per element
-  int handle;  ///< request handle matched by the wait
-  [[nodiscard]] Kind kind() const override { return Kind::IStartAllReduce; }
-  [[nodiscard]] std::string show() const override {
-    return "istart_allreduce(" + op->name() + detail::handle_suffix(handle) + ")";
-  }
-  void eval_reference(Dist& state) const override;
 };
 
 struct WaitStage final : Stage {

@@ -38,81 +38,110 @@ DataPlane data_plane_from_env() {
   return DataPlane::Auto;
 }
 
-bool packable(const Program& prog, const Shape& input, int p) {
-  if (!flat(input)) return false;
+std::optional<PackedIneligibility> packed_ineligibility(const Program& prog,
+                                                       const Shape& input,
+                                                       int p) {
+  // Reasons are built only on the way out: an eligible program allocates
+  // nothing here beyond what its stages' shape transformers do.
+  if (!flat(input))
+    return PackedIneligibility{std::nullopt,
+                               "input element shape " + input.to_string() +
+                                   " is nested — the flat plane handles "
+                                   "scalars and flat tuples only"};
   Shape s = input;
+  // map and map#: a kernel, and an element shape that stays flat.
+  const auto map_step = [&s](std::size_t i, const char* what,
+                             const auto& fn) -> std::optional<PackedIneligibility> {
+    if (!fn.packed_fn)
+      return PackedIneligibility{i, std::string(what) + " function `" +
+                                        fn.name + "` has no packed kernel"};
+    s = fn.apply_shape(s);
+    if (!flat(s))
+      return PackedIneligibility{
+          i, "element shape becomes nested (" + s.to_string() + ")"};
+    return std::nullopt;
+  };
   try {
-    for (const auto& stage : prog.stages()) {
-      switch (stage->kind()) {
-        case Stage::Kind::Map: {
-          const auto& st = static_cast<const MapStage&>(*stage);
-          if (!st.fn.packed_fn) return false;
-          s = st.fn.apply_shape(s);
-          if (!flat(s)) return false;
+    for (std::size_t i = 0; i < prog.size(); ++i) {
+      const Stage& stage = prog.stage(i);
+      switch (stage.kind()) {
+        case Stage::Kind::Map:
+          if (auto why = map_step(i, "map", static_cast<const MapStage&>(stage).fn))
+            return why;
           break;
-        }
-        case Stage::Kind::MapIndexed: {
-          const auto& st = static_cast<const MapIndexedStage&>(*stage);
-          if (!st.fn.packed_fn) return false;
-          s = st.fn.apply_shape(s);
-          if (!flat(s)) return false;
+        case Stage::Kind::MapIndexed:
+          if (auto why = map_step(i, "map#",
+                                  static_cast<const MapIndexedStage&>(stage).fn))
+            return why;
           break;
-        }
         case Stage::Kind::Scan:
-          if (!static_cast<const ScanStage&>(*stage).op->has_packed())
-            return false;
-          break;
         case Stage::Kind::Reduce:
-          if (!static_cast<const ReduceStage&>(*stage).op->has_packed())
-            return false;
+        case Stage::Kind::AllReduce: {
+          const BinOpPtr& op =
+              stage.kind() == Stage::Kind::Scan
+                  ? static_cast<const ScanStage&>(stage).op
+                  : stage.kind() == Stage::Kind::Reduce
+                        ? static_cast<const ReduceStage&>(stage).op
+                        : static_cast<const AllReduceStage&>(stage).op;
+          if (!op->has_packed())
+            return PackedIneligibility{
+                i, "operator `" + op->name() + "` has no packed kernel"};
           break;
-        case Stage::Kind::AllReduce:
-          if (!static_cast<const AllReduceStage&>(*stage).op->has_packed())
-            return false;
-          break;
+        }
         case Stage::Kind::Bcast:
           break;
         case Stage::Kind::ScanBalanced: {
-          const auto& op2 = static_cast<const ScanBalancedStage&>(*stage).op2;
+          const auto& op2 = static_cast<const ScanBalancedStage&>(stage).op2;
           if (!op2.packed_combine2 || !op2.packed_degrade || !op2.packed_strip)
-            return false;
+            return PackedIneligibility{
+                i, "balanced operator `" + op2.name +
+                       "` is missing one of its three packed kernels"};
           break;
         }
-        case Stage::Kind::ReduceBalanced: {
-          const auto& op = static_cast<const ReduceBalancedStage&>(*stage).op;
-          if (!op.packed_combine || !op.packed_unit) return false;
-          break;
-        }
+        case Stage::Kind::ReduceBalanced:
         case Stage::Kind::AllReduceBalanced: {
-          const auto& op =
-              static_cast<const AllReduceBalancedStage&>(*stage).op;
-          if (!op.packed_combine || !op.packed_unit) return false;
+          const BalancedOp& op =
+              stage.kind() == Stage::Kind::ReduceBalanced
+                  ? static_cast<const ReduceBalancedStage&>(stage).op
+                  : static_cast<const AllReduceBalancedStage&>(stage).op;
+          if (!op.packed_combine || !op.packed_unit)
+            return PackedIneligibility{i, "balanced operator `" + op.name +
+                                              "` is missing a packed kernel"};
           break;
         }
         case Stage::Kind::Iter: {
           // The doubling step applies verbatim only for p = 2^k; the
           // generalized fold is an arbitrary boxed function, so other p
           // stay on the boxed path entirely.
-          const auto& st = static_cast<const IterStage&>(*stage);
-          if (!is_pow2(static_cast<std::uint64_t>(p))) return false;
-          if (!st.step.packed_fn) return false;
-          const Shape after = st.step.apply_shape(s);
-          if (!(after == s)) return false;  // applied log2(p) times
+          const auto& st = static_cast<const IterStage&>(stage);
+          if (!is_pow2(static_cast<std::uint64_t>(p)))
+            return PackedIneligibility{
+                i, "iter's generalized fold (p = " + std::to_string(p) +
+                       " is not a power of two) is boxed-only"};
+          if (!st.step.packed_fn)
+            return PackedIneligibility{
+                i, "iter step `" + st.step.name + "` has no packed kernel"};
+          if (!(st.step.apply_shape(s) == s))  // applied log2(p) times
+            return PackedIneligibility{
+                i, "iter step changes the element shape, which the repeated "
+                   "packed application cannot express"};
           break;
         }
         case Stage::Kind::IStartReduce:
         case Stage::Kind::IStartBcast:
         case Stage::Kind::IStartAllReduce:
         case Stage::Kind::Wait:
-          // Split-phase stages stay on the boxed plane: the overlap window
-          // engine pipelines boxed segments and has no packed kernels.
-          return false;
+          return PackedIneligibility{
+              i, "split-phase stages are boxed-only (the overlap window "
+                 "engine pipelines boxed segments)"};
       }
     }
-  } catch (const Error&) {
-    return false;  // a shape transformer rejected (pi_1 of a scalar, ...)
+  } catch (const Error& e) {
+    // A shape transformer rejected (pi_1 of a scalar, ...).
+    return PackedIneligibility{
+        std::nullopt, std::string("shape transformer rejected: ") + e.what()};
   }
-  return true;
+  return std::nullopt;
 }
 
 std::optional<Shape> dist_shape(const Dist& input) {
@@ -272,7 +301,7 @@ void eval_reference_packed(const Program& prog, PackedDist& state) {
       case Stage::Kind::IStartBcast:
       case Stage::Kind::IStartAllReduce:
       case Stage::Kind::Wait:
-        // packable() rejects split-phase programs before this point.
+        // packed_ineligibility() rejects split-phase programs before this point.
         throw_error("eval_reference_packed: split-phase stages are boxed-only");
     }
   }

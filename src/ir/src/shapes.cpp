@@ -22,14 +22,17 @@ Shape step(const Stage& stage, const Shape& in) {
                     in.words());
       return in;
     case Kind::Reduce:
+    case Kind::IStartReduce:
       require_words(stage.show(), static_cast<const ReduceStage&>(stage).words,
                     in.words());
       return in;
     case Kind::AllReduce:
+    case Kind::IStartAllReduce:
       require_words(stage.show(),
                     static_cast<const AllReduceStage&>(stage).words, in.words());
       return in;
     case Kind::Bcast:
+    case Kind::IStartBcast:
       require_words(stage.show(), static_cast<const BcastStage&>(stage).words,
                     in.words());
       return in;
@@ -55,21 +58,6 @@ Shape step(const Stage& stage, const Shape& in) {
     }
     case Kind::Iter:
       return in;  // iter's step is shape-preserving by construction
-    case Kind::IStartReduce:
-      require_words(stage.show(),
-                    static_cast<const IStartReduceStage&>(stage).words,
-                    in.words());
-      return in;
-    case Kind::IStartBcast:
-      require_words(stage.show(),
-                    static_cast<const IStartBcastStage&>(stage).words,
-                    in.words());
-      return in;
-    case Kind::IStartAllReduce:
-      require_words(stage.show(),
-                    static_cast<const IStartAllReduceStage&>(stage).words,
-                    in.words());
-      return in;
     case Kind::Wait:
       return in;  // wait transmits nothing and preserves the shape
   }

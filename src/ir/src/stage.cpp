@@ -155,33 +155,18 @@ void IterStage::eval_reference(Dist& state) const {
     for (auto& v : state[r]) v = Value::undefined();
 }
 
-// Split-phase stages: continuation-overlap reference semantics.  The
-// istart applies its blocking twin immediately — the following stages see
-// the collective's result — and wait is a value-level no-op.  The
-// executors realise the same semantics with real overlap.
-
-void IStartReduceStage::eval_reference(Dist& state) const {
-  ReduceStage(op, root, words).eval_reference(state);
-}
-
-void IStartBcastStage::eval_reference(Dist& state) const {
-  BcastStage(root, words).eval_reference(state);
-}
-
-void IStartAllReduceStage::eval_reference(Dist& state) const {
-  AllReduceStage(op, words).eval_reference(state);
-}
-
+// wait(h) is a value-level no-op: the istart it completes already applied
+// the collective (continuation-overlap semantics, stage.h).
 void WaitStage::eval_reference(Dist& /*state*/) const {}
 
 int splitphase_handle(const Stage& s) {
   switch (s.kind()) {
     case Stage::Kind::IStartReduce:
-      return static_cast<const IStartReduceStage&>(s).handle;
+      return *static_cast<const ReduceStage&>(s).handle;
     case Stage::Kind::IStartBcast:
-      return static_cast<const IStartBcastStage&>(s).handle;
+      return *static_cast<const BcastStage&>(s).handle;
     case Stage::Kind::IStartAllReduce:
-      return static_cast<const IStartAllReduceStage&>(s).handle;
+      return *static_cast<const AllReduceStage&>(s).handle;
     case Stage::Kind::Wait:
       return static_cast<const WaitStage&>(s).handle;
     default:

@@ -84,21 +84,27 @@ Cost stage_cost(const ir::Stage& stage) {
       c.logp_m = 2 * s.op->ops_cost();
       break;
     }
-    case Kind::Reduce: {
+    // Split-phase: the istart carries its blocking twin's full cost and
+    // the wait is free, so a window's SUM equals the blocking schedule —
+    // program_time then discounts eligible windows to max(comm, local).
+    case Kind::Reduce:
+    case Kind::IStartReduce: {
       const auto& s = static_cast<const ir::ReduceStage&>(stage);
       c.logp_ts = 1;
       c.logp_mtw = s.words;
       c.logp_m = s.op->ops_cost();
       break;
     }
-    case Kind::AllReduce: {
+    case Kind::AllReduce:
+    case Kind::IStartAllReduce: {
       const auto& s = static_cast<const ir::AllReduceStage&>(stage);
       c.logp_ts = 1;
       c.logp_mtw = s.words;
       c.logp_m = s.op->ops_cost();
       break;
     }
-    case Kind::Bcast: {
+    case Kind::Bcast:
+    case Kind::IStartBcast: {
       const auto& s = static_cast<const ir::BcastStage&>(stage);
       c.logp_ts = 1;
       c.logp_mtw = s.words;
@@ -131,29 +137,6 @@ Cost stage_cost(const ir::Stage& stage) {
       // log2(p) local applications of the doubling step on the root block.
       const auto& s = static_cast<const ir::IterStage&>(stage);
       c.logp_m = s.step.ops_cost;
-      break;
-    }
-    // Split-phase: the istart carries its blocking twin's full cost and
-    // the wait is free, so a window's SUM equals the blocking schedule —
-    // program_time then discounts eligible windows to max(comm, local).
-    case Kind::IStartReduce: {
-      const auto& s = static_cast<const ir::IStartReduceStage&>(stage);
-      c.logp_ts = 1;
-      c.logp_mtw = s.words;
-      c.logp_m = s.op->ops_cost();
-      break;
-    }
-    case Kind::IStartAllReduce: {
-      const auto& s = static_cast<const ir::IStartAllReduceStage&>(stage);
-      c.logp_ts = 1;
-      c.logp_mtw = s.words;
-      c.logp_m = s.op->ops_cost();
-      break;
-    }
-    case Kind::IStartBcast: {
-      const auto& s = static_cast<const ir::IStartBcastStage&>(stage);
-      c.logp_ts = 1;
-      c.logp_mtw = s.words;
       break;
     }
     case Kind::Wait:

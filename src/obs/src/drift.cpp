@@ -155,10 +155,7 @@ PredictedTraffic predicted_traffic(const ir::Program& prog,
       case Kind::IStartReduce: {
         // An istart moves the same traffic as its blocking twin; only the
         // clock accounting differs (overlap), which traffic counts ignore.
-        const int words =
-            stage->kind() == Kind::Reduce
-                ? static_cast<const ir::ReduceStage&>(*stage).words
-                : static_cast<const ir::IStartReduceStage&>(*stage).words;
+        const int words = static_cast<const ir::ReduceStage&>(*stage).words;
         if (sched.reduce == exec::SimSchedules::Reduce::binomial)
           reduce_binomial(c, p, m * words);
         else if (sched.reduce == exec::SimSchedules::Reduce::vdg)
@@ -169,10 +166,7 @@ PredictedTraffic predicted_traffic(const ir::Program& prog,
       }
       case Kind::AllReduce:
       case Kind::IStartAllReduce: {
-        const int words =
-            stage->kind() == Kind::AllReduce
-                ? static_cast<const ir::AllReduceStage&>(*stage).words
-                : static_cast<const ir::IStartAllReduceStage&>(*stage).words;
+        const int words = static_cast<const ir::AllReduceStage&>(*stage).words;
         if (sched.reduce == exec::SimSchedules::Reduce::vdg)
           allreduce_vdg(c, p, m, words);
         else
@@ -181,10 +175,7 @@ PredictedTraffic predicted_traffic(const ir::Program& prog,
       }
       case Kind::Bcast:
       case Kind::IStartBcast: {
-        const int words =
-            stage->kind() == Kind::Bcast
-                ? static_cast<const ir::BcastStage&>(*stage).words
-                : static_cast<const ir::IStartBcastStage&>(*stage).words;
+        const int words = static_cast<const ir::BcastStage&>(*stage).words;
         switch (sched.bcast) {
           case exec::SimSchedules::Bcast::butterfly:
             butterfly_exchanges(c, p, m * words);

@@ -707,6 +707,14 @@ int fresh_handle(const Program& prog) {
   return max_used + 1;
 }
 
+// The istart spelling of a blocking collective: a copy with handle `h`.
+template <typename S>
+ir::StagePtr with_handle(const S& blocking, int h) {
+  auto istart = std::make_shared<S>(blocking);
+  istart->handle = h;
+  return istart;
+}
+
 class OverlapSplit final : public Rule {
  public:
   [[nodiscard]] std::string name() const override { return "Overlap-Split"; }
@@ -741,25 +749,21 @@ class OverlapSplit final : public Rule {
     switch (ck) {
       case Stage::Kind::Reduce: {
         const auto& rd = static_cast<const ir::ReduceStage&>(c);
-        m.replacement.push_back(std::make_shared<ir::IStartReduceStage>(
-            rd.op, rd.root, rd.words, h));
+        m.replacement.push_back(with_handle(rd, h));
         m.note = "C=reduce(" + rd.op->name() + ")";
         break;
       }
       case Stage::Kind::AllReduce: {
         const auto& ar = static_cast<const ir::AllReduceStage&>(c);
-        m.replacement.push_back(std::make_shared<ir::IStartAllReduceStage>(
-            ar.op, ar.words, h));
+        m.replacement.push_back(with_handle(ar, h));
         m.note = "C=allreduce(" + ar.op->name() + ")";
         break;
       }
-      default: {
-        const auto& bc = static_cast<const ir::BcastStage&>(c);
+      default:
         m.replacement.push_back(
-            std::make_shared<ir::IStartBcastStage>(bc.root, bc.words, h));
+            with_handle(static_cast<const ir::BcastStage&>(c), h));
         m.note = "C=bcast";
         break;
-      }
     }
     m.replacement.push_back(prog.stages()[at + 1]);
     m.replacement.push_back(std::make_shared<ir::WaitStage>(h));

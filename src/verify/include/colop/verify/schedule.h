@@ -72,10 +72,12 @@ struct ScheduleOptions {
 ///   V204 iter with non-power-of-two p and no generalized fold
 ///   V205 shape / words metadata inconsistency (ir::check_shapes)
 ///   V206 defined data computed and then discarded: collective results
-///        overwritten by a bcast, a redundant bcast on replicated data,
-///        or an iter zapping defined non-root blocks          (warning)
+///        overwritten by a bcast, a redundant bcast on replicated data
+///        (either spelling, bcast or istart_bcast), or an iter zapping
+///        defined non-root blocks                             (warning)
 ///   V207 non-associative operator in a tree-scheduled collective
-///   V208 schedule falls off the packed data plane             (lint)
+///   V208 schedule falls off the packed data plane — the finding of
+///        ir::packed_ineligibility, the walk packable() reads  (lint)
 [[nodiscard]] Report analyze_schedule(const ir::Program& prog,
                                       const ScheduleOptions& opts = {});
 

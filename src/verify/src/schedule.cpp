@@ -2,16 +2,15 @@
 
 #include <utility>
 
+#include "colop/ir/packed_eval.h"
 #include "colop/ir/shapes.h"
 #include "colop/support/bits.h"
-#include "colop/support/error.h"
 #include "colop/verify/splitphase.h"
 
 namespace colop::verify {
 namespace {
 
 using ir::Program;
-using ir::Shape;
 using ir::Stage;
 
 struct Walker {
@@ -132,7 +131,13 @@ struct Walker {
           static_cast<void>(need_all_defined(st, i, "scan_balanced"));
           st = DistState::varied();
           break;
-        case Stage::Kind::Reduce: {
+        // Split-phase: the continuation semantics makes the collective's
+        // result visible immediately, so an istart carries its blocking
+        // twin's distribution contract and post-state, worded with its own
+        // spelling; wait is a no-op.  The V22x nonblocking contracts are
+        // analyze_splitphase's job.
+        case Stage::Kind::Reduce:
+        case Stage::Kind::IStartReduce: {
           const auto& rd = static_cast<const ir::ReduceStage&>(stage);
           if (!rd.op->associative())
             diag(Severity::error, "V207", i,
@@ -142,7 +147,8 @@ struct Walker {
                      "result",
                  "use reduce_balanced or fix the operator declaration");
           static_cast<void>(root_in_range(rd.root, i));
-          static_cast<void>(need_all_defined(st, i, "reduce"));
+          static_cast<void>(
+              need_all_defined(st, i, rd.handle ? "istart_reduce" : "reduce"));
           st = DistState::root_only(rd.root);
           break;
         }
@@ -153,7 +159,8 @@ struct Walker {
           st = DistState::root_only(rd.root);
           break;
         }
-        case Stage::Kind::AllReduce: {
+        case Stage::Kind::AllReduce:
+        case Stage::Kind::IStartAllReduce: {
           const auto& ar = static_cast<const ir::AllReduceStage&>(stage);
           if (!ar.op->associative())
             diag(Severity::error, "V207", i,
@@ -162,7 +169,8 @@ struct Walker {
                      "this collective regroups applications and would change "
                      "the result",
                  "use allreduce_balanced or fix the operator declaration");
-          static_cast<void>(need_all_defined(st, i, "allreduce"));
+          static_cast<void>(need_all_defined(
+              st, i, ar.handle ? "istart_allreduce" : "allreduce"));
           st = DistState::uniform();
           break;
         }
@@ -170,81 +178,39 @@ struct Walker {
           static_cast<void>(need_all_defined(st, i, "allreduce_balanced"));
           st = DistState::uniform();
           break;
-        case Stage::Kind::Bcast: {
+        case Stage::Kind::Bcast:
+        case Stage::Kind::IStartBcast: {
           const auto& bc = static_cast<const ir::BcastStage&>(stage);
+          const std::string name = bc.handle ? "istart_bcast" : "bcast";
           static_cast<void>(root_in_range(bc.root, i));
           if (st.kind == DistState::Kind::root_only && st.root != bc.root) {
             // PARCOACH's classic mismatch, in distribution-state form: the
             // collective everyone executes is rooted where nothing lives.
             diag(Severity::error, "V202", i,
-                 "bcast roots at rank " + std::to_string(bc.root) +
+                 name + " roots at rank " + std::to_string(bc.root) +
                      ", whose block is undefined — the defined data lives "
                      "only at rank " +
                      std::to_string(st.root) + " (state " + st.to_string() +
                      "); every rank would receive `_`",
-                 "root the bcast at " + std::to_string(st.root) +
+                 "root the " + name + " at " + std::to_string(st.root) +
                      " (or root the producing reduce at " +
                      std::to_string(bc.root) + ")");
           } else if (st.kind == DistState::Kind::uniform) {
             diag(Severity::warning, "V206", i,
-                 "redundant bcast: every rank already holds the root's value "
-                 "(state uniform)",
-                 "remove it — this is what rule BB-Elim fires on");
+                 "redundant " + name +
+                     ": every rank already holds the root's value (state "
+                     "uniform)",
+                 bc.handle ? "remove it and its " +
+                                 ir::WaitStage(*bc.handle).show()
+                           : "remove it — this is what rule BB-Elim fires on");
           } else if (st.kind == DistState::Kind::varied && i > 0 &&
                      !prog.stage(i - 1).is_local()) {
             // A collective just computed rank-distinct results and this
             // bcast immediately overwrites all but the root's.
             divergence_discarded(i - 1, i,
                                  "immediately overwritten on every non-root "
-                                 "rank by this bcast");
+                                 "rank by this " + name);
           }
-          st = DistState::uniform();
-          break;
-        }
-        // Split-phase: the continuation semantics makes the collective's
-        // result visible immediately, so the istart carries its blocking
-        // twin's distribution contract and post-state; wait is a no-op.
-        // The V22x nonblocking contracts are analyze_splitphase's job.
-        case Stage::Kind::IStartReduce: {
-          const auto& rd = static_cast<const ir::IStartReduceStage&>(stage);
-          if (!rd.op->associative())
-            diag(Severity::error, "V207", i,
-                 "operator `" + rd.op->name() +
-                     "` is not declared associative; a tree schedule of this "
-                     "reduction regroups applications and would change the "
-                     "result",
-                 "use reduce_balanced or fix the operator declaration");
-          static_cast<void>(root_in_range(rd.root, i));
-          static_cast<void>(need_all_defined(st, i, "istart_reduce"));
-          st = DistState::root_only(rd.root);
-          break;
-        }
-        case Stage::Kind::IStartAllReduce: {
-          const auto& ar = static_cast<const ir::IStartAllReduceStage&>(stage);
-          if (!ar.op->associative())
-            diag(Severity::error, "V207", i,
-                 "operator `" + ar.op->name() +
-                     "` is not declared associative; a butterfly schedule of "
-                     "this collective regroups applications and would change "
-                     "the result",
-                 "use allreduce_balanced or fix the operator declaration");
-          static_cast<void>(need_all_defined(st, i, "istart_allreduce"));
-          st = DistState::uniform();
-          break;
-        }
-        case Stage::Kind::IStartBcast: {
-          const auto& bc = static_cast<const ir::IStartBcastStage&>(stage);
-          static_cast<void>(root_in_range(bc.root, i));
-          if (st.kind == DistState::Kind::root_only && st.root != bc.root)
-            diag(Severity::error, "V202", i,
-                 "istart_bcast roots at rank " + std::to_string(bc.root) +
-                     ", whose block is undefined — the defined data lives "
-                     "only at rank " +
-                     std::to_string(st.root) + " (state " + st.to_string() +
-                     "); every rank would receive `_`",
-                 "root the istart_bcast at " + std::to_string(st.root) +
-                     " (or root the producing reduce at " +
-                     std::to_string(bc.root) + ")");
           st = DistState::uniform();
           break;
         }
@@ -255,125 +221,6 @@ struct Walker {
     }
   }
 };
-
-/// Mirror of packed_eval.cpp's packable(), with reasons: the first thing
-/// that forces the schedule off the flat data plane, or nullopt when it is
-/// fully packed-eligible.
-struct Ineligibility {
-  std::optional<std::size_t> stage;  ///< nullopt: the input itself
-  std::string reason;
-};
-
-bool flat(const Shape& s) {
-  if (s.is_scalar()) return true;
-  for (const auto& c : s.components())
-    if (!c.is_scalar()) return false;
-  return true;
-}
-
-std::optional<Ineligibility> packed_ineligibility(const Program& prog,
-                                                 const Shape& input, int p) {
-  if (!flat(input))
-    return Ineligibility{std::nullopt,
-                         "input element shape " + input.to_string() +
-                             " is nested — the flat plane handles scalars "
-                             "and flat tuples only"};
-  Shape s = input;
-  try {
-    for (std::size_t i = 0; i < prog.size(); ++i) {
-      const Stage& stage = prog.stage(i);
-      switch (stage.kind()) {
-        case Stage::Kind::Map: {
-          const auto& st = static_cast<const ir::MapStage&>(stage);
-          if (!st.fn.packed_fn)
-            return Ineligibility{i, "map function `" + st.fn.name +
-                                        "` has no packed kernel"};
-          s = st.fn.apply_shape(s);
-          if (!flat(s))
-            return Ineligibility{i, "element shape becomes nested (" +
-                                        s.to_string() + ")"};
-          break;
-        }
-        case Stage::Kind::MapIndexed: {
-          const auto& st = static_cast<const ir::MapIndexedStage&>(stage);
-          if (!st.fn.packed_fn)
-            return Ineligibility{i, "map# function `" + st.fn.name +
-                                        "` has no packed kernel"};
-          s = st.fn.apply_shape(s);
-          if (!flat(s))
-            return Ineligibility{i, "element shape becomes nested (" +
-                                        s.to_string() + ")"};
-          break;
-        }
-        case Stage::Kind::Scan:
-        case Stage::Kind::Reduce:
-        case Stage::Kind::AllReduce: {
-          const ir::BinOpPtr& op =
-              stage.kind() == Stage::Kind::Scan
-                  ? static_cast<const ir::ScanStage&>(stage).op
-                  : stage.kind() == Stage::Kind::Reduce
-                        ? static_cast<const ir::ReduceStage&>(stage).op
-                        : static_cast<const ir::AllReduceStage&>(stage).op;
-          if (!op->has_packed())
-            return Ineligibility{i, "operator `" + op->name() +
-                                        "` has no packed kernel"};
-          break;
-        }
-        case Stage::Kind::Bcast:
-          break;
-        case Stage::Kind::ScanBalanced: {
-          const auto& op2 = static_cast<const ir::ScanBalancedStage&>(stage).op2;
-          if (!op2.packed_combine2 || !op2.packed_degrade || !op2.packed_strip)
-            return Ineligibility{
-                i, "balanced operator `" + op2.name +
-                       "` is missing one of its three packed kernels"};
-          break;
-        }
-        case Stage::Kind::ReduceBalanced: {
-          const auto& op = static_cast<const ir::ReduceBalancedStage&>(stage).op;
-          if (!op.packed_combine || !op.packed_unit)
-            return Ineligibility{i, "balanced operator `" + op.name +
-                                        "` is missing a packed kernel"};
-          break;
-        }
-        case Stage::Kind::AllReduceBalanced: {
-          const auto& op =
-              static_cast<const ir::AllReduceBalancedStage&>(stage).op;
-          if (!op.packed_combine || !op.packed_unit)
-            return Ineligibility{i, "balanced operator `" + op.name +
-                                        "` is missing a packed kernel"};
-          break;
-        }
-        case Stage::Kind::Iter: {
-          const auto& st = static_cast<const ir::IterStage&>(stage);
-          if (!is_pow2(static_cast<std::uint64_t>(p)))
-            return Ineligibility{
-                i, "iter's generalized fold (p = " + std::to_string(p) +
-                       " is not a power of two) is boxed-only"};
-          if (!st.step.packed_fn)
-            return Ineligibility{i, "iter step `" + st.step.name +
-                                        "` has no packed kernel"};
-          if (!(st.step.apply_shape(s) == s))
-            return Ineligibility{
-                i, "iter step changes the element shape, which the repeated "
-                   "packed application cannot express"};
-          break;
-        }
-        case Stage::Kind::IStartReduce:
-        case Stage::Kind::IStartBcast:
-        case Stage::Kind::IStartAllReduce:
-        case Stage::Kind::Wait:
-          return Ineligibility{
-              i, "split-phase stages are boxed-only (the overlap window "
-                 "engine pipelines boxed segments)"};
-      }
-    }
-  } catch (const Error& e) {
-    return Ineligibility{std::nullopt,
-                         std::string("shape transformer rejected: ") + e.what()};
-  }
-  return std::nullopt;
-}
 
 }  // namespace
 
@@ -420,7 +267,7 @@ Report analyze_schedule(const Program& prog, const ScheduleOptions& opts) {
   report.merge(analyze_splitphase(prog, opts));
 
   if (opts.lints) {
-    if (auto inel = packed_ineligibility(prog, opts.input, opts.p)) {
+    if (auto inel = ir::packed_ineligibility(prog, opts.input, opts.p)) {
       Diagnostic d;
       d.severity = Severity::lint;
       d.code = "V208";

@@ -24,16 +24,12 @@ std::vector<ir::BinOpPtr> used_ops(const ir::Program& prog) {
         add(static_cast<const ir::ScanStage&>(*stage).op);
         break;
       case ir::Stage::Kind::Reduce:
+      case ir::Stage::Kind::IStartReduce:
         add(static_cast<const ir::ReduceStage&>(*stage).op);
         break;
       case ir::Stage::Kind::AllReduce:
-        add(static_cast<const ir::AllReduceStage&>(*stage).op);
-        break;
-      case ir::Stage::Kind::IStartReduce:
-        add(static_cast<const ir::IStartReduceStage&>(*stage).op);
-        break;
       case ir::Stage::Kind::IStartAllReduce:
-        add(static_cast<const ir::IStartAllReduceStage&>(*stage).op);
+        add(static_cast<const ir::AllReduceStage&>(*stage).op);
         break;
       default:
         break;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "colop/exec/thread_executor.h"
@@ -14,6 +16,7 @@
 #include "colop/rules/derived_ops.h"
 #include "colop/rules/rules.h"
 #include "colop/support/rng.h"
+#include "colop/verify/schedule.h"
 
 namespace colop::ir {
 namespace {
@@ -78,33 +81,85 @@ std::vector<BinOpPtr> real_ops() {
 constexpr int kProcCounts[] = {1, 2, 3, 4, 5, 7, 8};
 constexpr int kBlockSizes[] = {1, 3, 8};
 
+// Random program of 1-4 stages over `ops`.  The first six stage kinds all
+// have flat-plane kernels; `boxed_only_stages` adds four that can force the
+// program off the flat plane (an opaque map, a split-phase window, iter,
+// which is packable only at powers of two, and pair, which nests the
+// element shape when applied twice).
+Program random_program(Rng& rng, int p, const std::vector<BinOpPtr>& ops,
+                       bool boxed_only_stages = false) {
+  const auto pick = [&] {
+    return ops[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(ops.size()) - 1))];
+  };
+  const ElemFn opaque{"opaque", [](const Value& v) { return v; }, 1.0,
+                      nullptr, nullptr};
+  Program prog;
+  const int len = static_cast<int>(rng.uniform(1, 4));
+  for (int i = 0; i < len; ++i) {
+    switch (rng.uniform(0, boxed_only_stages ? 9 : 5)) {
+      case 0: prog.scan(pick()); break;
+      case 1: prog.reduce(pick(), static_cast<int>(rng.uniform(0, p - 1)));
+        break;
+      case 2: prog.allreduce(pick()); break;
+      case 3: prog.bcast(static_cast<int>(rng.uniform(0, p - 1))); break;
+      case 4: prog.map_indexed(rules::make_op_comp_bs(pick())); break;
+      case 5: prog.map(fn_id()); break;
+      case 6: prog.map(opaque); break;
+      case 7: prog.istart_allreduce(pick(), 1, i + 1).wait(i + 1); break;
+      case 8: prog.iter(fn_id()); break;
+      default: prog.map(fn_pair()); break;
+    }
+  }
+  return prog;
+}
+
 TEST(FuzzDataPlane, RandomScalarPrograms) {
   Rng rng(20260807);
   for (int trial = 0; trial < 120; ++trial) {
     const int p = kProcCounts[rng.uniform(0, 6)];
     const int m = kBlockSizes[rng.uniform(0, 2)];
     const int kind = static_cast<int>(rng.uniform(0, 1));
-    const auto ops = kind == 0 ? int_ops() : real_ops();
-    const auto pick = [&] {
-      return ops[static_cast<std::size_t>(
-          rng.uniform(0, static_cast<std::int64_t>(ops.size()) - 1))];
-    };
-
-    Program prog;
-    const int len = static_cast<int>(rng.uniform(1, 4));
-    for (int i = 0; i < len; ++i) {
-      switch (rng.uniform(0, 5)) {
-        case 0: prog.scan(pick()); break;
-        case 1: prog.reduce(pick(), static_cast<int>(rng.uniform(0, p - 1)));
-          break;
-        case 2: prog.allreduce(pick()); break;
-        case 3: prog.bcast(static_cast<int>(rng.uniform(0, p - 1))); break;
-        case 4: prog.map_indexed(rules::make_op_comp_bs(pick())); break;
-        default: prog.map(fn_id()); break;
-      }
-    }
+    const Program prog =
+        random_program(rng, p, kind == 0 ? int_ops() : real_ops());
     differential(prog, random_input(rng, p, m, kind, 0.1));
   }
+}
+
+// The V208 lint and packable() read one eligibility walk: the lint fires
+// exactly when the program is not packable, at the first stage whose
+// prefix stops being packable.
+TEST(FuzzDataPlane, V208FiresExactlyWhenNotPackable) {
+  Rng rng(20261017);
+  int unpackable = 0;
+  constexpr int kTrials = 300;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const int p = kProcCounts[rng.uniform(0, 6)];
+    const Program prog = random_program(
+        rng, p, rng.uniform(0, 1) == 0 ? int_ops() : real_ops(), true);
+    SCOPED_TRACE(prog.show() + " at p=" + std::to_string(p));
+    verify::ScheduleOptions opts;
+    opts.p = p;
+    const verify::Report report = verify::analyze_schedule(prog, opts);
+    const auto v208 = std::find_if(
+        report.diagnostics().begin(), report.diagnostics().end(),
+        [](const verify::Diagnostic& d) { return d.code == "V208"; });
+    const bool lint = v208 != report.diagnostics().end();
+    ASSERT_EQ(lint, !packable(prog, Shape::scalar(), p));
+    if (!lint) continue;
+    ++unpackable;
+    std::size_t first = 0;
+    const auto& stages = prog.stages();
+    while (packable(Program({stages.begin(),
+                             stages.begin() + static_cast<std::ptrdiff_t>(first + 1)}),
+                    Shape::scalar(), p))
+      ++first;
+    ASSERT_TRUE(v208->stage.has_value());
+    EXPECT_EQ(*v208->stage, first);
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(unpackable, kTrials / 10);
+  EXPECT_LT(unpackable, kTrials * 9 / 10);
 }
 
 TEST(FuzzDataPlane, UndefinedHeavyInputs) {

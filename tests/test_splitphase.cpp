@@ -17,6 +17,7 @@
 #include "colop/ir/overlap.h"
 #include "colop/ir/parse.h"
 #include "colop/model/cost.h"
+#include "colop/obs/drift.h"
 #include "colop/obs/profile.h"
 #include "colop/rules/optimizer.h"
 #include "colop/rules/rules.h"
@@ -190,6 +191,101 @@ TEST(SplitPhaseVerifier, AnalyzeScheduleRunsThePass) {
   EXPECT_EQ(r.exit_code(), 3);
 }
 
+// The distribution-state walker checks an istart against its blocking
+// twin's contracts and words each finding with the istart spelling.
+
+/// The only diagnostic with `code` in `r`; fails the test otherwise.
+verify::Diagnostic only_diag(const verify::Report& r, const std::string& code) {
+  EXPECT_EQ(count_code(r, code), 1u) << r.render_text();
+  for (const auto& d : r.diagnostics())
+    if (d.code == code) return d;
+  return {};
+}
+
+bool contains(const std::string& text, const std::string& part) {
+  return text.find(part) != std::string::npos;
+}
+
+TEST(SplitPhaseVerifier, V201IstartAllreduceOnRootOnlyData) {
+  const auto r = verify::analyze_schedule(
+      ir::parse_program("reduce(+) ; istart_allreduce(+,h=1) ; wait(h=1)"));
+  const auto d = only_diag(r, "V201");
+  EXPECT_EQ(d.stage, 1u);
+  EXPECT_EQ(d.stage_show, "istart_allreduce(+,h=1)");
+  EXPECT_TRUE(contains(d.message, "istart_allreduce combines the blocks of all 8 ranks"))
+      << d.message;
+  EXPECT_EQ(r.exit_code(), 3);
+}
+
+TEST(SplitPhaseVerifier, V202IstartBcastRootedWhereNothingLives) {
+  const auto r = verify::analyze_schedule(
+      ir::parse_program("reduce(+,root=2) ; istart_bcast(h=1) ; wait(h=1)"));
+  const auto d = only_diag(r, "V202");
+  EXPECT_EQ(d.stage, 1u);
+  EXPECT_EQ(d.stage_show, "istart_bcast(h=1)");
+  EXPECT_TRUE(contains(d.message, "istart_bcast roots at rank 0")) << d.message;
+  EXPECT_TRUE(contains(d.hint, "root the istart_bcast at 2")) << d.hint;
+}
+
+TEST(SplitPhaseVerifier, V203IstartRootOutOfRange) {
+  for (const char* text : {"istart_reduce(+,root=8,h=1) ; wait(h=1)",
+                           "istart_bcast(root=9,h=1) ; wait(h=1)"}) {
+    const auto r = verify::analyze_schedule(ir::parse_program(text));
+    const auto d = only_diag(r, "V203");
+    EXPECT_EQ(d.stage, 0u) << text;
+    EXPECT_TRUE(contains(d.stage_show, "istart_")) << d.stage_show;
+    EXPECT_TRUE(contains(d.message, "is out of range for p = 8")) << d.message;
+  }
+}
+
+TEST(SplitPhaseVerifier, V207IstartWithNonAssociativeOperator) {
+  const auto sub = ir::BinOp::make(
+      {.name = "sub",
+       .fn = [](const Value& a, const Value& b) {
+         return Value(a.as_int() - b.as_int());
+       },
+       .associative = false});
+  Program reduce;
+  reduce.map(ir::fn_id()).istart_reduce(sub, 0, 1, 1).wait(1);
+  Program allreduce;
+  allreduce.map(ir::fn_id()).istart_allreduce(sub, 1, 1).wait(1);
+  for (const Program* p : {&reduce, &allreduce}) {
+    const auto r = verify::analyze_schedule(*p);
+    const auto d = only_diag(r, "V207");
+    EXPECT_EQ(d.stage, 1u);
+    EXPECT_EQ(d.stage_show, p->stage(1).show());
+    EXPECT_TRUE(contains(d.stage_show, "istart_")) << d.stage_show;
+    EXPECT_TRUE(contains(d.message, "operator `sub` is not declared associative"))
+        << d.message;
+  }
+}
+
+TEST(SplitPhaseVerifier, V206RedundantIstartBcast) {
+  const auto blocking =
+      verify::analyze_schedule(ir::parse_program("allreduce(+) ; bcast"));
+  const auto b = only_diag(blocking, "V206");
+  EXPECT_EQ(b.stage, 1u);
+
+  const auto r = verify::analyze_schedule(
+      ir::parse_program("allreduce(+) ; istart_bcast(h=1) ; wait(h=1)"));
+  const auto d = only_diag(r, "V206");
+  EXPECT_EQ(d.severity, verify::Severity::warning);
+  EXPECT_EQ(d.stage, 1u);
+  EXPECT_EQ(d.stage_show, "istart_bcast(h=1)");
+  EXPECT_TRUE(contains(d.message, "redundant istart_bcast")) << d.message;
+  EXPECT_TRUE(contains(d.hint, "wait(h=1)")) << d.hint;
+  EXPECT_TRUE(r.ok());
+}
+
+TEST(SplitPhaseVerifier, V206IstartBcastDiscardsCollectiveResults) {
+  const auto r = verify::analyze_schedule(
+      ir::parse_program("scan(+) ; istart_bcast(h=1) ; wait(h=1)"));
+  const auto d = only_diag(r, "V206");
+  EXPECT_EQ(d.stage, 1u);
+  EXPECT_TRUE(contains(d.message, "scan(+)")) << d.message;
+  EXPECT_TRUE(contains(d.message, "istart_bcast")) << d.message;
+}
+
 // --- the overlap rules ---------------------------------------------------
 
 TEST(OverlapRules, CatalogHasTheTwoRulesOutsideAllRules) {
@@ -307,6 +403,59 @@ TEST(OverlapSimnet, WindowShortensTheMakespan) {
   EXPECT_LT(s.time, b.time);
   EXPECT_EQ(s.messages, b.messages);  // same traffic, only the clocks move
   EXPECT_EQ(s.words, b.words);
+}
+
+// Every consumer prices, counts, simulates and shapes an istart exactly
+// like its blocking twin; only an overlap window's interior moves clocks.
+TEST(SplitPhaseTwins, EveryIstartSpellingEqualsItsBlockingTwin) {
+  using Bcast = exec::SimSchedules::Bcast;
+  using Reduce = exec::SimSchedules::Reduce;
+  const std::pair<const char*, const char*> twins[] = {
+      {"reduce(+)", "istart_reduce(+,h=1)"},
+      {"reduce(+,root=3)", "istart_reduce(+,root=3,h=1)"},
+      {"allreduce(+)", "istart_allreduce(+,h=1)"},
+      {"bcast", "istart_bcast(h=1)"},
+      {"bcast(root=3)", "istart_bcast(root=3,h=1)"},
+  };
+  const ir::Shape pair = ir::Shape::replicate(ir::Shape::scalar(), 2);
+  for (const auto& [blocking_text, istart_text] : twins) {
+    const Program blocking = ir::parse_program(blocking_text);
+    const Program split =
+        ir::parse_program(std::string(istart_text) + " ; wait(h=1)");
+    SCOPED_TRACE(split.show());
+    ASSERT_EQ(split.stage(0).show(), istart_text);
+
+    const model::Cost bc = model::stage_cost(blocking.stage(0));
+    const model::Cost sc = model::stage_cost(split.stage(0));
+    EXPECT_EQ(sc.logp_ts, bc.logp_ts);
+    EXPECT_EQ(sc.logp_mtw, bc.logp_mtw);
+    EXPECT_EQ(sc.logp_m, bc.logp_m);
+    EXPECT_EQ(model::stage_cost(split.stage(1)).eval({}), 0.0);
+
+    EXPECT_EQ(ir::infer_shapes(split)[0], ir::infer_shapes(blocking)[0]);
+    // A pair element transmits 2 words but the stage declares 1: both
+    // spellings reject it.
+    EXPECT_TRUE(ir::check_shapes(blocking, pair).has_value());
+    EXPECT_TRUE(ir::check_shapes(split, pair).has_value());
+
+    for (const int p : {1, 2, 3, 4, 5, 6, 7, 8, 9, 64}) {
+      for (const auto sched :
+           {exec::SimSchedules{}, exec::SimSchedules{Bcast::binomial, Reduce::binomial},
+            exec::SimSchedules{Bcast::vdg, Reduce::vdg},
+            exec::SimSchedules{Bcast::pipelined, Reduce::butterfly}}) {
+        const model::Machine mach{.p = p, .m = 48, .ts = 300, .tw = 3};
+        const auto tb = obs::predicted_traffic(blocking, mach, sched);
+        const auto ts = obs::predicted_traffic(split, mach, sched);
+        EXPECT_EQ(ts.messages, tb.messages) << "p=" << p;
+        EXPECT_EQ(ts.words, tb.words) << "p=" << p;
+        const auto rb = exec::run_on_simnet(blocking, mach, sched);
+        const auto rs = exec::run_on_simnet(split, mach, sched);
+        EXPECT_EQ(rs.time, rb.time) << "p=" << p;
+        EXPECT_EQ(rs.messages, rb.messages) << "p=" << p;
+        EXPECT_EQ(rs.words, rb.words) << "p=" << p;
+      }
+    }
+  }
 }
 
 // --- profiler: overlapped spans ------------------------------------------
