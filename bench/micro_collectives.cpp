@@ -10,7 +10,9 @@
 #include <numeric>
 #include <vector>
 
+#include "colop/exec/thread_executor.h"
 #include "colop/ir/binop.h"
+#include "colop/ir/parse.h"
 #include "colop/mpsim/mpsim.h"
 #include "colop/obs/sink.h"
 #include "colop/rules/derived_ops.h"
@@ -33,7 +35,22 @@ void BM_SpmdLaunch(benchmark::State& state) {
     mpsim::run_spmd(p, [](mpsim::Comm&) {});
   }
 }
-BENCHMARK(BM_SpmdLaunch)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SpmdLaunch)->Arg(2)->Arg(4)->Arg(8)->Arg(9)
+    ->Unit(benchmark::kMicrosecond);
+
+// The launch shape rewrite certification repeats thousands of times per
+// program: a 3-stage program on the thread runtime at block 2, p <= 9.
+void BM_RunOnThreadsSmall(benchmark::State& state) {
+  const int p = static_cast<int>(state.range(0));
+  const ir::Program prog = ir::parse_program("scan(+) ; reduce(+) ; bcast");
+  ir::Dist input(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) input[static_cast<std::size_t>(r)] = {r, -r};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exec::run_on_threads(prog, input));
+  }
+}
+BENCHMARK(BM_RunOnThreadsSmall)->Arg(2)->Arg(5)->Arg(9)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Bcast(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));

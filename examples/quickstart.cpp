@@ -37,7 +37,7 @@ int main() {
   std::cout << "predicted speedup: " << result.speedup() << "x\n\n";
 
   // 3. Execute original and optimized programs on the SPMD thread runtime
-  //    (16 ranks, one thread each) and compare.
+  //    (16 ranks, each on its own thread) and compare.
   ir::Dist input(16);
   for (int r = 0; r < 16; ++r)
     input[static_cast<std::size_t>(r)] = ir::block_of_ints({r + 1, 2 * r + 1});

@@ -1,7 +1,8 @@
 #pragma once
-// Thread executor: run an ir::Program on the mpsim SPMD runtime, one
-// thread per processor, with blocks of Values as rank-local state and the
-// real collective schedules moving data.  This is the "MPI execution" of
+// Thread executor: run an ir::Program on the mpsim SPMD runtime (rank 0
+// on the calling thread, the others on the persistent rank pool), with
+// blocks of Values as rank-local state and the real collective schedules
+// moving data.  This is the "MPI execution" of
 // a program; tests use it to confirm that every optimization rule is a
 // semantic equality on the wire, not just in the reference semantics.
 //

@@ -310,21 +310,19 @@ void exec_stage_packed(const ir::Stage& stage, mpsim::Comm& comm,
   COLOP_ASSERT(false, "unhandled stage kind");
 }
 
-ir::Dist run_on_threads(const ir::Program& prog, ir::Dist input,
-                        ir::DataPlane plane) {
-  return run_on_threads_instrumented(prog, std::move(input), plane).output;
-}
+namespace {
 
-ThreadRunResult run_on_threads_instrumented(const ir::Program& prog,
-                                            ir::Dist input,
-                                            ir::DataPlane plane) {
+// Both entry points: `capture_rt` copies the flight recorders into the
+// result, which only the instrumented one returns.
+ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
+                            ir::DataPlane plane, bool capture_rt) {
   COLOP_REQUIRE(!input.empty(), "run_on_threads: empty input");
   const auto p = static_cast<int>(input.size());
   if (plane == ir::DataPlane::Auto) plane = ir::data_plane_from_env();
 
   if (plane != ir::DataPlane::Boxed) {
     if (auto packed = ir::try_pack_for(prog, input)) {
-      auto group = std::make_shared<mpsim::Group>(p);
+      auto group = mpsim::Group::make(p);
       group->fleet().set_stage_labels(stage_labels(prog));
       const auto t0 = std::chrono::steady_clock::now();
       auto [output, traffic] =
@@ -338,14 +336,14 @@ ThreadRunResult run_on_threads_instrumented(const ir::Program& prog,
       const auto t1 = std::chrono::steady_clock::now();
       return {ir::unpack_dist(output), traffic,
               std::chrono::duration<double>(t1 - t0).count(), true,
-              group->fleet().snapshot()};
+              capture_rt ? group->fleet().snapshot() : rt::FleetSnapshot{}};
     }
     COLOP_REQUIRE(plane != ir::DataPlane::Packed,
                   "run_on_threads: packed plane forced but the program or "
                   "data is not packable: " + prog.show());
   }
 
-  auto group = std::make_shared<mpsim::Group>(p);
+  auto group = mpsim::Group::make(p);
   group->fleet().set_stage_labels(stage_labels(prog));
   // Split-phase overlap: plan the windows once (shared, read-only) and give
   // each rank a position-tracking executor.  The istart stage runs its
@@ -375,7 +373,20 @@ ThreadRunResult run_on_threads_instrumented(const ir::Program& prog,
   const auto t1 = std::chrono::steady_clock::now();
   return {std::move(output), traffic,
           std::chrono::duration<double>(t1 - t0).count(), false,
-          group->fleet().snapshot()};
+          capture_rt ? group->fleet().snapshot() : rt::FleetSnapshot{}};
+}
+
+}  // namespace
+
+ir::Dist run_on_threads(const ir::Program& prog, ir::Dist input,
+                        ir::DataPlane plane) {
+  return run_threads(prog, std::move(input), plane, false).output;
+}
+
+ThreadRunResult run_on_threads_instrumented(const ir::Program& prog,
+                                            ir::Dist input,
+                                            ir::DataPlane plane) {
+  return run_threads(prog, std::move(input), plane, true);
 }
 
 }  // namespace colop::exec

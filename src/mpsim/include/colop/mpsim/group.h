@@ -25,6 +25,15 @@ class Group {
   Group(const Group&) = delete;
   Group& operator=(const Group&) = delete;
 
+  /// A group of `size` ranks for one SPMD launch.  Hands out the idle group
+  /// of that size a previous launch left behind, reset to the state of a
+  /// new one, when its rt::Fleet was built from the current rt::config();
+  /// otherwise constructs a group.  When the last reference drops, the
+  /// group goes back on the idle list (at most one per size) only if it
+  /// ended clean: not aborted, every mailbox empty, no barrier or split
+  /// half done.  Anything else is destroyed.
+  [[nodiscard]] static std::shared_ptr<Group> make(int size);
+
   [[nodiscard]] int size() const noexcept { return size_; }
   [[nodiscard]] Mailbox& mailbox(int rank);
   [[nodiscard]] TrafficStats& stats() noexcept { return stats_; }
@@ -60,6 +69,10 @@ class Group {
   void split_finish(int rank);
 
  private:
+  [[nodiscard]] bool reusable() const;
+  void reset();
+  static void recycle(Group* group) noexcept;
+
   int size_;
   rt::Fleet fleet_;  // before mailboxes_: they hold pointers into it
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;

@@ -1,10 +1,13 @@
 #pragma once
-// SPMD launcher: run one function body on p ranks (one std::thread each),
-// exactly like `mpirun -np p` over a shared-memory transport.
+// SPMD launcher: run one function body on p ranks, exactly like
+// `mpirun -np p` over a shared-memory transport.  Rank 0 runs on the
+// calling thread and ranks 1..p-1 on parked workers of a persistent pool
+// (rank_pool.h); the group's shared state comes from Group::make, which
+// reuses the one a previous clean launch of the same size left behind.
 //
 // Exception safety: if any rank throws, the group is aborted so that ranks
 // blocked in recv/barrier wake up and unwind; the first "real" exception is
-// rethrown to the caller after all threads joined.
+// rethrown to the caller after every rank returned.
 //
 // Runtime telemetry: when the group's rt::Fleet is enabled and a watchdog
 // deadline is configured (COLOP_RT_WATCHDOG_MS or rt::mutable_config()),
@@ -12,17 +15,18 @@
 // logging flight-recorder events past the deadline triggers a post-mortem
 // dump and a group abort, and the launcher reports the stall as a
 // colop::Error instead of hanging forever.  An uncaught rank exception
-// also dumps a post-mortem when COLOP_RT_DUMP is set.
+// also dumps a post-mortem when COLOP_RT_DUMP is set.  Either way the
+// group ends aborted, so Group::make never hands it out again.
 
 #include <exception>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <thread>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "colop/mpsim/comm.h"
+#include "colop/mpsim/rank_pool.h"
 #include "colop/rt/watchdog.h"
 #include "colop/support/error.h"
 
@@ -41,23 +45,21 @@ void run_spmd_impl(int nprocs, Body&& body,
                      rt::watchdog_options_from_config(rt::config()),
                      [g = group.get()] { g->abort(); });
 
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(nprocs));
-    for (int r = 0; r < nprocs; ++r) {
-      threads.emplace_back([&, r] {
-        Comm comm(group, r);
-        try {
-          body(comm);
-          if (rt::RankStats* st = group->fleet().stats(r))
-            st->done.store(1, std::memory_order_release);
-        } catch (...) {
-          errors[static_cast<std::size_t>(r)] = std::current_exception();
-          group->abort();
-        }
-      });
+  auto rank_main = [&](int r) {
+    Comm comm(group, r);
+    try {
+      body(comm);
+      if (rt::RankStats* st = group->fleet().stats(r))
+        st->done.store(1, std::memory_order_release);
+    } catch (...) {
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      group->abort();
     }
-  }  // join
+  };
+  run_on_pool(
+      nprocs,
+      [](void* ctx, int r) { (*static_cast<decltype(rank_main)*>(ctx))(r); },
+      &rank_main);
   if (watchdog) watchdog->stop();
 
   // Prefer the originating exception over secondary "group aborted" ones.
@@ -113,7 +115,7 @@ void run_spmd_impl(int nprocs, Body&& body,
 template <typename Body>
 void run_spmd(int nprocs, Body&& body) {
   COLOP_REQUIRE(nprocs >= 1, "mpsim: need at least one rank");
-  auto group = std::make_shared<Group>(nprocs);
+  auto group = Group::make(nprocs);
   detail::run_spmd_impl(nprocs, std::forward<Body>(body), group);
 }
 
@@ -126,7 +128,7 @@ template <typename R, typename Body>
                 "run_spmd_collect<bool> races: vector<bool> bit-packs and "
                 "ranks write their slots concurrently — collect int or char");
   COLOP_REQUIRE(nprocs >= 1, "mpsim: need at least one rank");
-  auto group = std::make_shared<Group>(nprocs);
+  auto group = Group::make(nprocs);
   std::vector<R> results(static_cast<std::size_t>(nprocs));
   detail::run_spmd_impl(
       nprocs,
@@ -158,7 +160,7 @@ template <typename R, typename Body>
 [[nodiscard]] std::pair<std::vector<R>, TrafficCounters> run_spmd_collect_traffic(
     int nprocs, Body&& body) {
   COLOP_REQUIRE(nprocs >= 1, "mpsim: need at least one rank");
-  auto group = std::make_shared<Group>(nprocs);
+  auto group = Group::make(nprocs);
   return run_spmd_collect_traffic_on<R>(group, std::forward<Body>(body));
 }
 
@@ -166,7 +168,7 @@ template <typename R, typename Body>
 template <typename Body>
 [[nodiscard]] TrafficCounters run_spmd_traffic(int nprocs, Body&& body) {
   COLOP_REQUIRE(nprocs >= 1, "mpsim: need at least one rank");
-  auto group = std::make_shared<Group>(nprocs);
+  auto group = Group::make(nprocs);
   detail::run_spmd_impl(nprocs, std::forward<Body>(body), group);
   return group->stats().snapshot();
 }

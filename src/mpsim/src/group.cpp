@@ -1,8 +1,69 @@
 #include "colop/mpsim/group.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "colop/support/error.h"
 
 namespace colop::mpsim {
+namespace {
+
+// Idle groups are kept for sizes up to this, one per size: a bounded cache
+// covering the small groups that launch thousands of times (certification
+// runs p = 1..9), not the odd large run.
+constexpr int kMaxIdleGroupSize = 64;
+
+struct IdleGroups {
+  std::mutex mutex;
+  std::vector<std::unique_ptr<Group>> by_size =
+      std::vector<std::unique_ptr<Group>>(kMaxIdleGroupSize + 1);
+};
+
+IdleGroups& idle_groups() {
+  static IdleGroups idle;
+  return idle;
+}
+
+}  // namespace
+
+std::shared_ptr<Group> Group::make(int size) {
+  COLOP_REQUIRE(size >= 1, "mpsim: group size must be >= 1");
+  std::unique_ptr<Group> group;
+  if (size <= kMaxIdleGroupSize) {
+    IdleGroups& idle = idle_groups();
+    std::lock_guard lk(idle.mutex);
+    group = std::move(idle.by_size[static_cast<std::size_t>(size)]);
+  }
+  if (group && group->fleet_.built_from(rt::config()))
+    group->reset();
+  else
+    group = std::make_unique<Group>(size);  // a stale idle group dies here
+  return {group.release(), &Group::recycle};
+}
+
+bool Group::reusable() const {
+  if (aborted() || barrier_count_ != 0 || !split_groups_.empty()) return false;
+  return std::all_of(mailboxes_.begin(), mailboxes_.end(),
+                     [](const auto& mb) { return mb->pending() == 0; });
+}
+
+void Group::reset() {
+  fleet_.reset();
+  stats_.reset();
+  barrier_generation_ = 0;
+  std::fill(split_slots_.begin(), split_slots_.end(), std::pair{-1, 0});
+}
+
+void Group::recycle(Group* group) noexcept {
+  // The last reference is gone, so every rank that used the group has
+  // finished with it: reading its state needs no lock.
+  std::unique_ptr<Group> owned(group);
+  if (group->size_ > kMaxIdleGroupSize || !group->reusable()) return;
+  IdleGroups& idle = idle_groups();
+  std::lock_guard lk(idle.mutex);
+  auto& slot = idle.by_size[static_cast<std::size_t>(group->size_)];
+  if (!slot) slot = std::move(owned);
+}
 
 Group::Group(int size)
     : size_(size),
@@ -40,6 +101,7 @@ void Group::barrier() {
 void Group::abort() {
   aborted_.store(true, std::memory_order_release);
   for (auto& mb : mailboxes_) mb->notify_abort();
+  { std::lock_guard lk(barrier_mutex_); }  // see Mailbox::notify_abort
   barrier_cv_.notify_all();
 }
 

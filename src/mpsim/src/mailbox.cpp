@@ -100,6 +100,12 @@ std::size_t Mailbox::pending() const {
   return n;
 }
 
-void Mailbox::notify_abort() { cv_.notify_all(); }
+void Mailbox::notify_abort() {
+  // The abort flag is set without this lock.  Passing through it before
+  // notifying means a receiver that checked the flag is already waiting,
+  // so it cannot miss the wake-up between its check and its wait.
+  { std::lock_guard lk(mutex_); }
+  cv_.notify_all();
+}
 
 }  // namespace colop::mpsim

@@ -187,6 +187,14 @@ class Recorder {
 
   void set_stats(RankStats* stats) noexcept { stats_ = stats; }
 
+  /// Forget every record and restart the clock at `epoch`, keeping the
+  /// ring.  Only while no producer or consumer is attached.
+  void reset(std::chrono::steady_clock::time_point epoch) noexcept {
+    epoch_ = epoch;
+    head_.store(0, std::memory_order_relaxed);
+    stage_ = Record::kNoStage;
+  }
+
  private:
   static constexpr std::size_t kWords = 4;
 
@@ -240,6 +248,16 @@ class Fleet {
   [[nodiscard]] bool enabled() const noexcept { return !recorders_.empty(); }
   [[nodiscard]] int ranks() const noexcept { return ranks_; }
 
+  /// True when a fleet built now from `cfg` would look like this one
+  /// (same enablement, same ring capacity), so reset() can stand in for
+  /// constructing it afresh.
+  [[nodiscard]] bool built_from(const Config& cfg) const noexcept;
+
+  /// Return to the state of a freshly constructed fleet — new epoch, empty
+  /// recorders, zeroed stats, no stage labels — without reallocating the
+  /// rings.  Only between runs: no rank, watchdog or dump may be attached.
+  void reset();
+
   /// nullptr when telemetry is disabled.
   [[nodiscard]] Recorder* recorder(int rank) noexcept {
     if (recorders_.empty()) return nullptr;
@@ -277,6 +295,8 @@ class Fleet {
   }
 
   int ranks_ = 0;
+  bool built_enabled_ = false;      ///< Config::enabled at construction
+  std::size_t built_capacity_ = 0;  ///< Config::ring_capacity at construction
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::unique_ptr<Recorder>> recorders_;  ///< empty when disabled
   std::vector<RankStats> stats_;                      ///< empty when disabled

@@ -1,6 +1,7 @@
 #include "colop/rt/flight_recorder.h"
 
 #include <cstdlib>
+#include <memory>
 
 namespace colop::rt {
 namespace {
@@ -76,6 +77,8 @@ std::vector<Record> Recorder::snapshot() const {
 
 Fleet::Fleet(int ranks, const Config& cfg)
     : ranks_(ranks < 1 ? 1 : ranks),
+      built_enabled_(cfg.enabled),
+      built_capacity_(cfg.ring_capacity),
       epoch_(std::chrono::steady_clock::now()) {
   if (!kCompiledIn || !cfg.enabled) return;
   recorders_.reserve(static_cast<std::size_t>(ranks_));
@@ -84,6 +87,21 @@ Fleet::Fleet(int ranks, const Config& cfg)
     recorders_.push_back(std::make_unique<Recorder>(cfg.ring_capacity, epoch_));
     recorders_.back()->set_stats(&stats_[static_cast<std::size_t>(r)]);
   }
+}
+
+bool Fleet::built_from(const Config& cfg) const noexcept {
+  return cfg.enabled == built_enabled_ && cfg.ring_capacity == built_capacity_;
+}
+
+void Fleet::reset() {
+  epoch_ = std::chrono::steady_clock::now();
+  for (auto& rec : recorders_) rec->reset(epoch_);
+  // Rebuilt in place: recorders and mailboxes hold pointers to the slots.
+  for (RankStats& s : stats_) {
+    std::destroy_at(&s);
+    std::construct_at(&s);
+  }
+  stage_labels_.clear();
 }
 
 FleetSnapshot Fleet::snapshot() const {

@@ -23,6 +23,7 @@ namespace colop::rules {
 struct SelfCheckResult {
   bool ok = true;
   std::string counterexample;  ///< empty when ok
+  int first_p = 1;             ///< the sweep ran p = first_p..max_p
 
   explicit operator bool() const { return ok; }
 };
@@ -31,7 +32,10 @@ struct SelfCheckResult {
 using ElemGen = std::function<ir::Value(Rng&)>;
 
 /// Verify one match: LHS vs RHS on random distributed inputs with block
-/// size `block`, for every p in [1, max_p].
+/// size `block`, for every p in [first_p, max_p], where first_p is one
+/// more than the largest root a stage of either program names (1 when all
+/// roots are 0): a smaller group has no such rank.  Throws colop::Error
+/// when that leaves no p to check.
 /// `rel_tol` > 0 switches to approximate comparison (floating-point
 /// operators: the parallel schedules legitimately re-associate).
 [[nodiscard]] SelfCheckResult selfcheck_match(

@@ -1,8 +1,11 @@
 #include "colop/rules/selfcheck.h"
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "colop/exec/thread_executor.h"
+#include "colop/support/error.h"
 
 namespace colop::rules {
 namespace {
@@ -16,6 +19,31 @@ ir::Dist random_dist(int p, std::size_t block, const ElemGen& gen, Rng& rng) {
   return d;
 }
 
+// The largest root rank a stage of `prog` names.
+int max_root(const ir::Program& prog) {
+  using Kind = ir::Stage::Kind;
+  int root = 0;
+  for (const auto& st : prog.stages()) {
+    switch (st->kind()) {
+      case Kind::Reduce:
+      case Kind::IStartReduce:
+        root = std::max(root, static_cast<const ir::ReduceStage&>(*st).root);
+        break;
+      case Kind::Bcast:
+      case Kind::IStartBcast:
+        root = std::max(root, static_cast<const ir::BcastStage&>(*st).root);
+        break;
+      case Kind::ReduceBalanced:
+        root = std::max(
+            root, static_cast<const ir::ReduceBalancedStage&>(*st).root);
+        break;
+      default:
+        break;
+    }
+  }
+  return root;
+}
+
 }  // namespace
 
 SelfCheckResult selfcheck_match(const ir::Program& lhs, const RuleMatch& match,
@@ -23,8 +51,13 @@ SelfCheckResult selfcheck_match(const ir::Program& lhs, const RuleMatch& match,
                                 int trials_per_p, std::size_t block,
                                 std::uint64_t seed, double rel_tol) {
   const ir::Program rhs = match.apply(lhs);
+  const int first_p = std::max(max_root(lhs), max_root(rhs)) + 1;
+  COLOP_REQUIRE(first_p <= max_p,
+                "selfcheck: a stage names root " + std::to_string(first_p - 1) +
+                    ", so p must exceed it, but max_p = " +
+                    std::to_string(max_p));
   Rng rng(seed);
-  for (int p = 1; p <= max_p; ++p) {
+  for (int p = first_p; p <= max_p; ++p) {
     for (int t = 0; t < trials_per_p; ++t) {
       const ir::Dist in = random_dist(p, block, gen, rng);
       // The sequential reference semantics alone cannot expose a falsely
@@ -55,12 +88,12 @@ SelfCheckResult selfcheck_match(const ir::Program& lhs, const RuleMatch& match,
              << "\n  input  = " << ir::to_string(in)
              << "\n  expect = " << ir::to_string(expect) << "\n  "
              << c.label << " = " << ir::to_string(c.out);
-          return {false, os.str()};
+          return {false, os.str(), first_p};
         }
       }
     }
   }
-  return {};
+  return {true, {}, first_p};
 }
 
 SelfCheckResult selfcheck_program(const ir::Program& prog,

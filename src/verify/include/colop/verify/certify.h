@@ -13,7 +13,8 @@
 //      re-established by the property CHECKER on the concrete matched
 //      operators, not taken from their declarations (V301);
 //   3. extensional equivalence — LHS ≡ RHS on small instances,
-//      differentially evaluated through eval_reference for p = 1..max_p
+//      differentially evaluated through eval_reference for p = r+1..max_p,
+//      r the largest root either side names (0 for unrooted programs),
 //      under the match's own equivalence level (rules::selfcheck_match),
 //      with a tolerance for floating-point operators (V302).
 //
@@ -37,8 +38,9 @@
 namespace colop::verify {
 
 struct CertifyOptions {
-  /// Differential evaluation: processor counts 1..max_p, `trials_per_p`
-  /// random inputs each, `block` elements per rank.
+  /// Differential evaluation: processor counts r+1..max_p (r the largest
+  /// root named, 0 if none), `trials_per_p` random inputs each, `block`
+  /// elements per rank.
   int max_p = 9;
   int trials_per_p = 2;
   std::size_t block = 2;

@@ -281,7 +281,8 @@ StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
         opts.seed, gen.rel_tol);
     if (res.ok) {
       cert.obligations.push_back(
-          "equivalence: ok (p=1.." + std::to_string(opts.max_p) + ", " +
+          "equivalence: ok (p=" + std::to_string(res.first_p) + ".." +
+          std::to_string(opts.max_p) + ", " +
           std::to_string(opts.trials_per_p) + " trial(s)/p, " + gen.name +
           " inputs)");
     } else {

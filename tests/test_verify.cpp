@@ -456,6 +456,55 @@ TEST(Certificates, FakeDistributivityIsCaught) {
   EXPECT_TRUE(has_code(certs.report, "V301")) << certs.report.render_text();
 }
 
+/// The one-step derivation log of the first match of `rule_name` in `prog`.
+rules::AppliedRule first_match_step(const std::string& rule_name,
+                                    const Program& prog) {
+  const auto ms = rule_named(rule_name)->matches(prog);
+  EXPECT_FALSE(ms.empty()) << rule_name << " does not match " << prog.show();
+  rules::AppliedRule ar;
+  ar.rule = rule_name;
+  ar.position = ms.at(0).first;
+  ar.count = ms.at(0).count;
+  ar.replaced_by = ms.at(0).replacement.size();
+  ar.note = ms.at(0).note;
+  return ar;
+}
+
+std::string equivalence_line(const Certificate& cert) {
+  for (const auto& o : cert.obligations)
+    if (o.rfind("equivalence:", 0) == 0) return o;
+  return {};
+}
+
+TEST(Certificates, RootedRewriteIsCheckedAboveItsRoot) {
+  // No group of p <= 3 ranks has a rank 3, so the differential check of a
+  // rewrite involving reduce(+,root=3) runs at p = 4..9 — evidence, not a
+  // V304 "invalid root" under a discharged certificate.
+  Program prog;
+  prog.scan(ir::op_add()).reduce(ir::op_add(), 3);
+  const auto certs =
+      certify_derivation(prog, {first_match_step("SR-Reduction", prog)});
+  EXPECT_TRUE(certs.ok()) << certs.report.render_text();
+  EXPECT_FALSE(has_code(certs.report, "V304")) << certs.report.render_text();
+  ASSERT_EQ(certs.certificates.size(), 1u);
+  EXPECT_EQ(equivalence_line(certs.certificates[0]).rfind("equivalence: ok (p=4..9, ", 0), 0u)
+      << certs.render_text();
+}
+
+TEST(Certificates, RootBeyondMaxPIsNotEvaluable) {
+  // root = 9 leaves no p in 10..9 to check: the obligation stays V304.
+  Program prog;
+  prog.scan(ir::op_add()).reduce(ir::op_add(), 9);
+  const auto certs =
+      certify_derivation(prog, {first_match_step("SR-Reduction", prog)});
+  EXPECT_TRUE(has_code(certs.report, "V304")) << certs.report.render_text();
+  ASSERT_EQ(certs.certificates.size(), 1u);
+  EXPECT_EQ(equivalence_line(certs.certificates[0])
+                .rfind("equivalence: NOT EVALUABLE", 0),
+            0u)
+      << certs.render_text();
+}
+
 TEST(Certificates, ForgedDerivationFailsReplay) {
   Program prog;
   prog.scan(ir::op_mul()).reduce(ir::op_add());
