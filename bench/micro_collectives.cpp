@@ -14,7 +14,6 @@
 #include "colop/ir/binop.h"
 #include "colop/ir/parse.h"
 #include "colop/mpsim/mpsim.h"
-#include "colop/obs/sink.h"
 #include "colop/rules/derived_ops.h"
 #include "colop/simnet/schedules.h"
 
@@ -184,35 +183,6 @@ void BM_ReduceBalanced(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReduceBalanced)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-void BM_ObsDisabledCheck(benchmark::State& state) {
-  // The entire per-site cost of instrumentation when no sink is
-  // installed: one relaxed atomic load and a branch.
-  for (auto _ : state) benchmark::DoNotOptimize(obs::enabled());
-}
-BENCHMARK(BM_ObsDisabledCheck);
-
-void BM_AllreduceObs(benchmark::State& state) {
-  // The same collective with instrumentation disabled (arg 0) vs a ring
-  // sink installed (arg 1).  The 0-row must be indistinguishable from
-  // BM_Allreduce: disabled tracing may cost nothing measurable.
-  const int p = 4;
-  const auto block = make_block(1024);
-  auto add = [](std::vector<double> a, const std::vector<double>& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-    return a;
-  };
-  obs::RingSink ring(1 << 12);
-  const bool traced = state.range(0) != 0;
-  if (traced) obs::set_sink(&ring);
-  for (auto _ : state) {
-    mpsim::run_spmd(p, [&](mpsim::Comm& comm) {
-      benchmark::DoNotOptimize(allreduce(comm, block, add));
-    });
-  }
-  if (traced) obs::set_sink(nullptr);
-}
-BENCHMARK(BM_AllreduceObs)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_ValueTupleOps(benchmark::State& state) {
   // Type-erased Value arithmetic: the IR executor's inner loop.

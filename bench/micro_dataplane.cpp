@@ -26,9 +26,9 @@
 #include "colop/exec/thread_executor.h"
 #include "colop/ir/packed_eval.h"
 #include "colop/ir/packed_kernels.h"
-#include "colop/obs/live.h"
 #include "colop/obs/metrics.h"
 #include "colop/rt/flight_recorder.h"
+#include "colop/rt/live.h"
 #include "colop/rules/derived_ops.h"
 #include "colop/support/rng.h"
 
@@ -227,33 +227,33 @@ double bench_rt_overhead(const ir::Program& prog, const ir::Dist& input,
   return overhead;
 }
 
-// --- Phase D: live-bus overhead ------------------------------------------
+// --- Phase D: live-sampler overhead ---------------------------------------
 
-// The live event bus makes the same promise as the flight recorder: cheap
-// enough to leave on for the whole run.  Same methodology: the sampler
-// drains concurrently (as under colopt --serve --live), enabled and
-// disabled runs interleave so frequency scaling hits both sides alike,
-// and best-of-reps absorbs the remaining noise.
+// Live monitoring makes the same promise as the flight recorder: cheap
+// enough to leave on for the whole run.  With a live run active every
+// launch attaches its fleet and the detach folds it, while the sampler
+// thread drains the attached fleets concurrently (as under colopt --serve
+// --live).  Launches with and without an active run interleave so
+// frequency scaling hits both sides alike, and best-of-reps absorbs the
+// remaining noise.
 double bench_live_overhead(const ir::Program& prog, const ir::Dist& input,
                            int reps, obs::MetricsRegistry& reg) {
-  auto& bus = obs::LiveBus::global();
   obs::Registry scratch;
-  obs::LiveSampler sampler(bus, scratch);
+  rt::LiveSampler sampler(scratch);
   sampler.start();
-
-  obs::LiveRunInfo info;
+  rt::LiveRunInfo info;
   info.trace_id = "bench-live-overhead";
   info.program = "scan(+) ; reduce(+)";
   info.ranks = static_cast<int>(input.size());
   info.repeats = 2 * reps + 2;
-  bus.begin_run(std::move(info));
 
-  auto one_run = [&](bool enabled) {
-    bus.set_enabled(enabled);
+  auto one_run = [&](bool live) {
+    if (live) sampler.begin_run(info);
     const auto t0 = std::chrono::steady_clock::now();
     const auto r = exec::run_on_threads_instrumented(prog, input,
                                                      ir::DataPlane::Boxed);
     const auto t1 = std::chrono::steady_clock::now();
+    if (live) sampler.end_run();
     g_sink = g_sink + r.output.size();
     return std::chrono::duration<double>(t1 - t0).count();
   };
@@ -265,8 +265,6 @@ double bench_live_overhead(const ir::Program& prog, const ir::Dist& input,
     off = std::min(off, one_run(false));
     on = std::min(on, one_run(true));
   }
-  bus.set_enabled(false);
-  bus.end_run();
   sampler.stop();
 
   const double overhead = on / off - 1.0;
@@ -372,7 +370,7 @@ int main(int argc, char** argv) {
 
   std::printf("  rt recorder overhead on e2e_scan_reduce: %+.2f%%\n",
               rt_overhead * 100);
-  std::printf("  live bus overhead on e2e_scan_reduce:    %+.2f%%\n",
+  std::printf("  live sampler overhead on e2e_scan_reduce: %+.2f%%\n",
               live_overhead * 100);
 
   // Pass/fail as deterministic 0/1 scalars so the bench-history anomaly
@@ -393,7 +391,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!live_ok) {
-    std::cerr << "FAIL: live bus overhead " << live_overhead * 100
+    std::cerr << "FAIL: live sampler overhead " << live_overhead * 100
               << "% exceeds the 5% budget\n";
     return 1;
   }

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "colop/ir/overlap.h"
 
-#include "colop/obs/live.h"
-#include "colop/obs/sink.h"
-#include "colop/obs/trace_context.h"
 #include "colop/rt/flight_recorder.h"
 #include "colop/support/bits.h"
 #include "colop/support/error.h"
@@ -51,55 +47,27 @@ template <typename B, typename ExecStage>
 B run_rank(const ir::Program& prog, mpsim::Comm& comm, B block, bool packed,
            ExecStage exec) {
   rt::Recorder* rec = comm.flight_recorder();
+  rt::RankStats* st = comm.rank_stats();
   if (rec != nullptr) rec->log(rt::Ev::plane, -1, 0, packed ? 1 : 0);
-  // Pin a live-bus lane for this rank thread so mid-run publishes (stages
-  // here, sends/recvs/queue depths inside mpsim) hit a private SPSC ring.
-  const bool live = obs::live_enabled();
-  std::optional<obs::LiveLaneScope> live_lane;
-  if (live) live_lane.emplace(obs::LiveBus::global());
   for (std::size_t i = 0; i < prog.stages().size(); ++i) {
     const auto& stage = prog.stages()[i];
     if (rec != nullptr) {
       rec->set_stage(static_cast<std::uint16_t>(i));
       rec->log(rt::Ev::stage_begin);
-    }
-    std::uint64_t live_t0 = 0;
-    if (live) {
-      live_t0 = obs::LiveBus::global().now_ns();
-      obs::LiveBus::global().publish(obs::LiveEv::stage_begin, comm.rank(),
-                                     static_cast<std::uint16_t>(i));
+      st->stage.store(static_cast<std::uint16_t>(i), std::memory_order_relaxed);
     }
     try {
-      if (obs::enabled()) {
-        obs::Event ev;
-        ev.phase = obs::Phase::begin;
-        ev.name = stage->show();
-        ev.cat = "exec";
-        ev.ts = obs::now_us();
-        ev.tid = comm.rank();
-        ev.args.emplace_back("span_id", std::to_string(obs::next_span_id()));
-        if (const std::string id = obs::trace_id(); !id.empty())
-          ev.args.emplace_back("trace_id", id);
-        obs::record(ev);
-        exec(*stage, comm, block);
-        ev.phase = obs::Phase::end;
-        ev.ts = obs::now_us();
-        obs::record(ev);
-      } else {
-        exec(*stage, comm, block);
-      }
+      exec(*stage, comm, block);
     } catch (const std::exception& e) {
       throw Error("run_on_threads: rank " + std::to_string(comm.rank()) +
                   " failed in stage " + std::to_string(i) + " (" +
                   stage->show() + "): " + e.what());
     }
-    if (live)
-      obs::LiveBus::global().publish(
-          obs::LiveEv::stage_end, comm.rank(), static_cast<std::uint16_t>(i),
-          obs::LiveBus::global().now_ns() - live_t0);
     if (rec != nullptr) {
       rec->log(rt::Ev::stage_end);
       rec->set_stage(rt::Record::kNoStage);
+      st->stage.store(rt::Record::kNoStage, std::memory_order_relaxed);
+      st->stages_done.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return block;

@@ -1,6 +1,8 @@
 #include "colop/ir/binop.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 #include "colop/ir/packed_kernels.h"
@@ -226,12 +228,20 @@ BinOpPtr op_mat2() {
             const auto& x = a.as_tuple();
             const auto& y = b.as_tuple();
             COLOP_REQUIRE(x.size() == 4 && y.size() == 4, "mat2: need 4-tuples");
-            const auto e = [](const Tuple& t, int i) { return t[static_cast<std::size_t>(i)].as_int(); };
+            // Wrap mod 2^64 (unsigned arithmetic) rather than overflow,
+            // bit-equal to the packed kernel.
+            const auto e = [](const Tuple& t, int i) {
+              return std::bit_cast<std::uint64_t>(
+                  t[static_cast<std::size_t>(i)].as_int());
+            };
+            const auto v = [](std::uint64_t w) {
+              return Value(std::bit_cast<std::int64_t>(w));
+            };
             return Value(Tuple{
-                Value(e(x, 0) * e(y, 0) + e(x, 1) * e(y, 2)),
-                Value(e(x, 0) * e(y, 1) + e(x, 1) * e(y, 3)),
-                Value(e(x, 2) * e(y, 0) + e(x, 3) * e(y, 2)),
-                Value(e(x, 2) * e(y, 1) + e(x, 3) * e(y, 3)),
+                v(e(x, 0) * e(y, 0) + e(x, 1) * e(y, 2)),
+                v(e(x, 0) * e(y, 1) + e(x, 1) * e(y, 3)),
+                v(e(x, 2) * e(y, 0) + e(x, 3) * e(y, 2)),
+                v(e(x, 2) * e(y, 1) + e(x, 3) * e(y, 3)),
             });
           },
       .associative = true,

@@ -219,6 +219,7 @@ std::vector<std::byte> PackedBlock::to_bytes() const {
   std::vector<std::byte> buf((header_words + lane_words + elem_words_n) * 8);
   std::byte* p = buf.data();
   const auto emit = [&p](const void* src, std::size_t n) {
+    if (n == 0) return;  // an empty lane's data() may be null
     std::memcpy(p, src, n);
     p += n;
   };
@@ -248,6 +249,7 @@ PackedBlock PackedBlock::from_bytes(const std::byte* data, std::size_t size) {
   const std::byte* end = data + size;
   const auto fetch = [&](void* dst, std::size_t n) {
     COLOP_REQUIRE(p + n <= end, "PackedBlock: truncated buffer");
+    if (n == 0) return;  // an empty lane's data() may be null
     std::memcpy(dst, p, n);
     p += n;
   };

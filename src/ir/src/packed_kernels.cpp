@@ -64,21 +64,19 @@ PackedBinFn bin_mat2() {
       }
     PackedBlock out = PackedBlock::tuples(4, m);
     out.set_elem_mask(inter);
+    // Unsigned words: products and sums wrap mod 2^64 instead of
+    // overflowing, exactly as the boxed op_mat2 does.
     const auto x = [&a](std::size_t l, std::size_t i) {
-      return std::bit_cast<std::int64_t>(a.lane(l).data[i]);
+      return a.lane(l).data[i];
     };
     const auto y = [&b](std::size_t l, std::size_t i) {
-      return std::bit_cast<std::int64_t>(b.lane(l).data[i]);
+      return b.lane(l).data[i];
     };
     for (std::size_t i = 0; i < m; ++i) {
-      out.lane(0).data[i] = std::bit_cast<std::uint64_t>(
-          x(0, i) * y(0, i) + x(1, i) * y(2, i));
-      out.lane(1).data[i] = std::bit_cast<std::uint64_t>(
-          x(0, i) * y(1, i) + x(1, i) * y(3, i));
-      out.lane(2).data[i] = std::bit_cast<std::uint64_t>(
-          x(2, i) * y(0, i) + x(3, i) * y(2, i));
-      out.lane(3).data[i] = std::bit_cast<std::uint64_t>(
-          x(2, i) * y(1, i) + x(3, i) * y(3, i));
+      out.lane(0).data[i] = x(0, i) * y(0, i) + x(1, i) * y(2, i);
+      out.lane(1).data[i] = x(0, i) * y(1, i) + x(1, i) * y(3, i);
+      out.lane(2).data[i] = x(2, i) * y(0, i) + x(3, i) * y(2, i);
+      out.lane(3).data[i] = x(2, i) * y(1, i) + x(3, i) * y(3, i);
     }
     for (std::size_t l = 0; l < 4; ++l) out.lane(l).defined = inter;
     out.canonicalize();

@@ -32,7 +32,6 @@ namespace colop::mpsim {
 template <typename T, typename Op, typename UnitOp>
 [[nodiscard]] T reduce_balanced(const Comm& comm, T value, Op op,
                                 UnitOp unit_op, int root = 0) {
-  obs::ScopedSpan obs_span("mpsim.reduce_balanced", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   COLOP_REQUIRE(root >= 0 && root < p, "reduce_balanced: invalid root");
@@ -69,7 +68,6 @@ template <typename T, typename Op, typename UnitOp>
 template <typename T, typename Op, typename UnitOp>
 [[nodiscard]] T allreduce_balanced(const Comm& comm, T value, Op op,
                                    UnitOp unit_op) {
-  obs::ScopedSpan obs_span("mpsim.allreduce_balanced", "mpsim", comm.rank());
   const int p = comm.size();
   if (p == 1) return value;
   if (is_pow2(static_cast<std::uint64_t>(p))) {
@@ -100,7 +98,6 @@ template <typename T, typename Op2, typename Degrade,
           typename Strip = std::nullptr_t>
 [[nodiscard]] T scan_balanced(const Comm& comm, T value, Op2 op2,
                               Degrade degrade, Strip strip = nullptr) {
-  obs::ScopedSpan obs_span("mpsim.scan_balanced", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   if (p == 1) return value;

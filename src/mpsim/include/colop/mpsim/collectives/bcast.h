@@ -21,7 +21,6 @@ enum class BcastAlgo { binomial, butterfly };
 template <typename T>
 [[nodiscard]] T bcast(const Comm& comm, T value, int root = 0,
                       BcastAlgo algo = BcastAlgo::binomial) {
-  obs::ScopedSpan obs_span("mpsim.bcast", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   COLOP_REQUIRE(root >= 0 && root < p, "bcast: invalid root");

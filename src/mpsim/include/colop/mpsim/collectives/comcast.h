@@ -38,7 +38,6 @@ template <typename S, typename E, typename O>
 /// bcast + linear local iteration: rank k returns g^k(b).
 template <typename B, typename G>
 [[nodiscard]] B comcast_naive(const Comm& comm, B value, G g, int root = 0) {
-  obs::ScopedSpan obs_span("mpsim.comcast_naive", "mpsim", comm.rank());
   value = bcast(comm, std::move(value), root);
   const int k = (comm.rank() - root + comm.size()) % comm.size();
   for (int i = 0; i < k; ++i) value = g(std::move(value));
@@ -50,7 +49,6 @@ template <typename B, typename Init, typename E, typename O, typename Extract>
 [[nodiscard]] B comcast_repeat(const Comm& comm, B value, Init init, E e, O o,
                                Extract extract, int root = 0,
                                BcastAlgo algo = BcastAlgo::binomial) {
-  obs::ScopedSpan obs_span("mpsim.comcast_repeat", "mpsim", comm.rank());
   value = bcast(comm, std::move(value), root, algo);
   const unsigned k =
       static_cast<unsigned>((comm.rank() - root + comm.size()) % comm.size());
@@ -64,7 +62,6 @@ template <typename B, typename Init, typename E, typename O, typename Extract>
 template <typename B, typename Init, typename E, typename O, typename Extract>
 [[nodiscard]] B comcast_costopt(const Comm& comm, B value, Init init, E e, O o,
                                 Extract extract) {
-  obs::ScopedSpan obs_span("mpsim.comcast_costopt", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   const int tag = comm.next_collective_tag();

@@ -18,7 +18,6 @@ namespace colop::mpsim {
 /// strictly in rank order (associativity suffices).
 template <typename T, typename Op>
 [[nodiscard]] std::optional<T> exscan(const Comm& comm, T value, Op op) {
-  obs::ScopedSpan obs_span("mpsim.exscan", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   const int tag = comm.next_collective_tag();
@@ -48,7 +47,6 @@ template <typename T, typename Op>
 template <typename T, typename Op>
 [[nodiscard]] T reduce_scatter(const Comm& comm, std::vector<T> blocks, Op op,
                                bool commutative = true) {
-  obs::ScopedSpan obs_span("mpsim.reduce_scatter", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   COLOP_REQUIRE(static_cast<int>(blocks.size()) == p,

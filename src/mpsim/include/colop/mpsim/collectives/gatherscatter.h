@@ -19,7 +19,6 @@ namespace colop::mpsim {
 /// blocks destined for the subtree, so total traffic is O(p) blocks.
 template <typename T>
 [[nodiscard]] T scatter(const Comm& comm, std::vector<T> blocks, int root = 0) {
-  obs::ScopedSpan obs_span("mpsim.scatter", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   COLOP_REQUIRE(root >= 0 && root < p, "scatter: invalid root");
@@ -68,7 +67,6 @@ template <typename T>
 /// return an empty vector).  Binomial tree mirrored from scatter.
 template <typename T>
 [[nodiscard]] std::vector<T> gather(const Comm& comm, T value, int root = 0) {
-  obs::ScopedSpan obs_span("mpsim.gather", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   COLOP_REQUIRE(root >= 0 && root < p, "gather: invalid root");
@@ -103,7 +101,6 @@ template <typename T>
 /// ceil(log2 p) phases): every rank returns [x_0, ..., x_{p-1}].
 template <typename T>
 [[nodiscard]] std::vector<T> allgather(const Comm& comm, T value) {
-  obs::ScopedSpan obs_span("mpsim.allgather", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   if (p == 1) return {std::move(value)};
@@ -132,7 +129,6 @@ template <typename T>
 /// indexed by source.  Direct pairwise exchange (p-1 messages per rank).
 template <typename T>
 [[nodiscard]] std::vector<T> alltoall(const Comm& comm, std::vector<T> blocks) {
-  obs::ScopedSpan obs_span("mpsim.alltoall", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   COLOP_REQUIRE(static_cast<int>(blocks.size()) == p,
@@ -152,7 +148,6 @@ template <typename T>
 /// Dissemination barrier implemented with messages (so it is visible in
 /// traffic statistics, unlike Group::barrier's shared-memory barrier).
 inline void barrier_dissemination(const Comm& comm) {
-  obs::ScopedSpan obs_span("mpsim.barrier_dissemination", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   const int tag = comm.next_collective_tag();

@@ -23,7 +23,6 @@ namespace colop::mpsim {
 /// order, so associativity suffices), then one extra hop if root != 0.
 template <typename T, typename Op>
 [[nodiscard]] T reduce(const Comm& comm, T value, Op op, int root = 0) {
-  obs::ScopedSpan obs_span("mpsim.reduce", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   COLOP_REQUIRE(root >= 0 && root < p, "reduce: invalid root");
@@ -56,7 +55,6 @@ template <typename T, typename Op>
 /// the folded ranks receive the result back at the end.
 template <typename T, typename Op>
 [[nodiscard]] T allreduce(const Comm& comm, T value, Op op) {
-  obs::ScopedSpan obs_span("mpsim.allreduce", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   if (p == 1) return value;

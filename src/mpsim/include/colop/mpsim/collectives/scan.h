@@ -26,7 +26,6 @@ enum class ScanAlgo { butterfly, doubling };
 template <typename T, typename Op>
 [[nodiscard]] T scan(const Comm& comm, T value, Op op,
                      ScanAlgo algo = ScanAlgo::butterfly) {
-  obs::ScopedSpan obs_span("mpsim.scan", "mpsim", comm.rank());
   const int p = comm.size();
   const int r = comm.rank();
   if (p == 1) return value;

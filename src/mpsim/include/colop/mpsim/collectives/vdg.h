@@ -59,7 +59,6 @@ std::vector<E> join_segments(std::vector<std::vector<E>> segs) {
 template <typename E>
 [[nodiscard]] std::vector<E> bcast_vdg(const Comm& comm, std::vector<E> block,
                                        int root = 0) {
-  obs::ScopedSpan obs_span("mpsim.bcast_vdg", "mpsim", comm.rank());
   const int p = comm.size();
   if (p == 1) return block;
   // Non-roots need the segment count only; sizes are carried by the data.
@@ -80,7 +79,6 @@ template <typename E>
 [[nodiscard]] std::vector<E> bcast_pipelined(const Comm& comm,
                                              std::vector<E> block,
                                              int segments, int root = 0) {
-  obs::ScopedSpan obs_span("mpsim.bcast_pipelined", "mpsim", comm.rank());
   const int p = comm.size();
   COLOP_REQUIRE(segments >= 1, "bcast_pipelined: need at least one segment");
   if (p == 1) return block;
@@ -108,7 +106,6 @@ template <typename E>
 template <typename E, typename Op>
 [[nodiscard]] std::vector<E> allreduce_vdg(const Comm& comm,
                                            std::vector<E> block, Op op) {
-  obs::ScopedSpan obs_span("mpsim.allreduce_vdg", "mpsim", comm.rank());
   const int p = comm.size();
   if (p == 1) return block;
   auto segs = detail::split_segments(std::move(block), p);

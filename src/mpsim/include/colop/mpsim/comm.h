@@ -17,8 +17,6 @@
 #include <vector>
 
 #include "colop/mpsim/group.h"
-#include "colop/obs/live.h"
-#include "colop/obs/sink.h"
 #include "colop/rt/flight_recorder.h"
 #include "colop/support/error.h"
 
@@ -79,8 +77,6 @@ class Comm {
   }
 
   void barrier() const {
-    const bool live = obs::live_enabled();
-    const std::uint64_t lt0 = live ? obs::LiveBus::global().now_ns() : 0;
     if (rec_ != nullptr) {
       rec_->log(rt::Ev::barrier_begin);
       rt_stats_->blocked.store(1, std::memory_order_relaxed);
@@ -94,14 +90,12 @@ class Comm {
     } else {
       group_->barrier();
     }
-    if (live)
-      obs::LiveBus::global().publish(obs::LiveEv::barrier, rank_,
-                                     obs::LiveEvent::kNoStage,
-                                     obs::LiveBus::global().now_ns() - lt0);
   }
 
   /// This rank's flight recorder; nullptr when telemetry is disabled.
   [[nodiscard]] rt::Recorder* flight_recorder() const noexcept { return rec_; }
+  /// This rank's telemetry counters; null exactly when the recorder is.
+  [[nodiscard]] rt::RankStats* rank_stats() const noexcept { return rt_stats_; }
 
   /// MPI_Comm_split analogue.  Collective over the group.  Ranks passing
   /// color < 0 receive an invalid Comm.  Within a color, new ranks are
@@ -132,22 +126,6 @@ class Comm {
       rt_stats_->sends.fetch_add(1, std::memory_order_relaxed);
       rt_stats_->send_bytes.fetch_add(bytes, std::memory_order_relaxed);
     }
-    if (obs::enabled()) {
-      obs::Event ev;
-      ev.phase = obs::Phase::instant;
-      ev.name = "send";
-      ev.cat = "mpsim";
-      ev.ts = obs::now_us();
-      ev.tid = rank_;
-      ev.value = static_cast<double>(bytes);
-      ev.args.emplace_back("dest", std::to_string(dest));
-      ev.args.emplace_back("tag", std::to_string(tag));
-      obs::record(ev);
-    }
-    if (obs::live_enabled())
-      obs::LiveBus::global().publish(
-          obs::LiveEv::send, rank_, obs::LiveEvent::kNoStage, bytes,
-          static_cast<std::uint64_t>(static_cast<std::uint32_t>(dest)));
     group_->mailbox(dest).put(
         Message{std::any(std::move(value)), bytes, rank_, tag});
   }
@@ -158,13 +136,7 @@ class Comm {
                   "mpsim: recv from invalid rank");
     if (rec_ != nullptr)
       rec_->log(rt::Ev::recv_begin, source, 0, static_cast<std::uint64_t>(tag));
-    const bool live = obs::live_enabled();
-    const std::uint64_t lt0 = live ? obs::LiveBus::global().now_ns() : 0;
     Message msg = group_->mailbox(rank_).take(source, tag);
-    if (live)
-      obs::LiveBus::global().publish(obs::LiveEv::recv, rank_,
-                                     obs::LiveEvent::kNoStage, msg.bytes,
-                                     obs::LiveBus::global().now_ns() - lt0);
     if (rec_ != nullptr) {
       rec_->log(rt::Ev::recv_end, source, msg.bytes,
                 static_cast<std::uint64_t>(tag));

@@ -43,10 +43,6 @@ class Mailbox {
   /// blocked receive time.
   void set_telemetry(rt::RankStats* stats) { stats_ = stats; }
 
-  /// Install the owning rank id so put() can publish queue-depth events to
-  /// the live bus (obs::LiveBus) while a monitored run executes.
-  void set_live_rank(int rank) { live_rank_ = rank; }
-
  private:
   struct Key {
     int source;
@@ -66,7 +62,6 @@ class Mailbox {
   std::unordered_map<Key, std::deque<Message>, KeyHash> queues_;
   const std::atomic<bool>* aborted_ = nullptr;
   rt::RankStats* stats_ = nullptr;
-  int live_rank_ = -1;
 };
 
 }  // namespace colop::mpsim

@@ -27,6 +27,7 @@
 
 #include "colop/mpsim/comm.h"
 #include "colop/mpsim/rank_pool.h"
+#include "colop/rt/live.h"
 #include "colop/rt/watchdog.h"
 #include "colop/support/error.h"
 
@@ -39,6 +40,8 @@ void run_spmd_impl(int nprocs, Body&& body,
                    const std::shared_ptr<Group>& group) {
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs));
 
+  // While a live run is active its sampler reads this launch's fleet.
+  const rt::LiveLaunch live(group->fleet());
   std::optional<rt::Watchdog> watchdog;
   if (group->fleet().enabled() && rt::config().watchdog_ms > 0)
     watchdog.emplace(group->fleet(),

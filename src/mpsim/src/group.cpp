@@ -76,7 +76,6 @@ Group::Group(int size)
     mailboxes_.push_back(std::make_unique<Mailbox>());
     mailboxes_.back()->set_abort_flag(&aborted_);
     mailboxes_.back()->set_telemetry(fleet_.stats(i));
-    mailboxes_.back()->set_live_rank(i);
   }
 }
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 
-#include "colop/obs/live.h"
 #include "colop/support/error.h"
 
 namespace colop::mpsim {
@@ -42,10 +41,6 @@ void Mailbox::put(Message msg) {
     const std::uint64_t qb =
         stats_->queue_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
     relaxed_max(stats_->queue_bytes_max, qb);
-    // Published from the *sender's* lane, attributed to the owning rank.
-    if (live_rank_ >= 0 && obs::live_enabled())
-      obs::LiveBus::global().publish(obs::LiveEv::queue, live_rank_,
-                                     obs::LiveEvent::kNoStage, depth, qb);
   }
   cv_.notify_all();
 }

@@ -1,5 +1,5 @@
 #pragma once
-// Chrome trace-event export: turn any obs event stream into a JSON file
+// Chrome trace-event export: turn any obs event list into a JSON file
 // loadable in chrome://tracing or https://ui.perfetto.dev.
 //
 // The exporter emits the stable subset of the trace-event format:
@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "colop/obs/sink.h"
+#include "colop/obs/event.h"
 
 namespace colop::obs {
 
@@ -30,28 +30,5 @@ void write_chrome_trace(const std::vector<Event>& events, std::ostream& os,
                         const std::string& process_name = "colop",
                         const std::string& tid_prefix = "P",
                         const std::map<int, std::string>& pid_names = {});
-
-/// Sink that buffers events and writes the trace JSON on flush()/write().
-class ChromeTraceSink : public Sink {
- public:
-  /// Events accumulate in memory; call write() (or install via ScopedSink,
-  /// whose destructor flushes) to emit the document.
-  explicit ChromeTraceSink(std::string process_name = "colop")
-      : process_name_(std::move(process_name)) {}
-
-  void record(const Event& event) override { buffer_.record(event); }
-
-  /// Write the buffered events as a complete JSON document.
-  void write(std::ostream& os) const {
-    write_chrome_trace(buffer_.events(), os, process_name_);
-  }
-
-  [[nodiscard]] std::vector<Event> events() const { return buffer_.events(); }
-  [[nodiscard]] std::size_t size() const { return buffer_.size(); }
-
- private:
-  std::string process_name_;
-  MemorySink buffer_;
-};
 
 }  // namespace colop::obs

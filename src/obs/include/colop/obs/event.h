@@ -1,12 +1,12 @@
 #pragma once
 // colop::obs — the unified observability layer.
 //
-// One structured event vocabulary serves every instrumentation source in
-// the system: the mpsim thread runtime (wall-clock spans and traffic
-// counters), the simnet discrete-event simulator (events stamped with
-// SIMULATED time), the executors (per-stage spans), and the Optimizer
-// (decision events).  Sinks (sink.h) decide what happens to events; the
-// Chrome trace-event exporter (chrome_trace.h) makes any event stream
+// One structured event vocabulary serves every exported trace: the simnet
+// discrete-event simulator (events stamped with SIMULATED time), the
+// executors' per-stage spans, the critical-path profiler, and the thread
+// runtime's flight-recorder captures converted for export (rt reports,
+// post-mortems).  A producer handed a sink (sink.h) records into it; the
+// Chrome trace-event exporter (chrome_trace.h) makes any event list
 // loadable in chrome://tracing or Perfetto.
 
 #include <cstdint>

@@ -1,200 +1,20 @@
 #pragma once
-// Live in-flight telemetry: a lock-free event bus that rank threads publish
-// into *during* execution, and a sampler that folds the stream into an
-// obs::Registry at a fixed interval so /metrics moves mid-run.
-//
-// Design: lane-per-producer SPSC rings (the rt::Recorder idiom — four
-// relaxed-stored atomic words per record plus a release store of the head;
-// the consumer copies a window and re-validates the head, discarding lapped
-// records).  A rank thread pins a lane with a LiveLaneScope at the top of
-// its SPMD body; publishers without a pinned lane (the watchdog, tests)
-// fall back to one mutex-guarded shared lane.  When the bus is disabled —
-// the default — every publish site costs one relaxed load and a branch.
-//
-// The LiveSampler drains all lanes every interval (COLOP_LIVE_INTERVAL_MS,
-// default 100 ms), updates colop_live_* instruments in the registry, and
-// maintains a LiveSnapshot (seq-stamped, single-line JSON) that the stats
-// server streams over /live (Server-Sent Events) and serves from
-// /live.json; wait_newer() is the long-poll primitive for both.
+// Live in-flight telemetry, the obs half: the LiveSnapshot a monitored run
+// is summarized into, the seq-stamped LiveView the stats server streams
+// over /live (Server-Sent Events) and serves from /live.json, and SSE
+// framing.  The producer — rt::LiveSampler, which reads the flight
+// recorders of the SPMD launches in flight — lives in colop::rt, because
+// obs sits below rt and cannot name an rt::Fleet.
 
-#include <atomic>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace colop::obs {
-
-class Registry;
-
-/// What happened, as published from the data plane.  Payload words `a`/`b`
-/// per kind are documented inline.
-enum class LiveEv : std::uint8_t {
-  none = 0,
-  stage_begin,  ///< rank entered stage `stage`
-  stage_end,    ///< rank left stage `stage`; a = duration_ns
-  send,         ///< a = bytes, b = destination rank
-  recv,         ///< a = bytes, b = blocked wait ns
-  queue,        ///< mailbox depth after an enqueue; a = depth, b = bytes
-  barrier,      ///< a = wait ns
-  stall,        ///< watchdog verdict; a = idle ns
-  mark,         ///< free-form pulse (tests, future subsystems)
-};
-
-/// Stable lowercase name for a kind ("stage_end", ...); "?" if unknown.
-[[nodiscard]] const char* live_ev_name(LiveEv kind);
-
-struct LiveEvent {
-  static constexpr std::uint16_t kNoStage = 0xffff;
-  std::uint64_t t_ns = 0;  ///< bus clock (steady, ns since bus creation)
-  LiveEv kind = LiveEv::none;
-  std::uint16_t stage = kNoStage;
-  std::int32_t rank = -1;
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-};
-
-/// One SPSC ring: a single producer thread pushes, the sampler drains.
-/// Overwrites oldest records when full; drops are counted by the drainer.
-class LiveLane {
- public:
-  explicit LiveLane(std::size_t capacity_pow2);
-
-  /// Producer side.  Relaxed word stores + release head publish.
-  void push(const LiveEvent& ev) noexcept;
-
-  [[nodiscard]] std::uint64_t head() const noexcept {
-    return head_.load(std::memory_order_acquire);
-  }
-
-  /// Consumer side: copy records in [cursor, head) into `out`, advance
-  /// `cursor`, add lapped/overwritten records to `dropped`.  Records the
-  /// producer overwrote while we copied are re-checked and discarded.
-  std::size_t drain(std::uint64_t& cursor, std::vector<LiveEvent>& out,
-                    std::uint64_t& dropped) const;
-
- private:
-  static constexpr std::size_t kWords = 4;
-  std::vector<std::atomic<std::uint64_t>> slots_;
-  std::size_t mask_;                      ///< capacity - 1
-  std::atomic<std::uint64_t> head_{0};    ///< next sequence to write
-};
-
-/// Descriptor handed to the bus when a run starts; drives progress and ETA.
-struct LiveRunInfo {
-  std::string trace_id;
-  std::string program;                    ///< optimized schedule, one line
-  std::vector<std::string> stage_labels;  ///< per-stage display names
-  int ranks = 0;
-  int repeats = 1;  ///< planned executions (colopt --repeat)
-};
-
-class LiveBus {
- public:
-  /// `lanes` bounds concurrent pinned producers; `capacity` is per-lane
-  /// (rounded up to a power of two; env COLOP_LIVE_RING overrides the
-  /// global bus's default of 8192).
-  explicit LiveBus(std::size_t lanes = 256, std::size_t capacity = 8192);
-  ~LiveBus();
-  LiveBus(const LiveBus&) = delete;
-  LiveBus& operator=(const LiveBus&) = delete;
-
-  /// The process-wide bus every instrumented subsystem publishes into.
-  static LiveBus& global();
-
-  /// Master switch.  The global bus also mirrors it into the flag behind
-  /// obs::live_enabled() so call sites pay one relaxed load when off.
-  void set_enabled(bool on) noexcept;
-  [[nodiscard]] bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Publish one event.  No-op when disabled.  Uses the thread's pinned
-  /// lane when a LiveLaneScope is active, else a mutex-guarded shared lane.
-  void publish(LiveEv kind, int rank,
-               std::uint16_t stage = LiveEvent::kNoStage, std::uint64_t a = 0,
-               std::uint64_t b = 0) noexcept;
-
-  /// Nanoseconds on the bus clock (steady, zero at bus construction).
-  [[nodiscard]] std::uint64_t now_ns() const noexcept;
-
-  // --- run lifecycle (driver thread) -------------------------------------
-  void begin_run(LiveRunInfo info);
-  void note_repeat(int repeat);  ///< 0-based iteration about to execute
-  void end_run();
-
-  /// Snapshot of the run descriptor + lifecycle generation.  `seq` bumps on
-  /// every begin/end so the sampler can reset aggregates per run.
-  struct RunState {
-    std::uint64_t seq = 0;
-    bool active = false;
-    int repeat = 0;
-    std::uint64_t started_ns = 0;
-    std::uint64_t ended_ns = 0;
-    LiveRunInfo info;
-  };
-  [[nodiscard]] RunState run_state() const;
-
-  // --- consumer / lane management ----------------------------------------
-  /// Drain every lane into `out`; cursors live in the caller (sampler).
-  /// Returns events appended; adds overwritten records to `dropped`.
-  std::size_t drain_all(std::vector<std::uint64_t>& cursors,
-                        std::vector<LiveEvent>& out, std::uint64_t& dropped);
-
- private:
-  friend class LiveLaneScope;
-  LiveLane* acquire_lane();        ///< nullptr when the pool is exhausted
-  void release_lane(LiveLane* lane);
-
-  std::atomic<bool> enabled_{false};
-  bool is_global_ = false;
-  std::uint64_t epoch_ns_;  ///< steady-clock origin of the bus clock
-
-  mutable std::mutex lanes_mutex_;
-  std::vector<std::unique_ptr<LiveLane>> lanes_;  ///< [0] = shared slow lane
-  std::vector<std::size_t> free_lanes_;
-  std::size_t max_lanes_;
-  std::size_t lane_capacity_;
-  std::mutex slow_mutex_;  ///< serializes producers on the shared lane
-
-  mutable std::mutex run_mutex_;
-  RunState run_;
-};
-
-/// RAII lane pin: a rank thread constructs one at the top of its SPMD body
-/// so its publishes hit a private SPSC ring.  Nestable per thread only for
-/// distinct buses; the innermost scope wins.
-class LiveLaneScope {
- public:
-  explicit LiveLaneScope(LiveBus& bus);
-  ~LiveLaneScope();
-  LiveLaneScope(const LiveLaneScope&) = delete;
-  LiveLaneScope& operator=(const LiveLaneScope&) = delete;
-
- private:
-  LiveBus& bus_;
-  LiveLane* lane_;      ///< may be null (pool exhausted → slow path)
-  LiveBus* prev_bus_;
-  LiveLane* prev_lane_;
-};
-
-namespace detail {
-extern std::atomic<bool> g_live_enabled;  ///< mirrors global bus enabled_
-}
-
-/// Fast path for instrumentation sites: one relaxed load.  True iff the
-/// *global* bus is enabled.
-[[nodiscard]] inline bool live_enabled() noexcept {
-  return detail::g_live_enabled.load(std::memory_order_relaxed);
-}
-
-// --- sampler ---------------------------------------------------------------
 
 /// One rank's row in a snapshot.
 struct LiveRankRow {
@@ -219,7 +39,7 @@ struct LiveSnapshot {
   std::string trace_id;
   std::string program;
   double elapsed_ms = 0;       ///< since begin_run (frozen at end_run)
-  double heartbeat_ms = -1;    ///< age of the newest event bus-wide
+  double heartbeat_ms = -1;    ///< age of the newest event run-wide
   std::uint64_t stages_done = 0;
   std::uint64_t stages_total = 0;  ///< stages × repeats × ranks
   int repeat = 0;
@@ -233,57 +53,27 @@ struct LiveSnapshot {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Background thread: drains the bus every interval, folds events into
-/// `registry` (colop_live_* instruments), and publishes a LiveSnapshot.
-class LiveSampler {
+/// The latest LiveSnapshot of a run.  One producer publishes; any number
+/// of readers (server workers, SSE streams) copy it or long-poll for a
+/// newer one.
+class LiveView {
  public:
-  LiveSampler(LiveBus& bus, Registry& registry);
-  ~LiveSampler();
-  LiveSampler(const LiveSampler&) = delete;
-  LiveSampler& operator=(const LiveSampler&) = delete;
-
-  /// Start the sampling thread.  interval_ms <= 0 reads
-  /// COLOP_LIVE_INTERVAL_MS, defaulting to 100.
-  void start(double interval_ms = 0);
-  void stop();  ///< idempotent; joins the thread
-
-  /// Fold everything currently in the bus and refresh the snapshot now.
-  /// Also what the thread calls each tick; safe without start().
-  void sample_once();
-
   [[nodiscard]] LiveSnapshot snapshot() const;
 
   /// Block until a snapshot with seq > `seq` exists (or timeout); returns
   /// the current snapshot either way.
   LiveSnapshot wait_newer(std::uint64_t seq, double timeout_ms) const;
 
-  [[nodiscard]] double interval_ms() const noexcept { return interval_ms_; }
+ protected:
+  /// Replace the snapshot and wake the waiters.  The seq moves on only
+  /// while a run is `active` or when the state, the event count or the
+  /// repeat changed, so an idle view quiesces the SSE stream instead of
+  /// emitting identical frames forever.
+  void publish(LiveSnapshot snap, bool active);
 
  private:
-  struct RankAgg;
-  void fold(const std::vector<LiveEvent>& events);
-  void refresh_snapshot();
-  void run();
-
-  LiveBus& bus_;
-  Registry& registry_;
-  double interval_ms_ = 100;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-
-  // Consumer state: only touched by sample_once() under sample_mutex_.
-  std::mutex sample_mutex_;
-  std::vector<std::uint64_t> cursors_;
-  std::uint64_t run_seq_seen_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t events_ = 0;
-  std::uint64_t last_event_ns_ = 0;
-  bool saw_run_ = false;
-  bool run_done_ = false;
-  std::vector<RankAgg> agg_;
-
-  mutable std::mutex snap_mutex_;
-  mutable std::condition_variable snap_cv_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
   LiveSnapshot snap_;
 };
 

@@ -18,10 +18,6 @@
 //     string info fields and row-oriented series, written once at the end
 //     of a run (the BENCH_*.json artifacts consumed by bench_diff and
 //     bench_history).
-//
-// A CounterSink adapter folds Phase::counter events from the tracing side
-// into a MetricsRegistry, so traffic counts observed on the wire and
-// metrics reported by harnesses flow through one exporter.
 
 #include <atomic>
 #include <cstdint>
@@ -32,8 +28,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "colop/obs/sink.h"
 
 namespace colop::obs {
 
@@ -218,19 +212,6 @@ class MetricsRegistry {
   std::map<std::string, std::string> info_;
   std::map<std::string, std::vector<std::vector<std::pair<std::string, double>>>>
       series_;
-};
-
-/// Sink adapter: accumulates counter events into a registry (other event
-/// phases are ignored).  Counter samples ADD — emit deltas, not totals.
-class CounterSink : public Sink {
- public:
-  explicit CounterSink(MetricsRegistry& registry) : registry_(registry) {}
-  void record(const Event& event) override {
-    if (event.phase == Phase::counter) registry_.add(event.name, event.value);
-  }
-
- private:
-  MetricsRegistry& registry_;
 };
 
 }  // namespace colop::obs

@@ -34,7 +34,7 @@
 namespace colop::obs {
 
 class Registry;
-class LiveSampler;
+class LiveView;
 
 /// One run, as shown by GET /runs.  state is "live" while the execution
 /// is still in flight (colopt --serve --live) and "done" afterwards.
@@ -74,9 +74,10 @@ class StatsServer {
   /// manifests).  Without one, the detail endpoint 404s with a hint.
   void set_run_store(std::string root);
 
-  /// Attach the live sampler backing /live, /live.json, the healthz run
-  /// state, and /runs progress embedding.  Must outlive the server.
-  void set_live(const LiveSampler* live);
+  /// Attach the live view backing /live, /live.json, the healthz run
+  /// state, and /runs progress embedding (colopt passes its
+  /// rt::LiveSampler).  Must outlive the server.
+  void set_live(const LiveView* live);
 
   /// Route one request.  `path` may carry a query string (used by
   /// /live.json's since/wait_ms).  Unknown paths give 404, non-GET 405.
@@ -122,7 +123,7 @@ class StatsServer {
   std::deque<RunSummary> runs_;          ///< front = most recent
   std::size_t max_runs_ = 64;
   std::string run_store_root_;           ///< "" = no store attached
-  std::atomic<const LiveSampler*> live_{nullptr};
+  std::atomic<const LiveView*> live_{nullptr};
 
   std::atomic<int> listen_fd_{-1};
   int port_ = 0;

@@ -1,23 +1,12 @@
 #pragma once
-// Event sinks and the process-wide sink registry.
-//
-// Instrumentation sites throughout the runtime call obs::record() (or use
-// ScopedSpan).  When no sink is installed — the default — the entire path
-// is one relaxed atomic load and a branch; no event is constructed, no
-// clock is read, no allocation happens.  Installing a sink (ScopedSink for
-// RAII) turns the same sites into structured event producers.
-//
-// Sinks must tolerate concurrent record() calls: mpsim runs one thread per
-// rank and all of them emit.  The sinks here serialize with a mutex, which
-// is fine at instrumentation rates; a lock-free sink can be plugged in via
-// the same interface if ever needed.
+// Event sinks: where a producer that is handed a Sink puts its events.
+// simnet's per-machine trace (SimMachine::set_trace_sink) and the
+// critical-path profiler record into a MemorySink.  The thread runtime is
+// not traced through sinks: its record stream is the rt flight recorder
+// (colopt --rt-trace).
 
-#include <atomic>
 #include <cstddef>
-#include <deque>
 #include <mutex>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "colop/obs/event.h"
@@ -28,86 +17,6 @@ class Sink {
  public:
   virtual ~Sink() = default;
   virtual void record(const Event& event) = 0;
-  /// Called when a scoped installation ends; exporters override to write.
-  virtual void flush() {}
-};
-
-namespace detail {
-/// The installed sink; nullptr = instrumentation disabled (the default).
-inline std::atomic<Sink*> g_sink{nullptr};
-}  // namespace detail
-
-/// True iff a sink is installed.  This is THE hot-path check: keep call
-/// sites shaped as `if (obs::enabled()) { ...build event... }`.
-[[nodiscard]] inline bool enabled() noexcept {
-  return detail::g_sink.load(std::memory_order_relaxed) != nullptr;
-}
-
-/// Install (or clear, with nullptr) the process-wide sink.  Not owning.
-inline Sink* set_sink(Sink* sink) noexcept {
-  return detail::g_sink.exchange(sink, std::memory_order_acq_rel);
-}
-
-[[nodiscard]] inline Sink* current_sink() noexcept {
-  return detail::g_sink.load(std::memory_order_acquire);
-}
-
-/// Record an event if a sink is installed.  Prefer checking enabled()
-/// first so the Event is never even constructed when tracing is off.
-inline void record(const Event& event) {
-  if (Sink* s = detail::g_sink.load(std::memory_order_acquire)) s->record(event);
-}
-
-/// Microseconds since the first call (process-local wall clock; steady).
-[[nodiscard]] double now_us();
-
-/// Emit an instant event (wall-clock timestamped).
-void instant(std::string name, std::string cat, int tid = 0,
-             std::vector<std::pair<std::string, std::string>> args = {});
-
-/// Emit a counter sample (wall-clock timestamped).
-void counter(std::string name, std::string cat, double value, int tid = 0);
-
-/// RAII span: begin on construction, end on destruction, wall-clock
-/// timestamps.  If tracing is disabled at construction, both ends are
-/// no-ops even if a sink appears mid-span (spans must pair up).
-class ScopedSpan {
- public:
-  ScopedSpan(const char* name, std::string cat, int tid = 0)
-      : armed_(enabled()) {
-    if (armed_) open(name, std::move(cat), tid);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan() {
-    if (armed_) close();
-  }
-
- private:
-  void open(const char* name, std::string cat, int tid);
-  void close();
-
-  bool armed_;
-  std::string name_;
-  std::string cat_;
-  int tid_ = 0;
-};
-
-/// RAII sink installation: installs on construction, restores the previous
-/// sink and flushes on destruction.
-class ScopedSink {
- public:
-  explicit ScopedSink(Sink& sink) : sink_(&sink), prev_(set_sink(&sink)) {}
-  ScopedSink(const ScopedSink&) = delete;
-  ScopedSink& operator=(const ScopedSink&) = delete;
-  ~ScopedSink() {
-    set_sink(prev_);
-    sink_->flush();
-  }
-
- private:
-  Sink* sink_;
-  Sink* prev_;
 };
 
 /// Unbounded in-memory sink; events() snapshots under the lock.
@@ -133,43 +42,6 @@ class MemorySink : public Sink {
  private:
   mutable std::mutex mutex_;
   std::vector<Event> events_;
-};
-
-/// Fixed-capacity ring buffer sink: keeps the most recent `capacity`
-/// events, dropping the oldest.  For always-on flight recording.
-class RingSink : public Sink {
- public:
-  explicit RingSink(std::size_t capacity) : capacity_(capacity) {}
-
-  void record(const Event& event) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (capacity_ == 0) return;
-    if (events_.size() == capacity_) {
-      events_.pop_front();
-      ++dropped_;
-    }
-    events_.push_back(event);
-  }
-  /// Oldest-to-newest snapshot of the retained events.
-  [[nodiscard]] std::vector<Event> events() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return {events_.begin(), events_.end()};
-  }
-  [[nodiscard]] std::size_t size() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return events_.size();
-  }
-  /// Number of events evicted to make room since construction.
-  [[nodiscard]] std::size_t dropped() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return dropped_;
-  }
-
- private:
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::deque<Event> events_;
-  std::size_t dropped_ = 0;
 };
 
 }  // namespace colop::obs

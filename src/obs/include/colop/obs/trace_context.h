@@ -7,8 +7,8 @@
 // Chrome traces, profile/drift/rt/verify JSON exports, BENCH_*.json
 // documents, the /runs endpoint of the stats server — stamps the current
 // TraceId, so a single ID printed on stdout correlates everything that
-// run emitted.  SpanIds are monotonically minted within the trace and
-// identify finer units (per-stage spans in the executors).
+// run emitted.  SpanIds are monotonically minted within the trace to
+// identify finer units of work.
 //
 // The context is deliberately process-global rather than threaded through
 // every signature: instrumentation sites and exporters live many layers

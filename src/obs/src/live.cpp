@@ -2,544 +2,35 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
 #include "colop/obs/json.h"
-#include "colop/obs/metrics.h"
 
 namespace colop::obs {
-namespace {
 
-std::uint64_t steady_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+// --- LiveView --------------------------------------------------------------
 
-std::size_t round_up_pow2(std::size_t n) noexcept {
-  std::size_t c = 16;
-  while (c < n) c <<= 1;
-  return c;
-}
-
-std::size_t env_ring_capacity() {
-  if (const char* s = std::getenv("COLOP_LIVE_RING")) {
-    const long v = std::strtol(s, nullptr, 10);
-    if (v >= 16) return static_cast<std::size_t>(v);
-  }
-  return 8192;
-}
-
-// w1 packing: kind (8 bits) | stage (16 bits) | rank (32 bits).
-std::uint64_t pack_meta(LiveEv kind, std::uint16_t stage, std::int32_t rank) noexcept {
-  return static_cast<std::uint64_t>(static_cast<std::uint8_t>(kind)) |
-         (static_cast<std::uint64_t>(stage) << 8) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank)) << 24);
-}
-
-void unpack_meta(std::uint64_t w, LiveEvent& ev) noexcept {
-  ev.kind = static_cast<LiveEv>(w & 0xff);
-  ev.stage = static_cast<std::uint16_t>((w >> 8) & 0xffff);
-  ev.rank = static_cast<std::int32_t>(static_cast<std::uint32_t>(w >> 24));
-}
-
-// The thread's pinned lane (installed by LiveLaneScope).  Tagged with the
-// owning bus so a pin on a test-local bus never leaks into the global one.
-thread_local LiveBus* t_lane_bus = nullptr;
-thread_local LiveLane* t_lane = nullptr;
-
-}  // namespace
-
-namespace detail {
-std::atomic<bool> g_live_enabled{false};
-}
-
-const char* live_ev_name(LiveEv kind) {
-  switch (kind) {
-    case LiveEv::none: return "none";
-    case LiveEv::stage_begin: return "stage_begin";
-    case LiveEv::stage_end: return "stage_end";
-    case LiveEv::send: return "send";
-    case LiveEv::recv: return "recv";
-    case LiveEv::queue: return "queue";
-    case LiveEv::barrier: return "barrier";
-    case LiveEv::stall: return "stall";
-    case LiveEv::mark: return "mark";
-  }
-  return "?";
-}
-
-// --- LiveLane --------------------------------------------------------------
-
-LiveLane::LiveLane(std::size_t capacity_pow2)
-    : slots_(round_up_pow2(capacity_pow2) * kWords),
-      mask_(round_up_pow2(capacity_pow2) - 1) {}
-
-void LiveLane::push(const LiveEvent& ev) noexcept {
-  const std::uint64_t seq = head_.load(std::memory_order_relaxed);
-  std::atomic<std::uint64_t>* w = &slots_[(seq & mask_) * kWords];
-  w[0].store(ev.t_ns, std::memory_order_relaxed);
-  w[1].store(pack_meta(ev.kind, ev.stage, ev.rank), std::memory_order_relaxed);
-  w[2].store(ev.a, std::memory_order_relaxed);
-  w[3].store(ev.b, std::memory_order_relaxed);
-  head_.store(seq + 1, std::memory_order_release);
-}
-
-std::size_t LiveLane::drain(std::uint64_t& cursor, std::vector<LiveEvent>& out,
-                            std::uint64_t& dropped) const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  if (cursor >= head) return 0;
-  const std::size_t capacity = mask_ + 1;
-  std::uint64_t begin = cursor;
-  if (head - begin > capacity) {
-    dropped += head - capacity - begin;
-    begin = head - capacity;
-  }
-  const std::size_t before = out.size();
-  std::vector<LiveEvent> window;
-  window.reserve(static_cast<std::size_t>(head - begin));
-  for (std::uint64_t s = begin; s < head; ++s) {
-    const std::atomic<std::uint64_t>* w = &slots_[(s & mask_) * kWords];
-    LiveEvent ev;
-    ev.t_ns = w[0].load(std::memory_order_relaxed);
-    unpack_meta(w[1].load(std::memory_order_relaxed), ev);
-    ev.a = w[2].load(std::memory_order_relaxed);
-    ev.b = w[3].load(std::memory_order_relaxed);
-    window.push_back(ev);
-  }
-  // Re-validate: anything the producer lapped while we copied is torn.
-  const std::uint64_t head2 = head_.load(std::memory_order_acquire);
-  const std::uint64_t safe_begin = head2 > capacity ? head2 - capacity : 0;
-  for (std::uint64_t s = begin; s < head; ++s) {
-    if (s >= safe_begin)
-      out.push_back(window[static_cast<std::size_t>(s - begin)]);
-    else
-      ++dropped;
-  }
-  cursor = head;
-  return out.size() - before;
-}
-
-// --- LiveBus ---------------------------------------------------------------
-
-LiveBus::LiveBus(std::size_t lanes, std::size_t capacity)
-    : epoch_ns_(steady_ns()),
-      max_lanes_(std::max<std::size_t>(lanes, 2)),
-      lane_capacity_(capacity) {
-  lanes_.push_back(std::make_unique<LiveLane>(lane_capacity_));  // slow lane
-}
-
-LiveBus::~LiveBus() = default;
-
-LiveBus& LiveBus::global() {
-  // Leaked intentionally: rank threads and the sampler may outlive main's
-  // static destruction order.
-  static LiveBus* bus = [] {
-    auto* b = new LiveBus(256, env_ring_capacity());
-    b->is_global_ = true;
-    if (const char* s = std::getenv("COLOP_LIVE");
-        s != nullptr && s[0] != '\0' && s[0] != '0')
-      b->set_enabled(true);
-    return b;
-  }();
-  return *bus;
-}
-
-void LiveBus::set_enabled(bool on) noexcept {
-  enabled_.store(on, std::memory_order_relaxed);
-  if (is_global_) detail::g_live_enabled.store(on, std::memory_order_relaxed);
-}
-
-std::uint64_t LiveBus::now_ns() const noexcept {
-  const std::uint64_t now = steady_ns();
-  return now > epoch_ns_ ? now - epoch_ns_ : 0;
-}
-
-void LiveBus::publish(LiveEv kind, int rank, std::uint16_t stage,
-                      std::uint64_t a, std::uint64_t b) noexcept {
-  if (!enabled()) return;
-  LiveEvent ev;
-  ev.t_ns = now_ns();
-  ev.kind = kind;
-  ev.stage = stage;
-  ev.rank = rank;
-  ev.a = a;
-  ev.b = b;
-  if (t_lane_bus == this && t_lane != nullptr) {
-    t_lane->push(ev);
-    return;
-  }
-  // Unpinned producer (watchdog, driver, tests): shared lane under a mutex.
-  const std::lock_guard<std::mutex> lock(slow_mutex_);
-  lanes_.front()->push(ev);
-}
-
-LiveLane* LiveBus::acquire_lane() {
-  const std::lock_guard<std::mutex> lock(lanes_mutex_);
-  if (!free_lanes_.empty()) {
-    const std::size_t idx = free_lanes_.back();
-    free_lanes_.pop_back();
-    return lanes_[idx].get();
-  }
-  if (lanes_.size() >= max_lanes_) return nullptr;
-  lanes_.push_back(std::make_unique<LiveLane>(lane_capacity_));
-  return lanes_.back().get();
-}
-
-void LiveBus::release_lane(LiveLane* lane) {
-  if (lane == nullptr) return;
-  const std::lock_guard<std::mutex> lock(lanes_mutex_);
-  for (std::size_t i = 1; i < lanes_.size(); ++i) {
-    if (lanes_[i].get() == lane) {
-      free_lanes_.push_back(i);
-      return;
-    }
-  }
-}
-
-std::size_t LiveBus::drain_all(std::vector<std::uint64_t>& cursors,
-                               std::vector<LiveEvent>& out,
-                               std::uint64_t& dropped) {
-  std::vector<LiveLane*> lanes;
+void LiveView::publish(LiveSnapshot snap, bool active) {
   {
-    const std::lock_guard<std::mutex> lock(lanes_mutex_);
-    lanes.reserve(lanes_.size());
-    for (const auto& l : lanes_) lanes.push_back(l.get());
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const bool changed = active || snap.state != snap_.state ||
+                         snap.events_total != snap_.events_total ||
+                         snap.repeat != snap_.repeat;
+    snap.seq = snap_.seq + (changed ? 1 : 0);
+    snap_ = std::move(snap);
   }
-  if (cursors.size() < lanes.size()) cursors.resize(lanes.size(), 0);
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < lanes.size(); ++i)
-    n += lanes[i]->drain(cursors[i], out, dropped);
-  return n;
+  cv_.notify_all();
 }
 
-void LiveBus::begin_run(LiveRunInfo info) {
-  const std::lock_guard<std::mutex> lock(run_mutex_);
-  ++run_.seq;
-  run_.active = true;
-  run_.repeat = 0;
-  run_.started_ns = now_ns();
-  run_.ended_ns = 0;
-  run_.info = std::move(info);
-}
-
-void LiveBus::note_repeat(int repeat) {
-  const std::lock_guard<std::mutex> lock(run_mutex_);
-  run_.repeat = repeat;
-}
-
-void LiveBus::end_run() {
-  const std::lock_guard<std::mutex> lock(run_mutex_);
-  if (!run_.active) return;
-  ++run_.seq;
-  run_.active = false;
-  run_.ended_ns = now_ns();
-}
-
-LiveBus::RunState LiveBus::run_state() const {
-  const std::lock_guard<std::mutex> lock(run_mutex_);
-  return run_;
-}
-
-// --- LiveLaneScope ---------------------------------------------------------
-
-LiveLaneScope::LiveLaneScope(LiveBus& bus)
-    : bus_(bus),
-      lane_(bus.acquire_lane()),
-      prev_bus_(t_lane_bus),
-      prev_lane_(t_lane) {
-  // A null lane (pool exhausted) is not an error: publishes from this
-  // thread take the shared slow lane instead.
-  if (lane_ != nullptr) {
-    t_lane_bus = &bus_;
-    t_lane = lane_;
-  }
-}
-
-LiveLaneScope::~LiveLaneScope() {
-  if (lane_ != nullptr) {
-    t_lane_bus = prev_bus_;
-    t_lane = prev_lane_;
-    bus_.release_lane(lane_);
-  }
-}
-
-// --- LiveSampler -----------------------------------------------------------
-
-struct LiveSampler::RankAgg {
-  int stage = -1;
-  std::uint64_t stages_done = 0;
-  std::uint64_t comm_ns = 0;
-  std::uint64_t idle_ns = 0;
-  std::uint64_t queue_depth = 0;
-  std::uint64_t sends = 0;
-  std::uint64_t send_bytes = 0;
-  std::uint64_t last_event_ns = 0;
-  bool stalled = false;
-};
-
-LiveSampler::LiveSampler(LiveBus& bus, Registry& registry)
-    : bus_(bus), registry_(registry) {}
-
-LiveSampler::~LiveSampler() { stop(); }
-
-void LiveSampler::start(double interval_ms) {
-  if (interval_ms <= 0) {
-    interval_ms = 100;
-    if (const char* s = std::getenv("COLOP_LIVE_INTERVAL_MS")) {
-      const double v = std::strtod(s, nullptr);
-      if (v > 0) interval_ms = v;
-    }
-  }
-  interval_ms_ = interval_ms;
-  stop_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { run(); });
-}
-
-void LiveSampler::stop() {
-  stop_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-}
-
-void LiveSampler::run() {
-  const auto tick = std::chrono::duration<double, std::milli>(interval_ms_);
-  while (!stop_.load(std::memory_order_acquire)) {
-    sample_once();
-    // Sleep in small slices so stop() is prompt even at long intervals.
-    auto remaining = tick;
-    const auto slice = std::chrono::milliseconds(20);
-    while (remaining.count() > 0 && !stop_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::min<std::chrono::duration<double, std::milli>>(remaining, slice));
-      remaining -= slice;
-    }
-  }
-  sample_once();  // final fold so end-of-run state is never missed
-}
-
-void LiveSampler::fold(const std::vector<LiveEvent>& events) {
-  for (const LiveEvent& ev : events) {
-    registry_
-        .counter("colop_live_events_total", "Live bus events by kind",
-                 {{"kind", live_ev_name(ev.kind)}})
-        .inc();
-    if (ev.rank >= 0) {
-      if (static_cast<std::size_t>(ev.rank) >= agg_.size())
-        agg_.resize(static_cast<std::size_t>(ev.rank) + 1);
-      RankAgg& a = agg_[static_cast<std::size_t>(ev.rank)];
-      a.last_event_ns = std::max(a.last_event_ns, ev.t_ns);
-      last_event_ns_ = std::max(last_event_ns_, ev.t_ns);
-      switch (ev.kind) {
-        case LiveEv::stage_begin:
-          a.stage = ev.stage == LiveEvent::kNoStage ? -1 : ev.stage;
-          a.stalled = false;
-          break;
-        case LiveEv::stage_end: {
-          a.stage = -1;
-          ++a.stages_done;
-          a.stalled = false;
-          registry_
-              .counter("colop_live_stage_completions_total",
-                       "Per-rank stage executions completed (live)")
-              .inc();
-          registry_
-              .histogram("colop_live_stage_seconds",
-                         "Live per-rank stage latency",
-                         default_seconds_buckets(),
-                         {{"stage", std::to_string(ev.stage)}})
-              .observe(static_cast<double>(ev.a) / 1e9);
-          break;
-        }
-        case LiveEv::send:
-          ++a.sends;
-          a.send_bytes += ev.a;
-          registry_.counter("colop_live_sends_total", "Live messages sent").inc();
-          registry_
-              .counter("colop_live_send_bytes_total", "Live payload bytes sent")
-              .inc(static_cast<double>(ev.a));
-          break;
-        case LiveEv::recv:
-          a.comm_ns += ev.b;
-          registry_
-              .counter("colop_live_recv_wait_seconds_total",
-                       "Live blocked-receive wait",
-                       {{"rank", std::to_string(ev.rank)}})
-              .inc(static_cast<double>(ev.b) / 1e9);
-          break;
-        case LiveEv::queue:
-          a.queue_depth = ev.a;
-          break;
-        case LiveEv::barrier:
-          a.idle_ns += ev.a;
-          registry_
-              .counter("colop_live_barrier_wait_seconds_total",
-                       "Live barrier wait",
-                       {{"rank", std::to_string(ev.rank)}})
-              .inc(static_cast<double>(ev.a) / 1e9);
-          break;
-        case LiveEv::stall:
-          a.stalled = true;
-          break;
-        case LiveEv::none:
-        case LiveEv::mark:
-          break;
-      }
-    }
-  }
-}
-
-void LiveSampler::sample_once() {
-  const std::lock_guard<std::mutex> lock(sample_mutex_);
-  const LiveBus::RunState run = bus_.run_state();
-  if (run.seq != run_seq_seen_) {
-    // New lifecycle edge.  A fresh begin_run resets per-run aggregation.
-    if (run.active) {
-      agg_.clear();
-      dropped_ = 0;
-      events_ = 0;
-      last_event_ns_ = 0;
-      run_done_ = false;
-      saw_run_ = true;
-    } else if (saw_run_) {
-      run_done_ = true;
-    }
-    run_seq_seen_ = run.seq;
-  }
-
-  std::vector<LiveEvent> events;
-  std::uint64_t dropped = 0;
-  bus_.drain_all(cursors_, events, dropped);
-  dropped_ += dropped;
-  events_ += events.size();
-  fold(events);
-  registry_.counter("colop_live_samples_total", "Sampler ticks").inc();
-  if (dropped > 0)
-    registry_
-        .counter("colop_live_dropped_events_total",
-                 "Live events lost to ring overwrite")
-        .inc(static_cast<double>(dropped));
-  refresh_snapshot();
-}
-
-void LiveSampler::refresh_snapshot() {
-  const LiveBus::RunState run = bus_.run_state();
-  LiveSnapshot s;
-  s.trace_id = run.info.trace_id;
-  s.program = run.info.program;
-  s.repeat = run.repeat;
-  s.repeats = run.info.repeats;
-  s.events_total = events_;
-  s.dropped_total = dropped_;
-
-  const std::uint64_t now = bus_.now_ns();
-  bool any_stalled = false;
-  std::uint64_t done = 0;
-  const std::uint64_t end = run.active ? now : run.ended_ns;
-  const double elapsed_ns =
-      run.started_ns > 0 && end > run.started_ns
-          ? static_cast<double>(end - run.started_ns)
-          : 0;
-  s.elapsed_ms = elapsed_ns / 1e6;
-  for (std::size_t r = 0; r < agg_.size(); ++r) {
-    const RankAgg& a = agg_[r];
-    LiveRankRow row;
-    row.rank = static_cast<int>(r);
-    row.stage = a.stage;
-    if (a.stage >= 0 &&
-        static_cast<std::size_t>(a.stage) < run.info.stage_labels.size())
-      row.stage_label = run.info.stage_labels[static_cast<std::size_t>(a.stage)];
-    row.stages_done = a.stages_done;
-    row.comm_ms = static_cast<double>(a.comm_ns) / 1e6;
-    row.idle_ms = static_cast<double>(a.idle_ns) / 1e6;
-    row.busy_ms = std::max(0.0, s.elapsed_ms - row.comm_ms - row.idle_ms);
-    row.queue_depth = a.queue_depth;
-    row.sends = a.sends;
-    row.send_bytes = a.send_bytes;
-    if (a.last_event_ns > 0)
-      row.last_event_ms =
-          static_cast<double>(now > a.last_event_ns ? now - a.last_event_ns : 0) /
-          1e6;
-    row.stalled = a.stalled;
-    any_stalled |= a.stalled;
-    done += a.stages_done;
-    s.ranks.push_back(std::move(row));
-  }
-  s.stages_done = done;
-  const std::uint64_t stages =
-      static_cast<std::uint64_t>(run.info.stage_labels.size());
-  s.stages_total = stages * static_cast<std::uint64_t>(
-                                std::max(run.info.repeats, 1)) *
-                   static_cast<std::uint64_t>(std::max(run.info.ranks, 1));
-  if (last_event_ns_ > 0)
-    s.heartbeat_ms =
-        static_cast<double>(now > last_event_ns_ ? now - last_event_ns_ : 0) /
-        1e6;
-  if (run.active && done > 0 && s.stages_total > done)
-    s.eta_ms = s.elapsed_ms * static_cast<double>(s.stages_total - done) /
-               static_cast<double>(done);
-
-  if (run.active)
-    s.state = any_stalled ? "stalled" : "running";
-  else if (run_done_)
-    s.state = "done";
-  else
-    s.state = "idle";
-
-  // Gauges that describe "now" rather than accumulate.
-  registry_.gauge("colop_live_running", "1 while a run executes")
-      .set(run.active ? 1 : 0);
-  registry_.gauge("colop_live_stalled", "1 while the watchdog flags a stall")
-      .set(any_stalled ? 1 : 0);
-  registry_
-      .gauge("colop_live_progress_stages_done",
-             "Per-rank stage executions completed this run")
-      .set(static_cast<double>(done));
-  registry_
-      .gauge("colop_live_progress_stages", "Planned stage executions this run")
-      .set(static_cast<double>(s.stages_total));
-  registry_.gauge("colop_live_progress_repeat", "Current repeat (0-based)")
-      .set(run.repeat);
-  for (const LiveRankRow& row : s.ranks) {
-    const LabelSet rank_label{{"rank", std::to_string(row.rank)}};
-    registry_
-        .gauge("colop_live_queue_depth", "Mailbox depth after last enqueue",
-               rank_label)
-        .set(static_cast<double>(row.queue_depth));
-    if (row.last_event_ms >= 0)
-      registry_
-          .gauge("colop_live_rank_last_event_age_seconds",
-                 "Age of the rank's newest live event", rank_label)
-          .set(row.last_event_ms / 1e3);
-    registry_
-        .gauge("colop_live_rank_stalled", "1 while the rank is flagged stalled",
-               rank_label)
-        .set(row.stalled ? 1 : 0);
-  }
-
-  {
-    const std::lock_guard<std::mutex> lock(snap_mutex_);
-    s.seq = snap_.seq;
-    // Bump only when something observable moved; an idle bus quiesces the
-    // SSE stream instead of emitting identical frames forever.
-    const bool changed = s.state != snap_.state || s.events_total != snap_.events_total ||
-                         s.repeat != snap_.repeat || run.active;
-    if (changed) ++s.seq;
-    snap_ = std::move(s);
-  }
-  snap_cv_.notify_all();
-}
-
-LiveSnapshot LiveSampler::snapshot() const {
-  const std::lock_guard<std::mutex> lock(snap_mutex_);
+LiveSnapshot LiveView::snapshot() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   return snap_;
 }
 
-LiveSnapshot LiveSampler::wait_newer(std::uint64_t seq,
-                                     double timeout_ms) const {
-  std::unique_lock<std::mutex> lock(snap_mutex_);
-  snap_cv_.wait_for(
+LiveSnapshot LiveView::wait_newer(std::uint64_t seq, double timeout_ms) const {
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait_for(
       lock, std::chrono::duration<double, std::milli>(std::max(timeout_ms, 0.0)),
       [&] { return snap_.seq > seq; });
   return snap_;

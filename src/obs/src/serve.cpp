@@ -142,19 +142,19 @@ void StatsServer::set_run_store(std::string root) {
   run_store_root_ = std::move(root);
 }
 
-void StatsServer::set_live(const LiveSampler* live) {
+void StatsServer::set_live(const LiveView* live) {
   live_.store(live, std::memory_order_release);
 }
 
 std::string StatsServer::health_state() const {
-  const LiveSampler* live = live_.load(std::memory_order_acquire);
+  const LiveView* live = live_.load(std::memory_order_acquire);
   if (live == nullptr) return "idle";
   const std::string state = live->snapshot().state;
   return state == "done" ? "idle" : state;
 }
 
 void StatsServer::write_runs_json(std::ostream& os) const {
-  const LiveSampler* live = live_.load(std::memory_order_acquire);
+  const LiveView* live = live_.load(std::memory_order_acquire);
   LiveSnapshot snap;
   if (live != nullptr) snap = live->snapshot();
   const std::lock_guard<std::mutex> lock(runs_mutex_);
@@ -214,7 +214,7 @@ HttpResponse StatsServer::handle(const std::string& method,
     return {200, "application/json", os.str()};
   }
   if (path == "/live.json") {
-    const LiveSampler* live = live_.load(std::memory_order_acquire);
+    const LiveView* live = live_.load(std::memory_order_acquire);
     if (live == nullptr)
       return {404, "text/plain; charset=utf-8",
               "no live sampler attached; run colopt --serve --live\n"};
@@ -230,7 +230,7 @@ HttpResponse StatsServer::handle(const std::string& method,
   if (path == "/live") {
     // Socket-free fallback: one snapshot frame + a terminating end frame.
     // The socket path (stream_live) serves the real stream.
-    const LiveSampler* live = live_.load(std::memory_order_acquire);
+    const LiveView* live = live_.load(std::memory_order_acquire);
     if (live == nullptr)
       return {404, "text/plain; charset=utf-8",
               "no live sampler attached; run colopt --serve --live\n"};
@@ -429,7 +429,7 @@ void StatsServer::serve_client(int fd) {
 }
 
 void StatsServer::stream_live(int fd) {
-  const LiveSampler* live = live_.load(std::memory_order_acquire);
+  const LiveView* live = live_.load(std::memory_order_acquire);
   if (!write_all(fd,
                  "HTTP/1.0 200 OK\r\n"
                  "Content-Type: text/event-stream\r\n"

@@ -7,17 +7,20 @@
 // fixed-capacity ring of fixed-size binary records (stage boundaries,
 // mailbox send/recv, barrier enter/exit, data plane, bytes moved), each
 // stamped with steady_clock nanoseconds.  The producer is the rank's own
-// thread; consumers (the stall watchdog, post-mortem dumps, rt reports)
-// only ever read — so the hot path is four relaxed word stores and one
-// release store of the head index: no lock, no allocation, no syscall.
+// thread; consumers (the stall watchdog, post-mortem dumps, rt reports,
+// the live sampler) only ever read — so the hot path is five relaxed
+// stores, a release fence and one release store of the head index: no
+// lock, no allocation, no syscall.
 //
 // Concurrency contract (ThreadSanitizer-clean by construction):
 //   * every ring word is a std::atomic<uint64_t> written relaxed by the
 //     producer and read relaxed by consumers — torn reads are impossible
 //     and there is no data race to report;
-//   * the producer publishes with a release store of head_; a consumer
-//     acquires head_, copies the window, re-reads head_ and discards any
-//     record the producer may have lapped meanwhile (snapshot()).
+//   * the producer claims a sequence (claimed_, then a release fence)
+//     before overwriting its slot and publishes it with a release store
+//     of head_; a consumer acquires head_, copies the window, and after
+//     an acquire fence reads claimed_ to discard any record the producer
+//     may have started to overwrite meanwhile (drain(), snapshot()).
 //
 // Enablement is layered: compile out entirely with -DCOLOP_RT_DISABLE
 // (every call site folds to nothing behind `if (recorder == nullptr)`),
@@ -108,6 +111,10 @@ struct alignas(64) RankStats {
   std::atomic<std::uint64_t> last_event_ns{0};
   std::atomic<std::uint8_t> blocked{0};  ///< 1 while waiting in recv/barrier
   std::atomic<std::uint8_t> done{0};     ///< rank body returned
+  std::atomic<std::uint8_t> stalled{0};  ///< the watchdog's stall verdict
+  // Executor progress, read by the watchdog and the live sampler.
+  std::atomic<std::uint16_t> stage{Record::kNoStage};  ///< stage running now
+  std::atomic<std::uint64_t> stages_done{0};
 };
 
 /// Plain-value snapshot of RankStats.
@@ -154,11 +161,15 @@ class Recorder {
             .count());
   }
 
-  /// Producer only.  Zero allocation; four relaxed stores + release head.
+  /// Producer only.  Zero allocation; relaxed stores + release head.
   void log(Ev kind, std::int32_t peer = -1, std::uint64_t bytes = 0,
            std::uint64_t aux = 0) noexcept {
     const std::uint64_t t = now_ns();
     const std::uint64_t seq = head_.load(std::memory_order_relaxed);
+    // A consumer that sees any word of this record also sees the claim,
+    // so it knows the record this slot held (seq - cap) is torn.
+    claimed_.store(seq + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
     std::atomic<std::uint64_t>* w = &words_[(seq & (cap_ - 1)) * kWords];
     w[0].store(t, std::memory_order_relaxed);
     w[1].store(pack(kind, stage_, peer), std::memory_order_relaxed);
@@ -171,7 +182,6 @@ class Recorder {
 
   /// Producer only: stage index stamped into subsequent records.
   void set_stage(std::uint16_t stage) noexcept { stage_ = stage; }
-  [[nodiscard]] std::uint16_t stage() const noexcept { return stage_; }
 
   /// Total records ever logged (including overwritten ones).  Any thread.
   [[nodiscard]] std::uint64_t head() const noexcept {
@@ -185,6 +195,11 @@ class Recorder {
   /// record is intact.  Any thread.
   [[nodiscard]] std::vector<Record> snapshot() const;
 
+  /// As snapshot(), but only the records logged since `cursor`, appended
+  /// to `out`; advances `cursor` to the head.  Returns how many of those
+  /// records the producer had overwritten before they could be copied.
+  std::uint64_t drain(std::uint64_t& cursor, std::vector<Record>& out) const;
+
   void set_stats(RankStats* stats) noexcept { stats_ = stats; }
 
   /// Forget every record and restart the clock at `epoch`, keeping the
@@ -192,6 +207,7 @@ class Recorder {
   void reset(std::chrono::steady_clock::time_point epoch) noexcept {
     epoch_ = epoch;
     head_.store(0, std::memory_order_relaxed);
+    claimed_.store(0, std::memory_order_relaxed);
     stage_ = Record::kNoStage;
   }
 
@@ -208,7 +224,8 @@ class Recorder {
   std::chrono::steady_clock::time_point epoch_;
   std::size_t cap_ = 0;
   std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
-  std::atomic<std::uint64_t> head_{0};
+  std::atomic<std::uint64_t> head_{0};     ///< one past the newest record
+  std::atomic<std::uint64_t> claimed_{0};  ///< head_, or head_ + 1 mid-log()
   std::uint16_t stage_ = Record::kNoStage;  // producer-thread private
   RankStats* stats_ = nullptr;
 };

@@ -1,5 +1,6 @@
 #include "colop/rt/flight_recorder.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 
@@ -46,10 +47,18 @@ const char* ev_name(Ev kind) {
 }
 
 std::vector<Record> Recorder::snapshot() const {
-  const std::uint64_t end = head_.load(std::memory_order_acquire);
-  const std::uint64_t begin = end > cap_ ? end - cap_ : 0;
+  std::uint64_t cursor = 0;
   std::vector<Record> out;
-  out.reserve(static_cast<std::size_t>(end - begin));
+  drain(cursor, out);
+  return out;
+}
+
+std::uint64_t Recorder::drain(std::uint64_t& cursor,
+                              std::vector<Record>& out) const {
+  const std::uint64_t end = head_.load(std::memory_order_acquire);
+  const std::uint64_t begin =
+      std::min(end, std::max(cursor, end > cap_ ? end - cap_ : 0));
+  const std::size_t first = out.size();
   for (std::uint64_t seq = begin; seq < end; ++seq) {
     const std::atomic<std::uint64_t>* w = &words_[(seq & (cap_ - 1)) * kWords];
     Record r;
@@ -63,16 +72,17 @@ std::vector<Record> Recorder::snapshot() const {
     r.aux = w[3].load(std::memory_order_relaxed);
     out.push_back(r);
   }
-  // The producer may have lapped us mid-copy; anything it could have
-  // overwritten is untrustworthy and is dropped from the front.
-  const std::uint64_t end2 = head_.load(std::memory_order_acquire);
-  const std::uint64_t valid_from = end2 > cap_ ? end2 - cap_ : 0;
-  if (valid_from > begin)
-    out.erase(out.begin(),
-              out.begin() + static_cast<std::ptrdiff_t>(
-                                std::min<std::uint64_t>(valid_from - begin,
-                                                        out.size())));
-  return out;
+  // The producer may have lapped us mid-copy; anything whose slot it had
+  // started to overwrite is untrustworthy and is dropped from the front.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  const std::uint64_t claimed = claimed_.load(std::memory_order_relaxed);
+  const std::uint64_t kept_from =
+      std::clamp(claimed > cap_ ? claimed - cap_ : 0, begin, end);
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(first),
+            out.begin() + static_cast<std::ptrdiff_t>(first + (kept_from - begin)));
+  const std::uint64_t lost = kept_from - std::min(cursor, kept_from);
+  cursor = end;
+  return lost;
 }
 
 Fleet::Fleet(int ranks, const Config& cfg)

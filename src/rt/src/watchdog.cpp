@@ -9,7 +9,6 @@
 #include <tuple>
 
 #include "colop/obs/chrome_trace.h"
-#include "colop/obs/live.h"
 
 namespace colop::rt {
 
@@ -85,7 +84,7 @@ void Watchdog::run() {
       info.idle_ns = idle;
       info.last_event_ns = last;
       info.blocked = st->blocked.load(std::memory_order_relaxed) != 0;
-      const std::uint16_t stage = rec->stage();
+      const std::uint16_t stage = st->stage.load(std::memory_order_relaxed);
       const auto& labels = fleet.stage_labels();
       if (stage != Record::kNoStage && stage < labels.size())
         info.stage = labels[stage];
@@ -95,11 +94,8 @@ void Watchdog::run() {
 
     stalls_ = std::move(stalls);
     stalled_.store(true, std::memory_order_release);
-    if (obs::live_enabled())
-      for (const StallInfo& s : stalls_)
-        obs::LiveBus::global().publish(obs::LiveEv::stall, s.rank,
-                                       obs::LiveEvent::kNoStage,
-                                       s.idle_ns);
+    for (const StallInfo& s : stalls_)
+      fleet.stats(s.rank)->stalled.store(1, std::memory_order_relaxed);
     std::ostringstream reason;
     reason << describe() << " (deadline " << options_.deadline_ms << " ms)";
     dump_post_mortem(fleet_, reason.str(), options_.dump_path);

@@ -119,8 +119,8 @@ class SimMachine {
 
   /// Attach an event sink; every send/recv/exchange/compute then emits a
   /// complete event stamped with SIMULATED time (op units), tid = the
-  /// processor.  The machine-wide obs::set_sink is deliberately not used:
-  /// simulated and wall-clock timestamps must never mix in one stream.
+  /// processor.  The sink is per machine: simulated and wall-clock
+  /// timestamps must never mix in one stream.
   void set_trace_sink(obs::Sink* sink) noexcept { trace_ = sink; }
   [[nodiscard]] obs::Sink* trace_sink() const noexcept { return trace_; }
 

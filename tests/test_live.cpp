@@ -1,8 +1,8 @@
-// Live telemetry bus: SPSC lane round trips and lap accounting, the bus's
-// pinned-lane vs shared-lane publish paths, run lifecycle edges, the
-// sampler's registry folding and snapshot JSON, the wait_newer long-poll
-// primitive, SSE framing goldens, and a producers-vs-scraper hammer that
-// TSAN and the monotonic-counter assertions both watch.
+// Live telemetry: the run lifecycle, the sampler's registry folding and
+// snapshot JSON over hand-built fleets, exact counts over many short real
+// launches, the wait_newer long-poll primitive, SSE framing goldens, and a
+// launches-vs-scraper hammer that TSAN and the monotonic-counter
+// assertions both watch.
 
 #include <atomic>
 #include <cstdint>
@@ -13,231 +13,145 @@
 
 #include <gtest/gtest.h>
 
+#include "colop/exec/thread_executor.h"
+#include "colop/ir/binop.h"
+#include "colop/ir/program.h"
 #include "colop/obs/json.h"
 #include "colop/obs/live.h"
 #include "colop/obs/metrics.h"
+#include "colop/rt/live.h"
 
 namespace obs = colop::obs;
+namespace rt = colop::rt;
+namespace ir = colop::ir;
+namespace exec = colop::exec;
 
 namespace {
 
-obs::LiveEvent make_event(obs::LiveEv kind, int rank, std::uint16_t stage,
-                          std::uint64_t a = 0, std::uint64_t b = 0) {
-  obs::LiveEvent ev;
-  ev.t_ns = 1;
-  ev.kind = kind;
-  ev.stage = stage;
-  ev.rank = rank;
-  ev.a = a;
-  ev.b = b;
-  return ev;
+rt::Config fleet_config(std::size_t ring = 256) {
+  rt::Config cfg;
+  cfg.ring_capacity = ring;
+  return cfg;
 }
 
-TEST(LiveLane, RoundTripPreservesOrderAndPayload) {
-  obs::LiveLane lane(64);
-  for (int i = 0; i < 10; ++i)
-    lane.push(make_event(obs::LiveEv::send, i, static_cast<std::uint16_t>(i),
-                         100 + static_cast<std::uint64_t>(i), 7));
-  std::uint64_t cursor = 0;
-  std::uint64_t dropped = 0;
-  std::vector<obs::LiveEvent> out;
-  EXPECT_EQ(lane.drain(cursor, out, dropped), 10u);
-  EXPECT_EQ(dropped, 0u);
-  ASSERT_EQ(out.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].kind, obs::LiveEv::send);
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].rank, i);
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].stage, i);
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].a,
-              100 + static_cast<std::uint64_t>(i));
-    EXPECT_EQ(out[static_cast<std::size_t>(i)].b, 7u);
-  }
-  // Cursor advanced to head: a second drain returns nothing.
-  EXPECT_EQ(lane.drain(cursor, out, dropped), 0u);
+// One rank's stage on a hand-built fleet, recorded as run_rank does it.
+void complete_stage(rt::Fleet& fleet, int rank, std::uint16_t stage) {
+  rt::Recorder& rec = *fleet.recorder(rank);
+  rt::RankStats& st = *fleet.stats(rank);
+  rec.set_stage(stage);
+  rec.log(rt::Ev::stage_begin);
+  st.stage.store(stage);
+  rec.log(rt::Ev::stage_end);
+  rec.set_stage(rt::Record::kNoStage);
+  st.stage.store(rt::Record::kNoStage);
+  st.stages_done.fetch_add(1);
 }
 
-TEST(LiveLane, LappedRecordsAreCountedAsDropped) {
-  obs::LiveLane lane(16);  // minimum ring
-  for (std::uint64_t i = 0; i < 40; ++i)
-    lane.push(make_event(obs::LiveEv::mark, 0, obs::LiveEvent::kNoStage, i));
-  std::uint64_t cursor = 0;
-  std::uint64_t dropped = 0;
-  std::vector<obs::LiveEvent> out;
-  lane.drain(cursor, out, dropped);
-  EXPECT_EQ(dropped, 24u);  // head 40 - capacity 16
-  ASSERT_EQ(out.size(), 16u);
-  EXPECT_EQ(out.front().a, 24u);  // oldest surviving record
-  EXPECT_EQ(out.back().a, 39u);
+// One message on a hand-built fleet, recorded as Comm::send_raw does it.
+void send(rt::Fleet& fleet, int rank, int dest, std::uint64_t bytes) {
+  fleet.recorder(rank)->log(rt::Ev::send, dest, bytes);
+  fleet.stats(rank)->sends.fetch_add(1);
+  fleet.stats(rank)->send_bytes.fetch_add(bytes);
 }
 
-TEST(LiveLane, NoStageAndNegativeRankSurvivePacking) {
-  obs::LiveLane lane(16);
-  lane.push(make_event(obs::LiveEv::stall, -1, obs::LiveEvent::kNoStage, 5));
-  std::uint64_t cursor = 0;
-  std::uint64_t dropped = 0;
-  std::vector<obs::LiveEvent> out;
-  lane.drain(cursor, out, dropped);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].stage, obs::LiveEvent::kNoStage);
-  EXPECT_EQ(out[0].rank, -1);
+// scan(+) ; reduce(+) ; bcast on p blocks of two small integers.
+ir::Program three_stages() {
+  ir::Program prog;
+  prog.scan(ir::op_add()).reduce(ir::op_add()).bcast();
+  return prog;
 }
 
-TEST(LiveEvName, CoversEveryKind) {
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::stage_begin), "stage_begin");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::stage_end), "stage_end");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::send), "send");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::recv), "recv");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::queue), "queue");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::barrier), "barrier");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::stall), "stall");
-  EXPECT_STREQ(obs::live_ev_name(obs::LiveEv::mark), "mark");
-}
-
-TEST(LiveBus, DisabledPublishIsANoOp) {
-  obs::LiveBus bus(4, 64);
-  bus.publish(obs::LiveEv::mark, 0);
-  std::vector<std::uint64_t> cursors;
-  std::vector<obs::LiveEvent> out;
-  std::uint64_t dropped = 0;
-  EXPECT_EQ(bus.drain_all(cursors, out, dropped), 0u);
-}
-
-TEST(LiveBus, SharedLaneCollectsUnpinnedPublishes) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
-  bus.publish(obs::LiveEv::mark, 3, obs::LiveEvent::kNoStage, 11);
-  std::vector<std::uint64_t> cursors;
-  std::vector<obs::LiveEvent> out;
-  std::uint64_t dropped = 0;
-  EXPECT_EQ(bus.drain_all(cursors, out, dropped), 1u);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].kind, obs::LiveEv::mark);
-  EXPECT_EQ(out[0].rank, 3);
-  EXPECT_EQ(out[0].a, 11u);
-}
-
-TEST(LiveBus, PinnedLanesFromManyThreadsLoseNothing) {
-  obs::LiveBus bus(8, 4096);
-  bus.set_enabled(true);
-  constexpr int kThreads = 4;
-  constexpr int kEach = 1000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&bus, t] {
-      const obs::LiveLaneScope scope(bus);
-      for (int i = 0; i < kEach; ++i)
-        bus.publish(obs::LiveEv::send, t, obs::LiveEvent::kNoStage,
-                    static_cast<std::uint64_t>(i));
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::vector<std::uint64_t> cursors;
-  std::vector<obs::LiveEvent> out;
-  std::uint64_t dropped = 0;
-  bus.drain_all(cursors, out, dropped);
-  EXPECT_EQ(out.size(), static_cast<std::size_t>(kThreads * kEach));
-  EXPECT_EQ(dropped, 0u);
-  std::vector<int> per_rank(kThreads, 0);
-  for (const auto& ev : out) {
-    ASSERT_GE(ev.rank, 0);
-    ASSERT_LT(ev.rank, kThreads);
-    ++per_rank[static_cast<std::size_t>(ev.rank)];
-  }
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(per_rank[static_cast<std::size_t>(t)], kEach);
-}
-
-TEST(LiveBus, LanesAreReusedAfterScopeRelease) {
-  obs::LiveBus bus(2, 64);  // shared lane + exactly one pinnable lane
-  bus.set_enabled(true);
-  for (int round = 0; round < 3; ++round) {
-    std::thread([&bus, round] {
-      const obs::LiveLaneScope scope(bus);
-      bus.publish(obs::LiveEv::mark, round);
-    }).join();
-  }
-  std::vector<std::uint64_t> cursors;
-  std::vector<obs::LiveEvent> out;
-  std::uint64_t dropped = 0;
-  bus.drain_all(cursors, out, dropped);
-  EXPECT_EQ(out.size(), 3u);
-  EXPECT_EQ(dropped, 0u);
+ir::Dist small_input(int p) {
+  ir::Dist input(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r)
+    input[static_cast<std::size_t>(r)] = {ir::Value(r), ir::Value(1)};
+  return input;
 }
 
 TEST(LiveBus, RunLifecycleBumpsSeqOnEveryEdge) {
-  obs::LiveBus bus(4, 64);
-  const auto s0 = bus.run_state();
+  obs::Registry reg;
+  rt::LiveSampler live(reg);
+  const auto s0 = live.run_state();
   EXPECT_FALSE(s0.active);
 
-  obs::LiveRunInfo info;
+  rt::LiveRunInfo info;
   info.trace_id = "cafe";
   info.repeats = 3;
-  bus.begin_run(info);
-  const auto s1 = bus.run_state();
+  live.begin_run(info);
+  const auto s1 = live.run_state();
   EXPECT_TRUE(s1.active);
   EXPECT_GT(s1.seq, s0.seq);
   EXPECT_EQ(s1.info.trace_id, "cafe");
 
-  bus.note_repeat(2);
-  EXPECT_EQ(bus.run_state().repeat, 2);
+  live.note_repeat(2);
+  EXPECT_EQ(live.run_state().repeat, 2);
 
-  bus.end_run();
-  const auto s2 = bus.run_state();
+  live.end_run();
+  const auto s2 = live.run_state();
   EXPECT_FALSE(s2.active);
   EXPECT_GT(s2.seq, s1.seq);
   EXPECT_GE(s2.ended_ns, s2.started_ns);
 
-  bus.end_run();  // idempotent: no second edge
-  EXPECT_EQ(bus.run_state().seq, s2.seq);
+  live.end_run();  // idempotent: no second edge
+  EXPECT_EQ(live.run_state().seq, s2.seq);
 }
 
 TEST(LiveSampler, FoldsEventsIntoRegistryInstruments) {
-  obs::LiveBus bus(4, 256);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);  // no start(): drive sample_once()
+  rt::LiveSampler sampler(reg);  // no start(): drive sample_once()
 
-  obs::LiveRunInfo info;
+  rt::LiveRunInfo info;
   info.trace_id = "deadbeef";
   info.program = "scan(+) ; reduce(+)";
   info.stage_labels = {"scan(+)", "reduce(+)"};
   info.ranks = 2;
   info.repeats = 1;
-  bus.begin_run(info);
+  sampler.begin_run(info);
 
-  bus.publish(obs::LiveEv::stage_begin, 0, 0);
-  bus.publish(obs::LiveEv::stage_end, 0, 0, 2'000'000);  // 2 ms
-  bus.publish(obs::LiveEv::send, 0, obs::LiveEvent::kNoStage, 512, 1);
-  bus.publish(obs::LiveEv::recv, 1, obs::LiveEvent::kNoStage, 512, 3'000'000);
-  bus.publish(obs::LiveEv::barrier, 1, obs::LiveEvent::kNoStage, 1'000'000);
-  sampler.sample_once();
+  rt::Fleet fleet(2, fleet_config());
+  {
+    const rt::LiveLaunch launch(fleet);
+    complete_stage(fleet, 0, 0);
+    send(fleet, 0, 1, 512);
+    fleet.stats(1)->recv_wait_ns.store(3'000'000);
+    fleet.stats(1)->barrier_wait_ns.store(1'000'000);
+    sampler.sample_once();
 
-  EXPECT_EQ(reg.value("colop_live_events_total", {{"kind", "stage_end"}}), 1);
-  EXPECT_EQ(reg.value("colop_live_events_total", {{"kind", "send"}}), 1);
-  EXPECT_EQ(reg.value("colop_live_stage_completions_total"), 1);
-  EXPECT_EQ(reg.value("colop_live_sends_total"), 1);
-  EXPECT_EQ(reg.value("colop_live_send_bytes_total"), 512);
-  EXPECT_NEAR(reg.value("colop_live_recv_wait_seconds_total", {{"rank", "1"}}),
-              0.003, 1e-9);
-  EXPECT_NEAR(reg.value("colop_live_barrier_wait_seconds_total", {{"rank", "1"}}),
-              0.001, 1e-9);
-  EXPECT_EQ(reg.value("colop_live_running"), 1);
-  EXPECT_EQ(reg.value("colop_live_progress_stages_done"), 1);
-  EXPECT_EQ(reg.value("colop_live_progress_stages"), 4);  // 2 stages × 2 ranks
-  EXPECT_EQ(reg.value("colop_live_queue_depth", {{"rank", "0"}}), 0);
+    EXPECT_EQ(reg.value("colop_live_events_total", {{"kind", "stage_end"}}), 1);
+    EXPECT_EQ(reg.value("colop_live_events_total", {{"kind", "send"}}), 1);
+    EXPECT_EQ(reg.value("colop_live_stage_completions_total"), 1);
+    EXPECT_EQ(reg.value("colop_live_sends_total"), 1);
+    EXPECT_EQ(reg.value("colop_live_send_bytes_total"), 512);
+    EXPECT_NEAR(
+        reg.value("colop_live_recv_wait_seconds_total", {{"rank", "1"}}),
+        0.003, 1e-9);
+    EXPECT_NEAR(
+        reg.value("colop_live_barrier_wait_seconds_total", {{"rank", "1"}}),
+        0.001, 1e-9);
+    EXPECT_EQ(reg.value("colop_live_running"), 1);
+    EXPECT_EQ(reg.value("colop_live_progress_stages_done"), 1);
+    EXPECT_EQ(reg.value("colop_live_progress_stages"), 4);  // 2 stages × 2 ranks
+    EXPECT_EQ(reg.value("colop_live_queue_depth", {{"rank", "0"}}), 0);
 
-  const obs::LiveSnapshot snap = sampler.snapshot();
-  EXPECT_EQ(snap.state, "running");
-  EXPECT_EQ(snap.trace_id, "deadbeef");
-  EXPECT_EQ(snap.stages_done, 1u);
-  EXPECT_EQ(snap.stages_total, 4u);
-  ASSERT_EQ(snap.ranks.size(), 2u);
-  EXPECT_EQ(snap.ranks[0].sends, 1u);
-  EXPECT_EQ(snap.ranks[0].send_bytes, 512u);
-  EXPECT_NEAR(snap.ranks[1].comm_ms, 3.0, 1e-9);
-  EXPECT_NEAR(snap.ranks[1].idle_ms, 1.0, 1e-9);
+    const obs::LiveSnapshot snap = sampler.snapshot();
+    EXPECT_EQ(snap.state, "running");
+    EXPECT_EQ(snap.trace_id, "deadbeef");
+    EXPECT_EQ(snap.stages_done, 1u);
+    EXPECT_EQ(snap.stages_total, 4u);
+    ASSERT_EQ(snap.ranks.size(), 2u);
+    EXPECT_EQ(snap.ranks[0].sends, 1u);
+    EXPECT_EQ(snap.ranks[0].send_bytes, 512u);
+    EXPECT_NEAR(snap.ranks[1].comm_ms, 3.0, 1e-9);
+    EXPECT_NEAR(snap.ranks[1].idle_ms, 1.0, 1e-9);
 
-  bus.end_run();
+    // A second tick folds only what is new.
+    sampler.sample_once();
+    EXPECT_EQ(reg.value("colop_live_sends_total"), 1);
+    EXPECT_EQ(reg.value("colop_live_events_total", {{"kind", "stage_end"}}), 1);
+  }
+
+  sampler.end_run();
   sampler.sample_once();
   EXPECT_EQ(sampler.snapshot().state, "done");
   EXPECT_EQ(reg.value("colop_live_running"), 0);
@@ -250,34 +164,37 @@ TEST(LiveSampler, FoldsEventsIntoRegistryInstruments) {
 }
 
 TEST(LiveSampler, StallEventFlagsRankAndState) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
-  obs::LiveRunInfo info;
+  rt::LiveSampler sampler(reg);
+  rt::LiveRunInfo info;
   info.ranks = 1;
   info.stage_labels = {"bcast"};
-  bus.begin_run(info);
-  bus.publish(obs::LiveEv::stall, 0, obs::LiveEvent::kNoStage, 9'000'000);
-  sampler.sample_once();
-  EXPECT_EQ(sampler.snapshot().state, "stalled");
-  ASSERT_FALSE(sampler.snapshot().ranks.empty());
-  EXPECT_TRUE(sampler.snapshot().ranks[0].stalled);
-  EXPECT_EQ(reg.value("colop_live_stalled"), 1);
-  EXPECT_EQ(reg.value("colop_live_rank_stalled", {{"rank", "0"}}), 1);
+  sampler.begin_run(info);
+  {
+    rt::Fleet stalled(1, fleet_config());
+    const rt::LiveLaunch launch(stalled);
+    stalled.stats(0)->stalled.store(1);  // the watchdog's verdict
+    sampler.sample_once();
+    EXPECT_EQ(sampler.snapshot().state, "stalled");
+    ASSERT_FALSE(sampler.snapshot().ranks.empty());
+    EXPECT_TRUE(sampler.snapshot().ranks[0].stalled);
+    EXPECT_EQ(reg.value("colop_live_stalled"), 1);
+    EXPECT_EQ(reg.value("colop_live_rank_stalled", {{"rank", "0"}}), 1);
+  }
 
-  // The next stage_begin clears the verdict.
-  bus.publish(obs::LiveEv::stage_begin, 0, 0);
+  // The next launch on the rank clears the verdict.
+  rt::Fleet next(1, fleet_config());
+  const rt::LiveLaunch launch(next);
+  complete_stage(next, 0, 0);
   sampler.sample_once();
   EXPECT_EQ(sampler.snapshot().state, "running");
-  bus.end_run();
+  sampler.end_run();
 }
 
 TEST(LiveSampler, IdleWithoutARunAndSeqQuiescesWhenNothingMoves) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
+  rt::LiveSampler sampler(reg);
   sampler.sample_once();
   EXPECT_EQ(sampler.snapshot().state, "idle");
   const std::uint64_t seq = sampler.snapshot().seq;
@@ -287,19 +204,22 @@ TEST(LiveSampler, IdleWithoutARunAndSeqQuiescesWhenNothingMoves) {
 }
 
 TEST(LiveSampler, SnapshotJsonParsesAndCarriesProgress) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
-  obs::LiveRunInfo info;
+  rt::LiveSampler sampler(reg);
+  rt::LiveRunInfo info;
   info.trace_id = "0123456789abcdef";
   info.program = "bcast ; scan(+)";
   info.stage_labels = {"bcast", "scan(+)"};
   info.ranks = 1;
   info.repeats = 2;
-  bus.begin_run(info);
-  bus.note_repeat(1);
-  bus.publish(obs::LiveEv::stage_end, 0, 0, 1'000'000);
+  sampler.begin_run(info);
+  sampler.note_repeat(1);
+  rt::Fleet fleet(1, fleet_config());
+  {
+    const rt::LiveLaunch launch(fleet);
+    complete_stage(fleet, 0, 0);
+  }
   sampler.sample_once();
 
   const auto doc = obs::json::parse(sampler.snapshot().to_json());
@@ -316,80 +236,160 @@ TEST(LiveSampler, SnapshotJsonParsesAndCarriesProgress) {
   ASSERT_TRUE(ranks != nullptr);
   ASSERT_EQ(ranks->items.size(), 1u);
   EXPECT_EQ(ranks->items[0]->get("stages_done")->num, 1);
-  bus.end_run();
+  sampler.end_run();
 }
 
 TEST(LiveSampler, WaitNewerTimesOutAndWakes) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
+  rt::LiveSampler sampler(reg);
   sampler.sample_once();
   const std::uint64_t seq = sampler.snapshot().seq;
 
   // Nothing changes: the poll times out and returns the same snapshot.
   EXPECT_EQ(sampler.wait_newer(seq, 30).seq, seq);
 
-  // A publish folded by a concurrent sample wakes the waiter.
+  // A run starting, folded by a concurrent sample, wakes the waiter.
   std::thread waker([&] {
-    bus.publish(obs::LiveEv::mark, 0);
+    sampler.begin_run(rt::LiveRunInfo{});
     sampler.sample_once();
   });
   const obs::LiveSnapshot fresh = sampler.wait_newer(seq, 5000);
   waker.join();
   EXPECT_GT(fresh.seq, seq);
+  sampler.end_run();
 }
 
 TEST(LiveSampler, BackgroundThreadFoldsWithoutManualSampling) {
-  obs::LiveBus bus(4, 256);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
+  rt::LiveSampler sampler(reg);
+  sampler.begin_run(rt::LiveRunInfo{});
+  rt::Fleet fleet(1, fleet_config());
+  const rt::LiveLaunch launch(fleet);
+  fleet.recorder(0)->log(rt::Ev::mark);
   sampler.start(5);
   EXPECT_EQ(sampler.interval_ms(), 5);
-  bus.publish(obs::LiveEv::mark, 0);
   const obs::LiveSnapshot snap = sampler.wait_newer(0, 5000);
   EXPECT_GE(snap.events_total, 1u);
   sampler.stop();
   EXPECT_GE(reg.value("colop_live_samples_total"), 1);
+  sampler.end_run();
 }
 
-// Producers hammer pinned lanes while a scraper thread interleaves
-// sample_once() with full Prometheus expositions.  TSAN watches the
-// memory-order contract; the assertions watch counter monotonicity.
-TEST(LiveHammer, CountersStayMonotonicUnderConcurrentScrapes) {
-  obs::LiveBus bus(8, 512);  // small rings force lap-and-drop paths
-  bus.set_enabled(true);
+// A thousand launches, each much shorter than a sampling interval and
+// never sampled while in flight: detaching folds each one, so the live
+// counters equal what the launches themselves report.  Each rank logs
+// ~20 records per launch, ~20k in all — far more than any ring holds, so
+// counts taken from drained records would come up short.
+TEST(LiveSampler, CountsAreExactOverManyShortLaunches) {
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  constexpr int kP = 8;
+  constexpr int kLaunches = 1000;
+  const ir::Program prog = three_stages();
+  const ir::Dist input = small_input(kP);
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
-  obs::LiveRunInfo info;
-  info.ranks = 4;
-  info.stage_labels = {"scan(+)"};
-  bus.begin_run(info);
+  rt::LiveSampler sampler(reg);
+  rt::LiveRunInfo info;
+  info.ranks = kP;
+  info.stage_labels = {"scan(+)", "reduce(+)", "bcast"};
+  info.repeats = kLaunches;
+  sampler.begin_run(info);
+  double messages = 0;
+  for (int i = 0; i < kLaunches; ++i) {
+    sampler.note_repeat(i);
+    messages += static_cast<double>(
+        exec::run_on_threads_instrumented(prog, input).traffic.messages);
+  }
+  sampler.sample_once();
 
-  constexpr int kThreads = 4;
-  constexpr int kEach = 5000;
+  const double stages = 3.0 * kP * kLaunches;
+  EXPECT_EQ(reg.value("colop_live_stage_completions_total"), stages);
+  EXPECT_EQ(reg.value("colop_live_sends_total"), messages);
+  const obs::LiveSnapshot snap = sampler.snapshot();
+  EXPECT_EQ(static_cast<double>(snap.stages_done), stages);
+  EXPECT_EQ(snap.stages_total, snap.stages_done);
+  ASSERT_EQ(snap.ranks.size(), static_cast<std::size_t>(kP));
+  for (const obs::LiveRankRow& row : snap.ranks) {
+    EXPECT_EQ(row.stages_done, 3u * kLaunches);
+    EXPECT_EQ(row.stage, -1);
+  }
+  sampler.end_run();
+}
+
+// With the flight recorder off there is nothing to read: the run still
+// reports its lifecycle, without rank rows.
+TEST(LiveSampler, RuntimeTelemetryOffKeepsRunStateWithoutRankRows) {
+  rt::Config& cfg = rt::mutable_config();
+  const rt::Config saved = cfg;
+  cfg.enabled = false;
+  obs::Registry reg;
+  rt::LiveSampler sampler(reg);
+  rt::LiveRunInfo info;
+  info.trace_id = "0ff0ff0ff0ff0ff0";
+  info.ranks = 4;
+  info.stage_labels = {"scan(+)", "reduce(+)", "bcast"};
+  sampler.begin_run(info);
+  for (int i = 0; i < 3; ++i)
+    (void)exec::run_on_threads_instrumented(three_stages(), small_input(4));
+  sampler.sample_once();
+  const obs::LiveSnapshot snap = sampler.snapshot();
+  EXPECT_EQ(snap.state, "running");
+  EXPECT_EQ(snap.trace_id, "0ff0ff0ff0ff0ff0");
+  EXPECT_TRUE(snap.ranks.empty());
+  EXPECT_EQ(snap.stages_done, 0u);
+  EXPECT_NO_THROW(obs::json::parse(snap.to_json()));
+  sampler.end_run();
+  sampler.sample_once();
+  EXPECT_EQ(sampler.snapshot().state, "done");
+  cfg = saved;
+}
+
+// Client threads launch real SPMD runs — each attaching and detaching its
+// fleet — while a scraper thread interleaves sample_once() with full
+// Prometheus expositions.  TSAN watches the locking and memory-order
+// contract; the assertions watch counter monotonicity and that every
+// record was either folded or counted as dropped.
+TEST(LiveHammer, CountersStayMonotonicUnderConcurrentScrapes) {
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  rt::Config& cfg = rt::mutable_config();
+  const rt::Config saved = cfg;
+  cfg.ring_capacity = 16;  // small rings force lap-and-drop paths
+  constexpr int kClients = 3;
+  constexpr int kLaunches = 40;
+  constexpr int kP = 4;
+  const ir::Program prog = three_stages();
+  const ir::Dist input = small_input(kP);
+
+  obs::Registry reg;
+  rt::LiveSampler sampler(reg);
+  rt::LiveRunInfo info;
+  info.ranks = kP;
+  info.stage_labels = {"scan(+)", "reduce(+)", "bcast"};
+  info.repeats = kClients * kLaunches;
+  sampler.begin_run(info);
+
   std::atomic<bool> go{false};
-  std::vector<std::thread> producers;
-  producers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&bus, &go, t] {
-      const obs::LiveLaneScope scope(bus);
+  std::atomic<int> finished{0};
+  std::vector<std::uint64_t> logged(kClients, 0);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (int i = 0; i < kEach; ++i) {
-        bus.publish(obs::LiveEv::stage_begin, t, 0);
-        bus.publish(obs::LiveEv::stage_end, t, 0,
-                    static_cast<std::uint64_t>(i));
-        bus.publish(obs::LiveEv::send, t, obs::LiveEvent::kNoStage, 64,
-                    static_cast<std::uint64_t>((t + 1) % kThreads));
+      for (int i = 0; i < kLaunches; ++i) {
+        const auto run = exec::run_on_threads_instrumented(prog, input);
+        for (const rt::RankSnapshot& rs : run.rt.per_rank)
+          logged[static_cast<std::size_t>(c)] += rs.logged;
       }
+      finished.fetch_add(1, std::memory_order_release);
     });
   }
 
   go.store(true, std::memory_order_release);
   double last_events = 0;
   double last_completions = 0;
-  for (int scrape = 0; scrape < 50; ++scrape) {
+  int scrapes = 0;
+  while (finished.load(std::memory_order_acquire) < kClients || scrapes < 20) {
     sampler.sample_once();
     std::ostringstream os;
     reg.write_prometheus(os);
@@ -402,15 +402,20 @@ TEST(LiveHammer, CountersStayMonotonicUnderConcurrentScrapes) {
     EXPECT_GE(completions, last_completions);
     last_events = events;
     last_completions = completions;
+    ++scrapes;
   }
-  for (auto& th : producers) th.join();
-  bus.end_run();
+  for (auto& th : clients) th.join();
+  sampler.end_run();
   sampler.sample_once();
+  cfg = saved;
 
-  // Every event was either folded or counted as dropped; nothing vanished.
+  // Every record was either folded or counted as dropped; nothing vanished.
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : logged) total += n;
   const obs::LiveSnapshot snap = sampler.snapshot();
-  EXPECT_EQ(snap.events_total + snap.dropped_total,
-            static_cast<std::uint64_t>(kThreads) * kEach * 3);
+  EXPECT_EQ(snap.events_total + snap.dropped_total, total);
+  EXPECT_EQ(snap.stages_done,
+            static_cast<std::uint64_t>(3 * kP * kClients * kLaunches));
   EXPECT_EQ(snap.state, "done");
   std::ostringstream os;
   reg.write_prometheus(os);
@@ -434,18 +439,6 @@ TEST(SseFrame, MultiLineDataSplitsPerSpec) {
   // A trailing newline yields a final empty data field, still terminated.
   EXPECT_EQ(obs::sse_frame(2, "snapshot", "x\n"),
             "id: 2\nevent: snapshot\ndata: x\ndata: \n\n");
-}
-
-TEST(LiveEnabled, GlobalFlagMirrorsGlobalBusOnly) {
-  obs::LiveBus local(2, 64);
-  local.set_enabled(true);  // a test-local bus must not flip the fast path
-  EXPECT_FALSE(obs::live_enabled());
-  local.set_enabled(false);
-
-  obs::LiveBus::global().set_enabled(true);
-  EXPECT_TRUE(obs::live_enabled());
-  obs::LiveBus::global().set_enabled(false);
-  EXPECT_FALSE(obs::live_enabled());
 }
 
 }  // namespace

@@ -1,110 +1,21 @@
-// The observability core: the process-wide sink registry (a no-op when
-// disabled), in-memory and ring sinks, span pairing, the Chrome
-// trace-event exporter validated by round-tripping through the strict
-// JSON parser, and the metrics registry with its counter-sink adapter.
+// The observability core: the strict JSON parser, the Chrome trace-event
+// exporter validated by round-tripping through it, and the measurement
+// document registry.
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 
 #include "colop/obs/chrome_trace.h"
 #include "colop/obs/json.h"
 #include "colop/obs/metrics.h"
-#include "colop/obs/sink.h"
+#include "colop/obs/event.h"
 #include "colop/support/error.h"
 
 namespace colop::obs {
 namespace {
-
-TEST(ObsSink, DisabledByDefaultAndAllEmittersAreNoops) {
-  ASSERT_EQ(current_sink(), nullptr);
-  EXPECT_FALSE(enabled());
-  Event ev;
-  ev.name = "orphan";
-  record(ev);
-  instant("orphan", "test");
-  counter("orphan", "test", 1.0);
-  { ScopedSpan span("orphan", "test"); }
-  EXPECT_FALSE(enabled());
-}
-
-TEST(ObsSink, ScopedSinkInstallsNestsRestoresAndFlushes) {
-  class CountingSink : public Sink {
-   public:
-    void record(const Event&) override { ++records; }
-    void flush() override { ++flushes; }
-    int records = 0;
-    int flushes = 0;
-  };
-  CountingSink outer, inner;
-  {
-    ScopedSink so(outer);
-    EXPECT_TRUE(enabled());
-    EXPECT_EQ(current_sink(), &outer);
-    instant("a", "test");
-    {
-      ScopedSink si(inner);
-      EXPECT_EQ(current_sink(), &inner);
-      instant("b", "test");
-    }
-    EXPECT_EQ(current_sink(), &outer);
-    EXPECT_EQ(inner.flushes, 1);
-    instant("c", "test");
-  }
-  EXPECT_EQ(current_sink(), nullptr);
-  EXPECT_FALSE(enabled());
-  EXPECT_EQ(outer.records, 2);
-  EXPECT_EQ(outer.flushes, 1);
-  EXPECT_EQ(inner.records, 1);
-}
-
-TEST(ObsSink, ScopedSpanEmitsPairedBeginEnd) {
-  MemorySink sink;
-  {
-    ScopedSink s(sink);
-    ScopedSpan span("work", "test", 3);
-    instant("inside", "test", 3);
-  }
-  const auto evs = sink.events();
-  ASSERT_EQ(evs.size(), 3u);
-  EXPECT_EQ(evs[0].phase, Phase::begin);
-  EXPECT_EQ(evs[0].name, "work");
-  EXPECT_EQ(evs[0].cat, "test");
-  EXPECT_EQ(evs[0].tid, 3);
-  EXPECT_EQ(evs[1].phase, Phase::instant);
-  EXPECT_EQ(evs[2].phase, Phase::end);
-  EXPECT_EQ(evs[2].name, "work");
-  EXPECT_EQ(evs[2].tid, 3);
-  EXPECT_GE(evs[2].ts, evs[0].ts);
-}
-
-TEST(ObsSink, SpanDisarmedAtConstructionNeverEmitsADanglingEnd) {
-  // A span that began while tracing was off must stay silent even if a
-  // sink appears before it ends: B/E events have to pair up.
-  MemorySink sink;
-  auto span = std::make_unique<ScopedSpan>("late", "test");
-  ScopedSink s(sink);
-  span.reset();
-  EXPECT_EQ(sink.size(), 0u);
-}
-
-TEST(ObsSink, RingSinkKeepsNewestAndCountsDropped) {
-  RingSink ring(3);
-  for (int i = 0; i < 5; ++i) {
-    Event ev;
-    ev.name = "e" + std::to_string(i);
-    ring.record(ev);
-  }
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.dropped(), 2u);
-  const auto evs = ring.events();
-  ASSERT_EQ(evs.size(), 3u);
-  EXPECT_EQ(evs.front().name, "e2");
-  EXPECT_EQ(evs.back().name, "e4");
-}
 
 TEST(ObsJson, ParsesScalarsStringsArraysObjects) {
   const auto v = json::parse(
@@ -260,23 +171,6 @@ TEST(ObsChromeTrace, MetadataNamesProcessAndThreads) {
   EXPECT_TRUE(thread2_sorted);
 }
 
-TEST(ObsChromeTrace, SinkBuffersAndWritesOnDemand) {
-  ChromeTraceSink sink("colop-test");
-  {
-    ScopedSink s(sink);
-    ScopedSpan span("outer", "test", 1);
-    instant("tick", "test", 1);
-  }
-  EXPECT_EQ(sink.size(), 3u);
-  std::ostringstream os;
-  sink.write(os);
-  const auto doc = json::parse(os.str());
-  ASSERT_NE(doc.get("traceEvents"), nullptr);
-  // 3 recorded events + process_name + one thread row (tid 1) with its
-  // thread_name and thread_sort_index metadata.
-  EXPECT_EQ(doc.get("traceEvents")->items.size(), 6u);
-}
-
 TEST(ObsMetrics, ScalarsAndSeriesExportAsJson) {
   MetricsRegistry reg;
   reg.set("a", 1.5);
@@ -316,19 +210,6 @@ TEST(ObsMetrics, CsvExportListsSeriesColumns) {
   EXPECT_NE(out.find("p"), std::string::npos);
   EXPECT_NE(out.find("t"), std::string::npos);
   EXPECT_NE(out.find("8"), std::string::npos);
-}
-
-TEST(ObsMetrics, CounterSinkFoldsCounterEventsOnly) {
-  MetricsRegistry reg;
-  CounterSink sink(reg);
-  {
-    ScopedSink s(sink);
-    counter("msgs", "test", 3);
-    counter("msgs", "test", 4);
-    instant("noise", "test");
-  }
-  EXPECT_DOUBLE_EQ(reg.get("msgs"), 7.0);
-  EXPECT_FALSE(reg.has("noise"));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Traffic counter accuracy: the mpsim collectives must account exactly
 // the message counts their log-p schedules imply (binomial trees send
 // p-1 messages, the butterfly sends p*log2(p) at powers of two), the
-// rank-sharded TrafficStats must lose no increment under concurrency,
-// and the obs event stream must mirror the same sends.
+// and the rank-sharded TrafficStats must lose no increment under
+// concurrency.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "colop/mpsim/mpsim.h"
-#include "colop/obs/sink.h"
 
 namespace colop::mpsim {
 namespace {
@@ -108,13 +107,14 @@ TEST_P(TrafficP, PerRankSnapshotsSumToTheAggregate) {
 
 TEST(TrafficStats, ConcurrentCollectivesLoseNoCounts) {
   // Repeated allreduces keep all ranks incrementing simultaneously; a
-  // racy counter would come up short of the exact total.
+  // racy counter would come up short of the exact total.  max keeps the
+  // accumulator bounded (a sum would grow as p^iters and overflow).
   const int p = 8;
   const int iters = 50;
-  const auto plus = [](i64 a, i64 b) { return a + b; };
+  const auto max = [](i64 a, i64 b) { return a > b ? a : b; };
   const auto traffic = run_spmd_traffic(p, [&](Comm& comm) {
     i64 acc = comm.rank() + 1;
-    for (int i = 0; i < iters; ++i) acc = allreduce(comm, acc, plus);
+    for (int i = 0; i < iters; ++i) acc = allreduce(comm, acc, max);
   });
   EXPECT_EQ(traffic.messages, u(iters) * allreduce_messages(p));
 }
@@ -145,29 +145,6 @@ TEST(TrafficStats, OutOfRangeRanksFallBackToShardZero) {
   EXPECT_EQ(stats.snapshot().messages, 2u);
   EXPECT_EQ(stats.snapshot(0).messages, 2u);
   EXPECT_EQ(stats.snapshot(1).messages, 0u);
-}
-
-TEST(ObsMpsim, CollectivesEmitSpansAndSendInstants) {
-  obs::MemorySink sink;
-  {
-    obs::ScopedSink s(sink);
-    run_spmd(4, [](Comm& comm) {
-      (void)bcast(comm, comm.rank() == 0 ? i64{5} : i64{0});
-    });
-  }
-  int begins = 0, ends = 0, sends = 0;
-  for (const auto& e : sink.events()) {
-    if (e.name == "mpsim.bcast" && e.phase == obs::Phase::begin) ++begins;
-    if (e.name == "mpsim.bcast" && e.phase == obs::Phase::end) ++ends;
-    if (e.name == "send" && e.phase == obs::Phase::instant) {
-      ++sends;
-      EXPECT_EQ(e.cat, "mpsim");
-      EXPECT_GT(e.value, 0.0);  // payload bytes travel in `value`
-    }
-  }
-  EXPECT_EQ(begins, 4);
-  EXPECT_EQ(ends, 4);
-  EXPECT_EQ(sends, 3);  // binomial tree: p-1 messages
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Flight-recorder core: record packing, ring wrap/lap accounting, SPSC
-// snapshot consistency under a live producer, and the disabled
+// Flight-recorder core: record packing, ring wrap/lap accounting, cursor
+// drains, SPSC snapshot consistency under a live producer, and the disabled
 // configurations that must cost nothing (satellite: zero-overhead when
 // telemetry is off — no ring allocated, no events emitted).
 
@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "colop/exec/thread_executor.h"
 #include "colop/ir/ir.h"
@@ -77,6 +78,29 @@ TEST(Recorder, RingWrapKeepsNewestRecords) {
     EXPECT_EQ(recs[i].seq, recs[i - 1].seq + 1);
     EXPECT_GE(recs[i].t_ns, recs[i - 1].t_ns);
   }
+}
+
+TEST(Recorder, DrainReturnsRecordsSinceTheCursorAndCountsLapped) {
+  Recorder rec(16, epoch());
+  std::uint64_t cursor = 0;
+  std::vector<Record> out;
+  for (std::uint64_t i = 0; i < 5; ++i) rec.log(Ev::mark, -1, 0, i);
+  EXPECT_EQ(rec.drain(cursor, out), 0u);
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(cursor, 5u);
+
+  // 40 more: the ring keeps the newest 16, so 24 of them were lost.
+  out.clear();
+  for (std::uint64_t i = 5; i < 45; ++i) rec.log(Ev::mark, -1, 0, i);
+  EXPECT_EQ(rec.drain(cursor, out), 24u);
+  ASSERT_EQ(out.size(), 16u);
+  EXPECT_EQ(out.front().aux, 29u);
+  EXPECT_EQ(out.back().aux, 44u);
+  EXPECT_EQ(cursor, 45u);
+
+  out.clear();
+  EXPECT_EQ(rec.drain(cursor, out), 0u);  // nothing new
+  EXPECT_TRUE(out.empty());
 }
 
 // The SPSC contract: a consumer snapshotting while the producer laps the

@@ -18,8 +18,10 @@
 #include "colop/obs/metrics.h"
 #include "colop/obs/run_store.h"
 #include "colop/obs/serve.h"
+#include "colop/rt/live.h"
 
 namespace obs = colop::obs;
+namespace rt = colop::rt;
 
 namespace {
 
@@ -33,6 +35,15 @@ obs::Registry& demo_registry() {
   }();
   (void)init;
   return reg;
+}
+
+// Rank 0 of a hand-built fleet completes stage 0, recorded as the
+// executor's stage loop does it.
+void complete_stage(rt::Fleet& fleet) {
+  fleet.recorder(0)->set_stage(0);
+  fleet.recorder(0)->log(rt::Ev::stage_begin);
+  fleet.recorder(0)->log(rt::Ev::stage_end);
+  fleet.stats(0)->stages_done.fetch_add(1);
 }
 
 TEST(Serve, RoutesWithoutSockets) {
@@ -182,17 +193,20 @@ TEST(Serve, LiveEndpointsFourOhFourWithoutSampler) {
 }
 
 TEST(Serve, LiveEndpointsServeSamplerSnapshots) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
-  obs::LiveRunInfo info;
+  rt::LiveSampler sampler(reg);
+  rt::LiveRunInfo info;
   info.trace_id = "feedc0defeedc0de";
   info.program = "scan(+) ; bcast";
   info.stage_labels = {"scan(+)", "bcast"};
   info.ranks = 1;
-  bus.begin_run(info);
-  bus.publish(obs::LiveEv::stage_end, 0, 0, 1'000'000);
+  sampler.begin_run(info);
+  rt::Fleet fleet(1, rt::Config{});
+  {
+    const rt::LiveLaunch launch(fleet);
+    complete_stage(fleet);
+  }
   sampler.sample_once();
 
   obs::StatsServer server(demo_registry());
@@ -226,22 +240,25 @@ TEST(Serve, LiveEndpointsServeSamplerSnapshots) {
                 obs::sse_frame(snap.seq, "end",
                                "{\"state\":\"" + snap.state + "\"}"));
 
-  bus.end_run();
+  sampler.end_run();
   sampler.sample_once();
   EXPECT_EQ(server.handle("GET", "/healthz").body, "ok state=idle\n");
 }
 
 TEST(Serve, RunsDocumentEmbedsLiveProgress) {
-  obs::LiveBus bus(4, 64);
-  bus.set_enabled(true);
+  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
-  obs::LiveSampler sampler(bus, reg);
-  obs::LiveRunInfo info;
+  rt::LiveSampler sampler(reg);
+  rt::LiveRunInfo info;
   info.trace_id = "beefbeefbeefbeef";
   info.stage_labels = {"bcast"};
   info.ranks = 1;
-  bus.begin_run(info);
-  bus.publish(obs::LiveEv::stage_end, 0, 0, 500'000);
+  sampler.begin_run(info);
+  rt::Fleet fleet(1, rt::Config{});
+  {
+    const rt::LiveLaunch launch(fleet);
+    complete_stage(fleet);
+  }
   sampler.sample_once();
 
   obs::StatsServer server(demo_registry());
@@ -267,7 +284,7 @@ TEST(Serve, RunsDocumentEmbedsLiveProgress) {
   EXPECT_EQ(done->get("state")->str, "done");
   EXPECT_EQ(done->get("wall_ms")->num, 12.5);
   EXPECT_TRUE(done->get("live") == nullptr);
-  bus.end_run();
+  sampler.end_run();
 }
 
 /// Open a TCP connection that sends nothing — a stuck client.

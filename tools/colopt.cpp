@@ -38,10 +38,10 @@
 #include "colop/obs/profile.h"
 #include "colop/obs/run_diff.h"
 #include "colop/obs/run_store.h"
-#include "colop/obs/live.h"
 #include "colop/obs/serve.h"
 #include "colop/obs/trace_context.h"
 #include "colop/rt/flight_recorder.h"
+#include "colop/rt/live.h"
 #include "colop/rt/report.h"
 #include "colop/rules/optimizer.h"
 #include "colop/rules/search.h"
@@ -744,7 +744,7 @@ int main(int argc, char** argv) {
     // order matters: the server (workers may read the sampler) goes down
     // first, then the sampler (its thread writes the hub), then the hub.
     obs::Registry hub;
-    std::optional<obs::LiveSampler> live_sampler;
+    std::optional<rt::LiveSampler> live_sampler;
     std::optional<obs::StatsServer> server;
 
     std::optional<rt::RtReport> rt_rep;
@@ -763,20 +763,18 @@ int main(int argc, char** argv) {
       }
 
       if (live) {
-        // Live mode flips the ordering: enable the bus, start the sampler
+        // Live mode flips the ordering: begin the run, start the sampler
         // and the server *before* execution so scrapes and /live streams
         // observe the run in flight.
-        auto& bus = obs::LiveBus::global();
-        obs::LiveRunInfo info;
+        rt::LiveRunInfo info;
         info.trace_id = obs::trace_id();
         info.program = result.program.show();
         for (const auto& stage : result.program.stages())
           info.stage_labels.push_back(stage->show());
         info.ranks = static_cast<int>(machine.p);
         info.repeats = warmup + repeat;
-        bus.set_enabled(true);
-        bus.begin_run(std::move(info));
-        live_sampler.emplace(bus, hub);
+        live_sampler.emplace(hub);
+        live_sampler->begin_run(std::move(info));
         live_sampler->start();
 
         obs::RunSummary run_summary;
@@ -809,12 +807,12 @@ int main(int argc, char** argv) {
       samples_ms.reserve(static_cast<std::size_t>(repeat));
       std::optional<exec::ThreadRunResult> run;
       for (int it = 0; it < warmup + repeat; ++it) {
-        if (live) obs::LiveBus::global().note_repeat(it);
+        if (live) live_sampler->note_repeat(it);
         auto r = exec::run_on_threads_instrumented(result.program, input);
         if (it >= warmup) samples_ms.push_back(r.wall_seconds * 1e3);
         run = std::move(r);
       }
-      if (live) obs::LiveBus::global().end_run();
+      if (live) live_sampler->end_run();
 
       rt::RtReportOptions ropts;
       ropts.model_stage_times.reserve(result.program.size());
