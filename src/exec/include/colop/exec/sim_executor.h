@@ -6,7 +6,9 @@
 // between unsynchronized stages, and alternative schedule choices.
 
 #include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "colop/ir/program.h"
 #include "colop/model/machine.h"
@@ -35,6 +37,16 @@ struct SimRunResult {
   double words = 0;          ///< total words transferred
 };
 
+/// One step of the stage walk on every processor: a stage, or a whole
+/// istart..wait overlap window (labelled "overlap{istart ; ... ; wait}").
+struct StageSpan {
+  std::string label;
+  int stage = 0;              ///< index of the (first) stage
+  bool overlapped = false;    ///< the span is an overlap window
+  std::vector<double> start;  ///< per-processor start time
+  std::vector<double> end;    ///< per-processor completion time
+};
+
 /// Execute every stage of `prog` on a fresh SimMachine(mach.p, {ts, tw})
 /// with blocks of mach.m elements.
 [[nodiscard]] SimRunResult run_on_simnet(const ir::Program& prog,
@@ -42,7 +54,11 @@ struct SimRunResult {
                                          SimSchedules sched = {});
 
 /// As above but on an existing machine (clocks accumulate across calls).
+/// This is the one stage walker: it stamps each stage's index on the
+/// machine (SimMachine::set_stage) before simulating it, prices overlap
+/// windows, and, given `spans`, appends one StageSpan per step.
 void run_on_simnet(const ir::Program& prog, simnet::SimMachine& mach, double m,
-                   SimSchedules sched = {});
+                   SimSchedules sched = {},
+                   std::vector<StageSpan>* spans = nullptr);
 
 }  // namespace colop::exec

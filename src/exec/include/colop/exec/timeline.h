@@ -4,47 +4,42 @@
 // processors through local and collective stages; "time saved" after a
 // rule application is directly visible).
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "colop/exec/sim_executor.h"
 #include "colop/ir/program.h"
 #include "colop/model/machine.h"
-#include "colop/obs/sink.h"
+#include "colop/obs/event.h"
+#include "colop/simnet/machine.h"
 
 namespace colop::exec {
 
-/// One stage's execution interval on every processor.
-struct StageSpan {
-  std::string label;
-  std::vector<double> start;  ///< per-processor start time
-  std::vector<double> end;    ///< per-processor completion time
-};
-
+/// One simulated run: the stage walk's spans and every machine op beneath
+/// them, each op stamped with the index of the stage (for an overlap
+/// window: of its istart) it belongs to.
 struct SimTrace {
   std::vector<StageSpan> spans;
+  std::vector<simnet::SimOp> ops;
   double makespan = 0;
   int procs = 0;
 };
 
-/// Execute stage by stage on a fresh SimMachine, snapshotting the clocks
-/// around every stage.  If `machine_sink` is given it is attached to the
-/// SimMachine, so every simulated send/recv/exchange/compute is emitted as
-/// a complete event (simulated timestamps) labeled with the stage it
-/// belongs to — the fine-grained view underneath the stage spans.
+/// Run `prog` once through run_on_simnet on a fresh, traced SimMachine —
+/// overlap windows priced exactly as the untraced run prices them.
 [[nodiscard]] SimTrace trace_on_simnet(const ir::Program& prog,
                                        const model::Machine& mach,
-                                       SimSchedules sched = {},
-                                       obs::Sink* machine_sink = nullptr);
+                                       SimSchedules sched = {});
 
-/// Convert the per-stage spans to obs events (Phase::complete, tid = the
-/// processor, ts/dur in simulated op units).
-[[nodiscard]] std::vector<obs::Event> trace_events(const SimTrace& trace);
-
-/// Export a stage trace as Chrome trace-event JSON (chrome://tracing,
-/// Perfetto).  Simulated op units are presented as microseconds.
-void write_chrome_trace(const SimTrace& trace, std::ostream& os);
+/// The trace as obs events (ts/dur in simulated op units, tid = the
+/// processor): the stage spans (cat "exec", pid 0, skipped on processors
+/// that did not take part) followed by the machine ops (cat "simnet", pid
+/// `ops_pid`, named "<span label>.<kind>", args kind, peer, words).  With
+/// `stage_args` spans carry "stage" (and "overlapped") and ops a trailing
+/// "stage".
+[[nodiscard]] std::vector<obs::Event> trace_events(const SimTrace& trace,
+                                                   int ops_pid = 0,
+                                                   bool stage_args = false);
 
 /// ASCII Gantt chart: one row per processor, letters identify stages, '.'
 /// is idle/waiting time; a legend follows.  `width` is the number of time

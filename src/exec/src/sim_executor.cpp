@@ -132,33 +132,51 @@ double local_ops(const ir::Stage& stage, int rank) {
 }  // namespace
 
 void run_on_simnet(const ir::Program& prog, simnet::SimMachine& mach, double m,
-                   SimSchedules sched) {
+                   SimSchedules sched, std::vector<StageSpan>* spans) {
   const int p = mach.size();
   const auto windows = ir::overlap_windows(prog);
   auto w = windows.begin();
   std::size_t i = 0;
   std::vector<double> issue(static_cast<std::size_t>(p));
   while (i < prog.size()) {
-    if (w != windows.end() && i == w->istart) {
-      // Overlap window: simulate the collective, then raise every rank's
-      // clock to at least issue-time + its interior local work.  The
-      // window's span per rank becomes max(comm, local) — the pipelined
-      // executor's behaviour — instead of the synchronous sum.
+    const bool window = w != windows.end() && i == w->istart;
+    const std::size_t last = window ? w->wait : i;
+    if (window || spans != nullptr)
       for (int r = 0; r < p; ++r)
         issue[static_cast<std::size_t>(r)] = mach.clock(r);
-      sim_stage(prog.stage(w->istart), mach, m, sched);
+    mach.set_stage(static_cast<int>(i));
+    sim_stage(prog.stage(i), mach, m, sched);
+    if (window) {
+      // Overlap window: after the collective, raise every rank's clock to
+      // at least issue-time + its interior local work.  The window's span
+      // per rank becomes max(comm, local) — the pipelined executor's
+      // behaviour — instead of the synchronous sum.
       for (int r = 0; r < p; ++r) {
         double ops = 0;
-        for (std::size_t j = w->istart + 1; j < w->wait; ++j)
+        for (std::size_t j = i + 1; j < last; ++j)
           ops += local_ops(prog.stage(j), r);
         mach.advance_to(r, issue[static_cast<std::size_t>(r)] + m * ops);
       }
-      i = w->wait + 1;
       ++w;
-    } else {
-      sim_stage(prog.stage(i), mach, m, sched);
-      ++i;
     }
+    if (spans != nullptr) {
+      StageSpan span;
+      span.stage = static_cast<int>(i);
+      span.overlapped = window;
+      if (window) {
+        ir::Program piece;
+        for (std::size_t j = i; j <= last; ++j) piece.push(prog.stages()[j]);
+        span.label = "overlap{" + piece.show() + "}";
+      } else {
+        span.label = prog.stage(i).show();
+      }
+      span.start = issue;
+      span.end.resize(static_cast<std::size_t>(p));
+      for (int r = 0; r < p; ++r)
+        span.end[static_cast<std::size_t>(r)] = mach.clock(r);
+      spans->push_back(std::move(span));
+    }
+    i = last + 1;
   }
 }
 

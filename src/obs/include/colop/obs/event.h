@@ -1,11 +1,10 @@
 #pragma once
 // colop::obs — the unified observability layer.
 //
-// One structured event vocabulary serves every exported trace: the simnet
-// discrete-event simulator (events stamped with SIMULATED time), the
-// executors' per-stage spans, the critical-path profiler, and the thread
-// runtime's flight-recorder captures converted for export (rt reports,
-// post-mortems).  A producer handed a sink (sink.h) records into it; the
+// One structured event vocabulary serves every exported trace.  Producers
+// keep their own compact records — simnet's typed SimOps (SIMULATED time)
+// and the thread runtime's flight recorder — and convert them to events
+// only at export time (exec::trace_events, rt reports, post-mortems); the
 // Chrome trace-event exporter (chrome_trace.h) makes any event list
 // loadable in chrome://tracing or Perfetto.
 

@@ -1,6 +1,6 @@
 #pragma once
 // Minimal JSON support for the observability exporters: string escaping
-// and writer helpers (used by the Chrome trace and metrics sinks) plus a
+// and writer helpers (used by the Chrome trace and metrics exporters) plus a
 // small strict parser used to validate exported documents round-trip
 // (tests) and to read metrics files back.  Deliberately tiny — no external
 // dependency is available in this container, and the exporters only need

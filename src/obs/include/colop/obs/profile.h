@@ -3,9 +3,10 @@
 //
 // The drift report (drift.h) says WHETHER the cost model and the simnet
 // measurement agree; this module says WHY a schedule takes the time it
-// takes.  It replays a recorded trace — the per-processor complete events
-// the SimMachine emits (compute / send / recv_wait / exchange, each
-// carrying its partner rank) plus the executor's stage boundaries — into:
+// takes.  It analyzes one simulated trace (exec::trace_on_simnet) — the
+// per-processor machine ops the SimMachine records (compute / send /
+// recv_wait / exchange, each carrying its partner rank and stage) plus the
+// stage walk's spans — into:
 //
 //   * a per-rank busy/comm/idle breakdown whose parts sum to the makespan
 //     (an invariant the tests enforce on every traced schedule);
@@ -29,9 +30,10 @@
 #include <vector>
 
 #include "colop/exec/sim_executor.h"
+#include "colop/exec/timeline.h"
 #include "colop/ir/program.h"
 #include "colop/model/machine.h"
-#include "colop/obs/event.h"
+#include "colop/simnet/machine.h"
 
 namespace colop::obs {
 
@@ -65,8 +67,9 @@ struct StageProfile {
   double comm = 0;         ///< summed link time across ranks
   double model_time = 0;   ///< cost calculus' prediction for this stage
   /// True when the stage sits inside an istart..wait overlap window.  The
-  /// whole window's time is attributed to the istart stage (interior maps
-  /// and the wait show zero: their work hides under the collective).
+  /// whole window's time is attributed to the istart stage: its collective
+  /// and the interior local work the collective did not hide.  Interior
+  /// maps and the wait show zero.
   bool overlapped = false;
 };
 
@@ -82,10 +85,8 @@ struct Profile {
   std::vector<RankProfile> ranks;
   std::vector<CriticalSegment> critical_path;
   std::vector<StageProfile> stages;
-  /// The trace that was analyzed: stage spans (cat "exec", pid 0) above
-  /// the machine ops (cat "simnet", pid 1); empty when a caller profiles
-  /// without keeping events.
-  std::vector<Event> events;
+  /// The trace that was analyzed (empty when built by profile_events).
+  exec::SimTrace trace;
 
   /// The per-rank accounting invariant: busy + comm + idle == makespan for
   /// every rank (within `tol` relative error).
@@ -100,8 +101,9 @@ struct Profile {
 
   [[nodiscard]] std::string render_text() const;
   void write_json(std::ostream& os) const;
-  /// Chrome trace with per-rank thread names and the critical path drawn
-  /// as flow arrows across ranks.
+  /// Chrome trace with per-rank thread names: stage spans (pid 0) above
+  /// the machine ops (pid 1), the critical path drawn as flow arrows
+  /// across ranks.
   void write_chrome_trace(std::ostream& os) const;
 };
 
@@ -110,22 +112,19 @@ struct ProfileOptions {
   /// Per-stage provenance (rules::stage_provenance of an OptimizeResult);
   /// entries beyond the program's length are ignored.
   std::vector<std::string> provenance{};
-  /// Retain the analyzed events in Profile::events (needed for the Chrome
-  /// overlay; switch off for bulk analysis).
-  bool keep_events = true;
 };
 
-/// Execute `prog` stage by stage on a fresh simnet machine, record the
-/// machine-op trace, and analyze it.
+/// Trace `prog` on a fresh simnet machine (exec::trace_on_simnet) and
+/// analyze the trace.
 [[nodiscard]] Profile profile_program(const ir::Program& prog,
                                       const model::Machine& mach,
                                       const ProfileOptions& opts = {});
 
-/// Analyze a pre-recorded machine-op event stream (cat "simnet", complete
-/// events with "kind"/"peer"/"stage" args as emitted by profile_program's
-/// replay or any SimMachine trace sink).  `makespan` < 0 derives it from
-/// the latest event end.
-[[nodiscard]] Profile profile_events(const std::vector<Event>& machine_events,
-                                     int procs, double makespan = -1);
+/// Analyze recorded machine ops (SimMachine::set_trace); ops on ranks
+/// outside [0, procs) are ignored.  `makespan` < 0 derives it from the
+/// latest op end.
+[[nodiscard]] Profile profile_events(
+    const std::vector<simnet::SimOp>& machine_ops, int procs,
+    double makespan = -1);
 
 }  // namespace colop::obs

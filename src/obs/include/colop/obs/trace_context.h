@@ -1,14 +1,12 @@
 #pragma once
-// Trace-context propagation: one TraceId per run, one SpanId per unit of
-// work inside it.
+// Trace-context propagation: one TraceId per run.
 //
 // A driver (colopt, and eventually colopd per request) mints a TraceId at
 // entry and installs it process-wide.  Every artifact the run produces —
 // Chrome traces, profile/drift/rt/verify JSON exports, BENCH_*.json
 // documents, the /runs endpoint of the stats server — stamps the current
 // TraceId, so a single ID printed on stdout correlates everything that
-// run emitted.  SpanIds are monotonically minted within the trace to
-// identify finer units of work.
+// run emitted.
 //
 // The context is deliberately process-global rather than threaded through
 // every signature: instrumentation sites and exporters live many layers
@@ -28,9 +26,6 @@ void set_trace_id(std::string id);
 
 /// The current trace id; empty when no driver installed one.
 [[nodiscard]] std::string trace_id();
-
-/// Mint the next span id within the current trace (monotonic from 1).
-[[nodiscard]] std::uint64_t next_span_id();
 
 /// RAII installation: mints (or adopts) a trace id on construction and
 /// restores the previous one on destruction.  Tests use this to keep the

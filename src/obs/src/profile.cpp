@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -11,43 +10,14 @@
 #include "colop/model/cost.h"
 #include "colop/obs/chrome_trace.h"
 #include "colop/obs/json.h"
-#include "colop/obs/sink.h"
 #include "colop/obs/trace_context.h"
-#include "colop/simnet/machine.h"
 #include "colop/support/table.h"
 
 namespace colop::obs {
 namespace {
 
-struct Op {
-  double start = 0;
-  double end = 0;
-  std::string kind;
-  int peer = -1;
-  int stage = -1;
-};
-
-const std::string* find_arg(const Event& e, const char* key) {
-  for (const auto& [k, v] : e.args)
-    if (k == key) return &v;
-  return nullptr;
-}
-
-Op parse_op(const Event& e) {
-  Op op;
-  op.start = e.ts;
-  op.end = e.ts + e.dur;
-  if (const auto* k = find_arg(e, "kind")) {
-    op.kind = *k;
-  } else {
-    // Legacy traces: the kind is the suffix of "stage-label.kind".
-    const auto dot = e.name.rfind('.');
-    op.kind = dot == std::string::npos ? e.name : e.name.substr(dot + 1);
-  }
-  if (const auto* p = find_arg(e, "peer")) op.peer = std::atoi(p->c_str());
-  if (const auto* s = find_arg(e, "stage")) op.stage = std::atoi(s->c_str());
-  return op;
-}
+using Op = simnet::SimOp;
+using Kind = simnet::SimOp::Kind;
 
 /// Index of the last op on `rank` of positive length whose end is within
 /// tol of `t` (ops are non-overlapping and time-sorted, so at most one
@@ -83,17 +53,15 @@ std::string pct(double part, double whole) {
 
 }  // namespace
 
-Profile profile_events(const std::vector<Event>& machine_events, int procs,
-                       double makespan) {
+Profile profile_events(const std::vector<simnet::SimOp>& machine_ops,
+                       int procs, double makespan) {
   Profile prof;
   prof.procs = procs;
 
   std::vector<std::vector<Op>> by_rank(static_cast<std::size_t>(procs));
-  for (const Event& e : machine_events) {
-    if (e.cat != "simnet") continue;
-    if (e.tid < 0 || e.tid >= procs) continue;
-    by_rank[static_cast<std::size_t>(e.tid)].push_back(parse_op(e));
-  }
+  for (const Op& op : machine_ops)
+    if (op.rank >= 0 && op.rank < procs)
+      by_rank[static_cast<std::size_t>(op.rank)].push_back(op);
   // By start, then end: a zero-length op sorts before the op that starts
   // where it ends, so ends stay non-decreasing for op_ending_at.
   for (auto& ops : by_rank)
@@ -118,9 +86,9 @@ Profile profile_events(const std::vector<Event>& machine_events, int procs,
     double cursor = 0;
     for (const Op& op : by_rank[static_cast<std::size_t>(r)]) {
       rp.idle += std::max(0.0, op.start - cursor);
-      if (op.kind == "compute") {
+      if (op.kind == Kind::compute) {
         rp.busy += op.end - op.start;
-      } else if (op.kind == "recv_wait") {
+      } else if (op.kind == Kind::recv_wait) {
         rp.idle += op.end - op.start;
       } else {
         rp.comm += op.end - op.start;
@@ -162,7 +130,7 @@ Profile profile_events(const std::vector<Event>& machine_events, int procs,
       continue;
     }
     const Op& op = ops[static_cast<std::size_t>(i)];
-    if (op.kind == "recv_wait" && op.peer >= 0 && op.peer < procs &&
+    if (op.kind == Kind::recv_wait && op.peer >= 0 && op.peer < procs &&
         op_ending_at(by_rank[static_cast<std::size_t>(op.peer)], t, tol) >=
             0) {
       // The wait ended when the sender's transfer completed: hop there.
@@ -170,7 +138,7 @@ Profile profile_events(const std::vector<Event>& machine_events, int procs,
       continue;
     }
     int next_rank = rank;
-    if (op.kind == "exchange" && op.peer >= 0 && op.peer < procs) {
+    if (op.kind == Kind::exchange && op.peer >= 0 && op.peer < procs) {
       // Both partners leave together; the constraining one is whichever
       // was still working at the exchange's start.
       if (op_ending_at(ops, op.start, tol) < 0 &&
@@ -178,7 +146,8 @@ Profile profile_events(const std::vector<Event>& machine_events, int procs,
                        tol) >= 0)
         next_rank = op.peer;
     }
-    path.push_back({rank, op.start, op.end, op.kind, op.stage});
+    path.push_back({rank, op.start, op.end, simnet::kind_name(op.kind),
+                    op.stage});
     t = op.start;
     rank = next_rank;
   }
@@ -191,9 +160,9 @@ Profile profile_events(const std::vector<Event>& machine_events, int procs,
     for (const Op& op : by_rank[static_cast<std::size_t>(r)]) {
       StageProfile& sp = stages[op.stage];
       sp.index = op.stage;
-      if (op.kind == "compute")
+      if (op.kind == Kind::compute)
         sp.busy += op.end - op.start;
-      else if (op.kind != "recv_wait")
+      else if (op.kind != Kind::recv_wait)
         sp.comm += op.end - op.start;
     }
   for (const CriticalSegment& seg : prof.critical_path) {
@@ -210,57 +179,14 @@ Profile profile_events(const std::vector<Event>& machine_events, int procs,
 
 Profile profile_program(const ir::Program& prog, const model::Machine& mach,
                         const ProfileOptions& opts) {
-  simnet::SimMachine sim(mach.p, simnet::NetParams{mach.ts, mach.tw});
-  MemorySink sink;
-  sim.set_trace_sink(&sink);
-
-  std::vector<Event> machine_events;
-  std::vector<Event> stage_spans;
-  std::vector<double> before(static_cast<std::size_t>(mach.p), 0.0);
-  const auto& stages = prog.stages();
-  // istart..wait windows replay as a unit so run_on_simnet's overlap
-  // discount applies; their machine ops and spans are attributed to the
-  // istart stage and labeled as overlapped.
-  const auto windows = ir::overlap_windows(prog);
-  auto w = windows.begin();
-  for (std::size_t i = 0; i < stages.size();) {
-    const bool in_window = w != windows.end() && i == w->istart;
-    const std::size_t last = in_window ? w->wait : i;
-    ir::Program piece;
-    for (std::size_t j = i; j <= last; ++j) piece.push(stages[j]);
-    std::string label = stages[i]->show();
-    if (in_window) label = "overlap{" + piece.show() + "}";
-    sim.set_trace_label(label);
-    exec::run_on_simnet(piece, sim, mach.m, opts.sched);
-    for (Event e : sink.events()) {
-      e.args.emplace_back("stage", std::to_string(i));
-      machine_events.push_back(std::move(e));
-    }
-    sink.clear();
-    for (int r = 0; r < mach.p; ++r) {
-      const double end = sim.clock(r);
-      if (end <= before[static_cast<std::size_t>(r)]) continue;
-      Event span;
-      span.phase = Phase::complete;
-      span.name = label;
-      span.cat = "exec";
-      span.ts = before[static_cast<std::size_t>(r)];
-      span.dur = end - before[static_cast<std::size_t>(r)];
-      span.tid = r;
-      span.args.emplace_back("stage", std::to_string(i));
-      if (in_window) span.args.emplace_back("overlapped", "1");
-      stage_spans.push_back(std::move(span));
-    }
-    for (int r = 0; r < mach.p; ++r)
-      before[static_cast<std::size_t>(r)] = sim.clock(r);
-    if (in_window) ++w;
-    i = last + 1;
-  }
-
-  Profile prof = profile_events(machine_events, mach.p, sim.makespan());
+  exec::SimTrace trace = exec::trace_on_simnet(prog, mach, opts.sched);
+  Profile prof = profile_events(trace.ops, mach.p, trace.makespan);
+  prof.trace = std::move(trace);
   prof.program = prog.show();
 
   // Stage metadata: label, cost-calculus prediction, rule provenance.
+  const auto& stages = prog.stages();
+  const auto windows = ir::overlap_windows(prog);
   std::map<int, StageProfile> merged;
   for (const StageProfile& sp : prof.stages) merged[sp.index] = sp;
   prof.stages.clear();
@@ -286,14 +212,6 @@ Profile profile_program(const ir::Program& prog, const model::Machine& mach,
       exec::run_on_simnet(single, blocking, mach.m, opts.sched);
     }
     prof.blocking_makespan = blocking.makespan();
-  }
-
-  if (opts.keep_events) {
-    prof.events = std::move(stage_spans);
-    for (Event& e : machine_events) {
-      e.pid = 1;  // separate process row beneath the stage spans
-      prof.events.push_back(std::move(e));
-    }
   }
   return prof;
 }
@@ -453,7 +371,7 @@ void Profile::write_json(std::ostream& os) const {
 }
 
 void Profile::write_chrome_trace(std::ostream& os) const {
-  std::vector<Event> all = events;
+  std::vector<Event> all = exec::trace_events(trace, 1, true);
   // Flow arrows along the critical path: one chain, bound to the machine-op
   // slices (pid 1) the path runs through.
   for (std::size_t i = 0; i < critical_path.size(); ++i) {

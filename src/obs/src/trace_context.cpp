@@ -1,6 +1,5 @@
 #include "colop/obs/trace_context.h"
 
-#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <random>
@@ -13,7 +12,6 @@ namespace {
 
 std::mutex g_mutex;
 std::string g_trace_id;                     // guarded by g_mutex
-std::atomic<std::uint64_t> g_next_span{1};
 
 }  // namespace
 
@@ -38,16 +36,11 @@ std::string mint_trace_id() {
 void set_trace_id(std::string id) {
   const std::lock_guard<std::mutex> lock(g_mutex);
   g_trace_id = std::move(id);
-  g_next_span.store(1, std::memory_order_relaxed);
 }
 
 std::string trace_id() {
   const std::lock_guard<std::mutex> lock(g_mutex);
   return g_trace_id;
-}
-
-std::uint64_t next_span_id() {
-  return g_next_span.fetch_add(1, std::memory_order_relaxed);
 }
 
 ScopedTrace::ScopedTrace(std::string id) : id_(std::move(id)), prev_(trace_id()) {

@@ -12,8 +12,8 @@
 // clock of a round in one contiguous loop and update the counters once.
 // Point-to-point send/recv/exchange/compute remain for the schedules that
 // are not round-structured, and are the per-message fallback each round
-// primitive replays when a trace sink is attached or the topology is not
-// fully connected — so traced runs see exactly one event per message.
+// primitive replays when the machine is traced or the topology is not
+// fully connected — so traced runs see exactly one record per message.
 //
 // The simulator executes the SAME communication schedules as the mpsim
 // thread runtime, but advances virtual per-processor clocks instead of
@@ -23,11 +23,8 @@
 // clocks reproduce the model the paper itself evaluates against.
 
 #include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "colop/obs/sink.h"
 #include "colop/support/error.h"
 
 namespace colop::simnet {
@@ -49,6 +46,24 @@ struct NetParams {
 /// fully connected model, Hamming distance on the hypercube, Manhattan
 /// distance on a (near-)square 2D mesh.
 [[nodiscard]] int topology_hops(Topology topo, int p, int a, int b);
+
+/// One traced machine op on one processor, in simulated time (op units).
+/// `peer` is the message counterpart of a send/recv_wait/exchange (-1 for
+/// local computation), so trace consumers (obs::profile) can rebuild the
+/// happens-before graph without re-running the schedule.
+struct SimOp {
+  enum class Kind : std::uint8_t { compute, send, recv_wait, exchange };
+  int rank = 0;
+  Kind kind = Kind::compute;
+  int peer = -1;
+  int stage = -1;  ///< stage index current at the op (SimMachine::set_stage)
+  double start = 0;
+  double end = 0;
+  double words = 0;
+};
+
+/// "compute", "send", "recv_wait" or "exchange".
+[[nodiscard]] const char* kind_name(SimOp::Kind kind);
 
 class SimMachine {
  public:
@@ -78,8 +93,8 @@ class SimMachine {
 
   // --- round primitives ----------------------------------------------------
   // Each is exactly the per-message loop in its comment (same clocks,
-  // counters and, with a trace sink attached, the same events in the same
-  // order), executed as one bulk update when no sink is attached (and, for
+  // counters and, when traced, the same records in the same order),
+  // executed as one bulk update when the machine is not traced (and, for
   // exchange_xor, the topology is fully connected, so every pair has the
   // same transfer time).
 
@@ -104,7 +119,8 @@ class SimMachine {
   /// Advance proc's clock to at least `t` (no-op if already past).  Used by
   /// the overlap window pricing: after simulating an istart's collective,
   /// each rank's clock is raised to issue-time + local work, so the window
-  /// costs max(comm, local) instead of their sum.
+  /// costs max(comm, local) instead of their sum.  A move is traced as a
+  /// compute op: the local work the collective did not hide.
   void advance_to(int proc, double t);
 
   /// Align all clocks to the current makespan (models the implicit wait at
@@ -117,27 +133,20 @@ class SimMachine {
 
   void reset();
 
-  /// Attach an event sink; every send/recv/exchange/compute then emits a
-  /// complete event stamped with SIMULATED time (op units), tid = the
-  /// processor.  The sink is per machine: simulated and wall-clock
-  /// timestamps must never mix in one stream.
-  void set_trace_sink(obs::Sink* sink) noexcept { trace_ = sink; }
-  [[nodiscard]] obs::Sink* trace_sink() const noexcept { return trace_; }
-
-  /// Label prepended to traced event names (e.g. the current schedule),
-  /// so a program-level driver can attribute machine ops to stages.
-  void set_trace_label(std::string label) { trace_label_ = std::move(label); }
-  [[nodiscard]] const std::string& trace_label() const noexcept {
-    return trace_label_;
-  }
+  /// Append a SimOp to `ops` for every send/recv_wait/exchange/compute
+  /// from now on (nullptr stops tracing).  The trace is per machine, so
+  /// simulated and wall-clock timestamps never mix in one stream.
+  void set_trace(std::vector<SimOp>* ops) noexcept { trace_ = ops; }
+  /// Stage index stamped on every later SimOp, so a program-level driver
+  /// (exec::run_on_simnet) can attribute machine ops to stages.
+  void set_stage(int stage) noexcept { stage_ = stage; }
 
  private:
-  /// `peer` is the partner processor of a send/recv_wait/exchange (the
-  /// message counterpart), -1 for local computation.  Recorded as an event
-  /// arg so trace consumers (obs::profile) can rebuild the happens-before
-  /// graph without re-running the schedule.
-  void trace(const char* what, int proc, double start, double end,
-             double words, int peer = -1) const;
+  void trace(SimOp::Kind kind, int proc, double start, double end,
+             double words, int peer = -1) const {
+    if (trace_ != nullptr)
+      trace_->push_back({proc, kind, peer, stage_, start, end, words});
+  }
   void check(int proc) const {
     COLOP_REQUIRE(proc >= 0 && proc < p_, "simnet: processor out of range");
   }
@@ -158,8 +167,8 @@ class SimMachine {
   std::vector<std::vector<Pending>> inbox_;
   std::uint64_t messages_ = 0;
   double words_ = 0;
-  obs::Sink* trace_ = nullptr;
-  std::string trace_label_;
+  std::vector<SimOp>* trace_ = nullptr;
+  int stage_ = -1;
 };
 
 }  // namespace colop::simnet

@@ -29,23 +29,14 @@ SimMachine::SimMachine(int p, NetParams net)
   COLOP_REQUIRE(p >= 1, "simnet: need at least one processor");
 }
 
-void SimMachine::trace(const char* what, int proc, double start, double end,
-                       double words, int peer) const {
-  if (trace_ == nullptr) return;
-  obs::Event ev;
-  ev.phase = obs::Phase::complete;
-  ev.name = trace_label_.empty() ? std::string(what)
-                                 : trace_label_ + "." + what;
-  ev.cat = "simnet";
-  ev.ts = start;
-  ev.dur = end - start;
-  ev.tid = proc;
-  ev.value = words;
-  ev.args.emplace_back("kind", what);
-  if (peer >= 0) ev.args.emplace_back("peer", std::to_string(peer));
-  if (words > 0)
-    ev.args.emplace_back("words", std::to_string(words));
-  trace_->record(ev);
+const char* kind_name(SimOp::Kind kind) {
+  switch (kind) {
+    case SimOp::Kind::compute: return "compute";
+    case SimOp::Kind::send: return "send";
+    case SimOp::Kind::recv_wait: return "recv_wait";
+    case SimOp::Kind::exchange: return "exchange";
+  }
+  return "compute";
 }
 
 void SimMachine::compute(int proc, double ops) {
@@ -53,7 +44,7 @@ void SimMachine::compute(int proc, double ops) {
   auto& c = clock_[static_cast<std::size_t>(proc)];
   const double t0 = c;
   c += ops;
-  trace("compute", proc, t0, c, 0);
+  trace(SimOp::Kind::compute, proc, t0, c, 0);
 }
 
 int topology_hops(Topology topo, int p, int a, int b) {
@@ -95,7 +86,7 @@ void SimMachine::send(int from, int to, double words) {
   inbox_[static_cast<std::size_t>(to)].push_back({from, c});
   ++messages_;
   words_ += words;
-  trace("send", from, t0, c, words, to);
+  trace(SimOp::Kind::send, from, t0, c, words, to);
 }
 
 void SimMachine::recv(int at, int from) {
@@ -114,7 +105,7 @@ void SimMachine::recv(int at, int from) {
   auto& c = clock_[static_cast<std::size_t>(at)];
   const double t0 = c;
   c = std::max(c, arrival);
-  if (c > t0) trace("recv_wait", at, t0, c, 0, from);
+  if (c > t0) trace(SimOp::Kind::recv_wait, at, t0, c, 0, from);
 }
 
 void SimMachine::exchange(int a, int b, double words) {
@@ -127,8 +118,8 @@ void SimMachine::exchange(int a, int b, double words) {
   clock_[static_cast<std::size_t>(b)] = t1;
   messages_ += 2;
   words_ += 2 * words;
-  trace("exchange", a, t0, t1, words, b);
-  trace("exchange", b, t0, t1, words, a);
+  trace(SimOp::Kind::exchange, a, t0, t1, words, b);
+  trace(SimOp::Kind::exchange, b, t0, t1, words, a);
 }
 
 void SimMachine::check_mask(int mask) const {
@@ -203,7 +194,9 @@ double SimMachine::clock(int proc) const {
 void SimMachine::advance_to(int proc, double t) {
   check(proc);
   auto& c = clock_[static_cast<std::size_t>(proc)];
-  if (t > c) c = t;
+  if (t <= c) return;
+  trace(SimOp::Kind::compute, proc, c, t, 0);
+  c = t;
 }
 
 void SimMachine::barrier() {

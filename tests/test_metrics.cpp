@@ -339,31 +339,4 @@ TEST(TraceContext, MintSetAndRestore) {
   EXPECT_EQ(obs::trace_id_json_field(), "");
 }
 
-TEST(TraceContext, SpanIdsMonotonicPerTrace) {
-  const obs::ScopedTrace trace;
-  const std::uint64_t first = obs::next_span_id();
-  EXPECT_GE(first, 1u);
-  EXPECT_EQ(obs::next_span_id(), first + 1);
-  // A new trace restarts the span counter.
-  obs::set_trace_id(obs::mint_trace_id());
-  EXPECT_EQ(obs::next_span_id(), 1u);
-  obs::set_trace_id(trace.id());  // let ScopedTrace unwind cleanly
-}
-
-TEST(TraceContext, SpanIdsUniqueUnderContention) {
-  const obs::ScopedTrace trace;
-  std::vector<std::vector<std::uint64_t>> per_thread(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&per_thread, t] {
-      per_thread[static_cast<std::size_t>(t)].reserve(kIters / 100);
-      for (int i = 0; i < kIters / 100; ++i)
-        per_thread[static_cast<std::size_t>(t)].push_back(obs::next_span_id());
-    });
-  for (auto& t : threads) t.join();
-  std::set<std::uint64_t> all;
-  for (const auto& ids : per_thread) all.insert(ids.begin(), ids.end());
-  EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads) * (kIters / 100));
-}
-
 }  // namespace

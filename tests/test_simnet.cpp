@@ -11,7 +11,6 @@
 #include "colop/ir/ir.h"
 #include "colop/model/cost.h"
 #include "colop/obs/profile.h"
-#include "colop/obs/sink.h"
 #include "colop/rules/derived_ops.h"
 #include "colop/rules/optimizer.h"
 #include "colop/rules/rules.h"
@@ -159,19 +158,20 @@ void skew(SimMachine& a, SimMachine& b, Rng& rng) {
   return ::testing::AssertionSuccess();
 }
 
-::testing::AssertionResult same_events(const std::vector<obs::Event>& a,
-                                       const std::vector<obs::Event>& b) {
+::testing::AssertionResult same_ops(const std::vector<SimOp>& a,
+                                    const std::vector<SimOp>& b) {
   if (a.size() != b.size())
     return ::testing::AssertionFailure()
-           << a.size() << " vs " << b.size() << " events";
+           << a.size() << " vs " << b.size() << " ops";
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const obs::Event& x = a[i];
-    const obs::Event& y = b[i];
-    if (x.phase != y.phase || x.name != y.name || x.cat != y.cat ||
-        x.ts != y.ts || x.dur != y.dur || x.pid != y.pid || x.tid != y.tid ||
-        x.value != y.value || x.id != y.id || x.args != y.args)
-      return ::testing::AssertionFailure() << "event " << i << " differs ("
-                                           << x.name << " tid " << x.tid << ")";
+    const SimOp& x = a[i];
+    const SimOp& y = b[i];
+    if (x.rank != y.rank || x.kind != y.kind || x.peer != y.peer ||
+        x.stage != y.stage || x.start != y.start || x.end != y.end ||
+        x.words != y.words)
+      return ::testing::AssertionFailure()
+             << "op " << i << " differs (" << kind_name(x.kind) << " rank "
+             << x.rank << ")";
   }
   return ::testing::AssertionSuccess();
 }
@@ -215,18 +215,18 @@ TEST(SimRounds, TracedPrimitivesEmitThePerMessageEventStream) {
     for (const int p : equivalence_sizes()) {
       if (p == 4096 && topo != Topology::fully_connected) continue;
       SimMachine rounds(p, net), pairs(p, net);
-      obs::MemorySink rounds_sink, pairs_sink;
-      rounds.set_trace_sink(&rounds_sink);
-      pairs.set_trace_sink(&pairs_sink);
-      rounds.set_trace_label("stage");
-      pairs.set_trace_label("stage");
+      std::vector<SimOp> rounds_ops, pairs_ops;
+      rounds.set_trace(&rounds_ops);
+      pairs.set_trace(&pairs_ops);
+      rounds.set_stage(3);
+      pairs.set_stage(3);
       skew(rounds, pairs, rng);
       for (const double m : {7.0, 2.5}) {
         play_rounds(rounds, m, true);
         play_rounds(pairs, m, false);
       }
       ASSERT_TRUE(same_state(rounds, pairs)) << "p=" << p;
-      ASSERT_TRUE(same_events(rounds_sink.events(), pairs_sink.events()))
+      ASSERT_TRUE(same_ops(rounds_ops, pairs_ops))
           << "p=" << p << " topology " << static_cast<int>(topo);
     }
   }
@@ -426,7 +426,6 @@ TEST(SimExecutor, UntracedMakespanEqualsProfiledMakespan) {
     for (const ir::Program* prog : {&source, &winner}) {
       obs::ProfileOptions opts;
       opts.sched = sched;
-      opts.keep_events = false;
       EXPECT_EQ(exec::run_on_simnet(*prog, mach, sched).time,
                 obs::profile_program(*prog, mach, opts).makespan)
           << prog->show() << " p=" << p << " m=" << m;

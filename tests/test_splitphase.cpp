@@ -481,6 +481,34 @@ TEST(OverlapProfile, LabelsOverlappedSpansAndReportsTheGap) {
   for (const auto& sp : base.stages) EXPECT_FALSE(sp.overlapped);
 }
 
+TEST(OverlapProfile, UnhiddenLocalWorkIsBusyTimeOfTheIstartStage) {
+  // Two butterfly rounds (2 x 2400 comm + 2 x 200 combine = 5200) under
+  // 40 x 200 = 8000 of local work: the window ends at 8000 on every rank,
+  // and the 2800 the allreduce does not hide is local work, not idle time.
+  const model::Machine mach{.p = 4, .m = 200, .ts = 2000, .tw = 2};
+  Program split;
+  split.istart_allreduce(ir::op_add(), 1, 1).map(fn_heavy(40)).wait(1);
+  const auto prof = obs::profile_program(split, mach);
+  EXPECT_EQ(prof.makespan, 8000.0);
+  EXPECT_EQ(prof.makespan, exec::run_on_simnet(split, mach).time);
+  ASSERT_EQ(prof.ranks.size(), 4u);
+  for (const auto& r : prof.ranks) {
+    EXPECT_EQ(r.busy, 3200.0) << "rank " << r.rank;
+    EXPECT_EQ(r.comm, 4800.0) << "rank " << r.rank;
+    EXPECT_EQ(r.idle, 0.0) << "rank " << r.rank;
+  }
+  EXPECT_TRUE(prof.balanced());
+  EXPECT_TRUE(prof.path_complete());
+  ASSERT_EQ(prof.stages.size(), 3u);
+  EXPECT_EQ(prof.stages[0].busy, 4 * 3200.0);
+  EXPECT_EQ(prof.stages[0].critical, 8000.0);
+  EXPECT_EQ(prof.stages[1].busy, 0.0);
+  EXPECT_EQ(prof.stages[2].busy, 0.0);
+  ASSERT_FALSE(prof.critical_path.empty());
+  EXPECT_EQ(prof.critical_path.back().kind, "compute");
+  EXPECT_EQ(prof.critical_path.back().start, 5200.0);
+}
+
 // --- threaded execution: differential fuzz -------------------------------
 
 struct Spelling {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "colop/exec/timeline.h"
 #include "colop/ir/ir.h"
 #include "colop/rules/rules.h"
@@ -34,6 +36,37 @@ TEST(Timeline, MakespanMatchesOneShotSimulation) {
   const model::Machine mach{.p = 16, .m = 64, .ts = 300, .tw = 3};
   const auto trace = trace_on_simnet(prog, mach);
   EXPECT_DOUBLE_EQ(trace.makespan, run_on_simnet(prog, mach).time);
+
+  // Split-phase programs: an overlap window is one span priced as the
+  // untraced walk prices it, max(collective, local work).
+  const ir::ElemFn heavy{"id", [](const ir::Value& v) { return v; }, 40,
+                         nullptr, {}};
+  ir::Program one_map;
+  one_map.istart_allreduce(ir::op_add(), 1, 1).map(heavy).wait(1);
+  ir::Program two_maps;
+  two_maps.scan(ir::op_add())
+      .istart_bcast(0, 1, 2)
+      .map(heavy)
+      .map(heavy)
+      .wait(2)
+      .reduce(ir::op_add());
+  const model::Machine split_mach{.p = 8, .m = 200, .ts = 2000, .tw = 2};
+  const std::pair<const ir::Program*, std::size_t> cases[] = {
+      {&one_map, 1}, {&two_maps, 3}};
+  for (const auto& [split, spans] : cases) {
+    const auto st = trace_on_simnet(*split, split_mach);
+    EXPECT_EQ(st.makespan, run_on_simnet(*split, split_mach).time)
+        << split->show();
+    EXPECT_EQ(st.spans.size(), spans) << split->show();
+    for (int r = 0; r < split_mach.p; ++r) {
+      double t = 0;
+      for (const auto& span : st.spans) {
+        EXPECT_EQ(span.start[static_cast<std::size_t>(r)], t);
+        EXPECT_GE(span.end[static_cast<std::size_t>(r)], t);
+        t = span.end[static_cast<std::size_t>(r)];
+      }
+    }
+  }
 }
 
 TEST(Timeline, RenderListsAllStagesAndRows) {

@@ -57,43 +57,6 @@ TEST(TraceContext, ConcurrentMintingIsUnique) {
             static_cast<std::size_t>(kThreads) * kPerThread);
 }
 
-TEST(TraceContext, SpanIdsAreMonotonicAndResetWithTrace) {
-  const obs::ScopedTrace trace("00000000000000ff");
-  const std::uint64_t first = obs::next_span_id();
-  const std::uint64_t second = obs::next_span_id();
-  EXPECT_LT(first, second);
-
-  // Installing a new trace id restarts span numbering from 1.
-  obs::set_trace_id("00000000000000fe");
-  EXPECT_EQ(obs::next_span_id(), 1u);
-  EXPECT_EQ(obs::next_span_id(), 2u);
-}
-
-TEST(TraceContext, ConcurrentSpanIdsAreUnique) {
-  const obs::ScopedTrace trace;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 256;
-  std::vector<std::vector<std::uint64_t>> spans(kThreads);
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t)
-    workers.emplace_back([&spans, t] {
-      spans[static_cast<std::size_t>(t)].reserve(kPerThread);
-      for (int i = 0; i < kPerThread; ++i)
-        spans[static_cast<std::size_t>(t)].push_back(obs::next_span_id());
-    });
-  for (auto& w : workers) w.join();
-
-  std::set<std::uint64_t> unique;
-  for (const auto& per_thread : spans) {
-    // Each thread's view is strictly increasing (fetch_add order).
-    EXPECT_TRUE(std::is_sorted(per_thread.begin(), per_thread.end()));
-    unique.insert(per_thread.begin(), per_thread.end());
-  }
-  EXPECT_EQ(unique.size(),
-            static_cast<std::size_t>(kThreads) * kPerThread);
-}
-
 TEST(TraceContext, ScopedTraceRestoresPrevious) {
   obs::set_trace_id("00000000000000aa");
   {

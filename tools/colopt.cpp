@@ -691,11 +691,8 @@ int main(int argc, char** argv) {
     if (!trace_file.empty()) {
       // Stage spans plus the fine-grained machine ops beneath them, all in
       // simulated time.
-      obs::MemorySink machine_events;
-      const auto tr =
-          exec::trace_on_simnet(result.program, machine, {}, &machine_events);
-      auto events = exec::trace_events(tr);
-      for (const auto& ev : machine_events.events()) events.push_back(ev);
+      const auto events =
+          exec::trace_events(exec::trace_on_simnet(result.program, machine));
       auto f = open_output(trace_file);
       obs::write_chrome_trace(events, f, "colopt");
       std::cout << "\nChrome trace (" << events.size() << " events) written to "
