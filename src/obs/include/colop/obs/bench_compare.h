@@ -61,6 +61,13 @@ struct BenchDiffReport {
 /// is two-sided.
 [[nodiscard]] bool higher_is_better(const std::string& metric);
 
+/// True when a relative change moves `metric` beyond `threshold` in its bad
+/// direction: up for higher_is_worse metrics, down for higher_is_better
+/// ones, either way for the rest.  The one regression rule shared by
+/// compare_bench_json (bench_diff) and `bench_history check`.
+[[nodiscard]] bool regressed_beyond(const std::string& metric,
+                                    double rel_change, double threshold);
+
 /// Compare the "scalars" of two MetricsRegistry JSON documents (full
 /// document text in, as read from disk).  Throws colop::Error on JSON
 /// syntax errors; returns a skipped report when either document does not

@@ -35,6 +35,12 @@ bool higher_is_better(const std::string& metric) {
   return false;
 }
 
+bool regressed_beyond(const std::string& metric, double rel_change, double threshold) {
+  if (higher_is_worse(metric)) return rel_change > threshold;
+  if (higher_is_better(metric)) return rel_change < -threshold;
+  return std::abs(rel_change) > threshold;
+}
+
 bool BenchDiffReport::regressed() const {
   return std::any_of(deltas.begin(), deltas.end(),
                      [](const BenchDelta& d) { return d.regressed; });
@@ -76,9 +82,7 @@ BenchDiffReport compare_bench_json(const std::string& name,
                    std::max(std::abs(d.baseline), 1e-12);
     d.higher_is_worse = higher_is_worse(metric);
     d.higher_is_better = !d.higher_is_worse && higher_is_better(metric);
-    d.regressed = d.higher_is_worse   ? d.rel_change > threshold
-                  : d.higher_is_better ? d.rel_change < -threshold
-                                       : std::abs(d.rel_change) > threshold;
+    d.regressed = regressed_beyond(metric, d.rel_change, threshold);
     report.deltas.push_back(std::move(d));
   }
   for (const auto& [metric, cur_val] : cur_scalars->fields) {

@@ -45,8 +45,6 @@ void allreduce_butterfly(SimMachine& mach, double m, double w, double ops);
 /// Butterfly scan: (prefix, total) per rank; up to 2 ops per element per
 /// phase (Eq 17).
 void scan_butterfly(SimMachine& mach, double m, double w, double ops);
-/// Hillis–Steele doubling scan: 1 op per element per phase, one-way sends.
-void scan_doubling(SimMachine& mach, double m, double w, double ops);
 
 // --- the paper's balanced collectives -------------------------------------
 /// reduce_balanced over the unique balanced tree (rule SR-Reduction).

@@ -183,18 +183,6 @@ void scan_butterfly(SimMachine& mach, double m, double w, double ops) {
   }
 }
 
-void scan_doubling(SimMachine& mach, double m, double w, double ops) {
-  const int p = mach.size();
-  const double words = m * w;
-  for (int d = 1; d < p; d <<= 1) {
-    for (int r = 0; r + d < p; ++r) mach.send(r, r + d, words);
-    for (int r = d; r < p; ++r) {
-      mach.recv(r, r - d);
-      mach.compute(r, m * ops);
-    }
-  }
-}
-
 void reduce_balanced(SimMachine& mach, double m, double w, double ops) {
   const int p = mach.size();
   const double words = m * w;

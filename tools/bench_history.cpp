@@ -310,12 +310,7 @@ int cmd_check(const fs::path& history_dir, const std::string& only_bench,
       if (med == 0 && latest_value == 0) continue;
       const double scale = std::max(std::abs(med), 1e-12);
       const double delta = (latest_value - med) / scale;
-      const bool worse_up = colop::obs::higher_is_worse(metric);
-      const bool better_up = colop::obs::higher_is_better(metric);
-      const bool bad = worse_up    ? delta > threshold
-                       : better_up ? delta < -threshold
-                                   : std::abs(delta) > threshold;
-      if (!bad) continue;
+      if (!colop::obs::regressed_beyond(metric, delta, threshold)) continue;
       ++anomalies;
       std::printf("ANOMALY %s/%s: latest %.6g vs rolling median %.6g "
                   "(%+.1f%%, threshold %.0f%%)\n",

@@ -4,9 +4,9 @@
 // with the paper's rules and cost calculus, and report the derivation,
 // predicted times (analytic + simnet) and communication volumes.
 //
-// Usage:
-//   colopt [--p N] [--m N] [--ts X] [--tw X] [--exhaustive] [--strict]
-//          "scan(*) ; reduce(+) ; bcast"
+// `colopt --help` lists every option.  Each option is one row of the flag
+// table below: its usage lines, how it takes its operand, the operand
+// check and the settings it implies.
 //
 // Example:
 //   $ colopt --p 64 --m 32 --ts 400 "bcast ; scan(+) ; scan(+)"
@@ -16,12 +16,14 @@
 #include <chrono>
 #include <climits>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "colop/apps/polyeval.h"
@@ -53,23 +55,54 @@
 
 namespace {
 
-std::ofstream open_output(const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw colop::Error("cannot open " + path + " for writing");
-  return f;
-}
+using namespace colop;
+
+// Everything the command line sets.
+struct Settings {
+  model::Machine machine{.p = 64, .m = 1024, .ts = 400, .tw = 2};
+  rules::OptimizerOptions options;
+  std::optional<rules::SearchStrategy> strategy;
+  bool exhaustive = false;
+  std::optional<std::size_t> beam_width;  // --beam-width; 8 when not given
+  bool overlap = false;      // --overlap: enable the split-phase rules
+  int overlap_segments = 4;  // pipeline depth of each overlap window
+  // Sections printed on stdout.
+  bool search_report = false, timeline = false, explain = false, drift = false,
+       profile = false, calibrate = false, rt_report = false, verify = false,
+       lint = false;
+  bool use_calibrated = false;
+  std::string calibrate_from = "simnet";
+  int repeat = 1;
+  int warmup = 0;
+  bool repeat_set = false;  // --repeat or --warmup given
+  int serve_port = -1;      // -1 = no --serve; 0 = ephemeral
+  bool live = false;        // --live: serve in-flight telemetry mid-run
+  bool record = false;
+  std::string record_dir, store_dir;
+  std::vector<std::string> diff;  // the two run selectors of --diff
+  std::string example, program_text;
+  // Report files; empty when not asked for.
+  std::string search_report_json, verify_json, explain_json, trace, metrics,
+      drift_json, profile_json, profile_trace, calibrate_json, rt_json,
+      rt_trace, rt_html, diff_json, diff_html;
+};
 
 void usage();
+
+// Usage errors exit 2 with `why` and the usage text on stderr.
+[[noreturn]] void usage_error(const std::string& why) {
+  std::cerr << why;
+  usage();
+  std::exit(2);
+}
 
 // Strict numeric flag parsing: the whole operand must be a number.  A typo
 // like `--p 6x4` or `--ts fast` must fail loudly with the usage hint, not
 // silently truncate to whatever atoi salvages.
 [[noreturn]] void bad_value(const std::string& flag, const char* text,
                             const char* expected) {
-  std::cerr << "bad value for " << flag << ": '" << text << "' (expected "
-            << expected << ")\n\n";
-  usage();
-  std::exit(2);
+  usage_error("bad value for " + flag + ": '" + text + "' (expected " +
+              expected + ")\n\n");
 }
 
 int parse_int(const std::string& flag, const char* text) {
@@ -91,118 +124,271 @@ double parse_double(const std::string& flag, const char* text) {
   return v;
 }
 
+// How a flag takes its operand.
+enum class Form {
+  bare,      // --x
+  word,      // --x V
+  words2,    // --x A B
+  word_eq,   // --x V or --x=V
+  optional,  // --x or --x=V
+};
+
+// The operand words a flag was given.
+struct Operand {
+  std::string flag;      // the flag's name, for bad_value
+  const char* const* v;  // the words; nullptr for an optional flag given bare
+  bool inline_eq;        // given as --x=V
+};
+
+int int_at_least(const Operand& o, int lo, const char* expected) {
+  const int v = parse_int(o.flag, o.v[0]);
+  if (v < lo) bad_value(o.flag, o.v[0], expected);
+  return v;
+}
+
+double non_negative(const Operand& o) {
+  const double v = parse_double(o.flag, o.v[0]);
+  if (v < 0) bad_value(o.flag, o.v[0], "a non-negative number");
+  return v;
+}
+
+// One row per flag.  Its name is the first word of `help`, its usage lines,
+// up to '=' or '['.  A given flag stores its operand in `text`, turns on
+// `on` and `also` (the settings it implies), then runs `apply` for operand
+// checks and parsed values.
+struct Flag {
+  const char* help;
+  Form form;
+  std::string Settings::*text = nullptr;
+  bool Settings::*on = nullptr;
+  bool Settings::*also = nullptr;
+  void (*apply)(Settings&, const Operand&) = nullptr;
+};
+
+const Flag kFlags[] = {
+    {.help = "  --p N          processors (default 64)\n", .form = Form::word,
+     .apply = [](Settings& s, const Operand& o) {
+       s.machine.p = int_at_least(o, 1, "a positive integer");
+     }},
+    {.help = "  --m N          block size in elements (default 1024)\n",
+     .form = Form::word,
+     .apply = [](Settings& s, const Operand& o) { s.machine.m = non_negative(o); }},
+    {.help = "  --ts X         message start-up time in op units (default 400)\n",
+     .form = Form::word,
+     .apply = [](Settings& s, const Operand& o) { s.machine.ts = non_negative(o); }},
+    {.help = "  --tw X         per-word transfer time in op units (default 2)\n",
+     .form = Form::word,
+     .apply = [](Settings& s, const Operand& o) { s.machine.tw = non_negative(o); }},
+    {.help = "  --opt=S        schedule-search strategy: greedy (one-step greedy\n"
+             "                 rewriting, default), beam (cost-guided beam search),\n"
+             "                 bnb (branch-and-bound with an admissible lower\n"
+             "                 bound), or exhaustive (breadth-first over all rule\n"
+             "                 sequences).  Search strategies explore rule-order\n"
+             "                 permutations the greedy optimizer never sees, seed\n"
+             "                 their incumbent with the greedy result (never worse),\n"
+             "                 and re-discharge the winning sequence's rewrite\n"
+             "                 certificates before returning it\n",
+     .form = Form::word_eq, .apply = [](Settings& s, const Operand& o) {
+       s.strategy = rules::parse_strategy(o.v[0]);
+       if (!s.strategy)
+         bad_value(o.flag, o.v[0], "greedy, beam, bnb or exhaustive");
+     }},
+    {.help = "  --beam-width=N beam frontier width (default 8; --opt=beam only)\n",
+     .form = Form::word_eq, .apply = [](Settings& s, const Operand& o) {
+       s.beam_width = static_cast<std::size_t>(
+           int_at_least(o, 1, "a positive integer"));
+     }},
+    {.help = "  --search-report        print the ranked top-K schedule report with\n"
+             "                 rule paths, cost gaps and search statistics\n",
+     .form = Form::bare, .on = &Settings::search_report},
+    {.help = "  --search-report-json F write the search report as JSON to file F\n",
+     .form = Form::word_eq, .text = &Settings::search_report_json,
+     .apply = [](Settings& s, const Operand& o) {
+       if (o.inline_eq && s.search_report_json.empty())
+         bad_value(o.flag, "", "a file name");
+     }},
+    {.help = "  --exhaustive   alias for --opt=exhaustive\n", .form = Form::bare,
+     .on = &Settings::exhaustive},
+    {.help = "  --strict       require full equivalence (reject root-only rewrites\n"
+             "                 unless masked by a later bcast)\n",
+     .form = Form::bare, .apply = [](Settings& s, const Operand&) {
+       s.options.policy = rules::EquivalencePolicy::strict;
+     }},
+    {.help = "  --max-mem N    memory budget: reject rewrites whose peak element\n"
+             "                 width exceeds N words (Section 4.2's caveat)\n",
+     .form = Form::word, .apply = [](Settings& s, const Operand& o) {
+       s.options.max_elem_words = int_at_least(o, 1, "a positive integer");
+     }},
+    {.help = "  --overlap[=K]  enable the split-phase overlap rules (Overlap-Split,\n"
+             "                 Wait-Sink): collectives followed by elementwise maps\n"
+             "                 are rewritten to istart_C ; map... ; wait windows the\n"
+             "                 executor pipelines in K segments (default 4, K >= 2).\n"
+             "                 Works with every --opt strategy and with --verify,\n"
+             "                 whose V22x split-phase contracts gate the result\n",
+     .form = Form::optional, .on = &Settings::overlap,
+     .apply = [](Settings& s, const Operand& o) {
+       if (o.v != nullptr)
+         s.overlap_segments = int_at_least(
+             o, 2, "a pipeline depth >= 2 (K segments per window)");
+     }},
+    {.help = "  --timeline     render before/after per-processor timelines\n",
+     .form = Form::bare, .on = &Settings::timeline},
+    {.help = "  --rules        list the rule catalog and exit\n", .form = Form::bare,
+     .apply = [](Settings&, const Operand&) {
+       for (const auto& r : rules::all_rules())
+         std::cout << r->name() << ":\n    " << r->description() << "\n";
+       for (const auto& r : rules::overlap_rules())
+         std::cout << r->name() << " (--overlap only):\n    "
+                   << r->description() << "\n";
+       std::exit(0);
+     }},
+    {.help = "  --verify       statically verify the run: operator property\n"
+             "                 declarations (checked, not trusted), distribution-\n"
+             "                 state contracts of the source and optimized\n"
+             "                 schedules, and one soundness certificate per rule\n"
+             "                 application; exit 3 if anything is unsound\n",
+     .form = Form::bare, .on = &Settings::verify},
+    {.help = "  --verify-json F  write the verification report as JSON to file F\n"
+             "                 (implies --verify)\n",
+     .form = Form::word, .text = &Settings::verify_json, .on = &Settings::verify},
+    {.help = "  --lint         also report lint-severity findings (missed fusions,\n"
+             "                 packed-plane ineligibility); implies --verify\n",
+     .form = Form::bare, .on = &Settings::lint, .also = &Settings::verify},
+    {.help = "  --example NAME use a built-in program instead of the text syntax:\n"
+             "                 polyeval1|polyeval2|polyeval3|polyeval_sr2 (Section 5,\n"
+             "                 coefficients 1..p)\n",
+     .form = Form::word, .text = &Settings::example},
+    {.help = "  --explain      log every rule attempt (rule x position) with its\n"
+             "                 condition/policy verdict and predicted cost delta\n"
+             "                 (greedy strategy only)\n",
+     .form = Form::bare, .on = &Settings::explain},
+    {.help = "  --explain-json F  write the explain log as JSON to file F\n",
+     .form = Form::word, .text = &Settings::explain_json, .on = &Settings::explain},
+    {.help = "  --trace F      write a Chrome trace (chrome://tracing, Perfetto) of\n"
+             "                 the optimized program's simulated execution to file F\n",
+     .form = Form::word, .text = &Settings::trace},
+    {.help = "  --metrics F    write run metrics to file F through the telemetry\n"
+             "                 registry (.prom for Prometheus text, .csv for the\n"
+             "                 legacy scalar CSV, JSON otherwise)\n",
+     .form = Form::word, .text = &Settings::metrics},
+    {.help = "  --serve[=PORT] run the program on the thread executor, then serve\n"
+             "                 the telemetry registry over HTTP on 127.0.0.1:PORT\n"
+             "                 (default: a kernel-assigned ephemeral port, printed\n"
+             "                 on stdout): /metrics /metrics.json /runs\n"
+             "                 /runs/<trace_id> /live /live.json /healthz\n",
+     .form = Form::optional, .apply = [](Settings& s, const Operand& o) {
+       s.serve_port = o.v == nullptr ? 0 : parse_int(o.flag, o.v[0]);
+       if (s.serve_port < 0 || s.serve_port > 65535)
+         bad_value(o.flag, o.v[0], "a port in 0..65535");
+     }},
+    {.help = "  --live         with --serve: start the server *before* execution\n"
+             "                 and stream in-flight telemetry — /metrics moves\n"
+             "                 mid-run, /live streams snapshots as Server-Sent\n"
+             "                 Events (watch with tools/colop_top), /healthz\n"
+             "                 reports idle|running|stalled; pair with --repeat N\n"
+             "                 to make the run long enough to watch\n",
+     .form = Form::bare, .on = &Settings::live},
+    {.help = "  --record[=DIR] archive this run as a forensics bundle — manifest\n"
+             "                 (identity, machine, schedule IR, applied rules, cost\n"
+             "                 summary) plus every JSON artifact the run emits —\n"
+             "                 under DIR/<trace_id>/ (default $COLOP_RUN_DIR, else\n"
+             "                 .colop/runs); honors $COLOP_RUN_RETENTION, e.g.\n"
+             "                 \"count=32,age=604800\"\n",
+     .form = Form::optional, .text = &Settings::record_dir, .on = &Settings::record,
+     .apply = [](Settings& s, const Operand& o) {
+       if (o.v != nullptr && s.record_dir.empty())
+         bad_value(o.flag, "", "a directory");
+     }},
+    {.help = "  --store DIR    run-store root for --diff and --serve lookups\n"
+             "                 (default: the --record DIR, else $COLOP_RUN_DIR,\n"
+             "                 else .colop/runs)\n",
+     .form = Form::word, .text = &Settings::store_dir},
+    {.help = "  --diff A B     cross-run forensics: diff two archived runs (each a\n"
+             "                 trace id, unique id prefix, latest, latest~N, or a\n"
+             "                 manifest.json path) and exit; no program operand\n"
+             "                 needed.  Reports machine drift, the stage-level\n"
+             "                 schedule diff with rule provenance, ranked suspect\n"
+             "                 stages, and totals\n",
+     .form = Form::words2,
+     .apply = [](Settings& s, const Operand& o) { s.diff = {o.v[0], o.v[1]}; }},
+    {.help = "  --diff-json F  write the run diff as stable JSON to file F\n",
+     .form = Form::word, .text = &Settings::diff_json},
+    {.help = "  --diff-html F  write the run diff as a self-contained HTML report\n"
+             "                 (side-by-side timelines + tables) to file F\n",
+     .form = Form::word, .text = &Settings::diff_html},
+    {.help = "  --drift        report model-vs-simnet drift (time, messages, words)\n"
+             "                 for p in {2,4,...,64}\n",
+     .form = Form::bare, .on = &Settings::drift},
+    {.help = "  --drift-json F write the drift report as JSON to file F\n",
+     .form = Form::word,
+     .text = &Settings::drift_json, .on = &Settings::drift},
+    {.help = "  --profile      critical-path profile of the optimized program:\n"
+             "                 per-rank busy/comm/idle, the critical path, and\n"
+             "                 per-stage attribution with rule provenance\n",
+     .form = Form::bare, .on = &Settings::profile},
+    {.help = "  --profile-json F   write the profile as JSON to file F\n",
+     .form = Form::word,
+     .text = &Settings::profile_json, .on = &Settings::profile},
+    {.help = "  --profile-trace F  write the profile as a Chrome trace (critical\n"
+             "                 path drawn as flow arrows) to file F\n",
+     .form = Form::word, .text = &Settings::profile_trace, .on = &Settings::profile},
+    {.help = "  --calibrate    fit ts/tw/op-cost from measured collective timings\n"
+             "                 and report the fit plus drift vs the configured\n"
+             "                 machine\n",
+     .form = Form::bare, .on = &Settings::calibrate},
+    {.help = "  --calibrate-from S  timing source: simnet (deterministic, default)\n"
+             "                 or mpsim (wall-clock threads)\n",
+     .form = Form::word, .text = &Settings::calibrate_from, .on = &Settings::calibrate,
+     .apply = [](Settings& s, const Operand& o) {
+       if (s.calibrate_from != "simnet" && s.calibrate_from != "mpsim")
+         bad_value(o.flag, o.v[0], "simnet or mpsim");
+     }},
+    {.help = "  --calibrate-json F  write the calibration fit as JSON to file F\n",
+     .form = Form::word, .text = &Settings::calibrate_json, .on = &Settings::calibrate},
+    {.help = "  --rt-report    run the optimized program on the thread executor and\n"
+             "                 report runtime telemetry: per-rank busy/wait/queue\n"
+             "                 depth and per-stage wall-clock-vs-predicted drift\n",
+     .form = Form::bare, .on = &Settings::rt_report},
+    {.help = "  --rt-json F    write the runtime report as JSON to file F\n",
+     .form = Form::word, .text = &Settings::rt_json, .on = &Settings::rt_report},
+    {.help = "  --rt-trace F   write the flight-recorder capture as a Chrome trace\n"
+             "                 (send->recv flow arrows) to file F\n",
+     .form = Form::word, .text = &Settings::rt_trace, .on = &Settings::rt_report},
+    {.help = "  --rt-html F    write a self-contained HTML runtime report (timeline\n"
+             "                 + tables, no external assets) to file F\n",
+     .form = Form::word, .text = &Settings::rt_html, .on = &Settings::rt_report},
+    {.help = "  --repeat N     run the threaded execution N times and report\n"
+             "                 min/median/stddev wall time (default 1)\n",
+     .form = Form::word, .on = &Settings::repeat_set,
+     .apply = [](Settings& s, const Operand& o) {
+       s.repeat = int_at_least(o, 1, "a positive integer");
+     }},
+    {.help = "  --warmup K     discard the first K threaded runs (default 0)\n",
+     .form = Form::word, .on = &Settings::repeat_set,
+     .apply = [](Settings& s, const Operand& o) {
+       s.warmup = int_at_least(o, 0, "a non-negative integer");
+     }},
+    {.help = "  --machine S    optimize against the 'configured' machine (default)\n"
+             "                 or the 'calibrated' one (measure + fit, then use\n"
+             "                 the fitted ts/tw)\n",
+     .form = Form::word, .apply = [](Settings& s, const Operand& o) {
+       const std::string_view which = o.v[0];
+       if (which == "calibrated")
+         s.use_calibrated = true;
+       else if (which != "configured")
+         bad_value(o.flag, o.v[0], "configured or calibrated");
+     }},
+};
+
+std::string_view name_of(const Flag& f) {
+  const std::string_view u = std::string_view(f.help).substr(2);
+  return u.substr(0, u.find_first_of(" =["));
+}
+
 void usage() {
+  std::cerr << "usage: colopt [options] \"<program>\"\n";
+  for (const auto& f : kFlags) std::cerr << f.help;
   std::cerr <<
-      "usage: colopt [options] \"<program>\"\n"
-      "  --p N          processors (default 64)\n"
-      "  --m N          block size in elements (default 1024)\n"
-      "  --ts X         message start-up time in op units (default 400)\n"
-      "  --tw X         per-word transfer time in op units (default 2)\n"
-      "  --opt=S        schedule-search strategy: greedy (one-step greedy\n"
-      "                 rewriting, default), beam (cost-guided beam search),\n"
-      "                 bnb (branch-and-bound with an admissible lower\n"
-      "                 bound), or exhaustive (breadth-first over all rule\n"
-      "                 sequences).  Search strategies explore rule-order\n"
-      "                 permutations the greedy optimizer never sees, seed\n"
-      "                 their incumbent with the greedy result (never worse),\n"
-      "                 and re-discharge the winning sequence's rewrite\n"
-      "                 certificates before returning it\n"
-      "  --beam-width=N beam frontier width (default 8; --opt=beam only)\n"
-      "  --search-report        print the ranked top-K schedule report with\n"
-      "                 rule paths, cost gaps and search statistics\n"
-      "  --search-report-json F write the search report as JSON to file F\n"
-      "  --exhaustive   alias for --opt=exhaustive\n"
-      "  --strict       require full equivalence (reject root-only rewrites\n"
-      "                 unless masked by a later bcast)\n"
-      "  --max-mem N    memory budget: reject rewrites whose peak element\n"
-      "                 width exceeds N words (Section 4.2's caveat)\n"
-      "  --overlap[=K]  enable the split-phase overlap rules (Overlap-Split,\n"
-      "                 Wait-Sink): collectives followed by elementwise maps\n"
-      "                 are rewritten to istart_C ; map... ; wait windows the\n"
-      "                 executor pipelines in K segments (default 4, K >= 2).\n"
-      "                 Works with every --opt strategy and with --verify,\n"
-      "                 whose V22x split-phase contracts gate the result\n"
-      "  --timeline     render before/after per-processor timelines\n"
-      "  --rules        list the rule catalog and exit\n"
-      "  --verify       statically verify the run: operator property\n"
-      "                 declarations (checked, not trusted), distribution-\n"
-      "                 state contracts of the source and optimized\n"
-      "                 schedules, and one soundness certificate per rule\n"
-      "                 application; exit 3 if anything is unsound\n"
-      "  --verify-json F  write the verification report as JSON to file F\n"
-      "                 (implies --verify)\n"
-      "  --lint         also report lint-severity findings (missed fusions,\n"
-      "                 packed-plane ineligibility); implies --verify\n"
-      "  --example NAME use a built-in program instead of the text syntax:\n"
-      "                 polyeval1|polyeval2|polyeval3|polyeval_sr2 (Section 5,\n"
-      "                 coefficients 1..p)\n"
-      "  --explain      log every rule attempt (rule x position) with its\n"
-      "                 condition/policy verdict and predicted cost delta\n"
-      "                 (greedy strategy only)\n"
-      "  --explain-json F  write the explain log as JSON to file F\n"
-      "  --trace F      write a Chrome trace (chrome://tracing, Perfetto) of\n"
-      "                 the optimized program's simulated execution to file F\n"
-      "  --metrics F    write run metrics to file F through the telemetry\n"
-      "                 registry (.prom for Prometheus text, .csv for the\n"
-      "                 legacy scalar CSV, JSON otherwise)\n"
-      "  --serve[=PORT] run the program on the thread executor, then serve\n"
-      "                 the telemetry registry over HTTP on 127.0.0.1:PORT\n"
-      "                 (default: a kernel-assigned ephemeral port, printed\n"
-      "                 on stdout): /metrics /metrics.json /runs\n"
-      "                 /runs/<trace_id> /live /live.json /healthz\n"
-      "  --live         with --serve: start the server *before* execution\n"
-      "                 and stream in-flight telemetry — /metrics moves\n"
-      "                 mid-run, /live streams snapshots as Server-Sent\n"
-      "                 Events (watch with tools/colop_top), /healthz\n"
-      "                 reports idle|running|stalled; pair with --repeat N\n"
-      "                 to make the run long enough to watch\n"
-      "  --record[=DIR] archive this run as a forensics bundle — manifest\n"
-      "                 (identity, machine, schedule IR, applied rules, cost\n"
-      "                 summary) plus every JSON artifact the run emits —\n"
-      "                 under DIR/<trace_id>/ (default $COLOP_RUN_DIR, else\n"
-      "                 .colop/runs); honors $COLOP_RUN_RETENTION, e.g.\n"
-      "                 \"count=32,age=604800\"\n"
-      "  --store DIR    run-store root for --diff and --serve lookups\n"
-      "                 (default: the --record DIR, else $COLOP_RUN_DIR,\n"
-      "                 else .colop/runs)\n"
-      "  --diff A B     cross-run forensics: diff two archived runs (each a\n"
-      "                 trace id, unique id prefix, latest, latest~N, or a\n"
-      "                 manifest.json path) and exit; no program operand\n"
-      "                 needed.  Reports machine drift, the stage-level\n"
-      "                 schedule diff with rule provenance, ranked suspect\n"
-      "                 stages, and totals\n"
-      "  --diff-json F  write the run diff as stable JSON to file F\n"
-      "  --diff-html F  write the run diff as a self-contained HTML report\n"
-      "                 (side-by-side timelines + tables) to file F\n"
-      "  --drift        report model-vs-simnet drift (time, messages, words)\n"
-      "                 for p in {2,4,...,64}\n"
-      "  --drift-json F write the drift report as JSON to file F\n"
-      "  --profile      critical-path profile of the optimized program:\n"
-      "                 per-rank busy/comm/idle, the critical path, and\n"
-      "                 per-stage attribution with rule provenance\n"
-      "  --profile-json F   write the profile as JSON to file F\n"
-      "  --profile-trace F  write the profile as a Chrome trace (critical\n"
-      "                 path drawn as flow arrows) to file F\n"
-      "  --calibrate    fit ts/tw/op-cost from measured collective timings\n"
-      "                 and report the fit plus drift vs the configured\n"
-      "                 machine\n"
-      "  --calibrate-from S  timing source: simnet (deterministic, default)\n"
-      "                 or mpsim (wall-clock threads)\n"
-      "  --calibrate-json F  write the calibration fit as JSON to file F\n"
-      "  --rt-report    run the optimized program on the thread executor and\n"
-      "                 report runtime telemetry: per-rank busy/wait/queue\n"
-      "                 depth and per-stage wall-clock-vs-predicted drift\n"
-      "  --rt-json F    write the runtime report as JSON to file F\n"
-      "  --rt-trace F   write the flight-recorder capture as a Chrome trace\n"
-      "                 (send->recv flow arrows) to file F\n"
-      "  --rt-html F    write a self-contained HTML runtime report (timeline\n"
-      "                 + tables, no external assets) to file F\n"
-      "  --repeat N     run the threaded execution N times and report\n"
-      "                 min/median/stddev wall time (default 1)\n"
-      "  --warmup K     discard the first K threaded runs (default 0)\n"
-      "  --machine S    optimize against the 'configured' machine (default)\n"
-      "                 or the 'calibrated' one (measure + fit, then use\n"
-      "                 the fitted ts/tw)\n"
       "program syntax:  map(pair|triple|quadruple|pi1|id) | scan(OP) |\n"
       "                 reduce(OP[,root=K]) | allreduce(OP) | bcast[(root=K)] |\n"
       "                 istart_reduce(OP[,root=K][,h=N]) | istart_allreduce(OP[,h=N]) |\n"
@@ -211,308 +397,194 @@ void usage() {
       "                 +modN *modN f+ f* mat2 first\n";
 }
 
+// Read argv left to right through the flag table; exits 0 on --help and
+// --rules, 2 on any usage error.
+Settings parse_args(int argc, char** argv) {
+  Settings s;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      usage();
+      std::exit(0);
+    }
+    // A flag is spelled as its row's name, or name=VALUE if the row allows.
+    const std::size_t eq = arg.find('=');
+    const Flag* flag = nullptr;
+    for (const auto& f : kFlags)
+      if (name_of(f) == std::string_view(arg).substr(0, eq)) flag = &f;
+    if (flag != nullptr && eq != std::string::npos &&
+        flag->form != Form::word_eq && flag->form != Form::optional)
+      flag = nullptr;
+    if (flag == nullptr) {
+      if (!arg.empty() && arg[0] == '-') usage_error("unknown option: " + arg + "\n");
+      s.program_text = arg;
+      continue;
+    }
+    const char* inline_value = eq == std::string::npos ? nullptr : argv[i] + eq + 1;
+    const char* const* words = inline_value != nullptr ? &inline_value : nullptr;
+    if (words == nullptr && flag->form != Form::bare &&
+        flag->form != Form::optional) {
+      const int n = flag->form == Form::words2 ? 2 : 1;
+      if (i + n >= argc) usage_error("");
+      words = argv + i + 1;
+      i += n;
+    }
+    if (flag->text != nullptr && words != nullptr) s.*flag->text = words[0];
+    if (flag->on != nullptr) s.*flag->on = true;
+    if (flag->also != nullptr) s.*flag->also = true;
+    if (flag->apply != nullptr)
+      flag->apply(s, {std::string(name_of(*flag)), words,
+                      inline_value != nullptr});
+  }
+
+  // Cross-flag consistency (exit 2 like any other usage error: a flag
+  // combination that cannot mean what the user intended must not be
+  // silently reinterpreted).
+  if (s.exhaustive) {
+    if (s.strategy && *s.strategy != rules::SearchStrategy::exhaustive)
+      usage_error("--exhaustive conflicts with --opt=" +
+                  rules::strategy_name(*s.strategy) + "\n\n");
+    s.strategy = rules::SearchStrategy::exhaustive;
+  }
+  if (s.beam_width &&
+      (!s.strategy || *s.strategy != rules::SearchStrategy::beam))
+    usage_error("--beam-width is only meaningful with --opt=beam\n\n");
+  if ((s.search_report || !s.search_report_json.empty()) &&
+      (!s.strategy || *s.strategy == rules::SearchStrategy::greedy))
+    usage_error(
+        "--search-report requires a search strategy "
+        "(--opt=beam, --opt=bnb or --opt=exhaustive)\n\n");
+  if (s.live && s.serve_port < 0)
+    usage_error(
+        "--live requires --serve (it streams through the stats server)\n\n");
+  if (s.repeat_set && !s.rt_report && s.serve_port < 0)
+    usage_error(
+        "--repeat and --warmup time the threaded run: they require "
+        "--rt-report, an --rt-* file or --serve\n\n");
+  if ((!s.diff_json.empty() || !s.diff_html.empty()) && s.diff.empty())
+    usage_error("--diff-json and --diff-html require --diff\n\n");
+  return s;
+}
+
+std::vector<obs::StageRecord> stage_records(
+    const ir::Program& prog, const model::Machine& machine,
+    const std::vector<std::string>* provenance) {
+  std::vector<obs::StageRecord> out;
+  for (const auto& stage : prog.stages()) {
+    obs::StageRecord rec;
+    rec.index = static_cast<int>(out.size());
+    rec.label = stage->show();
+    rec.kind = rec.label.substr(0, rec.label.find('('));  // the stage's keyword
+    rec.local = stage->is_local();
+    if (provenance != nullptr && out.size() < provenance->size())
+      rec.rule = (*provenance)[out.size()];
+    rec.model_time = model::stage_cost(*stage).eval(machine);
+    out.push_back(std::move(rec));
+  }
+  return out;
+}
+
+obs::SearchRecord search_record(const rules::SearchResult& res) {
+  obs::SearchRecord s;
+  s.strategy = rules::strategy_name(res.strategy);
+  s.beam_width = res.beam_width;
+  s.nodes_expanded = res.stats.nodes_expanded;
+  s.nodes_generated = res.stats.nodes_generated;
+  s.pruned_bound = res.stats.pruned_by_bound;
+  s.pruned_beam = res.stats.pruned_by_beam;
+  s.pruned_budget = res.stats.pruned_by_budget;
+  s.memo_hits = res.stats.memo_hits;
+  s.memo_entries = res.stats.memo_entries;
+  s.frontier_peak = res.stats.frontier_peak;
+  s.depth = res.stats.depth_reached;
+  s.greedy_cost = res.greedy_cost;
+  s.winner_cost = res.best.cost_final;
+  s.winner_certified = res.winner_index < res.ranked.size() &&
+                       res.ranked[res.winner_index].certified == 1;
+  for (const auto& r : res.ranked)
+    s.ranked.push_back({r.cost, r.path_text(), r.certified});
+  return s;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace colop;
-
-  model::Machine machine{.p = 64, .m = 1024, .ts = 400, .tw = 2};
-  bool exhaustive_flag = false;
-  std::optional<rules::SearchStrategy> opt_strategy;
-  std::size_t beam_width = 8;
-  bool beam_width_set = false;
-  bool search_report = false;
-  std::string search_report_json;
-  bool timeline = false;
-  bool explain = false;
-  bool drift = false;
-  bool profile = false;
-  bool calibrate = false;
-  bool use_calibrated = false;
-  bool rt_report = false;
-  bool verify = false;
-  bool lint = false;
-  std::string verify_json;
-  int repeat = 1;
-  int warmup = 0;
-  int serve_port = -1;  // -1 = no --serve; 0 = ephemeral
-  bool live = false;    // --live: serve in-flight telemetry mid-run
-  std::string calibrate_from = "simnet";
-  std::string explain_json, trace_file, metrics_file, drift_json, example;
-  std::string profile_json, profile_trace, calibrate_json;
-  std::string rt_json, rt_trace, rt_html;
-  bool record = false;
-  std::string record_dir, store_dir;
-  std::vector<std::string> diff_args;
-  std::string diff_json, diff_html;
-  bool overlap = false;      // --overlap: enable the split-phase rules
-  int overlap_segments = 4;  // pipeline depth of each overlap window
-  rules::OptimizerOptions options;
-  rules::ExplainLog explain_log;
-  std::string program_text;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--p") {
-      machine.p = parse_int(arg, next());
-      if (machine.p < 1) bad_value(arg, argv[i], "a positive integer");
-    } else if (arg == "--m") {
-      machine.m = parse_double(arg, next());
-      if (machine.m < 0) bad_value(arg, argv[i], "a non-negative number");
-    } else if (arg == "--ts") {
-      machine.ts = parse_double(arg, next());
-      if (machine.ts < 0) bad_value(arg, argv[i], "a non-negative number");
-    } else if (arg == "--tw") {
-      machine.tw = parse_double(arg, next());
-      if (machine.tw < 0) bad_value(arg, argv[i], "a non-negative number");
-    } else if (arg == "--exhaustive") {
-      exhaustive_flag = true;
-    } else if (arg == "--opt" || arg.rfind("--opt=", 0) == 0) {
-      const std::string which = arg == "--opt" ? next() : arg.substr(6);
-      const auto strategy = rules::parse_strategy(which);
-      if (!strategy)
-        bad_value("--opt", which.c_str(), "greedy, beam, bnb or exhaustive");
-      opt_strategy = *strategy;
-    } else if (arg == "--beam-width" || arg.rfind("--beam-width=", 0) == 0) {
-      const std::string text =
-          arg == "--beam-width" ? next() : arg.substr(13);
-      const int w = parse_int("--beam-width", text.c_str());
-      if (w < 1) bad_value("--beam-width", text.c_str(), "a positive integer");
-      beam_width = static_cast<std::size_t>(w);
-      beam_width_set = true;
-    } else if (arg == "--search-report") {
-      search_report = true;
-    } else if (arg == "--search-report-json") {
-      search_report_json = next();
-    } else if (arg.rfind("--search-report-json=", 0) == 0) {
-      search_report_json = arg.substr(21);
-      if (search_report_json.empty())
-        bad_value("--search-report-json", "", "a file name");
-    } else if (arg == "--overlap") {
-      overlap = true;
-    } else if (arg.rfind("--overlap=", 0) == 0) {
-      overlap = true;
-      overlap_segments = parse_int("--overlap", arg.c_str() + 10);
-      if (overlap_segments < 2)
-        bad_value("--overlap", arg.c_str() + 10,
-                  "a pipeline depth >= 2 (K segments per window)");
-    } else if (arg == "--strict") {
-      options.policy = rules::EquivalencePolicy::strict;
-    } else if (arg == "--max-mem") {
-      options.max_elem_words = parse_int(arg, next());
-    } else if (arg == "--timeline") {
-      timeline = true;
-    } else if (arg == "--explain") {
-      explain = true;
-    } else if (arg == "--explain-json") {
-      explain_json = next();
-      explain = true;
-    } else if (arg == "--trace") {
-      trace_file = next();
-    } else if (arg == "--metrics") {
-      metrics_file = next();
-    } else if (arg == "--drift") {
-      drift = true;
-    } else if (arg == "--drift-json") {
-      drift_json = next();
-      drift = true;
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--profile-json") {
-      profile_json = next();
-      profile = true;
-    } else if (arg == "--profile-trace") {
-      profile_trace = next();
-      profile = true;
-    } else if (arg == "--calibrate") {
-      calibrate = true;
-    } else if (arg == "--calibrate-from") {
-      calibrate_from = next();
-      calibrate = true;
-      if (calibrate_from != "simnet" && calibrate_from != "mpsim")
-        bad_value(arg, calibrate_from.c_str(), "simnet or mpsim");
-    } else if (arg == "--calibrate-json") {
-      calibrate_json = next();
-      calibrate = true;
-    } else if (arg == "--verify") {
-      verify = true;
-    } else if (arg == "--verify-json") {
-      verify_json = next();
-      verify = true;
-    } else if (arg == "--lint") {
-      lint = true;
-      verify = true;
-    } else if (arg == "--rt-report") {
-      rt_report = true;
-    } else if (arg == "--rt-json") {
-      rt_json = next();
-      rt_report = true;
-    } else if (arg == "--rt-trace") {
-      rt_trace = next();
-      rt_report = true;
-    } else if (arg == "--rt-html") {
-      rt_html = next();
-      rt_report = true;
-    } else if (arg == "--repeat") {
-      repeat = parse_int(arg, next());
-      if (repeat < 1) bad_value(arg, argv[i], "a positive integer");
-    } else if (arg == "--warmup") {
-      warmup = parse_int(arg, next());
-      if (warmup < 0) bad_value(arg, argv[i], "a non-negative integer");
-    } else if (arg == "--record") {
-      record = true;
-    } else if (arg.rfind("--record=", 0) == 0) {
-      record = true;
-      record_dir = arg.substr(9);
-      if (record_dir.empty()) bad_value("--record", "", "a directory");
-    } else if (arg == "--store") {
-      store_dir = next();
-    } else if (arg == "--diff") {
-      diff_args = {next(), next()};
-    } else if (arg == "--diff-json") {
-      diff_json = next();
-    } else if (arg == "--diff-html") {
-      diff_html = next();
-    } else if (arg == "--serve") {
-      serve_port = 0;
-    } else if (arg.rfind("--serve=", 0) == 0) {
-      serve_port = parse_int("--serve", arg.c_str() + 8);
-      if (serve_port < 0 || serve_port > 65535)
-        bad_value("--serve", arg.c_str() + 8, "a port in 0..65535");
-    } else if (arg == "--live") {
-      live = true;
-    } else if (arg == "--machine") {
-      const std::string which = next();
-      if (which == "calibrated")
-        use_calibrated = true;
-      else if (which != "configured")
-        bad_value(arg, which.c_str(), "configured or calibrated");
-    } else if (arg == "--example") {
-      example = next();
-    } else if (arg == "--rules") {
-      for (const auto& r : rules::all_rules())
-        std::cout << r->name() << ":\n    " << r->description() << "\n";
-      for (const auto& r : rules::overlap_rules())
-        std::cout << r->name() << " (--overlap only):\n    "
-                  << r->description() << "\n";
-      return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage();
-      return 2;
-    } else {
-      program_text = arg;
-    }
-  }
-  // Search-flag consistency (exit 2 like any other usage error: a flag
-  // combination that cannot mean what the user intended must not be
-  // silently reinterpreted).
-  if (exhaustive_flag) {
-    if (opt_strategy &&
-        *opt_strategy != rules::SearchStrategy::exhaustive) {
-      std::cerr << "--exhaustive conflicts with --opt="
-                << rules::strategy_name(*opt_strategy) << "\n\n";
-      usage();
-      return 2;
-    }
-    opt_strategy = rules::SearchStrategy::exhaustive;
-  }
+  Settings s = parse_args(argc, argv);
+  model::Machine& machine = s.machine;
   const bool searching =
-      opt_strategy && *opt_strategy != rules::SearchStrategy::greedy;
-  if (beam_width_set &&
-      (!opt_strategy || *opt_strategy != rules::SearchStrategy::beam)) {
-    std::cerr << "--beam-width is only meaningful with --opt=beam\n\n";
-    usage();
-    return 2;
-  }
-  if ((search_report || !search_report_json.empty()) && !searching) {
-    std::cerr << "--search-report requires a search strategy "
-                 "(--opt=beam, --opt=bnb or --opt=exhaustive)\n\n";
-    usage();
-    return 2;
-  }
-  if (live && serve_port < 0) {
-    std::cerr << "--live requires --serve (it streams through the stats "
-                 "server)\n\n";
-    usage();
-    return 2;
-  }
+      s.strategy && *s.strategy != rules::SearchStrategy::greedy;
 
   // --overlap works with every strategy (greedy just appends the overlap
   // rules to its catalog); the segment count rides to the thread executor
   // through the environment, read once before rank threads spawn.
-  if (overlap)
+  if (s.overlap)
     ::setenv("COLOP_OVERLAP_SEGMENTS",
-             std::to_string(overlap_segments).c_str(), 1);
+             std::to_string(s.overlap_segments).c_str(), 1);
 
   // Store root: --record=DIR wins (what we write is what we read), then
   // --store, then the environment/default.
-  const std::string store_root = !record_dir.empty() ? record_dir
-                                 : !store_dir.empty()
-                                     ? store_dir
+  const std::string store_root = !s.record_dir.empty() ? s.record_dir
+                                 : !s.store_dir.empty()
+                                     ? s.store_dir
                                      : obs::RunStore::default_root();
 
-  if (!diff_args.empty()) {
-    // Forensics diff mode: pure archive analysis, no program run, no fresh
-    // trace id (the diff carries the two recorded ids).
-    try {
-      const obs::RunStore store(store_root);
-      const obs::RunBundle a = obs::load_run_or_file(store, diff_args[0]);
-      const obs::RunBundle b = obs::load_run_or_file(store, diff_args[1]);
-      const obs::RunDiff d = obs::diff_runs(a, b);
-      std::cout << d.render_text();
-      if (!diff_json.empty()) {
-        auto f = open_output(diff_json);
-        d.write_json(f);
-        std::cout << "\nrun diff written to " << diff_json << "\n";
-      }
-      if (!diff_html.empty()) {
-        auto f = open_output(diff_html);
-        d.write_html(f);
-        std::cout << "run diff HTML report written to " << diff_html << "\n";
-      }
-      return 0;
-    } catch (const Error& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 1;
-    }
-  }
-
-  if (program_text.empty() && example.empty()) {
-    usage();
-    return 2;
-  }
+  // Every report goes through here and is serialised once: into its flag's
+  // file F, announced as "<what> written to F", and under --record into the
+  // bundle as `artifact` (nullptr: not archived).  Returns whether F was
+  // written.
+  std::map<std::string, std::string> artifacts;
+  const auto write_report = [&](const std::string& path, const std::string& what,
+                                const char* artifact,
+                                const std::function<void(std::ostream&)>& serialise) {
+    const bool archive = s.record && artifact != nullptr;
+    if (path.empty() && !archive) return false;
+    std::ostringstream ss;
+    serialise(ss);
+    if (archive) artifacts[artifact] = ss.str();
+    if (path.empty()) return false;
+    std::ofstream f(path);
+    if (!f) throw Error("cannot open " + path + " for writing");
+    f << ss.str();
+    std::cout << what << " written to " << path << "\n";
+    return true;
+  };
 
   try {
+    if (!s.diff.empty()) {
+      // Forensics diff mode: pure archive analysis, no program run, no fresh
+      // trace id (the diff carries the two recorded ids).
+      const obs::RunStore store(store_root);
+      const obs::RunBundle a = obs::load_run_or_file(store, s.diff[0]);
+      const obs::RunBundle b = obs::load_run_or_file(store, s.diff[1]);
+      const obs::RunDiff d = obs::diff_runs(a, b);
+      std::cout << d.render_text();
+      write_report(s.diff_json, "\nrun diff", nullptr,
+                   [&](std::ostream& os) { d.write_json(os); });
+      write_report(s.diff_html, "run diff HTML report", nullptr,
+                   [&](std::ostream& os) { d.write_html(os); });
+      return 0;
+    }
+    if (s.program_text.empty() && s.example.empty()) usage_error("");
+
     ir::Program program;
-    if (!example.empty()) {
+    if (!s.example.empty()) {
       std::vector<double> coeffs(static_cast<std::size_t>(machine.p));
       for (std::size_t i = 0; i < coeffs.size(); ++i)
         coeffs[i] = static_cast<double>(i + 1);
-      if (example == "polyeval1")
+      if (s.example == "polyeval1")
         program = apps::polyeval_1(coeffs);
-      else if (example == "polyeval2")
+      else if (s.example == "polyeval2")
         program = apps::polyeval_2(coeffs);
-      else if (example == "polyeval3")
+      else if (s.example == "polyeval3")
         program = apps::polyeval_3(coeffs);
-      else if (example == "polyeval_sr2")
+      else if (s.example == "polyeval_sr2")
         program = apps::polyeval_sr2(coeffs);
       else {
-        std::cerr << "unknown example: " << example << "\n";
+        std::cerr << "unknown example: " << s.example << "\n";
         return 2;
       }
     } else {
-      program = ir::parse_program(program_text);
+      program = ir::parse_program(s.program_text);
     }
     if (auto err = ir::check_shapes(program)) {
       std::cerr << "shape error: " << *err << "\n";
@@ -527,24 +599,22 @@ int main(int argc, char** argv) {
               << " ts=" << machine.ts << " tw=" << machine.tw << "\n";
     std::cout << "trace   : " << obs::trace_id() << "\n\n";
 
-    if (calibrate || use_calibrated) {
-      const auto timings = calibrate_from == "mpsim"
+    if (s.calibrate || s.use_calibrated) {
+      const auto timings = s.calibrate_from == "mpsim"
                                ? obs::measure_mpsim_timings()
                                : obs::measure_simnet_timings(machine);
       auto fit = model::fit_machine(timings);
-      fit.source = calibrate_from;
-      if (calibrate) {
+      fit.source = s.calibrate_from;
+      if (s.calibrate) {
         std::cout << fit.render_text();
         std::cout << obs::machine_drift(machine, fit).render_text() << "\n";
-        if (!calibrate_json.empty()) {
-          auto f = open_output(calibrate_json);
-          fit.write_json(f);
-          std::cout << "calibration written to " << calibrate_json << "\n\n";
-        }
+        if (write_report(s.calibrate_json, "calibration", nullptr,
+                         [&](std::ostream& os) { fit.write_json(os); }))
+          std::cout << "\n";
       }
-      if (use_calibrated) {
+      if (s.use_calibrated) {
         machine = fit.machine(machine.p, machine.m);
-        std::cout << "machine : (calibrated from " << calibrate_from
+        std::cout << "machine : (calibrated from " << s.calibrate_from
                   << ") ts=" << machine.ts << " tw=" << machine.tw << "\n\n";
       }
     }
@@ -554,71 +624,56 @@ int main(int argc, char** argv) {
     // from it.  A recorded bundle archives the hub snapshot and the explain
     // log, so --record implies both.
     const bool hub_wanted =
-        serve_port >= 0 || !metrics_file.empty() || record;
-    if (explain || hub_wanted) options.explain = &explain_log;
+        s.serve_port >= 0 || !s.metrics.empty() || s.record;
+    rules::ExplainLog explain_log;
+    if (s.explain || hub_wanted) s.options.explain = &explain_log;
     auto rule_set = rules::all_rules();
-    if (overlap)
+    if (s.overlap)
       for (auto& r : rules::overlap_rules()) rule_set.push_back(std::move(r));
-    const rules::Optimizer optimizer(machine, rule_set, options);
-    std::optional<rules::SearchResult> search_res;
-    bool winner_fell_back = false;
-    bool winner_demoted = false;
+    std::optional<verify::CertifiedSearch> cert;
+    const rules::SearchResult* search_res = nullptr;
     rules::OptimizeResult result;
     if (searching) {
       rules::SearchOptions sopts;
-      sopts.strategy = *opt_strategy;
+      sopts.strategy = *s.strategy;
       sopts.beam_width =
-          *opt_strategy == rules::SearchStrategy::beam ? beam_width : 0;
-      sopts.base = options;
+          *s.strategy == rules::SearchStrategy::beam ? s.beam_width.value_or(8) : 0;
+      sopts.base = s.options;
       const rules::SearchOptimizer searcher(machine, rule_set, sopts);
       // The soundness gate: re-discharge every ranked schedule's rewrite
       // certificates (shared steps once) and install the cheapest CERTIFIED
       // schedule as the winner before anything downstream consumes it.
-      auto cert = verify::certify_search(program, searcher.search(program));
-      winner_fell_back = cert.fell_back_to_source;
-      winner_demoted = cert.demoted;
-      search_res = std::move(cert.search);
+      cert = verify::certify_search(program, searcher.search(program));
+      search_res = &cert->search;
       result = search_res->best;
     } else {
-      result = optimizer.optimize(program);
+      result = rules::Optimizer(machine, rule_set, s.options).optimize(program);
     }
 
-    if (explain) {
-      if (searching) {
-        std::cout << "(--explain records the greedy strategy only)\n";
-      } else {
-        std::cout << "rule attempts (every rule x position, per step):\n"
-                  << explain_log.render_text(true) << "\n";
-      }
-      if (!explain_json.empty()) {
-        auto f = open_output(explain_json);
-        explain_log.write_json(f);
-        std::cout << "explain log written to " << explain_json << "\n";
-      }
-    }
+    if (s.explain && searching)
+      std::cout << "(--explain records the greedy strategy only)\n";
+    else if (s.explain)
+      std::cout << "rule attempts (every rule x position, per step):\n"
+                << explain_log.render_text(true) << "\n";
+    write_report(s.explain_json, "explain log", searching ? nullptr : "explain",
+                 [&](std::ostream& os) { explain_log.write_json(os); });
 
-    std::string strategy_label = "greedy";
-    if (searching) {
-      switch (*opt_strategy) {
-        case rules::SearchStrategy::beam:
-          strategy_label =
-              "beam search, width " + (search_res->beam_width == 0
-                                           ? std::string("unbounded")
-                                           : std::to_string(
-                                                 search_res->beam_width));
-          break;
-        case rules::SearchStrategy::branch_bound:
-          strategy_label = "branch-and-bound search";
-          break;
-        default:
-          strategy_label = "exhaustive search";
-          break;
-      }
-    }
     if (result.log.empty()) {
       std::cout << "no profitable rewrite on this machine.\n";
     } else {
-      std::cout << "derivation (" << strategy_label << "):\n";
+      std::cout << "derivation (";
+      if (!searching)
+        std::cout << "greedy";
+      else if (*s.strategy == rules::SearchStrategy::beam)
+        std::cout << "beam search, width "
+                  << (search_res->beam_width == 0
+                          ? std::string("unbounded")
+                          : std::to_string(search_res->beam_width));
+      else if (*s.strategy == rules::SearchStrategy::branch_bound)
+        std::cout << "branch-and-bound search";
+      else
+        std::cout << "exhaustive search";
+      std::cout << "):\n";
       for (const auto& step : result.log) {
         std::cout << "  " << step.rule << " @" << step.position;
         if (!step.note.empty()) std::cout << " {" << step.note << "}";
@@ -628,10 +683,10 @@ int main(int argc, char** argv) {
     if (searching) {
       std::cout << "schedule : cost " << result.cost_final << " (greedy "
                 << search_res->greedy_cost << "), certificates ";
-      if (winner_fell_back)
+      if (cert->fell_back_to_source)
         std::cout << "rejected every searched schedule — kept the source "
                      "program";
-      else if (winner_demoted)
+      else if (cert->demoted)
         std::cout << "demoted cheaper uncertified schedule(s); winner "
                      "discharged";
       else
@@ -640,44 +695,43 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n";
 
-    if (search_report) std::cout << search_res->render_report() << "\n";
-    if (!search_report_json.empty()) {
-      auto f = open_output(search_report_json);
-      search_res->write_json(f);
-      std::cout << "search report written to " << search_report_json << "\n\n";
+    if (search_res) {
+      if (s.search_report) std::cout << search_res->render_report() << "\n";
+      if (write_report(s.search_report_json, "search report", "search",
+                       [&](std::ostream& os) { search_res->write_json(os); }))
+        std::cout << "\n";
     }
 
     int verify_exit = 0;
     std::optional<verify::VerifyResult> vres;
-    if (verify) {
+    if (s.verify) {
       verify::VerifyOptions vopts;
       vopts.p = machine.p;
-      vopts.lints = lint;
+      vopts.lints = s.lint;
       vres = verify::verify_program(program, &result, vopts);
-      std::cout << vres->render_text(lint);
-      if (!verify_json.empty()) {
-        auto f = open_output(verify_json);
-        vres->write_json(f, lint);
-        f << "\n";
-        std::cout << "verification report written to " << verify_json << "\n";
-      }
+      std::cout << vres->render_text(s.lint);
+      write_report(s.verify_json, "verification report", "verify",
+                   [&](std::ostream& os) {
+                     vres->write_json(os, s.lint);
+                     os << "\n";
+                   });
       std::cout << "\n";
       verify_exit = vres->exit_code();
     }
 
     Table t("prediction", {"version", "analytic cost", "simnet time",
                            "messages", "words"});
+    const double cost_before = model::program_time(program, machine);
+    const double cost_after = model::program_time(result.program, machine);
     const auto before = exec::run_on_simnet(program, machine);
     const auto after = exec::run_on_simnet(result.program, machine);
-    t.add("original", model::program_time(program, machine), before.time,
-          before.messages, before.words);
-    t.add("optimized", model::program_time(result.program, machine), after.time,
-          after.messages, after.words);
+    t.add("original", cost_before, before.time, before.messages, before.words);
+    t.add("optimized", cost_after, after.time, after.messages, after.words);
     t.print(std::cout);
     if (before.time > 0)
       std::cout << "\npredicted speedup: " << before.time / after.time << "x\n";
 
-    if (timeline) {
+    if (s.timeline) {
       // Timelines get unreadable beyond a screenful of processors.
       model::Machine tl = machine;
       tl.p = std::min(tl.p, 16);
@@ -688,51 +742,42 @@ int main(int argc, char** argv) {
                 << exec::render_timeline(ta, 72, tb.makespan);
     }
 
-    if (!trace_file.empty()) {
+    if (!s.trace.empty()) {
       // Stage spans plus the fine-grained machine ops beneath them, all in
       // simulated time.
       const auto events =
           exec::trace_events(exec::trace_on_simnet(result.program, machine));
-      auto f = open_output(trace_file);
-      obs::write_chrome_trace(events, f, "colopt");
-      std::cout << "\nChrome trace (" << events.size() << " events) written to "
-                << trace_file << "\n";
+      const std::string n = std::to_string(events.size());
+      write_report(s.trace, "\nChrome trace (" + n + " events)", nullptr,
+                   [&](std::ostream& os) {
+                     obs::write_chrome_trace(events, os, "colopt");
+                   });
     }
 
-    std::string drift_artifact;
-    if (drift) {
+    if (s.drift) {
       const auto ro = obs::drift_report(program, machine);
       const auto rr = obs::drift_report(result.program, machine);
       std::cout << "\n" << ro.render_text() << "\n" << rr.render_text();
-      std::ostringstream ss;
-      ss << "{\"original\":";
-      ro.write_json(ss);
-      ss << ",\"optimized\":";
-      rr.write_json(ss);
-      ss << "}\n";
-      drift_artifact = ss.str();
-      if (!drift_json.empty()) {
-        auto f = open_output(drift_json);
-        f << drift_artifact;
-        std::cout << "drift report written to " << drift_json << "\n";
-      }
+      write_report(s.drift_json, "drift report", "drift", [&](std::ostream& os) {
+        os << "{\"original\":";
+        ro.write_json(os);
+        os << ",\"optimized\":";
+        rr.write_json(os);
+        os << "}\n";
+      });
     }
 
-    if (profile) {
+    // A recorded bundle archives the profile, so --record implies it.
+    const auto provenance = rules::stage_provenance(program.size(), result.log);
+    if (s.profile || s.record) {
       obs::ProfileOptions popts;
-      popts.provenance = rules::stage_provenance(program.size(), result.log);
+      popts.provenance = provenance;
       const auto prof = obs::profile_program(result.program, machine, popts);
-      std::cout << "\n" << prof.render_text();
-      if (!profile_json.empty()) {
-        auto f = open_output(profile_json);
-        prof.write_json(f);
-        std::cout << "profile written to " << profile_json << "\n";
-      }
-      if (!profile_trace.empty()) {
-        auto f = open_output(profile_trace);
-        prof.write_chrome_trace(f);
-        std::cout << "profile trace written to " << profile_trace << "\n";
-      }
+      if (s.profile) std::cout << "\n" << prof.render_text();
+      write_report(s.profile_json, "profile", "profile",
+                   [&](std::ostream& os) { prof.write_json(os); });
+      write_report(s.profile_trace, "profile trace", nullptr,
+                   [&](std::ostream& os) { prof.write_chrome_trace(os); });
     }
 
     // Telemetry hub: the typed registry behind --metrics and --serve.
@@ -743,9 +788,41 @@ int main(int argc, char** argv) {
     obs::Registry hub;
     std::optional<rt::LiveSampler> live_sampler;
     std::optional<obs::StatsServer> server;
-
     std::optional<rt::RtReport> rt_rep;
-    if (rt_report || serve_port >= 0) {
+
+    // The stats server: before execution under --live (so scrapes and
+    // /live observe the run in flight), after everything else otherwise.
+    const auto start_server = [&]() {
+      obs::RunSummary run_summary;
+      run_summary.trace_id = obs::trace_id();
+      run_summary.program = program.show();
+      run_summary.optimized = result.program.show();
+      run_summary.started_at = obs::utc_timestamp();
+      if (s.live) run_summary.state = "live";
+      run_summary.rewrites = static_cast<int>(result.log.size());
+      run_summary.model_cost_before = cost_before;
+      run_summary.model_cost_after = cost_after;
+      if (rt_rep) run_summary.wall_ms = rt_rep->wall_ms;
+      server.emplace(hub);
+      server->add_run(run_summary);
+      server->set_run_store(store_root);
+      if (live_sampler) server->set_live(&*live_sampler);
+      std::string err;
+      if (!server->start(s.serve_port, &err)) {
+        std::cerr << "error: " << err << "\n";
+        return false;
+      }
+      server->install_signal_stop();
+      std::cout << "serving on http://127.0.0.1:" << server->port()
+                << (s.live ? " (live; GET /metrics /metrics.json /runs /live "
+                             "/live.json /healthz; Ctrl-C to stop)\n"
+                           : " (GET /metrics /metrics.json /runs "
+                             "/runs/<trace_id> /healthz; Ctrl-C to stop)\n")
+                << std::flush;
+      return true;
+    };
+
+    if (s.rt_report || s.serve_port >= 0) {
       // Run the optimized program for real on the thread executor and merge
       // the flight-recorder capture with the cost calculus' predictions.
       // Input: p blocks of small integers — safe for every arithmetic op in
@@ -759,57 +836,29 @@ int main(int argc, char** argv) {
         for (auto& v : b) v = ir::Value(rng.uniform(-1, 1));
       }
 
-      if (live) {
-        // Live mode flips the ordering: begin the run, start the sampler
-        // and the server *before* execution so scrapes and /live streams
-        // observe the run in flight.
+      if (s.live) {
         rt::LiveRunInfo info;
         info.trace_id = obs::trace_id();
         info.program = result.program.show();
         for (const auto& stage : result.program.stages())
           info.stage_labels.push_back(stage->show());
         info.ranks = static_cast<int>(machine.p);
-        info.repeats = warmup + repeat;
+        info.repeats = s.warmup + s.repeat;
         live_sampler.emplace(hub);
         live_sampler->begin_run(std::move(info));
         live_sampler->start();
-
-        obs::RunSummary run_summary;
-        run_summary.trace_id = obs::trace_id();
-        run_summary.program = program.show();
-        run_summary.optimized = result.program.show();
-        run_summary.started_at = obs::utc_timestamp();
-        run_summary.state = "live";
-        run_summary.rewrites = static_cast<int>(result.log.size());
-        run_summary.model_cost_before = model::program_time(program, machine);
-        run_summary.model_cost_after =
-            model::program_time(result.program, machine);
-        server.emplace(hub);
-        server->add_run(run_summary);
-        server->set_run_store(store_root);
-        server->set_live(&*live_sampler);
-        std::string err;
-        if (!server->start(serve_port, &err)) {
-          std::cerr << "error: " << err << "\n";
-          return 1;
-        }
-        server->install_signal_stop();
-        std::cout << "serving on http://127.0.0.1:" << server->port()
-                  << " (live; GET /metrics /metrics.json /runs /live "
-                     "/live.json /healthz; Ctrl-C to stop)\n"
-                  << std::flush;
+        if (!start_server()) return 1;
       }
 
       std::vector<double> samples_ms;
-      samples_ms.reserve(static_cast<std::size_t>(repeat));
       std::optional<exec::ThreadRunResult> run;
-      for (int it = 0; it < warmup + repeat; ++it) {
-        if (live) live_sampler->note_repeat(it);
+      for (int it = 0; it < s.warmup + s.repeat; ++it) {
+        if (s.live) live_sampler->note_repeat(it);
         auto r = exec::run_on_threads_instrumented(result.program, input);
-        if (it >= warmup) samples_ms.push_back(r.wall_seconds * 1e3);
+        if (it >= s.warmup) samples_ms.push_back(r.wall_seconds * 1e3);
         run = std::move(r);
       }
-      if (live) live_sampler->end_run();
+      if (s.live) live_sampler->end_run();
 
       rt::RtReportOptions ropts;
       ropts.model_stage_times.reserve(result.program.size());
@@ -818,30 +867,20 @@ int main(int argc, char** argv) {
             model::stage_cost(*stage).eval(machine));
       ropts.wall_seconds = run->wall_seconds;
       ropts.used_packed = run->used_packed;
-      ropts.timing = rt::RepeatStats::of(samples_ms, warmup);
+      ropts.timing = rt::RepeatStats::of(samples_ms, s.warmup);
       rt_rep = rt::build_report(run->rt, ropts);
       if (server) server->finish_run(obs::trace_id(), rt_rep->wall_ms);
-      const auto& rep = *rt_rep;
 
-      if (rt_report) std::cout << "\n" << rep.render_text();
+      if (s.rt_report) std::cout << "\n" << rt_rep->render_text();
       if (!run->rt.enabled)
         std::cout << "(runtime telemetry disabled: COLOP_RT=0 or compiled "
                      "out; per-rank and per-stage sections are empty)\n";
-      if (!rt_json.empty()) {
-        auto f = open_output(rt_json);
-        rep.write_json(f);
-        std::cout << "runtime report written to " << rt_json << "\n";
-      }
-      if (!rt_trace.empty()) {
-        auto f = open_output(rt_trace);
-        rep.write_chrome_trace(f);
-        std::cout << "runtime trace written to " << rt_trace << "\n";
-      }
-      if (!rt_html.empty()) {
-        auto f = open_output(rt_html);
-        rep.write_html(f);
-        std::cout << "runtime HTML report written to " << rt_html << "\n";
-      }
+      write_report(s.rt_json, "runtime report", "rt",
+                   [&](std::ostream& os) { rt_rep->write_json(os); });
+      write_report(s.rt_trace, "runtime trace", nullptr,
+                   [&](std::ostream& os) { rt_rep->write_chrome_trace(os); });
+      write_report(s.rt_html, "runtime HTML report", nullptr,
+                   [&](std::ostream& os) { rt_rep->write_html(os); });
     }
 
     // Every subsystem that ran publishes its snapshot into the hub by name.
@@ -871,30 +910,27 @@ int main(int argc, char** argv) {
         hub.gauge("colop_predicted_speedup",
                   "Simulated original/optimized time ratio")
             .set(before.time / after.time);
-      rules::publish_metrics(result, options.explain, hub);
+      rules::publish_metrics(result, s.options.explain, hub);
       if (search_res) rules::publish_search_metrics(*search_res, hub);
       if (vres) verify::publish_metrics(*vres, hub);
       if (rt_rep) rt::publish_registry(*rt_rep, hub);
     }
 
-    if (!metrics_file.empty()) {
-      const auto ends_with = [&](const std::string& suffix) {
-        return metrics_file.size() >= suffix.size() &&
-               metrics_file.compare(metrics_file.size() - suffix.size(),
-                                    suffix.size(), suffix) == 0;
-      };
-      auto f = open_output(metrics_file);
-      if (ends_with(".csv")) {
-        // Legacy scalar document, kept for spreadsheet-style consumers.
+    // --metrics F writes the hub as JSON unless F names another format;
+    // the bundle always archives the JSON snapshot.
+    const bool csv = s.metrics.ends_with(".csv");
+    const bool prom = s.metrics.ends_with(".prom");
+    if (csv) {
+      // Legacy scalar document, kept for spreadsheet-style consumers.
+      write_report(s.metrics, "metrics", nullptr, [&](std::ostream& os) {
         obs::MetricsRegistry reg;
         reg.set_info("trace_id", obs::trace_id());
         reg.set("p", machine.p);
         reg.set("m", machine.m);
         reg.set("ts", machine.ts);
         reg.set("tw", machine.tw);
-        reg.set("model_time_before", model::program_time(program, machine));
-        reg.set("model_time_after",
-                model::program_time(result.program, machine));
+        reg.set("model_time_before", cost_before);
+        reg.set("model_time_after", cost_after);
         reg.set("sim_time_before", before.time);
         reg.set("sim_time_after", after.time);
         reg.set("messages_before", static_cast<double>(before.messages));
@@ -904,17 +940,19 @@ int main(int argc, char** argv) {
         reg.set("rewrites_applied", static_cast<double>(result.log.size()));
         if (after.time > 0) reg.set("speedup", before.time / after.time);
         if (rt_rep) rt::publish_metrics(*rt_rep, reg);
-        reg.write_csv(f);
-      } else if (ends_with(".prom")) {
-        hub.write_prometheus(f);
-      } else {
-        hub.write_json(f);
-        f << "\n";
-      }
-      std::cout << "metrics written to " << metrics_file << "\n";
+        reg.write_csv(os);
+      });
+    } else if (prom) {
+      write_report(s.metrics, "metrics", nullptr,
+                   [&](std::ostream& os) { hub.write_prometheus(os); });
     }
+    write_report(csv || prom ? std::string() : s.metrics, "metrics", "metrics",
+                 [&](std::ostream& os) {
+                   hub.write_json(os);
+                   os << "\n";
+                 });
 
-    if (record) {
+    if (s.record) {
       obs::RunBundle bundle;
       bundle.trace_id = obs::trace_id();
       bundle.git_sha = obs::env_git_sha();
@@ -927,129 +965,21 @@ int main(int argc, char** argv) {
       if (const char* dp = std::getenv("COLOP_DATA_PLANE"))
         bundle.data_plane = dp;
       for (int a = 1; a < argc; ++a) bundle.args.emplace_back(argv[a]);
-
-      const auto kind_name = [](ir::Stage::Kind k) -> std::string {
-        switch (k) {
-          case ir::Stage::Kind::Map: return "map";
-          case ir::Stage::Kind::MapIndexed: return "map#";
-          case ir::Stage::Kind::Scan: return "scan";
-          case ir::Stage::Kind::Reduce: return "reduce";
-          case ir::Stage::Kind::AllReduce: return "allreduce";
-          case ir::Stage::Kind::Bcast: return "bcast";
-          case ir::Stage::Kind::ScanBalanced: return "scan_balanced";
-          case ir::Stage::Kind::ReduceBalanced: return "reduce_balanced";
-          case ir::Stage::Kind::AllReduceBalanced:
-            return "allreduce_balanced";
-          case ir::Stage::Kind::Iter: return "iter";
-          case ir::Stage::Kind::IStartReduce: return "istart_reduce";
-          case ir::Stage::Kind::IStartAllReduce: return "istart_allreduce";
-          case ir::Stage::Kind::IStartBcast: return "istart_bcast";
-          case ir::Stage::Kind::Wait: return "wait";
-        }
-        return "?";
-      };
-      const auto stage_records =
-          [&](const ir::Program& prog,
-              const std::vector<std::string>* provenance) {
-            std::vector<obs::StageRecord> out;
-            int idx = 0;
-            for (const auto& stage : prog.stages()) {
-              obs::StageRecord rec;
-              rec.index = idx;
-              rec.label = stage->show();
-              rec.kind = kind_name(stage->kind());
-              rec.local = stage->is_local();
-              if (provenance != nullptr &&
-                  static_cast<std::size_t>(idx) < provenance->size())
-                rec.rule = (*provenance)[static_cast<std::size_t>(idx)];
-              rec.model_time = model::stage_cost(*stage).eval(machine);
-              out.push_back(std::move(rec));
-              ++idx;
-            }
-            return out;
-          };
       bundle.program_before = program.show();
       bundle.program_after = result.program.show();
-      const auto provenance = rules::stage_provenance(program.size(), result.log);
-      bundle.stages_before = stage_records(program, nullptr);
-      bundle.stages_after = stage_records(result.program, &provenance);
-      for (const auto& step : result.log) {
-        obs::RuleRecord rec;
-        rec.rule = step.rule;
-        rec.position = step.position;
-        rec.count = step.count;
-        rec.replaced_by = step.replaced_by;
-        rec.note = step.note;
-        rec.cost_before = step.cost_before;
-        rec.cost_after = step.cost_after;
-        rec.program_after = step.program_after;
-        bundle.rules.push_back(std::move(rec));
-      }
-      bundle.model_cost_before = model::program_time(program, machine);
-      bundle.model_cost_after = model::program_time(result.program, machine);
+      bundle.stages_before = stage_records(program, machine, nullptr);
+      bundle.stages_after = stage_records(result.program, machine, &provenance);
+      for (const auto& step : result.log)
+        bundle.rules.push_back({step.rule, step.position, step.count,
+                                step.replaced_by, step.note, step.cost_before,
+                                step.cost_after, step.program_after});
+      bundle.model_cost_before = cost_before;
+      bundle.model_cost_after = cost_after;
       bundle.sim_before = {before.time, before.messages, before.words};
       bundle.sim_after = {after.time, after.messages, after.words};
       if (rt_rep) bundle.wall_ms = rt_rep->wall_ms;
-      if (search_res) {
-        obs::SearchRecord s;
-        s.strategy = rules::strategy_name(search_res->strategy);
-        s.beam_width = search_res->beam_width;
-        s.nodes_expanded = search_res->stats.nodes_expanded;
-        s.nodes_generated = search_res->stats.nodes_generated;
-        s.pruned_bound = search_res->stats.pruned_by_bound;
-        s.pruned_beam = search_res->stats.pruned_by_beam;
-        s.pruned_budget = search_res->stats.pruned_by_budget;
-        s.memo_hits = search_res->stats.memo_hits;
-        s.memo_entries = search_res->stats.memo_entries;
-        s.frontier_peak = search_res->stats.frontier_peak;
-        s.depth = search_res->stats.depth_reached;
-        s.greedy_cost = search_res->greedy_cost;
-        s.winner_cost = search_res->best.cost_final;
-        s.winner_certified =
-            search_res->winner_index < search_res->ranked.size() &&
-            search_res->ranked[search_res->winner_index].certified == 1;
-        for (const auto& r : search_res->ranked)
-          s.ranked.push_back({r.cost, r.path_text(), r.certified});
-        bundle.search = std::move(s);
-      }
-
-      // Artifacts: everything this run computed, plus the explain log,
-      // profile and hub snapshot --record implies.
-      if (!searching) {
-        std::ostringstream ss;
-        explain_log.write_json(ss);
-        bundle.artifacts["explain"] = ss.str();
-      }
-      if (search_res) {
-        std::ostringstream ss;
-        search_res->write_json(ss);
-        bundle.artifacts["search"] = ss.str();
-      }
-      {
-        obs::ProfileOptions popts;
-        popts.provenance = provenance;
-        const auto prof = obs::profile_program(result.program, machine, popts);
-        std::ostringstream ss;
-        prof.write_json(ss);
-        bundle.artifacts["profile"] = ss.str();
-      }
-      {
-        std::ostringstream ss;
-        hub.write_json(ss);
-        bundle.artifacts["metrics"] = ss.str();
-      }
-      if (!drift_artifact.empty()) bundle.artifacts["drift"] = drift_artifact;
-      if (vres) {
-        std::ostringstream ss;
-        vres->write_json(ss, lint);
-        ss << "\n";
-        bundle.artifacts["verify"] = ss.str();
-      }
-      if (rt_rep) {
-        std::ostringstream ss;
-        rt_rep->write_json(ss);
-        bundle.artifacts["rt"] = ss.str();
-      }
+      if (search_res) bundle.search = search_record(*search_res);
+      bundle.artifacts = std::move(artifacts);
 
       const obs::RunStore store(store_root);
       const std::string dir = store.save(bundle);
@@ -1065,33 +995,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (serve_port >= 0) {
-      if (!server) {
-        obs::RunSummary run_summary;
-        run_summary.trace_id = obs::trace_id();
-        run_summary.program = program.show();
-        run_summary.optimized = result.program.show();
-        run_summary.started_at = obs::utc_timestamp();
-        run_summary.rewrites = static_cast<int>(result.log.size());
-        run_summary.model_cost_before = model::program_time(program, machine);
-        run_summary.model_cost_after =
-            model::program_time(result.program, machine);
-        if (rt_rep) run_summary.wall_ms = rt_rep->wall_ms;
-
-        server.emplace(hub);
-        server->add_run(run_summary);
-        server->set_run_store(store_root);
-        std::string err;
-        if (!server->start(serve_port, &err)) {
-          std::cerr << "error: " << err << "\n";
-          return 1;
-        }
-        server->install_signal_stop();
-        std::cout << "serving on http://127.0.0.1:" << server->port()
-                  << " (GET /metrics /metrics.json /runs /runs/<trace_id> "
-                     "/healthz; Ctrl-C to stop)\n"
-                  << std::flush;
-      }
+    if (s.serve_port >= 0) {
+      if (!server && !start_server()) return 1;
       server->wait();
     }
     return verify_exit;  // 0, or 3 when --verify found the run unsound
