@@ -17,6 +17,19 @@
 //      r the largest root either side names (0 for unrooted programs),
 //      under the match's own equivalence level (rules::selfcheck_match),
 //      with a tolerance for floating-point operators (V302).
+//      Scope: a rule is an equality between compositions of stages and `;`
+//      composes functions on distributed lists, so a `full` equivalence
+//      that holds on the matched window holds inside any prefix and
+//      suffix.  The obligation is therefore discharged on the window alone
+//      (LHS = the matched stages, RHS = the replacement, inputs drawn from
+//      the window's own operators), and memoised per certify call by
+//      (rule, LHS text, RHS text, generator).  It falls back to the whole
+//      intermediate program for `root_only` matches (what a later stage
+//      does with the non-root blocks matters), for a window whose input
+//      shape is not scalar, for a window (or replacement) holding an
+//      istart whose wait lies outside it or a wait whose istart does, and
+//      for a window that throws when evaluated alone.  The obligation line
+//      names its scope: "equivalence: ok (p=…, window)" / "…, program)".
 //
 // A derivation whose every obligation is discharged comes with a
 // certificate chain; any failure is reported with the rule name and
@@ -27,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,7 +73,8 @@ struct Certificate {
   std::string side_condition;  ///< what the rule's guard consumed, rendered
   bool discharged = false;     ///< all obligations held
   /// One line per obligation: "side condition: ok (+ distributes over max,
-  /// 216 exhaustive + 100 random probes)" / "equivalence: ok (p=1..9)" ...
+  /// 216 exhaustive + 100 random probes)" / "equivalence: ok (p=1..9, …,
+  /// window)" ...
   std::vector<std::string> obligations;
 };
 
@@ -71,6 +86,12 @@ struct DerivationCertificates {
   [[nodiscard]] std::string render_text() const;
   void write_json(std::ostream& os) const;
 };
+
+/// The BinOps a run of stages carries, in stage order; an istart carries
+/// the operator of its blocking twin.  Bcast, map, balanced and wait
+/// stages carry none.
+[[nodiscard]] std::vector<ir::BinOpPtr> stage_ops(
+    std::span<const ir::StagePtr> stages);
 
 /// The side condition a named rule consumes, e.g. "⊗ distributes over ⊕"
 /// (docs/RULES.md lists the full table).  Unknown rules map to
@@ -90,7 +111,9 @@ struct DerivationCertificates {
 /// shared path prefixes and in rule-order permutations that pass through
 /// the same intermediate program.  Per-step obligation chains are cached
 /// by (intermediate program, rule application) identity, so each shared
-/// step is discharged exactly once across the whole batch.
+/// step is discharged exactly once across the whole batch; beneath that,
+/// window equivalence verdicts are shared by every step whose window and
+/// replacement read the same.
 struct SequenceCertification {
   std::vector<DerivationCertificates> paths;  ///< certificates, input order
   std::size_t discharged_steps = 0;  ///< obligation chains actually replayed

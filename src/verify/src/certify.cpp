@@ -1,11 +1,13 @@
 #include "colop/verify/certify.h"
 
+#include <algorithm>
 #include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <unordered_map>
 
+#include "colop/ir/shapes.h"
 #include "colop/obs/json.h"
 #include "colop/rules/selfcheck.h"
 #include "colop/support/error.h"
@@ -33,34 +35,6 @@ const std::set<std::string>& commutativity_rules() {
   return s;
 }
 
-/// BinOps carried by the stages of one match window, in program order.
-std::vector<BinOpPtr> window_ops(const Program& prog, std::size_t first,
-                                 std::size_t count) {
-  std::vector<BinOpPtr> ops;
-  for (std::size_t i = first; i < first + count && i < prog.size(); ++i) {
-    const Stage& st = prog.stage(i);
-    switch (st.kind()) {
-      case Stage::Kind::Scan:
-        ops.push_back(static_cast<const ir::ScanStage&>(st).op);
-        break;
-      case Stage::Kind::Reduce:
-        ops.push_back(static_cast<const ir::ReduceStage&>(st).op);
-        break;
-      case Stage::Kind::AllReduce:
-        ops.push_back(static_cast<const ir::AllReduceStage&>(st).op);
-        break;
-      default:
-        break;  // bcast/map/balanced stages carry no declared BinOp
-    }
-  }
-  return ops;
-}
-
-/// Every BinOp anywhere in a program (for generator selection).
-std::vector<BinOpPtr> program_ops(const Program& prog) {
-  return window_ops(prog, 0, prog.size());
-}
-
 struct GenChoice {
   rules::ElemGen gen;
   double rel_tol = 0;
@@ -73,11 +47,11 @@ Value random_mat(Rng& rng) {
                           Value(rng.uniform(-2, 2))});
 }
 
-/// Input-element generator matching the program's value domain.  Small
-/// magnitudes keep multiplicative chains in exact range.
-GenChoice choose_generator(const Program& prog) {
+/// Input-element generator matching the value domain of a run of stages.
+/// Small magnitudes keep multiplicative chains in exact range.
+GenChoice choose_generator(std::span<const ir::StagePtr> stages) {
   bool has_mat = false, has_real = false, has_gcd = false;
-  for (const auto& op : program_ops(prog)) {
+  for (const auto& op : stage_ops(stages)) {
     const std::string& n = op->name();
     has_mat |= n == "mat2";
     has_real |= n == "f+" || n == "f*";
@@ -92,6 +66,89 @@ GenChoice choose_generator(const Program& prog) {
     return {[](Rng& rng) { return Value(rng.uniform(0, 40)); }, 0,
             "nonneg[0,40]"};
   return {[](Rng& rng) { return Value(rng.uniform(-9, 9)); }, 0, "int[-9,9]"};
+}
+
+/// The stages a match consumes.
+std::span<const ir::StagePtr> window_of(const Program& prog,
+                                        const rules::RuleMatch& match) {
+  return std::span(prog.stages()).subspan(match.first, match.count);
+}
+
+/// Every request an istart in `stages` issues is completed by a wait in
+/// `stages`, and every wait there completes such a request.
+bool requests_closed(std::span<const ir::StagePtr> stages) {
+  std::vector<int> issued, completed;
+  for (const auto& st : stages) {
+    if (ir::is_istart(st->kind()))
+      issued.push_back(ir::splitphase_handle(*st));
+    else if (st->kind() == Stage::Kind::Wait)
+      completed.push_back(ir::splitphase_handle(*st));
+  }
+  std::ranges::sort(issued);
+  std::ranges::sort(completed);
+  return issued == completed;
+}
+
+/// Whether the equivalence of `match` can be discharged on its window
+/// alone.  `;` composes functions on distributed lists, so a full
+/// equivalence of the window holds inside any prefix and suffix — provided
+/// the window's scalar inputs cover what the prefix hands it and both
+/// sides own every request they touch.
+bool window_stands_alone(const Program& prog, const rules::RuleMatch& match) {
+  if (match.equivalence != rules::Equivalence::full) return false;
+  try {
+    if (!ir::shape_before(prog, match.first).is_scalar()) return false;
+  } catch (const Error&) {
+    return false;
+  }
+  return requests_closed(window_of(prog, match)) &&
+         requests_closed(match.replacement);
+}
+
+/// Window equivalence verdicts of one certify call, keyed by (rule, LHS
+/// text, RHS text, generator name); nullopt when the window threw when
+/// evaluated alone.
+using WindowVerdicts =
+    std::unordered_map<std::string, std::optional<rules::SelfCheckResult>>;
+
+struct EquivalenceCheck {
+  rules::SelfCheckResult result;
+  std::string inputs;  ///< the generator's name
+  const char* scope;   ///< "window" or "program"
+};
+
+/// Obligation 3 on the smallest scope that proves it: the window when it
+/// stands alone and evaluates, else the whole program (which may throw).
+EquivalenceCheck check_equivalence(const Program& prog,
+                                   const rules::RuleMatch& match,
+                                   const CertifyOptions& opts,
+                                   WindowVerdicts& windows) {
+  if (window_stands_alone(prog, match)) {
+    const auto window = window_of(prog, match);
+    const Program lhs(std::vector<ir::StagePtr>(window.begin(), window.end()));
+    const GenChoice gen = choose_generator(window);
+    const std::string key = match.rule_name + '\x1f' + lhs.show() + '\x1f' +
+                            Program(match.replacement).show() + '\x1f' +
+                            gen.name;
+    const auto [it, fresh] = windows.try_emplace(key);
+    if (fresh) {
+      rules::RuleMatch local = match;
+      local.first = 0;
+      try {
+        it->second = rules::selfcheck_match(lhs, local, gen.gen, opts.max_p,
+                                            opts.trials_per_p, opts.block,
+                                            opts.seed, gen.rel_tol);
+      } catch (const Error&) {
+        // Not evaluable alone: the whole program decides below.
+      }
+    }
+    if (it->second) return {*it->second, gen.name, "window"};
+  }
+  const GenChoice gen = choose_generator(prog.stages());
+  return {rules::selfcheck_match(prog, match, gen.gen, opts.max_p,
+                                 opts.trials_per_p, opts.block, opts.seed,
+                                 gen.rel_tol),
+          gen.name, "program"};
 }
 
 Diagnostic cert_diag(Severity sev, std::string code, const Program& prog,
@@ -111,6 +168,28 @@ Diagnostic cert_diag(Severity sev, std::string code, const Program& prog,
 }
 
 }  // namespace
+
+std::vector<BinOpPtr> stage_ops(std::span<const ir::StagePtr> stages) {
+  std::vector<BinOpPtr> ops;
+  for (const auto& st : stages) {
+    switch (st->kind()) {
+      case Stage::Kind::Scan:
+        ops.push_back(static_cast<const ir::ScanStage&>(*st).op);
+        break;
+      case Stage::Kind::Reduce:
+      case Stage::Kind::IStartReduce:
+        ops.push_back(static_cast<const ir::ReduceStage&>(*st).op);
+        break;
+      case Stage::Kind::AllReduce:
+      case Stage::Kind::IStartAllReduce:
+        ops.push_back(static_cast<const ir::AllReduceStage&>(*st).op);
+        break;
+      default:
+        break;  // bcast/map/balanced/wait stages carry no declared BinOp
+    }
+  }
+  return ops;
+}
 
 std::string side_condition_of(const std::string& rule_name) {
   if (distributivity_rules().contains(rule_name))
@@ -146,7 +225,7 @@ struct StepOutcome {
 StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
                          const std::vector<rules::RulePtr>& rules,
                          const PropertyCheckOptions& popts,
-                         const CertifyOptions& opts) {
+                         const CertifyOptions& opts, WindowVerdicts& windows) {
   StepOutcome out;
   Certificate& cert = out.cert;
   cert.rule = step.rule;
@@ -190,7 +269,7 @@ StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
 
   // Obligation 2: the algebraic side condition, re-established on the
   // matched operators by checking, not by trusting declarations.
-  const auto ops = window_ops(prog, match->first, match->count);
+  const auto ops = stage_ops(window_of(prog, *match));
   for (const auto& op : ops) {
     const ValueDomain dom = domain_for(*op);
     if (auto cx = find_assoc_counterexample(*op, dom, popts)) {
@@ -273,18 +352,17 @@ StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
   }
 
   // Obligation 3: extensional LHS == RHS under the match's own
-  // equivalence level, differentially through eval_reference.
-  const GenChoice gen = choose_generator(prog);
+  // equivalence level, differentially through eval_reference, on the
+  // matched window when it stands alone, else on the whole program.
   try {
-    const auto res = rules::selfcheck_match(
-        prog, *match, gen.gen, opts.max_p, opts.trials_per_p, opts.block,
-        opts.seed, gen.rel_tol);
+    const EquivalenceCheck chk = check_equivalence(prog, *match, opts, windows);
+    const auto& res = chk.result;
     if (res.ok) {
       cert.obligations.push_back(
           "equivalence: ok (p=" + std::to_string(res.first_p) + ".." +
           std::to_string(opts.max_p) + ", " +
-          std::to_string(opts.trials_per_p) + " trial(s)/p, " + gen.name +
-          " inputs)");
+          std::to_string(opts.trials_per_p) + " trial(s)/p, " + chk.inputs +
+          " inputs, " + chk.scope + ")");
     } else {
       ok = false;
       cert.obligations.push_back("equivalence: FAILED — " +
@@ -300,8 +378,8 @@ StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
   } catch (const Error& e) {
     out.report.add(cert_diag(
         Severity::warning, "V304", prog, step,
-        std::string("equivalence obligation not evaluable with ") +
-            gen.name + " inputs: " + e.what(),
+        "equivalence obligation not evaluable with " +
+            choose_generator(prog.stages()).name + " inputs: " + e.what(),
         "the program needs a custom input generator to be certified"));
     cert.obligations.push_back(std::string("equivalence: NOT EVALUABLE — ") +
                                e.what());
@@ -337,9 +415,10 @@ DerivationCertificates certify_derivation(
   popts.random_trials = opts.property_trials;
   popts.seed = opts.seed;
 
+  WindowVerdicts windows;
   Program prog = source;
   for (const auto& step : log) {
-    StepOutcome o = certify_step(prog, step, rules, popts, opts);
+    StepOutcome o = certify_step(prog, step, rules, popts, opts, windows);
     out.certificates.push_back(std::move(o.cert));
     out.report.merge(std::move(o.report));
     if (!o.next) break;
@@ -360,6 +439,7 @@ SequenceCertification certify_sequences(
   popts.seed = opts.seed;
 
   std::unordered_map<std::string, StepOutcome> cache;
+  WindowVerdicts windows;
   for (const auto& log : paths) {
     DerivationCertificates certs;
     Program prog = source;
@@ -367,7 +447,7 @@ SequenceCertification certify_sequences(
       auto it = cache.find(step_cache_key(prog, step));
       if (it == cache.end()) {
         it = cache.emplace(step_cache_key(prog, step),
-                           certify_step(prog, step, rules, popts, opts))
+                           certify_step(prog, step, rules, popts, opts, windows))
                  .first;
         ++out.discharged_steps;
       } else {

@@ -15,26 +15,8 @@ namespace {
 std::vector<ir::BinOpPtr> used_ops(const ir::Program& prog) {
   std::vector<ir::BinOpPtr> ops;
   std::set<std::string> seen;
-  const auto add = [&](const ir::BinOpPtr& op) {
-    if (op && seen.insert(op->name()).second) ops.push_back(op);
-  };
-  for (const auto& stage : prog.stages()) {
-    switch (stage->kind()) {
-      case ir::Stage::Kind::Scan:
-        add(static_cast<const ir::ScanStage&>(*stage).op);
-        break;
-      case ir::Stage::Kind::Reduce:
-      case ir::Stage::Kind::IStartReduce:
-        add(static_cast<const ir::ReduceStage&>(*stage).op);
-        break;
-      case ir::Stage::Kind::AllReduce:
-      case ir::Stage::Kind::IStartAllReduce:
-        add(static_cast<const ir::AllReduceStage&>(*stage).op);
-        break;
-      default:
-        break;
-    }
-  }
+  for (auto& op : stage_ops(prog.stages()))
+    if (op && seen.insert(op->name()).second) ops.push_back(std::move(op));
   return ops;
 }
 

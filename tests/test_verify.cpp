@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "colop/ir/ir.h"
+#include "colop/ir/parse.h"
 #include "colop/model/machine.h"
 #include "colop/rules/derived_ops.h"
 #include "colop/rules/optimizer.h"
@@ -347,6 +348,8 @@ TEST(ScheduleAnalyzer, DiagnosticsCarryRuleProvenance) {
 rules::RulePtr rule_named(const std::string& name) {
   for (const auto& r : rules::all_rules())
     if (r->name() == name) return r;
+  for (const auto& r : rules::overlap_rules())
+    if (r->name() == name) return r;
   return nullptr;
 }
 
@@ -503,6 +506,75 @@ TEST(Certificates, RootBeyondMaxPIsNotEvaluable) {
                 .rfind("equivalence: NOT EVALUABLE", 0),
             0u)
       << certs.render_text();
+}
+
+/// The equivalence obligation of the one-step derivation of `rule_name`
+/// at its first match in `prog`, after checking it discharged cleanly.
+std::string discharged_equivalence(const std::string& rule_name,
+                                   const Program& prog) {
+  const auto certs =
+      certify_derivation(prog, {first_match_step(rule_name, prog)});
+  EXPECT_TRUE(certs.ok()) << certs.report.render_text();
+  EXPECT_FALSE(has_code(certs.report, "V304")) << certs.report.render_text();
+  EXPECT_EQ(certs.certificates.size(), 1u);
+  if (certs.certificates.empty()) return {};
+  EXPECT_TRUE(certs.certificates[0].discharged) << certs.render_text();
+  return equivalence_line(certs.certificates[0]);
+}
+
+TEST(Certificates, MisdeclaredAssociativityIsCaughtOnTheWindow) {
+  // RB-Allreduce at position 1 matches on the (false) declaration; the
+  // window check alone must still refute it: the side condition (V301)
+  // and the tree-scheduled evaluation of reduce(minus) ; bcast (V302).
+  const auto minus = BinOp::make(
+      {.name = "minus", .fn = sub, .associative = true});
+  Program prog;
+  prog.scan(ir::op_add()).reduce(minus).bcast().scan(ir::op_add());
+  const auto step = first_match_step("RB-Allreduce", prog);
+  ASSERT_EQ(step.position, 1u);
+  const auto certs = certify_derivation(prog, {step});
+  EXPECT_FALSE(certs.ok());
+  EXPECT_TRUE(has_code(certs.report, "V301")) << certs.report.render_text();
+  EXPECT_TRUE(has_code(certs.report, "V302")) << certs.report.render_text();
+  ASSERT_EQ(certs.certificates.size(), 1u);
+  EXPECT_FALSE(certs.certificates[0].discharged);
+  const std::string eq = equivalence_line(certs.certificates[0]);
+  EXPECT_EQ(eq.rfind("equivalence: FAILED", 0), 0u) << certs.render_text();
+  EXPECT_NE(eq.find("lhs = reduce(minus) ; bcast\n"), std::string::npos)
+      << eq;
+}
+
+TEST(Certificates, FullMatchIsDischargedOnItsWindow) {
+  Program prog;
+  prog.scan(ir::op_add()).reduce(ir::op_add()).bcast().scan(ir::op_add());
+  const std::string eq = discharged_equivalence("RB-Allreduce", prog);
+  EXPECT_EQ(eq.rfind("equivalence: ok (p=1..9, ", 0), 0u) << eq;
+  EXPECT_TRUE(eq.ends_with(" int[-9,9] inputs, window)")) << eq;
+}
+
+TEST(Certificates, FallbacksAreDischargedOnTheProgram) {
+  const std::vector<std::pair<std::string, std::string>> table = {
+      // root_only: what follows decides whether the non-root blocks matter.
+      {"SR-Reduction", "scan(+) ; reduce(+) ; bcast"},
+      // The request wait(h=1) completes is issued outside the window.
+      {"Wait-Sink", "istart_allreduce(+,h=1) ; wait(h=1) ; map(id)"},
+      // The window reads the pairs map(pair) makes; scalar inputs miss them.
+      {"BB-Elim", "map(pair) ; bcast ; bcast"},
+  };
+  for (const auto& [rule, text] : table) {
+    const std::string eq =
+        discharged_equivalence(rule, ir::parse_program(text));
+    EXPECT_TRUE(eq.ends_with(", program)")) << rule << ": " << eq;
+  }
+}
+
+TEST(Certificates, IStartOperatorPicksTheGenerator) {
+  // The program's only mat2 sits in an istart: its inputs must still be
+  // 4-tuples, not integers that mat2 rejects (V304 "not a tuple").
+  const Program prog =
+      ir::parse_program("istart_allreduce(mat2,h=1) ; wait(h=1) ; map(pair)");
+  const std::string eq = discharged_equivalence("Wait-Sink", prog);
+  EXPECT_TRUE(eq.ends_with(" mat2[-2,2] inputs, program)")) << eq;
 }
 
 TEST(Certificates, ForgedDerivationFailsReplay) {

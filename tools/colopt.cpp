@@ -137,7 +137,6 @@ enum class Form {
 struct Operand {
   std::string flag;      // the flag's name, for bad_value
   const char* const* v;  // the words; nullptr for an optional flag given bare
-  bool inline_eq;        // given as --x=V
 };
 
 int int_at_least(const Operand& o, int lo, const char* expected) {
@@ -202,11 +201,7 @@ const Flag kFlags[] = {
              "                 rule paths, cost gaps and search statistics\n",
      .form = Form::bare, .on = &Settings::search_report},
     {.help = "  --search-report-json F write the search report as JSON to file F\n",
-     .form = Form::word_eq, .text = &Settings::search_report_json,
-     .apply = [](Settings& s, const Operand& o) {
-       if (o.inline_eq && s.search_report_json.empty())
-         bad_value(o.flag, "", "a file name");
-     }},
+     .form = Form::word_eq, .text = &Settings::search_report_json},
     {.help = "  --exhaustive   alias for --opt=exhaustive\n", .form = Form::bare,
      .on = &Settings::exhaustive},
     {.help = "  --strict       require full equivalence (reject root-only rewrites\n"
@@ -294,11 +289,7 @@ const Flag kFlags[] = {
              "                 under DIR/<trace_id>/ (default $COLOP_RUN_DIR, else\n"
              "                 .colop/runs); honors $COLOP_RUN_RETENTION, e.g.\n"
              "                 \"count=32,age=604800\"\n",
-     .form = Form::optional, .text = &Settings::record_dir, .on = &Settings::record,
-     .apply = [](Settings& s, const Operand& o) {
-       if (o.v != nullptr && s.record_dir.empty())
-         bad_value(o.flag, "", "a directory");
-     }},
+     .form = Form::optional, .text = &Settings::record_dir, .on = &Settings::record},
     {.help = "  --store DIR    run-store root for --diff and --serve lookups\n"
              "                 (default: the --record DIR, else $COLOP_RUN_DIR,\n"
              "                 else .colop/runs)\n",
@@ -385,6 +376,13 @@ std::string_view name_of(const Flag& f) {
   return u.substr(0, u.find_first_of(" =["));
 }
 
+// The operand's placeholder in the usage line: F, DIR, N, S, ...
+std::string_view operand_of(const Flag& f) {
+  std::string_view u = std::string_view(f.help).substr(2 + name_of(f).size());
+  u.remove_prefix(std::min(u.find_first_not_of(" =["), u.size()));
+  return u.substr(0, u.find_first_of(" ]\n"));
+}
+
 void usage() {
   std::cerr << "usage: colopt [options] \"<program>\"\n";
   for (const auto& f : kFlags) std::cerr << f.help;
@@ -429,12 +427,18 @@ Settings parse_args(int argc, char** argv) {
       words = argv + i + 1;
       i += n;
     }
-    if (flag->text != nullptr && words != nullptr) s.*flag->text = words[0];
+    if (flag->text != nullptr && words != nullptr) {
+      // An empty path names no file or directory.
+      const std::string_view operand = operand_of(*flag);
+      if ((operand == "F" || operand == "DIR") && *words[0] == '\0')
+        bad_value(std::string(name_of(*flag)), "",
+                  operand == "F" ? "a file name" : "a directory");
+      s.*flag->text = words[0];
+    }
     if (flag->on != nullptr) s.*flag->on = true;
     if (flag->also != nullptr) s.*flag->also = true;
     if (flag->apply != nullptr)
-      flag->apply(s, {std::string(name_of(*flag)), words,
-                      inline_value != nullptr});
+      flag->apply(s, {std::string(name_of(*flag)), words});
   }
 
   // Cross-flag consistency (exit 2 like any other usage error: a flag
