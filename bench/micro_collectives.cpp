@@ -51,6 +51,21 @@ void BM_RunOnThreadsSmall(benchmark::State& state) {
 BENCHMARK(BM_RunOnThreadsSmall)->Arg(2)->Arg(5)->Arg(9)
     ->Unit(benchmark::kMicrosecond);
 
+// The same launch with the ranks as fibers on the calling thread, the way
+// rewrite certification runs it.
+void BM_RunOnFibersSmall(benchmark::State& state) {
+  const int p = static_cast<int>(state.range(0));
+  const ir::Program prog = ir::parse_program("scan(+) ; reduce(+) ; bcast");
+  ir::Dist input(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) input[static_cast<std::size_t>(r)] = {r, -r};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exec::run_on_threads(
+        prog, input, ir::DataPlane::Auto, mpsim::Ranks::fibers));
+  }
+}
+BENCHMARK(BM_RunOnFibersSmall)->Arg(2)->Arg(5)->Arg(9)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_Bcast(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto block = make_block(static_cast<std::size_t>(state.range(1)));

@@ -1,10 +1,14 @@
 #pragma once
-// Thread executor: run an ir::Program on the mpsim SPMD runtime (rank 0
-// on the calling thread, the others on the persistent rank pool), with
+// Thread executor: run an ir::Program on the mpsim SPMD runtime, with
 // blocks of Values as rank-local state and the real collective schedules
-// moving data.  This is the "MPI execution" of
-// a program; tests use it to confirm that every optimization rule is a
-// semantic equality on the wire, not just in the reference semantics.
+// moving data.  This is the "MPI execution" of a program; tests use it to
+// confirm that every optimization rule is a semantic equality on the wire,
+// not just in the reference semantics.  `ranks` picks how the p ranks run
+// (mpsim/rank_pool.h): Ranks::threads, the default, puts rank 0 on the
+// calling thread and the others on the persistent rank pool; rule
+// certification passes Ranks::fibers, which runs the same stage loop and
+// collectives as fibers on the calling thread.  Outputs and traffic are
+// the same either way.
 //
 // When the program and data are packable (colop/ir/packed_eval.h) the
 // executor runs on the flat data plane instead: rank-local state is a
@@ -24,8 +28,10 @@ namespace colop::exec {
 
 /// Execute `prog` with input.size() ranks; element i of the result is the
 /// final block held by processor i.
-[[nodiscard]] ir::Dist run_on_threads(const ir::Program& prog, ir::Dist input,
-                                      ir::DataPlane plane = ir::DataPlane::Auto);
+[[nodiscard]] ir::Dist run_on_threads(
+    const ir::Program& prog, ir::Dist input,
+    ir::DataPlane plane = ir::DataPlane::Auto,
+    mpsim::Ranks ranks = mpsim::Ranks::threads);
 
 struct ThreadRunResult {
   ir::Dist output;
@@ -44,7 +50,8 @@ struct ThreadRunResult {
 /// not fit the flat plane).
 [[nodiscard]] ThreadRunResult run_on_threads_instrumented(
     const ir::Program& prog, ir::Dist input,
-    ir::DataPlane plane = ir::DataPlane::Auto);
+    ir::DataPlane plane = ir::DataPlane::Auto,
+    mpsim::Ranks ranks = mpsim::Ranks::threads);
 
 /// Execute a single stage on one rank (exposed for custom SPMD drivers).
 void exec_stage(const ir::Stage& stage, mpsim::Comm& comm, ir::Block& block);

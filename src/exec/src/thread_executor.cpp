@@ -283,7 +283,8 @@ namespace {
 // Both entry points: `capture_rt` copies the flight recorders into the
 // result, which only the instrumented one returns.
 ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
-                            ir::DataPlane plane, bool capture_rt) {
+                            ir::DataPlane plane, mpsim::Ranks ranks,
+                            bool capture_rt) {
   COLOP_REQUIRE(!input.empty(), "run_on_threads: empty input");
   const auto p = static_cast<int>(input.size());
   if (plane == ir::DataPlane::Auto) plane = ir::data_plane_from_env();
@@ -300,7 +301,8 @@ ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
                     prog, comm,
                     std::move((*packed)[static_cast<std::size_t>(comm.rank())]),
                     true, exec_stage_packed);
-              });
+              },
+              ranks);
       const auto t1 = std::chrono::steady_clock::now();
       return {ir::unpack_dist(output), traffic,
               std::chrono::duration<double>(t1 - t0).count(), true,
@@ -337,7 +339,8 @@ ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
               }
               exec_stage(st, c, b);
             });
-      });
+      },
+      ranks);
   const auto t1 = std::chrono::steady_clock::now();
   return {std::move(output), traffic,
           std::chrono::duration<double>(t1 - t0).count(), false,
@@ -347,14 +350,14 @@ ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
 }  // namespace
 
 ir::Dist run_on_threads(const ir::Program& prog, ir::Dist input,
-                        ir::DataPlane plane) {
-  return run_threads(prog, std::move(input), plane, false).output;
+                        ir::DataPlane plane, mpsim::Ranks ranks) {
+  return run_threads(prog, std::move(input), plane, ranks, false).output;
 }
 
 ThreadRunResult run_on_threads_instrumented(const ir::Program& prog,
-                                            ir::Dist input,
-                                            ir::DataPlane plane) {
-  return run_threads(prog, std::move(input), plane, true);
+                                            ir::Dist input, ir::DataPlane plane,
+                                            mpsim::Ranks ranks) {
+  return run_threads(prog, std::move(input), plane, ranks, true);
 }
 
 }  // namespace colop::exec

@@ -81,14 +81,14 @@ class Comm {
       rec_->log(rt::Ev::barrier_begin);
       rt_stats_->blocked.store(1, std::memory_order_relaxed);
       const std::uint64_t t0 = rec_->now_ns();
-      group_->barrier();
+      group_->barrier(rank_);
       rt_stats_->barrier_wait_ns.fetch_add(rec_->now_ns() - t0,
                                            std::memory_order_relaxed);
       rt_stats_->blocked.store(0, std::memory_order_relaxed);
       rt_stats_->barriers.fetch_add(1, std::memory_order_relaxed);
       rec_->log(rt::Ev::barrier_end);
     } else {
-      group_->barrier();
+      group_->barrier(rank_);
     }
   }
 

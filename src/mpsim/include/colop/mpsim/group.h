@@ -44,9 +44,10 @@ class Group {
   [[nodiscard]] rt::Fleet& fleet() noexcept { return fleet_; }
   [[nodiscard]] const rt::Fleet& fleet() const noexcept { return fleet_; }
 
-  /// Block until all `size()` ranks have entered; reusable (generational).
-  /// Throws colop::Error if the group is aborted while waiting.
-  void barrier();
+  /// Block `rank` until all `size()` ranks have entered; reusable
+  /// (generational).  Throws colop::Error if the group is aborted while
+  /// waiting, or if the ranks run on fibers and the launch deadlocks.
+  void barrier(int rank);
 
   /// Mark the group as aborted and wake every blocked rank.  Used when one
   /// SPMD thread throws so the others do not deadlock in recv/barrier.

@@ -23,7 +23,8 @@ class Mailbox {
   void put(Message msg);
 
   /// Block until a message from (source, tag) is available and remove it.
-  /// Throws colop::Error if the group is aborted while waiting.
+  /// Throws colop::Error if the group is aborted while waiting, or if the
+  /// owner runs on a fiber and its launch deadlocks.
   Message take(int source, int tag);
 
   /// Non-blocking probe: true iff a matching message is queued.
@@ -38,10 +39,15 @@ class Mailbox {
   /// Install the group's abort flag (set once at group construction).
   void set_abort_flag(const std::atomic<bool>* aborted) { aborted_ = aborted; }
 
-  /// Install the owning rank's telemetry slot (rt::Fleet; may be null).
-  /// put() then accounts queue depth / bytes in flight, take() accounts
-  /// blocked receive time.
-  void set_telemetry(rt::RankStats* stats) { stats_ = stats; }
+  /// Name the owning rank and its group's telemetry.  put() then accounts
+  /// queue depth / bytes in flight in the rank's slot (when the fleet is
+  /// enabled), take() accounts blocked receive time, and a deadlocked
+  /// take() names the rank and its stage.
+  void set_owner(int rank, rt::Fleet& fleet) {
+    owner_ = rank;
+    fleet_ = &fleet;
+    stats_ = fleet.stats(rank);
+  }
 
  private:
   struct Key {
@@ -61,6 +67,8 @@ class Mailbox {
   std::condition_variable cv_;
   std::unordered_map<Key, std::deque<Message>, KeyHash> queues_;
   const std::atomic<bool>* aborted_ = nullptr;
+  int owner_ = 0;
+  rt::Fleet* fleet_ = nullptr;
   rt::RankStats* stats_ = nullptr;
 };
 

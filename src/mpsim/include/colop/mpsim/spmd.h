@@ -1,9 +1,14 @@
 #pragma once
 // SPMD launcher: run one function body on p ranks, exactly like
-// `mpirun -np p` over a shared-memory transport.  Rank 0 runs on the
-// calling thread and ranks 1..p-1 on parked workers of a persistent pool
-// (rank_pool.h); the group's shared state comes from Group::make, which
-// reuses the one a previous clean launch of the same size left behind.
+// `mpirun -np p` over a shared-memory transport.  A Ranks argument
+// (rank_pool.h) picks how the ranks run.  Ranks::threads, the default, runs
+// rank 0 on the calling thread and ranks 1..p-1 on parked workers of a
+// persistent pool.  Ranks::fibers runs all p ranks as fibers on the
+// calling thread, which more than halves the cost of a short launch and
+// turns a deadlock into an immediate error naming each blocked rank; rule
+// certification launches that way.  The group's shared state comes from
+// Group::make, which reuses the one a previous clean launch of the same
+// size left behind.
 //
 // Exception safety: if any rank throws, the group is aborted so that ranks
 // blocked in recv/barrier wake up and unwind; the first "real" exception is
@@ -36,8 +41,8 @@ namespace colop::mpsim {
 namespace detail {
 
 template <typename Body>
-void run_spmd_impl(int nprocs, Body&& body,
-                   const std::shared_ptr<Group>& group) {
+void run_spmd_impl(int nprocs, Body&& body, const std::shared_ptr<Group>& group,
+                   Ranks ranks) {
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs));
 
   // While a live run is active its sampler reads this launch's fleet.
@@ -59,10 +64,13 @@ void run_spmd_impl(int nprocs, Body&& body,
       group->abort();
     }
   };
-  run_on_pool(
-      nprocs,
-      [](void* ctx, int r) { (*static_cast<decltype(rank_main)*>(ctx))(r); },
-      &rank_main);
+  const RankTask task = [](void* ctx, int r) {
+    (*static_cast<decltype(rank_main)*>(ctx))(r);
+  };
+  if (ranks == Ranks::fibers)
+    run_on_fibers(nprocs, task, &rank_main);
+  else
+    run_on_pool(nprocs, task, &rank_main);
   if (watchdog) watchdog->stop();
 
   // Prefer the originating exception over secondary "group aborted" ones.
@@ -116,17 +124,18 @@ void run_spmd_impl(int nprocs, Body&& body,
 
 /// Run `body(Comm&)` on `nprocs` ranks and wait for completion.
 template <typename Body>
-void run_spmd(int nprocs, Body&& body) {
+void run_spmd(int nprocs, Body&& body, Ranks ranks = Ranks::threads) {
   COLOP_REQUIRE(nprocs >= 1, "mpsim: need at least one rank");
   auto group = Group::make(nprocs);
-  detail::run_spmd_impl(nprocs, std::forward<Body>(body), group);
+  detail::run_spmd_impl(nprocs, std::forward<Body>(body), group, ranks);
 }
 
 /// Run `body(Comm&) -> R` on `nprocs` ranks; returns the per-rank results
 /// indexed by rank.  This is the main entry point used by tests: the result
 /// vector is exactly the paper's distributed list [x1, ..., xn].
 template <typename R, typename Body>
-[[nodiscard]] std::vector<R> run_spmd_collect(int nprocs, Body&& body) {
+[[nodiscard]] std::vector<R> run_spmd_collect(int nprocs, Body&& body,
+                                              Ranks ranks = Ranks::threads) {
   static_assert(!std::is_same_v<R, bool>,
                 "run_spmd_collect<bool> races: vector<bool> bit-packs and "
                 "ranks write their slots concurrently — collect int or char");
@@ -136,7 +145,7 @@ template <typename R, typename Body>
   detail::run_spmd_impl(
       nprocs,
       [&](Comm& comm) { results[static_cast<std::size_t>(comm.rank())] = body(comm); },
-      group);
+      group, ranks);
   return results;
 }
 
@@ -145,7 +154,8 @@ template <typename R, typename Body>
 /// the ranks start and to snapshot it after they finish.
 template <typename R, typename Body>
 [[nodiscard]] std::pair<std::vector<R>, TrafficCounters>
-run_spmd_collect_traffic_on(const std::shared_ptr<Group>& group, Body&& body) {
+run_spmd_collect_traffic_on(const std::shared_ptr<Group>& group, Body&& body,
+                            Ranks ranks = Ranks::threads) {
   static_assert(!std::is_same_v<R, bool>,
                 "collecting bool races: vector<bool> bit-packs and ranks "
                 "write their slots concurrently — collect int or char");
@@ -154,17 +164,17 @@ run_spmd_collect_traffic_on(const std::shared_ptr<Group>& group, Body&& body) {
   detail::run_spmd_impl(
       group->size(),
       [&](Comm& comm) { results[static_cast<std::size_t>(comm.rank())] = body(comm); },
-      group);
+      group, ranks);
   return {std::move(results), group->stats().snapshot()};
 }
 
 /// As run_spmd_collect, but also returns the group's traffic counters.
 template <typename R, typename Body>
 [[nodiscard]] std::pair<std::vector<R>, TrafficCounters> run_spmd_collect_traffic(
-    int nprocs, Body&& body) {
+    int nprocs, Body&& body, Ranks ranks = Ranks::threads) {
   COLOP_REQUIRE(nprocs >= 1, "mpsim: need at least one rank");
   auto group = Group::make(nprocs);
-  return run_spmd_collect_traffic_on<R>(group, std::forward<Body>(body));
+  return run_spmd_collect_traffic_on<R>(group, std::forward<Body>(body), ranks);
 }
 
 /// As run_spmd, but also returns the group's traffic counters.
@@ -172,7 +182,8 @@ template <typename Body>
 [[nodiscard]] TrafficCounters run_spmd_traffic(int nprocs, Body&& body) {
   COLOP_REQUIRE(nprocs >= 1, "mpsim: need at least one rank");
   auto group = Group::make(nprocs);
-  detail::run_spmd_impl(nprocs, std::forward<Body>(body), group);
+  detail::run_spmd_impl(nprocs, std::forward<Body>(body), group,
+                        Ranks::threads);
   return group->stats().snapshot();
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "colop/mpsim/rank_pool.h"
 #include "colop/support/error.h"
 
 namespace colop::mpsim {
@@ -75,7 +76,7 @@ Group::Group(int size)
   for (int i = 0; i < size; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
     mailboxes_.back()->set_abort_flag(&aborted_);
-    mailboxes_.back()->set_telemetry(fleet_.stats(i));
+    mailboxes_.back()->set_owner(i, fleet_);
   }
 }
 
@@ -84,15 +85,19 @@ Mailbox& Group::mailbox(int rank) {
   return *mailboxes_[static_cast<std::size_t>(rank)];
 }
 
-void Group::barrier() {
+void Group::barrier(int rank) {
   std::unique_lock lk(barrier_mutex_);
   const std::uint64_t gen = barrier_generation_;
+  detail::note_progress();
   if (++barrier_count_ == size_) {
     barrier_count_ = 0;
     ++barrier_generation_;
     barrier_cv_.notify_all();
   } else {
-    barrier_cv_.wait(lk, [&] { return barrier_generation_ != gen || aborted(); });
+    detail::wait_until(
+        lk, barrier_cv_,
+        [&] { return barrier_generation_ != gen || aborted(); },
+        detail::WaitSite{rank, &fleet_});
   }
   if (aborted()) throw Error("mpsim: group aborted while waiting in barrier");
 }
@@ -109,7 +114,7 @@ void Group::split_publish(int rank, int color, int key) {
     std::lock_guard lk(split_mutex_);
     split_slots_[static_cast<std::size_t>(rank)] = {color, key};
   }
-  barrier();
+  barrier(rank);
 }
 
 std::vector<std::pair<int, int>> Group::split_slots() const {
@@ -129,13 +134,13 @@ std::shared_ptr<Group> Group::split_retrieve(int color, int members) {
 }
 
 void Group::split_finish(int rank) {
-  barrier();
+  barrier(rank);
   if (rank == 0) {
     std::lock_guard lk(split_mutex_);
     split_groups_.clear();
     for (auto& slot : split_slots_) slot = {-1, 0};
   }
-  barrier();
+  barrier(rank);
 }
 
 }  // namespace colop::mpsim

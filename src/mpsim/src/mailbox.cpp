@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 
+#include "colop/mpsim/rank_pool.h"
 #include "colop/support/error.h"
 
 namespace colop::mpsim {
@@ -32,6 +33,7 @@ void Mailbox::put(Message msg) {
     std::lock_guard lk(mutex_);
     queues_[Key{msg.source, msg.tag}].push_back(std::move(msg));
   }
+  detail::note_progress();
   if (stats_ != nullptr) {
     const std::uint64_t depth =
         stats_->queue_depth.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -56,15 +58,16 @@ Message Mailbox::take(int source, int tag) {
   if (!ready()) {
     // About to block: account the wait so per-rank blocked time and the
     // watchdog's liveness view reflect real contention, not just traffic.
+    const detail::WaitSite site{owner_, fleet_, source, tag};
     if (stats_ != nullptr) {
       stats_->blocked.store(1, std::memory_order_relaxed);
       const std::uint64_t t0 = steady_ns();
-      cv_.wait(lk, ready);
+      detail::wait_until(lk, cv_, ready, site);
       stats_->recv_wait_ns.fetch_add(steady_ns() - t0,
                                      std::memory_order_relaxed);
       stats_->blocked.store(0, std::memory_order_relaxed);
     } else {
-      cv_.wait(lk, ready);
+      detail::wait_until(lk, cv_, ready, site);
     }
   }
   if (aborted_ && aborted_->load(std::memory_order_acquire)) {

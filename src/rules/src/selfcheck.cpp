@@ -63,15 +63,19 @@ SelfCheckResult selfcheck_match(const ir::Program& lhs, const RuleMatch& match,
       // The sequential reference semantics alone cannot expose a falsely
       // declared ASSOCIATIVITY (it folds left-to-right); the parallel
       // butterfly/tree schedules of the thread runtime can.  Compare the
-      // reference LHS against both evaluations of both sides.
+      // reference LHS against both evaluations of both sides.  The ranks
+      // run as fibers: the same collectives, without an OS context switch
+      // per blocking receive.
       const ir::Dist expect = lhs.eval_reference(in);
+      constexpr auto plane = ir::DataPlane::Auto;
+      constexpr auto fibers = mpsim::Ranks::fibers;
       const struct {
         const char* label;
         ir::Dist out;
       } candidates[] = {
           {"rhs (reference)", rhs.eval_reference(in)},
-          {"rhs (threads)", exec::run_on_threads(rhs, in)},
-          {"lhs (threads)", exec::run_on_threads(lhs, in)},
+          {"rhs (threads)", exec::run_on_threads(rhs, in, plane, fibers)},
+          {"lhs (threads)", exec::run_on_threads(lhs, in, plane, fibers)},
       };
       for (const auto& c : candidates) {
         const bool same =

@@ -39,6 +39,13 @@ struct ConfigGuard {
   ~ConfigGuard() { rt::mutable_config() = saved; }
 };
 
+constexpr mpsim::Ranks kBothModes[] = {mpsim::Ranks::threads,
+                                       mpsim::Ranks::fibers};
+
+const char* mode_name(mpsim::Ranks ranks) {
+  return ranks == mpsim::Ranks::fibers ? "fibers" : "threads";
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream f(path);
   std::ostringstream os;
@@ -96,9 +103,11 @@ TEST(Watchdog, DoneRanksAreNotStalls) {
 }
 
 // Acceptance scenario: one rank blocks forever in recv, the rest pile into
-// a barrier behind it.  The watchdog must dump a post-mortem with the last
-// events of EVERY rank, abort the group so the blocked ranks unwind, and
-// the launcher must report the stall as a colop::Error.
+// a barrier behind it.  The launch must dump a post-mortem with the last
+// events of EVERY rank, release the blocked ranks, and report the stall as
+// a colop::Error.  On threads the watchdog finds the stall after its
+// deadline and aborts the group; on fibers the launch sees at once that
+// no rank can go on, and each blocked rank throws its own report.
 TEST(Watchdog, StalledRecvTriggersPostMortemAndReleasesPeers) {
   if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   ConfigGuard guard;
@@ -109,41 +118,47 @@ TEST(Watchdog, StalledRecvTriggersPostMortemAndReleasesPeers) {
   const std::string prefix = testing::TempDir() + "colop_rt_stall";
   cfg.dump_path = prefix;
 
-  bool threw = false;
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    mpsim::run_spmd(4, [](mpsim::Comm& comm) {
-      if (comm.rank() == 0) {
-        // Deliberate stall: nobody ever sends on this tag.
-        (void)comm.recv<int>(1, 7);
-      } else {
-        comm.send(comm.rank(), 1, 3);  // a little self-traffic, then block
-        (void)comm.recv<int>(comm.rank(), 3);
-        comm.barrier();  // waits for rank 0, which never arrives
-      }
-    });
-  } catch (const Error& e) {
-    threw = true;
-    EXPECT_NE(std::string(e.what()).find("stall"), std::string::npos)
-        << e.what();
+  for (mpsim::Ranks ranks : kBothModes) {
+    SCOPED_TRACE(mode_name(ranks));
+    bool threw = false;
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      mpsim::run_spmd(
+          4,
+          [](mpsim::Comm& comm) {
+            if (comm.rank() == 0) {
+              // Deliberate stall: nobody ever sends on this tag.
+              (void)comm.recv<int>(1, 7);
+            } else {
+              comm.send(comm.rank(), 1, 3);  // a little self-traffic, then block
+              (void)comm.recv<int>(comm.rank(), 3);
+              comm.barrier();  // waits for rank 0, which never arrives
+            }
+          },
+          ranks);
+    } catch (const Error& e) {
+      threw = true;
+      EXPECT_NE(std::string(e.what()).find("stall"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(threw) << "stall was not surfaced as an error";
+    // The whole thing must resolve in bounded time — blocked peers released.
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+
+    const std::string text = slurp(prefix + ".txt");
+    ASSERT_FALSE(text.empty()) << "post-mortem text missing";
+    for (int r = 0; r < 4; ++r)
+      EXPECT_NE(text.find("rank " + std::to_string(r)), std::string::npos)
+          << "post-mortem lacks rank " << r << ":\n"
+          << text;
+    EXPECT_NE(text.find("recv_begin"), std::string::npos) << text;
+    EXPECT_NE(text.find("barrier_begin"), std::string::npos) << text;
+
+    const std::string trace = slurp(prefix + ".trace.json");
+    EXPECT_NE(trace.find("traceEvents"), std::string::npos);
+    std::remove((prefix + ".txt").c_str());
+    std::remove((prefix + ".trace.json").c_str());
   }
-  EXPECT_TRUE(threw) << "stall was not surfaced as an error";
-  // The whole thing must resolve in bounded time — blocked peers released.
-  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
-
-  const std::string text = slurp(prefix + ".txt");
-  ASSERT_FALSE(text.empty()) << "post-mortem text missing";
-  for (int r = 0; r < 4; ++r)
-    EXPECT_NE(text.find("rank " + std::to_string(r)), std::string::npos)
-        << "post-mortem lacks rank " << r << ":\n"
-        << text;
-  EXPECT_NE(text.find("recv_begin"), std::string::npos) << text;
-  EXPECT_NE(text.find("barrier_begin"), std::string::npos) << text;
-
-  const std::string trace = slurp(prefix + ".trace.json");
-  EXPECT_NE(trace.find("traceEvents"), std::string::npos);
-  std::remove((prefix + ".txt").c_str());
-  std::remove((prefix + ".trace.json").c_str());
 }
 
 // Satellite: a stage that throws reaches the caller with rank + stage
@@ -152,14 +167,17 @@ TEST(ThreadExecutor, ExceptionCarriesRankAndStageContext) {
   ir::Program p = ir::parse_program("scan(band)");  // band needs integers
   ir::Dist in(4);
   for (auto& b : in) b = {ir::Value(1.5)};
-  try {
-    (void)exec::run_on_threads(p, in);
-    FAIL() << "expected a type error from band on doubles";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("rank "), std::string::npos) << what;
-    EXPECT_NE(what.find("failed in stage 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("scan(band)"), std::string::npos) << what;
+  for (mpsim::Ranks ranks : kBothModes) {
+    SCOPED_TRACE(mode_name(ranks));
+    try {
+      (void)exec::run_on_threads(p, in, ir::DataPlane::Auto, ranks);
+      FAIL() << "expected a type error from band on doubles";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rank "), std::string::npos) << what;
+      EXPECT_NE(what.find("failed in stage 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("scan(band)"), std::string::npos) << what;
+    }
   }
 }
 
@@ -175,20 +193,27 @@ TEST(Watchdog, UncaughtExceptionDumpsPostMortemAndReleasesPeer) {
   const std::string prefix = testing::TempDir() + "colop_rt_exc";
   cfg.dump_path = prefix;
 
-  try {
-    mpsim::run_spmd(2, [](mpsim::Comm& comm) {
-      if (comm.rank() == 1) (void)comm.recv<int>(0, 9);  // never sent
-      throw Error("boom on rank 0");
-    });
-    FAIL() << "expected the rank 0 exception";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("boom on rank 0"), std::string::npos);
-  }
+  for (mpsim::Ranks ranks : kBothModes) {
+    SCOPED_TRACE(mode_name(ranks));
+    try {
+      mpsim::run_spmd(
+          2,
+          [](mpsim::Comm& comm) {
+            if (comm.rank() == 1) (void)comm.recv<int>(0, 9);  // never sent
+            throw Error("boom on rank 0");
+          },
+          ranks);
+      FAIL() << "expected the rank 0 exception";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("boom on rank 0"),
+                std::string::npos);
+    }
 
-  const std::string text = slurp(prefix + ".txt");
-  EXPECT_NE(text.find("uncaught rank exception"), std::string::npos) << text;
-  std::remove((prefix + ".txt").c_str());
-  std::remove((prefix + ".trace.json").c_str());
+    const std::string text = slurp(prefix + ".txt");
+    EXPECT_NE(text.find("uncaught rank exception"), std::string::npos) << text;
+    std::remove((prefix + ".txt").c_str());
+    std::remove((prefix + ".trace.json").c_str());
+  }
 }
 
 TEST(SnapshotEvents, PairsSendsWithRecvFlowArrows) {

@@ -428,11 +428,14 @@ Settings parse_args(int argc, char** argv) {
       i += n;
     }
     if (flag->text != nullptr && words != nullptr) {
-      // An empty path names no file or directory.
+      // An empty operand names no file, directory or example.
       const std::string_view operand = operand_of(*flag);
-      if ((operand == "F" || operand == "DIR") && *words[0] == '\0')
-        bad_value(std::string(name_of(*flag)), "",
-                  operand == "F" ? "a file name" : "a directory");
+      const char* expected = operand == "F"      ? "a file name"
+                             : operand == "DIR"  ? "a directory"
+                             : operand == "NAME" ? "an example name"
+                                                 : nullptr;
+      if (expected != nullptr && *words[0] == '\0')
+        bad_value(std::string(name_of(*flag)), "", expected);
       s.*flag->text = words[0];
     }
     if (flag->on != nullptr) s.*flag->on = true;
