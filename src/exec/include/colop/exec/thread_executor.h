@@ -27,11 +27,13 @@
 namespace colop::exec {
 
 /// Execute `prog` with input.size() ranks; element i of the result is the
-/// final block held by processor i.
+/// final block held by processor i.  `overlap_segments` is the pipeline
+/// depth of each split-phase overlap window (ir/overlap.h; values below 1
+/// count as 1, which runs the window as its blocking twin).
 [[nodiscard]] ir::Dist run_on_threads(
     const ir::Program& prog, ir::Dist input,
     ir::DataPlane plane = ir::DataPlane::Auto,
-    mpsim::Ranks ranks = mpsim::Ranks::threads);
+    mpsim::Ranks ranks = mpsim::Ranks::threads, int overlap_segments = 4);
 
 struct ThreadRunResult {
   ir::Dist output;
@@ -51,7 +53,7 @@ struct ThreadRunResult {
 [[nodiscard]] ThreadRunResult run_on_threads_instrumented(
     const ir::Program& prog, ir::Dist input,
     ir::DataPlane plane = ir::DataPlane::Auto,
-    mpsim::Ranks ranks = mpsim::Ranks::threads);
+    mpsim::Ranks ranks = mpsim::Ranks::threads, int overlap_segments = 4);
 
 /// Execute a single stage on one rank (exposed for custom SPMD drivers).
 void exec_stage(const ir::Stage& stage, mpsim::Comm& comm, ir::Block& block);

@@ -284,7 +284,7 @@ namespace {
 // result, which only the instrumented one returns.
 ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
                             ir::DataPlane plane, mpsim::Ranks ranks,
-                            bool capture_rt) {
+                            int segments, bool capture_rt) {
   COLOP_REQUIRE(!input.empty(), "run_on_threads: empty input");
   const auto p = static_cast<int>(input.size());
   if (plane == ir::DataPlane::Auto) plane = ir::data_plane_from_env();
@@ -319,7 +319,6 @@ ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
   // each rank a position-tracking executor.  The istart stage runs its
   // whole window pipelined; the interior and wait stages then no-op.
   const std::vector<ir::OverlapWindow> windows = ir::overlap_windows(prog);
-  const int segments = ir::overlap_segments_from_env();
   const auto t0 = std::chrono::steady_clock::now();
   auto [output, traffic] = mpsim::run_spmd_collect_traffic_on<Block>(
       group, [&](mpsim::Comm& comm) {
@@ -350,14 +349,19 @@ ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
 }  // namespace
 
 ir::Dist run_on_threads(const ir::Program& prog, ir::Dist input,
-                        ir::DataPlane plane, mpsim::Ranks ranks) {
-  return run_threads(prog, std::move(input), plane, ranks, false).output;
+                        ir::DataPlane plane, mpsim::Ranks ranks,
+                        int overlap_segments) {
+  return run_threads(prog, std::move(input), plane, ranks, overlap_segments,
+                     false)
+      .output;
 }
 
 ThreadRunResult run_on_threads_instrumented(const ir::Program& prog,
                                             ir::Dist input, ir::DataPlane plane,
-                                            mpsim::Ranks ranks) {
-  return run_threads(prog, std::move(input), plane, ranks, true);
+                                            mpsim::Ranks ranks,
+                                            int overlap_segments) {
+  return run_threads(prog, std::move(input), plane, ranks, overlap_segments,
+                     true);
 }
 
 }  // namespace colop::exec

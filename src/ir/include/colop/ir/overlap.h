@@ -30,7 +30,7 @@ struct OverlapWindow {
 /// All eligible overlap windows of `prog`, in program order, disjoint.
 ///
 /// An istart participates in a window iff scanning forward every stage up
-/// to the first wait with the same handle is Map or MapIndexed.  Split-phase
+/// to the first wait with the same handle is elementwise (map / map#).  Split-phase
 /// stages that violate this shape (no matching wait, a collective in the
 /// interior, ...) simply yield no window — the executors then fall back to
 /// the blocking twin at the istart, which is always semantics-preserving.
@@ -41,10 +41,5 @@ std::vector<OverlapWindow> overlap_windows(const Program& prog);
 /// True if stage `i` of `prog` lies inside (inclusive) one of `windows`.
 bool in_overlap_window(const std::vector<OverlapWindow>& windows,
                        std::size_t i);
-
-/// Pipeline segment count for the overlap window engine, from
-/// $COLOP_OVERLAP_SEGMENTS (default 4, clamped to >= 1).  1 means "no
-/// segmentation": the window executes as the blocking twin.
-int overlap_segments_from_env();
 
 }  // namespace colop::ir

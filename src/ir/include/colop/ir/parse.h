@@ -7,9 +7,17 @@
 //              | 'reduce' '(' op [ ',' 'root' '=' INT ] ')'
 //              | 'allreduce' '(' op ')'
 //              | 'bcast' [ '(' 'root' '=' INT ')' ]
+//              | 'istart_reduce' '(' op ( ',' key )* ')'     key: root=, h=
+//              | 'istart_allreduce' '(' op ( ',' 'h' '=' INT )* ')'
+//              | 'istart_bcast' [ '(' key ( ',' key )* ')' ]  key: root=, h=
+//              | 'wait' [ '(' 'h' '=' INT ')' ]
 //   mapfn     := 'pair' | 'triple' | 'quadruple' | 'pi1' | 'id'
 //   op        := '+' | '*' | 'max' | 'min' | 'band' | 'bor' | 'gcd'
 //              | '+mod' INT | '*mod' INT | 'f+' | 'f*' | 'mat2' | 'first'
+//
+// The keywords and which arguments each takes are the textual rows of the
+// stage-kind table (stage.h).  Each key appears at most once; `root=` and
+// `h=` take an integer in [0, INT_MAX], a modulus one in [1, INT64_MAX].
 //
 // This is exactly the sub-language Program::show() prints for source
 // programs (rewritten programs additionally contain derived operators,

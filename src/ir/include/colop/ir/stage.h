@@ -11,10 +11,12 @@
 // (eval_reference); the executors in colop::exec run the same stages on
 // the mpsim thread runtime and on the simnet cost simulator.
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "colop/ir/binop.h"
@@ -56,6 +58,7 @@ struct BalancedOp2 {
 
 class Stage;
 using StagePtr = std::shared_ptr<const Stage>;
+struct KindRow;
 
 class Stage {
  public:
@@ -87,15 +90,36 @@ class Stage {
 
   virtual ~Stage() = default;
   [[nodiscard]] virtual Kind kind() const = 0;
-  /// Pretty form, e.g. "scan(+)" — used by Program::show().
-  [[nodiscard]] virtual std::string show() const = 0;
+  /// This kind's row of the stage-kind table (kind_row).
+  [[nodiscard]] const KindRow& row() const;
+  /// Pretty form built from the row's keyword and this stage's arguments,
+  /// e.g. "scan(+)" — used by Program::show().
+  [[nodiscard]] std::string show() const;
   /// Sequential reference semantics (Eqs 4-8, 13 and Section 3).
   virtual void eval_reference(Dist& state) const = 0;
   /// True for map/map#/iter (no communication).
-  [[nodiscard]] bool is_local() const {
-    const Kind k = kind();
-    return k == Kind::Map || k == Kind::MapIndexed || k == Kind::Iter;
-  }
+  [[nodiscard]] bool is_local() const;
+
+  // Per-instance facts, the same accessors for every kind; the row says
+  // which ones a kind has, and the defaults answer for the others.
+  /// The operator or function name show() prints first; empty for
+  /// bcast/wait.
+  [[nodiscard]] virtual const std::string& label() const;
+  /// The declared operator of scan/reduce/allreduce and their istart
+  /// twins; null for every other kind.
+  [[nodiscard]] virtual const BinOpPtr& binop() const;
+  /// The rank a stage roots at (reduce, bcast, reduce_balanced and their
+  /// twins) or leaves its result on (iter: 0); 0 for every other kind.
+  [[nodiscard]] virtual int root_rank() const { return 0; }
+  /// Request handle of an istart/wait stage; -1 for every other kind.
+  [[nodiscard]] virtual int request_handle() const { return -1; }
+  /// Declared transmitted words per element; 0 for stages that send nothing.
+  [[nodiscard]] virtual int wire_words() const { return 0; }
+  /// Element shape after the stage (map/map# apply their function's
+  /// transformer; every other kind preserves the shape).
+  [[nodiscard]] virtual Shape apply_shape(const Shape& in) const { return in; }
+  /// Every flat-plane kernel the stage's evaluation calls is present.
+  [[nodiscard]] virtual bool has_packed_kernels() const { return true; }
 };
 
 // --- concrete stages -----------------------------------------------------
@@ -104,7 +128,13 @@ struct MapStage final : Stage {
   explicit MapStage(ElemFn f) : fn(std::move(f)) {}
   ElemFn fn;
   [[nodiscard]] Kind kind() const override { return Kind::Map; }
-  [[nodiscard]] std::string show() const override { return "map(" + fn.name + ")"; }
+  [[nodiscard]] const std::string& label() const override { return fn.name; }
+  [[nodiscard]] Shape apply_shape(const Shape& in) const override {
+    return fn.apply_shape(in);
+  }
+  [[nodiscard]] bool has_packed_kernels() const override {
+    return fn.packed_fn != nullptr;
+  }
   void eval_reference(Dist& state) const override;
 };
 
@@ -112,7 +142,13 @@ struct MapIndexedStage final : Stage {
   explicit MapIndexedStage(ElemIdxFn f) : fn(std::move(f)) {}
   ElemIdxFn fn;
   [[nodiscard]] Kind kind() const override { return Kind::MapIndexed; }
-  [[nodiscard]] std::string show() const override { return "map#(" + fn.name + ")"; }
+  [[nodiscard]] const std::string& label() const override { return fn.name; }
+  [[nodiscard]] Shape apply_shape(const Shape& in) const override {
+    return fn.apply_shape(in);
+  }
+  [[nodiscard]] bool has_packed_kernels() const override {
+    return fn.packed_fn != nullptr;
+  }
   void eval_reference(Dist& state) const override;
 };
 
@@ -122,7 +158,10 @@ struct ScanStage final : Stage {
   BinOpPtr op;
   int words;  ///< transmitted words per element (tuple arity after map pair)
   [[nodiscard]] Kind kind() const override { return Kind::Scan; }
-  [[nodiscard]] std::string show() const override { return "scan(" + op->name() + ")"; }
+  [[nodiscard]] const std::string& label() const override { return op->name(); }
+  [[nodiscard]] const BinOpPtr& binop() const override { return op; }
+  [[nodiscard]] int wire_words() const override { return words; }
+  [[nodiscard]] bool has_packed_kernels() const override { return op->has_packed(); }
   void eval_reference(Dist& state) const override;
 };
 
@@ -130,12 +169,6 @@ struct ScanStage final : Stage {
 // stage is istart_X(h): its kind is IStartX, it evaluates exactly like X
 // (the continuation-overlap reading in Stage::Kind), and the matching
 // wait(h) — a value-level no-op — completes it.
-
-namespace detail {
-inline std::string handle_suffix(const std::optional<int>& handle) {
-  return handle.value_or(0) ? ",h=" + std::to_string(*handle) : "";
-}
-}  // namespace detail
 
 struct ReduceStage final : Stage {
   explicit ReduceStage(BinOpPtr o, int root_rank = 0, int elem_words = 1,
@@ -148,11 +181,12 @@ struct ReduceStage final : Stage {
   [[nodiscard]] Kind kind() const override {
     return handle ? Kind::IStartReduce : Kind::Reduce;
   }
-  [[nodiscard]] std::string show() const override {
-    return (handle ? "istart_reduce(" : "reduce(") + op->name() +
-           (root ? ",root=" + std::to_string(root) : "") +
-           detail::handle_suffix(handle) + ")";
-  }
+  [[nodiscard]] const std::string& label() const override { return op->name(); }
+  [[nodiscard]] const BinOpPtr& binop() const override { return op; }
+  [[nodiscard]] int root_rank() const override { return root; }
+  [[nodiscard]] int request_handle() const override { return handle.value_or(-1); }
+  [[nodiscard]] int wire_words() const override { return words; }
+  [[nodiscard]] bool has_packed_kernels() const override { return op->has_packed(); }
   void eval_reference(Dist& state) const override;
 };
 
@@ -166,10 +200,11 @@ struct AllReduceStage final : Stage {
   [[nodiscard]] Kind kind() const override {
     return handle ? Kind::IStartAllReduce : Kind::AllReduce;
   }
-  [[nodiscard]] std::string show() const override {
-    return (handle ? "istart_allreduce(" : "allreduce(") + op->name() +
-           detail::handle_suffix(handle) + ")";
-  }
+  [[nodiscard]] const std::string& label() const override { return op->name(); }
+  [[nodiscard]] const BinOpPtr& binop() const override { return op; }
+  [[nodiscard]] int request_handle() const override { return handle.value_or(-1); }
+  [[nodiscard]] int wire_words() const override { return words; }
+  [[nodiscard]] bool has_packed_kernels() const override { return op->has_packed(); }
   void eval_reference(Dist& state) const override;
 };
 
@@ -183,13 +218,9 @@ struct BcastStage final : Stage {
   [[nodiscard]] Kind kind() const override {
     return handle ? Kind::IStartBcast : Kind::Bcast;
   }
-  [[nodiscard]] std::string show() const override {
-    std::string args = root ? "root=" + std::to_string(root) : "";
-    if (handle.value_or(0))
-      args += (args.empty() ? "h=" : ",h=") + std::to_string(*handle);
-    const std::string name = handle ? "istart_bcast" : "bcast";
-    return args.empty() ? name : name + "(" + args + ")";
-  }
+  [[nodiscard]] int root_rank() const override { return root; }
+  [[nodiscard]] int request_handle() const override { return handle.value_or(-1); }
+  [[nodiscard]] int wire_words() const override { return words; }
   void eval_reference(Dist& state) const override;
 };
 
@@ -197,8 +228,10 @@ struct ScanBalancedStage final : Stage {
   explicit ScanBalancedStage(BalancedOp2 o) : op2(std::move(o)) {}
   BalancedOp2 op2;
   [[nodiscard]] Kind kind() const override { return Kind::ScanBalanced; }
-  [[nodiscard]] std::string show() const override {
-    return "scan_balanced(" + op2.name + ")";
+  [[nodiscard]] const std::string& label() const override { return op2.name; }
+  [[nodiscard]] int wire_words() const override { return op2.words; }
+  [[nodiscard]] bool has_packed_kernels() const override {
+    return op2.packed_combine2 && op2.packed_degrade && op2.packed_strip;
   }
   void eval_reference(Dist& state) const override;
 };
@@ -209,8 +242,11 @@ struct ReduceBalancedStage final : Stage {
   BalancedOp op;
   int root;
   [[nodiscard]] Kind kind() const override { return Kind::ReduceBalanced; }
-  [[nodiscard]] std::string show() const override {
-    return "reduce_balanced(" + op.name + ")";
+  [[nodiscard]] const std::string& label() const override { return op.name; }
+  [[nodiscard]] int root_rank() const override { return root; }
+  [[nodiscard]] int wire_words() const override { return op.words; }
+  [[nodiscard]] bool has_packed_kernels() const override {
+    return op.packed_combine && op.packed_unit;
   }
   void eval_reference(Dist& state) const override;
 };
@@ -219,8 +255,10 @@ struct AllReduceBalancedStage final : Stage {
   explicit AllReduceBalancedStage(BalancedOp o) : op(std::move(o)) {}
   BalancedOp op;
   [[nodiscard]] Kind kind() const override { return Kind::AllReduceBalanced; }
-  [[nodiscard]] std::string show() const override {
-    return "allreduce_balanced(" + op.name + ")";
+  [[nodiscard]] const std::string& label() const override { return op.name; }
+  [[nodiscard]] int wire_words() const override { return op.words; }
+  [[nodiscard]] bool has_packed_kernels() const override {
+    return op.packed_combine && op.packed_unit;
   }
   void eval_reference(Dist& state) const override;
 };
@@ -238,7 +276,10 @@ struct IterStage final : Stage {
   /// general_fold(p, x): exact local result for arbitrary p (extension).
   std::function<Value(int, const Value&)> general_fold;
   [[nodiscard]] Kind kind() const override { return Kind::Iter; }
-  [[nodiscard]] std::string show() const override { return "iter(" + step.name + ")"; }
+  [[nodiscard]] const std::string& label() const override { return step.name; }
+  [[nodiscard]] bool has_packed_kernels() const override {
+    return step.packed_fn != nullptr;
+  }
   void eval_reference(Dist& state) const override;
   /// Shared by the reference evaluator and the executors.
   [[nodiscard]] Value apply_local(int p, const Value& x) const;
@@ -248,19 +289,103 @@ struct WaitStage final : Stage {
   explicit WaitStage(int req_handle = 0) : handle(req_handle) {}
   int handle;  ///< request handle of the istart this completes
   [[nodiscard]] Kind kind() const override { return Kind::Wait; }
-  [[nodiscard]] std::string show() const override {
-    return handle ? "wait(h=" + std::to_string(handle) + ")" : "wait";
-  }
+  [[nodiscard]] int request_handle() const override { return handle; }
   void eval_reference(Dist& state) const override;
 };
 
-/// True for the three istart kinds.
-inline bool is_istart(Stage::Kind k) {
-  return k == Stage::Kind::IStartReduce || k == Stage::Kind::IStartBcast ||
-         k == Stage::Kind::IStartAllReduce;
-}
+// --- the stage-kind table ------------------------------------------------
+//
+// One row per Stage::Kind holds every fact the analyses read about a kind:
+// how it is spelled, where it may sit in a split-phase window, how search
+// prices it, and how it steps the element shape and the distribution
+// state.  The per-instance facts (operator, root, handle, words) come from
+// the Stage accessors above.  A new kind is one row plus its evaluators
+// (eval_reference, the executors, the cost model) and its tests.
 
-/// Request handle of an istart/wait stage; -1 for every other kind.
-int splitphase_handle(const Stage& s);
+/// The first text argument: none (bcast, wait), an element function
+/// (map, map#, iter) or an operator (the combining collectives).
+enum class Label : std::uint8_t { none, fn, op };
+
+/// Where a stage may sit relative to a split-phase window.
+enum class WindowRole : std::uint8_t {
+  elementwise,  ///< map/map#: legal inside a window, the overlapped work
+  local,        ///< iter: no communication, but reads the whole value
+  collective,   ///< a blocking collective
+  istart,       ///< issues a request
+  wait,         ///< completes one
+};
+
+/// Element-shape step: local stages apply Stage::apply_shape; collectives
+/// check their declared words against what the shape transmits — every
+/// word, or all but the first tuple component (scan_balanced keeps the scan
+/// value local: op_ss's 4 scalars send 3).
+enum class ShapeStep : std::uint8_t { local, all_words, tail_words };
+
+/// Distribution state after the stage (verify/schedule.h).
+enum class PostState : std::uint8_t {
+  unchanged,       ///< map, wait
+  rank_dependent,  ///< map#: replicated data stops being so
+  varied,          ///< scan: rank-distinct prefixes
+  root_only,       ///< defined only at root_rank()
+  uniform,         ///< every rank holds the same value
+};
+
+/// Which blocks a stage reads, and so what it needs defined.
+enum class Reads : std::uint8_t {
+  own,    ///< its own block only
+  all,    ///< combines every rank's block: all must be defined (V201)
+  root,   ///< bcast: the root's block (V202)
+  rank0,  ///< iter: rank 0's block (V201, V204)
+};
+
+/// Arguments of a textual stage: what the parser read, consumed by the
+/// row's factory.
+struct KindArgs {
+  BinOpPtr op;
+  ElemFn fn;
+  int root = 0;
+  int handle = 0;
+  int words = 1;
+};
+
+struct KindRow {
+  Stage::Kind kind;
+  std::string_view keyword;
+  Stage::Kind twin;  ///< blocking <-> istart twin; itself when it has none
+  Label label = Label::none;
+  bool root_arg = false;    ///< text argument `root=`
+  bool handle_arg = false;  ///< text argument `h=`
+  /// Builds the stage from text arguments; null for kinds the text syntax
+  /// does not spell.
+  StagePtr (*make)(KindArgs&&) = nullptr;
+  WindowRole role = WindowRole::collective;
+  /// Search keeps it: no rule's left-hand side consumes it
+  /// (rules::search_persistent_stage).
+  bool persistent = false;
+  ShapeStep shape = ShapeStep::all_words;
+  PostState post = PostState::unchanged;
+  Reads reads = Reads::own;
+  bool names_root = false;  ///< root_rank() must lie in [0, p) (V203)
+  /// Associativity contract (V207): the schedule that would regroup a
+  /// non-associative operator, and the balanced stage to use instead;
+  /// empty when the operator need not be associative.
+  std::string_view regroups;
+  std::string_view balanced;
+  /// Flat-plane kernel gap (V208): "<owner> `label` <gap>".
+  std::string_view kernel_owner;
+  std::string_view kernel_gap;
+
+  [[nodiscard]] bool needs_associative() const { return !regroups.empty(); }
+};
+
+[[nodiscard]] const KindRow& kind_row(Stage::Kind kind);
+/// The row spelled `keyword` in the text syntax; nullptr if none is.
+[[nodiscard]] const KindRow* textual_row(std::string_view keyword);
+
+inline const KindRow& Stage::row() const { return kind_row(kind()); }
+inline bool Stage::is_local() const {
+  const WindowRole role = row().role;
+  return role == WindowRole::elementwise || role == WindowRole::local;
+}
 
 }  // namespace colop::ir

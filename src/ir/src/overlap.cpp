@@ -1,19 +1,17 @@
 #include "colop/ir/overlap.h"
 
-#include <cstdlib>
-
 namespace colop::ir {
 
 std::vector<OverlapWindow> overlap_windows(const Program& prog) {
   std::vector<OverlapWindow> out;
   const auto& stages = prog.stages();
   for (std::size_t i = 0; i < stages.size(); ++i) {
-    if (!is_istart(stages[i]->kind())) continue;
-    const int handle = splitphase_handle(*stages[i]);
+    if (stages[i]->row().role != WindowRole::istart) continue;
+    const int handle = stages[i]->request_handle();
     for (std::size_t j = i + 1; j < stages.size(); ++j) {
-      const Stage::Kind k = stages[j]->kind();
-      if (k == Stage::Kind::Map || k == Stage::Kind::MapIndexed) continue;
-      if (k == Stage::Kind::Wait && splitphase_handle(*stages[j]) == handle) {
+      const WindowRole role = stages[j]->row().role;
+      if (role == WindowRole::elementwise) continue;
+      if (role == WindowRole::wait && stages[j]->request_handle() == handle) {
         out.push_back(OverlapWindow{i, j});
         i = j;  // windows are disjoint; resume after the wait
       }
@@ -28,13 +26,6 @@ bool in_overlap_window(const std::vector<OverlapWindow>& windows,
   for (const auto& w : windows)
     if (i >= w.istart && i <= w.wait) return true;
   return false;
-}
-
-int overlap_segments_from_env() {
-  const char* v = std::getenv("COLOP_OVERLAP_SEGMENTS");
-  if (v == nullptr) return 4;
-  const int n = std::atoi(v);
-  return n >= 1 ? n : 1;
 }
 
 }  // namespace colop::ir

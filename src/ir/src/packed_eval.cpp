@@ -49,92 +49,37 @@ std::optional<PackedIneligibility> packed_ineligibility(const Program& prog,
                                    " is nested — the flat plane handles "
                                    "scalars and flat tuples only"};
   Shape s = input;
-  // map and map#: a kernel, and an element shape that stays flat.
-  const auto map_step = [&s](std::size_t i, const char* what,
-                             const auto& fn) -> std::optional<PackedIneligibility> {
-    if (!fn.packed_fn)
-      return PackedIneligibility{i, std::string(what) + " function `" +
-                                        fn.name + "` has no packed kernel"};
-    s = fn.apply_shape(s);
-    if (!flat(s))
-      return PackedIneligibility{
-          i, "element shape becomes nested (" + s.to_string() + ")"};
-    return std::nullopt;
-  };
   try {
     for (std::size_t i = 0; i < prog.size(); ++i) {
       const Stage& stage = prog.stage(i);
-      switch (stage.kind()) {
-        case Stage::Kind::Map:
-          if (auto why = map_step(i, "map", static_cast<const MapStage&>(stage).fn))
-            return why;
-          break;
-        case Stage::Kind::MapIndexed:
-          if (auto why = map_step(i, "map#",
-                                  static_cast<const MapIndexedStage&>(stage).fn))
-            return why;
-          break;
-        case Stage::Kind::Scan:
-        case Stage::Kind::Reduce:
-        case Stage::Kind::AllReduce: {
-          const BinOpPtr& op =
-              stage.kind() == Stage::Kind::Scan
-                  ? static_cast<const ScanStage&>(stage).op
-                  : stage.kind() == Stage::Kind::Reduce
-                        ? static_cast<const ReduceStage&>(stage).op
-                        : static_cast<const AllReduceStage&>(stage).op;
-          if (!op->has_packed())
-            return PackedIneligibility{
-                i, "operator `" + op->name() + "` has no packed kernel"};
-          break;
-        }
-        case Stage::Kind::Bcast:
-          break;
-        case Stage::Kind::ScanBalanced: {
-          const auto& op2 = static_cast<const ScanBalancedStage&>(stage).op2;
-          if (!op2.packed_combine2 || !op2.packed_degrade || !op2.packed_strip)
-            return PackedIneligibility{
-                i, "balanced operator `" + op2.name +
-                       "` is missing one of its three packed kernels"};
-          break;
-        }
-        case Stage::Kind::ReduceBalanced:
-        case Stage::Kind::AllReduceBalanced: {
-          const BalancedOp& op =
-              stage.kind() == Stage::Kind::ReduceBalanced
-                  ? static_cast<const ReduceBalancedStage&>(stage).op
-                  : static_cast<const AllReduceBalancedStage&>(stage).op;
-          if (!op.packed_combine || !op.packed_unit)
-            return PackedIneligibility{i, "balanced operator `" + op.name +
-                                              "` is missing a packed kernel"};
-          break;
-        }
-        case Stage::Kind::Iter: {
-          // The doubling step applies verbatim only for p = 2^k; the
-          // generalized fold is an arbitrary boxed function, so other p
-          // stay on the boxed path entirely.
-          const auto& st = static_cast<const IterStage&>(stage);
-          if (!is_pow2(static_cast<std::uint64_t>(p)))
-            return PackedIneligibility{
-                i, "iter's generalized fold (p = " + std::to_string(p) +
-                       " is not a power of two) is boxed-only"};
-          if (!st.step.packed_fn)
-            return PackedIneligibility{
-                i, "iter step `" + st.step.name + "` has no packed kernel"};
-          if (!(st.step.apply_shape(s) == s))  // applied log2(p) times
-            return PackedIneligibility{
-                i, "iter step changes the element shape, which the repeated "
-                   "packed application cannot express"};
-          break;
-        }
-        case Stage::Kind::IStartReduce:
-        case Stage::Kind::IStartBcast:
-        case Stage::Kind::IStartAllReduce:
-        case Stage::Kind::Wait:
-          return PackedIneligibility{
-              i, "split-phase stages are boxed-only (the overlap window "
-                 "engine pipelines boxed segments)"};
-      }
+      const KindRow& row = stage.row();
+      if (row.role == WindowRole::istart || row.role == WindowRole::wait)
+        return PackedIneligibility{
+            i, "split-phase stages are boxed-only (the overlap window "
+               "engine pipelines boxed segments)"};
+      // The doubling step applies verbatim only for p = 2^k; the
+      // generalized fold is an arbitrary boxed function, so other p stay
+      // on the boxed path entirely.
+      const auto* iter = stage.kind() == Stage::Kind::Iter
+                             ? static_cast<const IterStage*>(&stage)
+                             : nullptr;
+      if (iter != nullptr && !is_pow2(static_cast<std::uint64_t>(p)))
+        return PackedIneligibility{
+            i, "iter's generalized fold (p = " + std::to_string(p) +
+                   " is not a power of two) is boxed-only"};
+      if (!stage.has_packed_kernels())
+        return PackedIneligibility{
+            i, std::string(row.kernel_owner) + " `" + stage.label() + "` " +
+                   std::string(row.kernel_gap)};
+      if (iter != nullptr && !(iter->step.apply_shape(s) == s))  // log2(p) times
+        return PackedIneligibility{
+            i, "iter step changes the element shape, which the repeated "
+               "packed application cannot express"};
+      if (row.role != WindowRole::elementwise) continue;
+      s = stage.apply_shape(s);
+      if (!flat(s))
+        return PackedIneligibility{
+            i, "element shape becomes nested (" + s.to_string() + ")"};
     }
   } catch (const Error& e) {
     // A shape transformer rejected (pi_1 of a scalar, ...).

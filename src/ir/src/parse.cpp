@@ -1,7 +1,10 @@
 #include "colop/ir/parse.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
+#include <limits>
+#include <utility>
 
 #include "colop/support/error.h"
 
@@ -71,130 +74,72 @@ class Parser {
     return text_.substr(start, pos_ - start);
   }
 
-  int integer() {
+  // A `root=`/`h=` operand: a rank or request handle in [0, INT_MAX].
+  int operand(const std::string& key) {
     skip_ws();
-    std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (!eof() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    if (start == pos_) fail("expected integer");
-    return std::atoi(text_.substr(start, pos_ - start).c_str());
+    const char* first = text_.data() + pos_;
+    const char* last = text_.data() + text_.size();
+    int value = 0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (end == first) fail("expected integer");
+    if (ec != std::errc{} || value < 0)
+      fail("'" + key + "' must be an integer in [0, " +
+           std::to_string(std::numeric_limits<int>::max()) + "]");
+    pos_ += static_cast<std::size_t>(end - first);
+    return value;
   }
 
-  int optional_root() {
-    if (!accept(',')) return 0;
+  // One `key=value` argument the row allows; each key at most once.
+  void key_value(const KindRow& row, KindArgs& args, bool (&seen)[2]) {
     const std::string key = ident();
-    if (key != "root") fail("expected 'root'");
+    const bool root = row.root_arg && key == "root";
+    if (!root && !(row.handle_arg && key == "h"))
+      fail(row.root_arg && row.handle_arg ? "expected 'root' or 'h'"
+           : row.root_arg                 ? "expected 'root'"
+                                          : "expected 'h'");
+    if (std::exchange(seen[root ? 0 : 1], true))
+      fail("repeated argument '" + key + "'");
     expect('=');
-    return integer();
+    (root ? args.root : args.handle) = operand(key);
   }
 
-  // Parse a `,key=value` tail of root=/h= pairs (istart stages).  Entries
-  // already consumed by the caller keep their defaults.
-  void optional_root_handle(int& root, int& handle, bool allow_root) {
-    while (accept(',')) {
-      const std::string key = ident();
-      expect('=');
-      if (key == "root" && allow_root) {
-        root = integer();
-      } else if (key == "h") {
-        handle = integer();
-      } else {
-        fail("expected '" + std::string(allow_root ? "root' or 'h" : "h") + "'");
-      }
-    }
-  }
-
+  // keyword [ '(' [label] key=value... ')' ]: the row says which parts the
+  // kind has; each key it allows may follow once, after a ',' unless it is
+  // the first argument.
   void parse_stage(Program& prog) {
     const std::string kw = ident();
-    if (kw == "map") {
-      expect('(');
-      const std::string fname = ident();
-      expect(')');
-      if (fname == "pair") {
-        prog.map(fn_pair());
-      } else if (fname == "triple") {
-        prog.map(fn_triple());
-      } else if (fname == "quadruple") {
-        prog.map(fn_quadruple());
-      } else if (fname == "pi1") {
-        prog.map(fn_proj1());
-      } else if (fname == "id") {
-        prog.map(fn_id());
+    const KindRow* row = textual_row(kw);
+    if (row == nullptr) fail("unknown stage '" + kw + "'");
+    KindArgs args;
+    std::string fn;
+    int keys = int{row->root_arg} + int{row->handle_arg};
+    bool seen[2] = {false, false};
+    if (row->label != Label::none || accept('(')) {
+      if (row->label == Label::none) {
+        key_value(*row, args, seen);
+        --keys;
       } else {
-        fail("unknown map function '" + fname +
-             "' (textual programs support pair/triple/quadruple/pi1/id)");
+        expect('(');
+        if (row->label == Label::op)
+          args.op = parse_op(op_name());
+        else
+          fn = ident();
       }
-    } else if (kw == "scan") {
-      expect('(');
-      prog.scan(parse_op(op_name()));
+      for (; keys > 0 && accept(','); --keys) key_value(*row, args, seen);
       expect(')');
-    } else if (kw == "reduce") {
-      expect('(');
-      auto op = parse_op(op_name());
-      const int root = optional_root();
-      expect(')');
-      prog.reduce(std::move(op), root);
-    } else if (kw == "allreduce") {
-      expect('(');
-      prog.allreduce(parse_op(op_name()));
-      expect(')');
-    } else if (kw == "bcast") {
-      int root = 0;
-      if (accept('(')) {
-        const std::string key = ident();
-        if (key != "root") fail("expected 'root'");
-        expect('=');
-        root = integer();
-        expect(')');
-      }
-      prog.bcast(root);
-    } else if (kw == "istart_reduce") {
-      expect('(');
-      auto op = parse_op(op_name());
-      int root = 0;
-      int handle = 0;
-      optional_root_handle(root, handle, /*allow_root=*/true);
-      expect(')');
-      prog.istart_reduce(std::move(op), root, 1, handle);
-    } else if (kw == "istart_allreduce") {
-      expect('(');
-      auto op = parse_op(op_name());
-      int root = 0;
-      int handle = 0;
-      optional_root_handle(root, handle, /*allow_root=*/false);
-      expect(')');
-      prog.istart_allreduce(std::move(op), 1, handle);
-    } else if (kw == "istart_bcast") {
-      int root = 0;
-      int handle = 0;
-      if (accept('(')) {
-        // First entry has no leading comma: back up to share the kv parser.
-        const std::string key = ident();
-        expect('=');
-        if (key == "root") {
-          root = integer();
-        } else if (key == "h") {
-          handle = integer();
-        } else {
-          fail("expected 'root' or 'h'");
-        }
-        optional_root_handle(root, handle, /*allow_root=*/true);
-        expect(')');
-      }
-      prog.istart_bcast(root, 1, handle);
-    } else if (kw == "wait") {
-      int handle = 0;
-      if (accept('(')) {
-        const std::string key = ident();
-        if (key != "h") fail("expected 'h'");
-        expect('=');
-        handle = integer();
-        expect(')');
-      }
-      prog.wait(handle);
-    } else {
-      fail("unknown stage '" + kw + "'");
     }
+    if (row->label == Label::fn) args.fn = map_fn(fn);
+    prog.push(row->make(std::move(args)));
+  }
+
+  ElemFn map_fn(const std::string& name) const {
+    if (name == "pair") return fn_pair();
+    if (name == "triple") return fn_triple();
+    if (name == "quadruple") return fn_quadruple();
+    if (name == "pi1") return fn_proj1();
+    if (name == "id") return fn_id();
+    fail("unknown map function '" + name +
+         "' (textual programs support pair/triple/quadruple/pi1/id)");
   }
 
   const std::string& text_;
@@ -215,10 +160,18 @@ BinOpPtr parse_op(const std::string& name) {
   if (name == "f*") return op_fmul();
   if (name == "mat2") return op_mat2();
   if (name == "first") return op_first();
-  if (name.rfind("+mod", 0) == 0)
-    return op_modadd(std::atoll(name.c_str() + 4));
-  if (name.rfind("*mod", 0) == 0)
-    return op_modmul(std::atoll(name.c_str() + 4));
+  if (name.rfind("+mod", 0) == 0 || name.rfind("*mod", 0) == 0) {
+    // The whole rest is the modulus: digits only, in [1, INT64_MAX].
+    const char* first = name.data() + 4;
+    const char* last = name.data() + name.size();
+    std::int64_t m = 0;
+    const auto [end, ec] = std::from_chars(first, last, m);
+    if (first == last || !std::isdigit(static_cast<unsigned char>(*first)) ||
+        ec != std::errc{} || end != last || m <= 0)
+      throw_error("operator '" + name + "': the modulus must be an integer in [1, " +
+                  std::to_string(std::numeric_limits<std::int64_t>::max()) + "]");
+    return name[0] == '+' ? op_modadd(m) : op_modmul(m);
+  }
   throw_error("unknown operator '" + name + "'");
 }
 

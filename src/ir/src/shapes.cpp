@@ -3,65 +3,30 @@
 namespace colop::ir {
 namespace {
 
-void require_words(const std::string& what, int declared, int actual) {
-  COLOP_REQUIRE(declared == actual,
-                what + ": declared words=" + std::to_string(declared) +
+// The stage's declared words must equal what the element shape transmits;
+// the message (and its show()) is built only on failure.
+void require_words(const Stage& stage, int transmitted) {
+  COLOP_REQUIRE(stage.wire_words() == transmitted,
+                stage.show() + ": declared words=" +
+                    std::to_string(stage.wire_words()) +
                     " but the element shape transmits " +
-                    std::to_string(actual) + " words");
+                    std::to_string(transmitted) + " words");
 }
 
 Shape step(const Stage& stage, const Shape& in) {
-  using Kind = Stage::Kind;
-  switch (stage.kind()) {
-    case Kind::Map:
-      return static_cast<const MapStage&>(stage).fn.apply_shape(in);
-    case Kind::MapIndexed:
-      return static_cast<const MapIndexedStage&>(stage).fn.apply_shape(in);
-    case Kind::Scan:
-      require_words(stage.show(), static_cast<const ScanStage&>(stage).words,
-                    in.words());
-      return in;
-    case Kind::Reduce:
-    case Kind::IStartReduce:
-      require_words(stage.show(), static_cast<const ReduceStage&>(stage).words,
-                    in.words());
-      return in;
-    case Kind::AllReduce:
-    case Kind::IStartAllReduce:
-      require_words(stage.show(),
-                    static_cast<const AllReduceStage&>(stage).words, in.words());
-      return in;
-    case Kind::Bcast:
-    case Kind::IStartBcast:
-      require_words(stage.show(), static_cast<const BcastStage&>(stage).words,
-                    in.words());
-      return in;
-    case Kind::ScanBalanced: {
-      // The first tuple component (the scan value) stays local; the
-      // remaining components travel (op_ss: 4 scalars -> 3 transmitted).
-      const auto& s = static_cast<const ScanBalancedStage&>(stage);
+  switch (stage.row().shape) {
+    case ShapeStep::local:
+      break;
+    case ShapeStep::all_words:
+      require_words(stage, in.words());
+      break;
+    case ShapeStep::tail_words:
       COLOP_REQUIRE(in.is_tuple() && in.components().size() >= 2,
-                    s.show() + ": needs a tuple element shape");
-      const int transmitted = in.words() - in.components()[0].words();
-      require_words(s.show(), s.op2.words, transmitted);
-      return in;
-    }
-    case Kind::ReduceBalanced: {
-      const auto& s = static_cast<const ReduceBalancedStage&>(stage);
-      require_words(s.show(), s.op.words, in.words());
-      return in;
-    }
-    case Kind::AllReduceBalanced: {
-      const auto& s = static_cast<const AllReduceBalancedStage&>(stage);
-      require_words(s.show(), s.op.words, in.words());
-      return in;
-    }
-    case Kind::Iter:
-      return in;  // iter's step is shape-preserving by construction
-    case Kind::Wait:
-      return in;  // wait transmits nothing and preserves the shape
+                    stage.show() + ": needs a tuple element shape");
+      require_words(stage, in.words() - in.components()[0].words());
+      break;
   }
-  COLOP_ASSERT(false, "unhandled stage kind in shape inference");
+  return stage.apply_shape(in);
 }
 
 }  // namespace

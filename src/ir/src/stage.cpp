@@ -1,5 +1,7 @@
 #include "colop/ir/stage.h"
 
+#include <iterator>
+
 #include "colop/mpsim/balanced_tree.h"
 #include "colop/support/bits.h"
 #include "colop/support/error.h"
@@ -159,19 +161,143 @@ void IterStage::eval_reference(Dist& state) const {
 // the collective (continuation-overlap semantics, stage.h).
 void WaitStage::eval_reference(Dist& /*state*/) const {}
 
-int splitphase_handle(const Stage& s) {
-  switch (s.kind()) {
-    case Stage::Kind::IStartReduce:
-      return *static_cast<const ReduceStage&>(s).handle;
-    case Stage::Kind::IStartBcast:
-      return *static_cast<const BcastStage&>(s).handle;
-    case Stage::Kind::IStartAllReduce:
-      return *static_cast<const AllReduceStage&>(s).handle;
-    case Stage::Kind::Wait:
-      return static_cast<const WaitStage&>(s).handle;
-    default:
-      return -1;
-  }
+const std::string& Stage::label() const {
+  static const std::string none;
+  return none;
+}
+
+const BinOpPtr& Stage::binop() const {
+  static const BinOpPtr none;
+  return none;
+}
+
+std::string Stage::show() const {
+  const KindRow& r = row();
+  std::string args = label();
+  const auto key = [&args](const char* name, int value) {
+    args += (args.empty() ? "" : ",") + std::string(name) + std::to_string(value);
+  };
+  if (r.root_arg && root_rank() != 0) key("root=", root_rank());
+  if (r.handle_arg && request_handle() != 0) key("h=", request_handle());
+  std::string text(r.keyword);
+  if (r.label == Label::none && args.empty()) return text;
+  return text + "(" + args + ")";
+}
+
+namespace {
+
+using Kind = Stage::Kind;
+
+template <typename S, typename... Field>
+StagePtr make(Field... field) {
+  return std::make_shared<S>(std::move(field)...);
+}
+
+constexpr std::string_view kTree = "a tree schedule of this reduction";
+constexpr std::string_view kButterfly = "a butterfly schedule of this collective";
+constexpr std::string_view kNoKernel = "has no packed kernel";
+constexpr std::string_view kMissingKernel = "is missing a packed kernel";
+
+// The stage-kind table, in Kind order.
+constexpr KindRow kRows[] = {
+    {.kind = Kind::Map, .keyword = "map", .twin = Kind::Map, .label = Label::fn,
+     .make = [](KindArgs&& a) { return make<MapStage>(std::move(a.fn)); },
+     .role = WindowRole::elementwise, .persistent = true, .shape = ShapeStep::local,
+     .kernel_owner = "map function", .kernel_gap = kNoKernel},
+    {.kind = Kind::MapIndexed, .keyword = "map#", .twin = Kind::MapIndexed,
+     .label = Label::fn, .role = WindowRole::elementwise, .persistent = true,
+     .shape = ShapeStep::local, .post = PostState::rank_dependent,
+     .kernel_owner = "map# function", .kernel_gap = kNoKernel},
+    {.kind = Kind::Scan, .keyword = "scan", .twin = Kind::Scan, .label = Label::op,
+     .make = [](KindArgs&& a) { return make<ScanStage>(std::move(a.op), a.words); },
+     .post = PostState::varied, .reads = Reads::all,
+     .regroups = "a tree/butterfly schedule of this collective",
+     .balanced = "scan_balanced (built for non-associative combine schemes)",
+     .kernel_owner = "operator", .kernel_gap = kNoKernel},
+    {.kind = Kind::Reduce, .keyword = "reduce", .twin = Kind::IStartReduce,
+     .label = Label::op, .root_arg = true,
+     .make = [](KindArgs&& a) {
+       return make<ReduceStage>(std::move(a.op), a.root, a.words);
+     },
+     .post = PostState::root_only, .reads = Reads::all, .names_root = true,
+     .regroups = kTree, .balanced = "reduce_balanced", .kernel_owner = "operator",
+     .kernel_gap = kNoKernel},
+    {.kind = Kind::AllReduce, .keyword = "allreduce", .twin = Kind::IStartAllReduce,
+     .label = Label::op,
+     .make = [](KindArgs&& a) {
+       return make<AllReduceStage>(std::move(a.op), a.words);
+     },
+     .post = PostState::uniform, .reads = Reads::all, .regroups = kButterfly,
+     .balanced = "allreduce_balanced", .kernel_owner = "operator",
+     .kernel_gap = kNoKernel},
+    {.kind = Kind::Bcast, .keyword = "bcast", .twin = Kind::IStartBcast,
+     .root_arg = true,
+     .make = [](KindArgs&& a) { return make<BcastStage>(a.root, a.words); },
+     .post = PostState::uniform, .reads = Reads::root, .names_root = true},
+    {.kind = Kind::ScanBalanced, .keyword = "scan_balanced",
+     .twin = Kind::ScanBalanced, .label = Label::op, .persistent = true,
+     .shape = ShapeStep::tail_words, .post = PostState::varied, .reads = Reads::all,
+     .kernel_owner = "balanced operator",
+     .kernel_gap = "is missing one of its three packed kernels"},
+    {.kind = Kind::ReduceBalanced, .keyword = "reduce_balanced",
+     .twin = Kind::ReduceBalanced, .label = Label::op, .persistent = true,
+     .post = PostState::root_only, .reads = Reads::all, .names_root = true,
+     .kernel_owner = "balanced operator", .kernel_gap = kMissingKernel},
+    {.kind = Kind::AllReduceBalanced, .keyword = "allreduce_balanced",
+     .twin = Kind::AllReduceBalanced, .label = Label::op, .persistent = true,
+     .post = PostState::uniform, .reads = Reads::all,
+     .kernel_owner = "balanced operator", .kernel_gap = kMissingKernel},
+    {.kind = Kind::Iter, .keyword = "iter", .twin = Kind::Iter, .label = Label::fn,
+     .role = WindowRole::local, .persistent = true, .shape = ShapeStep::local,
+     .post = PostState::root_only, .reads = Reads::rank0, .kernel_owner = "iter step",
+     .kernel_gap = kNoKernel},
+    {.kind = Kind::IStartReduce, .keyword = "istart_reduce", .twin = Kind::Reduce,
+     .label = Label::op, .root_arg = true, .handle_arg = true,
+     .make = [](KindArgs&& a) {
+       return make<ReduceStage>(std::move(a.op), a.root, a.words,
+                                std::optional(a.handle));
+     },
+     .role = WindowRole::istart, .post = PostState::root_only, .reads = Reads::all,
+     .names_root = true, .regroups = kTree, .balanced = "reduce_balanced"},
+    {.kind = Kind::IStartBcast, .keyword = "istart_bcast", .twin = Kind::Bcast,
+     .root_arg = true, .handle_arg = true,
+     .make = [](KindArgs&& a) {
+       return make<BcastStage>(a.root, a.words, std::optional(a.handle));
+     },
+     .role = WindowRole::istart, .post = PostState::uniform, .reads = Reads::root,
+     .names_root = true},
+    {.kind = Kind::IStartAllReduce, .keyword = "istart_allreduce",
+     .twin = Kind::AllReduce, .label = Label::op, .handle_arg = true,
+     .make = [](KindArgs&& a) {
+       return make<AllReduceStage>(std::move(a.op), a.words, std::optional(a.handle));
+     },
+     .role = WindowRole::istart, .post = PostState::uniform, .reads = Reads::all,
+     .regroups = kButterfly, .balanced = "allreduce_balanced"},
+    {.kind = Kind::Wait, .keyword = "wait", .twin = Kind::Wait, .handle_arg = true,
+     .make = [](KindArgs&& a) { return make<WaitStage>(a.handle); },
+     .role = WindowRole::wait, .shape = ShapeStep::local},
+};
+
+constexpr bool one_row_per_kind() {
+  constexpr auto kinds = static_cast<std::size_t>(Kind::Wait) + 1;
+  if (std::size(kRows) != kinds) return false;
+  for (std::size_t i = 0; i < kinds; ++i)
+    if (kRows[i].kind != static_cast<Kind>(i)) return false;
+  return true;
+}
+static_assert(one_row_per_kind(),
+              "the stage-kind table needs one row per Stage::Kind, in order");
+
+}  // namespace
+
+const KindRow& kind_row(Stage::Kind kind) {
+  return kRows[static_cast<std::size_t>(kind)];
+}
+
+const KindRow* textual_row(std::string_view keyword) {
+  for (const KindRow& r : kRows)
+    if (r.make != nullptr && r.keyword == keyword) return &r;
+  return nullptr;
 }
 
 }  // namespace colop::ir

@@ -144,8 +144,10 @@ struct SearchResult {
 };
 
 /// True when no rewrite rule in the paper's catalog consumes a stage of
-/// this kind (Scan/Reduce/AllReduce/Bcast are the consumable ones; MB-Swap
-/// re-emits its map with identical cost, so Map counts as persistent).
+/// this kind: the `persistent` column of the stage-kind table (ir/stage.h).
+/// Scan/Reduce/AllReduce/Bcast are the consumable ones, and so are the
+/// split-phase stages, which also price below their window; MB-Swap
+/// re-emits its map with identical cost, so Map counts as persistent.
 /// This is the predicate behind the branch-and-bound lower bound; it is a
 /// property of all_rules(), so custom rule sets that consume other kinds
 /// must not use bound pruning.

@@ -1,5 +1,7 @@
 #include "colop/rules/rules.h"
 
+#include <algorithm>
+
 #include "colop/ir/shapes.h"
 #include "colop/rules/derived_ops.h"
 
@@ -683,15 +685,11 @@ std::vector<int> outstanding_before(const Program& prog, std::size_t at) {
   std::vector<int> out;
   for (std::size_t i = 0; i < at && i < prog.size(); ++i) {
     const Stage& s = prog.stage(i);
-    if (ir::is_istart(s.kind())) {
-      out.push_back(ir::splitphase_handle(s));
-    } else if (s.kind() == Stage::Kind::Wait) {
-      const int h = ir::splitphase_handle(s);
-      for (auto it = out.begin(); it != out.end(); ++it)
-        if (*it == h) {
-          out.erase(it);
-          break;
-        }
+    if (s.row().role == ir::WindowRole::istart) {
+      out.push_back(s.request_handle());
+    } else if (s.row().role == ir::WindowRole::wait) {
+      const auto it = std::ranges::find(out, s.request_handle());
+      if (it != out.end()) out.erase(it);
     }
   }
   return out;
@@ -700,19 +698,9 @@ std::vector<int> outstanding_before(const Program& prog, std::size_t at) {
 // Smallest handle no istart/wait anywhere in the program uses.
 int fresh_handle(const Program& prog) {
   int max_used = 0;
-  for (const auto& s : prog.stages()) {
-    const int h = ir::splitphase_handle(*s);
-    if (h > max_used) max_used = h;
-  }
+  for (const auto& s : prog.stages())
+    max_used = std::max(max_used, s->request_handle());
   return max_used + 1;
-}
-
-// The istart spelling of a blocking collective: a copy with handle `h`.
-template <typename S>
-ir::StagePtr with_handle(const S& blocking, int h) {
-  auto istart = std::make_shared<S>(blocking);
-  istart->handle = h;
-  return istart;
 }
 
 class OverlapSplit final : public Rule {
@@ -726,15 +714,11 @@ class OverlapSplit final : public Rule {
   }
   [[nodiscard]] std::optional<RuleMatch> match(const Program& prog,
                                                std::size_t at) const override {
-    if (at >= prog.size()) return std::nullopt;
-    const Stage& c = prog.stage(at);
-    const Stage::Kind ck = c.kind();
-    if (ck != Stage::Kind::Reduce && ck != Stage::Kind::AllReduce &&
-        ck != Stage::Kind::Bcast)
-      return std::nullopt;
     if (at + 1 >= prog.size()) return std::nullopt;
-    const Stage::Kind mk = prog.stage(at + 1).kind();
-    if (mk != Stage::Kind::Map && mk != Stage::Kind::MapIndexed)
+    const Stage& c = prog.stage(at);
+    const ir::KindRow& row = c.row();
+    if (row.role != ir::WindowRole::collective || row.twin == c.kind() ||
+        prog.stage(at + 1).row().role != ir::WindowRole::elementwise)
       return std::nullopt;
     if (!outstanding_before(prog, at).empty()) {
       reject("another nonblocking request is already in flight here");
@@ -746,25 +730,11 @@ class OverlapSplit final : public Rule {
     m.rule_name = name();
     m.first = at;
     m.count = 2;
-    switch (ck) {
-      case Stage::Kind::Reduce: {
-        const auto& rd = static_cast<const ir::ReduceStage&>(c);
-        m.replacement.push_back(with_handle(rd, h));
-        m.note = "C=reduce(" + rd.op->name() + ")";
-        break;
-      }
-      case Stage::Kind::AllReduce: {
-        const auto& ar = static_cast<const ir::AllReduceStage&>(c);
-        m.replacement.push_back(with_handle(ar, h));
-        m.note = "C=allreduce(" + ar.op->name() + ")";
-        break;
-      }
-      default:
-        m.replacement.push_back(
-            with_handle(static_cast<const ir::BcastStage&>(c), h));
-        m.note = "C=bcast";
-        break;
-    }
+    m.replacement.push_back(ir::kind_row(row.twin).make(
+        {.op = c.binop(), .root = c.root_rank(), .handle = h,
+         .words = c.wire_words()}));
+    m.note = "C=" + std::string(row.keyword);
+    if (c.binop()) m.note += "(" + c.label() + ")";
     m.replacement.push_back(prog.stages()[at + 1]);
     m.replacement.push_back(std::make_shared<ir::WaitStage>(h));
     m.equivalence = Equivalence::full;
@@ -782,11 +752,9 @@ class WaitSink final : public Rule {
   }
   [[nodiscard]] std::optional<RuleMatch> match(const Program& prog,
                                                std::size_t at) const override {
-    if (at >= prog.size() || prog.stage(at).kind() != Stage::Kind::Wait)
-      return std::nullopt;
-    if (at + 1 >= prog.size()) return std::nullopt;
-    const Stage::Kind mk = prog.stage(at + 1).kind();
-    if (mk != Stage::Kind::Map && mk != Stage::Kind::MapIndexed)
+    if (at + 1 >= prog.size() ||
+        prog.stage(at).row().role != ir::WindowRole::wait ||
+        prog.stage(at + 1).row().role != ir::WindowRole::elementwise)
       return std::nullopt;
 
     RuleMatch m;
@@ -796,7 +764,7 @@ class WaitSink final : public Rule {
     m.replacement.push_back(prog.stages()[at + 1]);
     m.replacement.push_back(prog.stages()[at]);
     m.equivalence = Equivalence::full;
-    m.note = "h=" + std::to_string(ir::splitphase_handle(prog.stage(at)));
+    m.note = "h=" + std::to_string(prog.stage(at).request_handle());
     return m;
   }
 };

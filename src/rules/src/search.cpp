@@ -95,26 +95,7 @@ std::string strategy_name(SearchStrategy strategy) {
 }
 
 bool search_persistent_stage(const ir::Stage& stage) {
-  switch (stage.kind()) {
-    case ir::Stage::Kind::Scan:
-    case ir::Stage::Kind::Reduce:
-    case ir::Stage::Kind::AllReduce:
-    case ir::Stage::Kind::Bcast:
-    case ir::Stage::Kind::IStartReduce:
-    case ir::Stage::Kind::IStartBcast:
-    case ir::Stage::Kind::IStartAllReduce:
-    case ir::Stage::Kind::Wait:
-      return false;  // consumable: some rule's LHS eliminates these
-                     // (split-phase stages also price below their window)
-    case ir::Stage::Kind::Map:          // MB-Swap re-emits it, cost unchanged
-    case ir::Stage::Kind::MapIndexed:
-    case ir::Stage::Kind::ScanBalanced:
-    case ir::Stage::Kind::ReduceBalanced:
-    case ir::Stage::Kind::AllReduceBalanced:
-    case ir::Stage::Kind::Iter:
-      return true;
-  }
-  return false;
+  return stage.row().persistent;
 }
 
 std::string RankedSchedule::path_text() const {

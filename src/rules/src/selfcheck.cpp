@@ -21,26 +21,8 @@ ir::Dist random_dist(int p, std::size_t block, const ElemGen& gen, Rng& rng) {
 
 // The largest root rank a stage of `prog` names.
 int max_root(const ir::Program& prog) {
-  using Kind = ir::Stage::Kind;
   int root = 0;
-  for (const auto& st : prog.stages()) {
-    switch (st->kind()) {
-      case Kind::Reduce:
-      case Kind::IStartReduce:
-        root = std::max(root, static_cast<const ir::ReduceStage&>(*st).root);
-        break;
-      case Kind::Bcast:
-      case Kind::IStartBcast:
-        root = std::max(root, static_cast<const ir::BcastStage&>(*st).root);
-        break;
-      case Kind::ReduceBalanced:
-        root = std::max(
-            root, static_cast<const ir::ReduceBalancedStage&>(*st).root);
-        break;
-      default:
-        break;
-    }
-  }
+  for (const auto& st : prog.stages()) root = std::max(root, st->root_rank());
   return root;
 }
 

@@ -87,9 +87,9 @@ struct DerivationCertificates {
   void write_json(std::ostream& os) const;
 };
 
-/// The BinOps a run of stages carries, in stage order; an istart carries
-/// the operator of its blocking twin.  Bcast, map, balanced and wait
-/// stages carry none.
+/// The BinOps a run of stages carries (Stage::binop), in stage order; an
+/// istart carries the operator of its blocking twin.  Bcast, map, balanced
+/// and wait stages carry none.
 [[nodiscard]] std::vector<ir::BinOpPtr> stage_ops(
     std::span<const ir::StagePtr> stages);
 

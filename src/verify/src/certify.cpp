@@ -18,7 +18,6 @@ namespace {
 
 using ir::BinOpPtr;
 using ir::Program;
-using ir::Stage;
 using ir::Value;
 
 const std::set<std::string>& distributivity_rules() {
@@ -79,10 +78,10 @@ std::span<const ir::StagePtr> window_of(const Program& prog,
 bool requests_closed(std::span<const ir::StagePtr> stages) {
   std::vector<int> issued, completed;
   for (const auto& st : stages) {
-    if (ir::is_istart(st->kind()))
-      issued.push_back(ir::splitphase_handle(*st));
-    else if (st->kind() == Stage::Kind::Wait)
-      completed.push_back(ir::splitphase_handle(*st));
+    if (st->row().role == ir::WindowRole::istart)
+      issued.push_back(st->request_handle());
+    else if (st->row().role == ir::WindowRole::wait)
+      completed.push_back(st->request_handle());
   }
   std::ranges::sort(issued);
   std::ranges::sort(completed);
@@ -171,23 +170,8 @@ Diagnostic cert_diag(Severity sev, std::string code, const Program& prog,
 
 std::vector<BinOpPtr> stage_ops(std::span<const ir::StagePtr> stages) {
   std::vector<BinOpPtr> ops;
-  for (const auto& st : stages) {
-    switch (st->kind()) {
-      case Stage::Kind::Scan:
-        ops.push_back(static_cast<const ir::ScanStage&>(*st).op);
-        break;
-      case Stage::Kind::Reduce:
-      case Stage::Kind::IStartReduce:
-        ops.push_back(static_cast<const ir::ReduceStage&>(*st).op);
-        break;
-      case Stage::Kind::AllReduce:
-      case Stage::Kind::IStartAllReduce:
-        ops.push_back(static_cast<const ir::AllReduceStage&>(*st).op);
-        break;
-      default:
-        break;  // bcast/map/balanced/wait stages carry no declared BinOp
-    }
-  }
+  for (const auto& st : stages)
+    if (const BinOpPtr& op = st->binop()) ops.push_back(op);
   return ops;
 }
 

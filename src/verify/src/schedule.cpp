@@ -1,5 +1,7 @@
 #include "colop/verify/schedule.h"
 
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "colop/ir/packed_eval.h"
@@ -34,29 +36,27 @@ struct Walker {
     report->add(std::move(d));
   }
 
-  [[nodiscard]] bool root_in_range(int root, std::size_t i) const {
-    if (root >= 0 && root < opts.p) return true;
+  void root_in_range(int root, std::size_t i) const {
+    if (root >= 0 && root < opts.p) return;
     diag(Severity::error, "V203", i,
          "root rank " + std::to_string(root) + " is out of range for p = " +
              std::to_string(opts.p) +
              " — every rank would wait on a collective nobody roots",
          "pick a root in [0, " + std::to_string(opts.p) + ")");
-    return false;
   }
 
   /// Pre-contract shared by every data-combining collective: all p blocks
-  /// must be (potentially) defined.  Returns false when violated.
-  [[nodiscard]] bool need_all_defined(const DistState& st, std::size_t i,
-                                      const std::string& what) const {
-    if (st.kind != DistState::Kind::root_only) return true;
+  /// must be (potentially) defined.
+  void need_all_defined(const DistState& st, std::size_t i,
+                        std::string_view what) const {
+    if (st.kind != DistState::Kind::root_only) return;
     diag(Severity::error, "V201", i,
-         what + " combines the blocks of all " + std::to_string(opts.p) +
+         std::string(what) + " combines the blocks of all " + std::to_string(opts.p) +
              " ranks, but only rank " + std::to_string(st.root) +
              " holds defined data here (state " + st.to_string() +
              ") — undefined operands gate to `_`, so the result is undefined",
          "insert bcast(root=" + std::to_string(st.root) +
              ") before this stage, or root the producing reduce elsewhere");
-    return false;
   }
 
   void divergence_discarded(std::size_t producer, std::size_t consumer,
@@ -68,154 +68,122 @@ struct Walker {
          "root's value matters");
   }
 
+  /// iter reads rank 0's block and leaves `_` everywhere else (V204,
+  /// V201, V206).
+  void iter_reads_rank0(const DistState& st, std::size_t i,
+                        const ir::IterStage& it) const {
+    if (!is_pow2(static_cast<std::uint64_t>(opts.p)) &&
+        it.general_fold == nullptr)
+      diag(Severity::error, "V204", i,
+           "iter's doubling schema computes f^log2(p), which is exact "
+           "only for p a power of two; p = " +
+               std::to_string(opts.p) +
+               " and no generalized fold is provided, so evaluation "
+               "throws at run time",
+           "pass a general_fold (square-and-multiply over the binary "
+           "digits of p) or run on a power-of-two machine");
+    if (st.kind == DistState::Kind::root_only && st.root != 0) {
+      diag(Severity::error, "V201", i,
+           "iter operates on rank 0's block, which is undefined here — "
+           "the defined data lives only at rank " +
+               std::to_string(st.root) + " (state " + st.to_string() + ")",
+           "root the producing reduce at 0, or bcast before the iter");
+    } else if (st.kind != DistState::Kind::root_only) {
+      diag(Severity::warning, "V206", i,
+           "iter keeps only rank 0's result and overwrites the defined "
+           "blocks of the other " +
+               std::to_string(opts.p - 1) +
+               " ranks with `_` (state before: " + st.to_string() + ")",
+           "iter normally follows a reduce to rank 0; check that the "
+           "discarded data is really dead");
+    }
+  }
+
+  /// A bcast (or istart_bcast) reads its root's block (V202, V206).
+  void bcast_reads_root(const DistState& st, std::size_t i,
+                        const Stage& bc) const {
+    const std::string name(bc.row().keyword);
+    const int root = bc.root_rank();
+    if (st.kind == DistState::Kind::root_only && st.root != root) {
+      // PARCOACH's classic mismatch, in distribution-state form: the
+      // collective everyone executes is rooted where nothing lives.
+      diag(Severity::error, "V202", i,
+           name + " roots at rank " + std::to_string(root) +
+               ", whose block is undefined — the defined data lives "
+               "only at rank " +
+               std::to_string(st.root) + " (state " + st.to_string() +
+               "); every rank would receive `_`",
+           "root the " + name + " at " + std::to_string(st.root) +
+               " (or root the producing reduce at " + std::to_string(root) +
+               ")");
+    } else if (st.kind == DistState::Kind::uniform) {
+      diag(Severity::warning, "V206", i,
+           "redundant " + name +
+               ": every rank already holds the root's value (state "
+               "uniform)",
+           bc.row().role == ir::WindowRole::istart
+               ? "remove it and its " + ir::WaitStage(bc.request_handle()).show()
+               : "remove it — this is what rule BB-Elim fires on");
+    } else if (st.kind == DistState::Kind::varied && i > 0 &&
+               !prog.stage(i - 1).is_local()) {
+      // A collective just computed rank-distinct results and this
+      // bcast immediately overwrites all but the root's.
+      divergence_discarded(i - 1, i,
+                           "immediately overwritten on every non-root "
+                           "rank by this " + name);
+    }
+  }
+
+  // Each stage's contract and post-state come from its kind's row.
+  // Split-phase: the continuation semantics makes the collective's result
+  // visible immediately, so an istart carries its blocking twin's
+  // distribution contract and post-state, worded with its own spelling;
+  // wait is a no-op.  The V22x nonblocking contracts are
+  // analyze_splitphase's job.
   void walk() {
     DistState st = opts.entry;
     const auto n = prog.size();
     states.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const Stage& stage = prog.stage(i);
-      switch (stage.kind()) {
-        case Stage::Kind::Map:
-          break;  // elementwise, rank-oblivious: distribution unchanged
-        case Stage::Kind::MapIndexed:
+      const ir::KindRow& row = stage.row();
+      if (row.needs_associative() && !stage.binop()->associative())
+        diag(Severity::error, "V207", i,
+             "operator `" + stage.binop()->name() +
+                 "` is not declared associative; " + std::string(row.regroups) +
+                 " regroups applications and would change the result",
+             "use " + std::string(row.balanced) +
+                 " or fix the operator declaration");
+      if (row.names_root) root_in_range(stage.root_rank(), i);
+      switch (row.reads) {
+        case ir::Reads::own:
+          break;
+        case ir::Reads::all:
+          need_all_defined(st, i, row.keyword);
+          break;
+        case ir::Reads::root:
+          bcast_reads_root(st, i, stage);
+          break;
+        case ir::Reads::rank0:
+          iter_reads_rank0(st, i, static_cast<const ir::IterStage&>(stage));
+          break;
+      }
+      switch (row.post) {
+        case ir::PostState::unchanged:
+          break;
+        case ir::PostState::rank_dependent:
           // f k x is rank-dependent: replicated data stops being so.
           if (st.kind == DistState::Kind::uniform) st = DistState::varied();
           break;
-        case Stage::Kind::Iter: {
-          const auto& it = static_cast<const ir::IterStage&>(stage);
-          if (!is_pow2(static_cast<std::uint64_t>(opts.p)) &&
-              it.general_fold == nullptr)
-            diag(Severity::error, "V204", i,
-                 "iter's doubling schema computes f^log2(p), which is exact "
-                 "only for p a power of two; p = " +
-                     std::to_string(opts.p) +
-                     " and no generalized fold is provided, so evaluation "
-                     "throws at run time",
-                 "pass a general_fold (square-and-multiply over the binary "
-                 "digits of p) or run on a power-of-two machine");
-          // iter reads rank 0's block and leaves `_` everywhere else.
-          if (st.kind == DistState::Kind::root_only && st.root != 0) {
-            diag(Severity::error, "V201", i,
-                 "iter operates on rank 0's block, which is undefined here — "
-                 "the defined data lives only at rank " +
-                     std::to_string(st.root) + " (state " + st.to_string() +
-                     ")",
-                 "root the producing reduce at 0, or bcast before the iter");
-          } else if (st.kind != DistState::Kind::root_only) {
-            diag(Severity::warning, "V206", i,
-                 "iter keeps only rank 0's result and overwrites the defined "
-                 "blocks of the other " +
-                     std::to_string(opts.p - 1) +
-                     " ranks with `_` (state before: " + st.to_string() + ")",
-                 "iter normally follows a reduce to rank 0; check that the "
-                 "discarded data is really dead");
-          }
-          st = DistState::root_only(0);
-          break;
-        }
-        case Stage::Kind::Scan: {
-          const auto& sc = static_cast<const ir::ScanStage&>(stage);
-          if (!sc.op->associative())
-            diag(Severity::error, "V207", i,
-                 "operator `" + sc.op->name() +
-                     "` is not declared associative; a tree/butterfly "
-                     "schedule of this collective regroups applications and "
-                     "would change the result",
-                 "use scan_balanced (built for non-associative combine "
-                 "schemes) or fix the operator declaration");
-          static_cast<void>(need_all_defined(st, i, "scan"));
-          st = DistState::varied();  // prefix i differs per rank
-          break;
-        }
-        case Stage::Kind::ScanBalanced:
-          static_cast<void>(need_all_defined(st, i, "scan_balanced"));
+        case ir::PostState::varied:
           st = DistState::varied();
           break;
-        // Split-phase: the continuation semantics makes the collective's
-        // result visible immediately, so an istart carries its blocking
-        // twin's distribution contract and post-state, worded with its own
-        // spelling; wait is a no-op.  The V22x nonblocking contracts are
-        // analyze_splitphase's job.
-        case Stage::Kind::Reduce:
-        case Stage::Kind::IStartReduce: {
-          const auto& rd = static_cast<const ir::ReduceStage&>(stage);
-          if (!rd.op->associative())
-            diag(Severity::error, "V207", i,
-                 "operator `" + rd.op->name() +
-                     "` is not declared associative; a tree schedule of this "
-                     "reduction regroups applications and would change the "
-                     "result",
-                 "use reduce_balanced or fix the operator declaration");
-          static_cast<void>(root_in_range(rd.root, i));
-          static_cast<void>(
-              need_all_defined(st, i, rd.handle ? "istart_reduce" : "reduce"));
-          st = DistState::root_only(rd.root);
+        case ir::PostState::root_only:
+          st = DistState::root_only(stage.root_rank());
           break;
-        }
-        case Stage::Kind::ReduceBalanced: {
-          const auto& rd = static_cast<const ir::ReduceBalancedStage&>(stage);
-          static_cast<void>(root_in_range(rd.root, i));
-          static_cast<void>(need_all_defined(st, i, "reduce_balanced"));
-          st = DistState::root_only(rd.root);
-          break;
-        }
-        case Stage::Kind::AllReduce:
-        case Stage::Kind::IStartAllReduce: {
-          const auto& ar = static_cast<const ir::AllReduceStage&>(stage);
-          if (!ar.op->associative())
-            diag(Severity::error, "V207", i,
-                 "operator `" + ar.op->name() +
-                     "` is not declared associative; a butterfly schedule of "
-                     "this collective regroups applications and would change "
-                     "the result",
-                 "use allreduce_balanced or fix the operator declaration");
-          static_cast<void>(need_all_defined(
-              st, i, ar.handle ? "istart_allreduce" : "allreduce"));
+        case ir::PostState::uniform:
           st = DistState::uniform();
           break;
-        }
-        case Stage::Kind::AllReduceBalanced:
-          static_cast<void>(need_all_defined(st, i, "allreduce_balanced"));
-          st = DistState::uniform();
-          break;
-        case Stage::Kind::Bcast:
-        case Stage::Kind::IStartBcast: {
-          const auto& bc = static_cast<const ir::BcastStage&>(stage);
-          const std::string name = bc.handle ? "istart_bcast" : "bcast";
-          static_cast<void>(root_in_range(bc.root, i));
-          if (st.kind == DistState::Kind::root_only && st.root != bc.root) {
-            // PARCOACH's classic mismatch, in distribution-state form: the
-            // collective everyone executes is rooted where nothing lives.
-            diag(Severity::error, "V202", i,
-                 name + " roots at rank " + std::to_string(bc.root) +
-                     ", whose block is undefined — the defined data lives "
-                     "only at rank " +
-                     std::to_string(st.root) + " (state " + st.to_string() +
-                     "); every rank would receive `_`",
-                 "root the " + name + " at " + std::to_string(st.root) +
-                     " (or root the producing reduce at " +
-                     std::to_string(bc.root) + ")");
-          } else if (st.kind == DistState::Kind::uniform) {
-            diag(Severity::warning, "V206", i,
-                 "redundant " + name +
-                     ": every rank already holds the root's value (state "
-                     "uniform)",
-                 bc.handle ? "remove it and its " +
-                                 ir::WaitStage(*bc.handle).show()
-                           : "remove it — this is what rule BB-Elim fires on");
-          } else if (st.kind == DistState::Kind::varied && i > 0 &&
-                     !prog.stage(i - 1).is_local()) {
-            // A collective just computed rank-distinct results and this
-            // bcast immediately overwrites all but the root's.
-            divergence_discarded(i - 1, i,
-                                 "immediately overwritten on every non-root "
-                                 "rank by this " + name);
-          }
-          st = DistState::uniform();
-          break;
-        }
-        case Stage::Kind::Wait:
-          break;  // completes communication; the value is unchanged
       }
       states.push_back(st);
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -91,7 +92,7 @@ struct SplitWalker {
     in_flight.erase(it);
   }
 
-  void on_blocking(std::size_t i, const char* what) {
+  void on_blocking(std::size_t i, std::string_view what) {
     if (in_flight.empty()) return;
     const Outstanding& o = in_flight.front();
     diag("V222", i,
@@ -108,43 +109,20 @@ struct SplitWalker {
   void walk() {
     for (std::size_t i = 0; i < prog.size(); ++i) {
       const Stage& stage = prog.stage(i);
-      switch (stage.kind()) {
-        case Stage::Kind::Map:
-        case Stage::Kind::MapIndexed:
-          // Elementwise-local: legal inside a window — this is the work
-          // the overlap engine hides the collective behind.
+      switch (stage.row().role) {
+        case ir::WindowRole::elementwise:
+          // Legal inside a window — this is the work the overlap engine
+          // hides the collective behind.
           break;
-        case Stage::Kind::Iter:
-          on_blocking(i, "iter");
+        case ir::WindowRole::local:
+        case ir::WindowRole::collective:
+          on_blocking(i, stage.row().keyword);
           break;
-        case Stage::Kind::Scan:
-          on_blocking(i, "scan");
+        case ir::WindowRole::istart:
+          on_istart(i, stage.request_handle());
           break;
-        case Stage::Kind::Reduce:
-          on_blocking(i, "reduce");
-          break;
-        case Stage::Kind::AllReduce:
-          on_blocking(i, "allreduce");
-          break;
-        case Stage::Kind::Bcast:
-          on_blocking(i, "bcast");
-          break;
-        case Stage::Kind::ScanBalanced:
-          on_blocking(i, "scan_balanced");
-          break;
-        case Stage::Kind::ReduceBalanced:
-          on_blocking(i, "reduce_balanced");
-          break;
-        case Stage::Kind::AllReduceBalanced:
-          on_blocking(i, "allreduce_balanced");
-          break;
-        case Stage::Kind::IStartReduce:
-        case Stage::Kind::IStartBcast:
-        case Stage::Kind::IStartAllReduce:
-          on_istart(i, ir::splitphase_handle(stage));
-          break;
-        case Stage::Kind::Wait:
-          on_wait(i, ir::splitphase_handle(stage));
+        case ir::WindowRole::wait:
+          on_wait(i, stage.request_handle());
           break;
       }
     }

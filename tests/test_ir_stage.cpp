@@ -179,5 +179,32 @@ TEST(PaperFigure2, P1EqualsP2OnTheExampleInput) {
   EXPECT_EQ(firsts(out1), (std::vector<std::int64_t>{10, 10, 10, 10}));
 }
 
+// The stage-kind table: a stage built from a textual row reports that
+// row's kind and spells it with its keyword, and the blocking/istart twins
+// point at each other.
+TEST(KindTable, TextualRowsBuildTheirKindAndTwinsPairUp) {
+  constexpr int kinds = static_cast<int>(Stage::Kind::Wait) + 1;
+  int textual = 0;
+  for (int k = 0; k < kinds; ++k) {
+    const KindRow& row = kind_row(static_cast<Stage::Kind>(k));
+    EXPECT_EQ(row.kind, static_cast<Stage::Kind>(k));
+    EXPECT_EQ(kind_row(row.twin).twin, row.kind) << row.keyword;
+    EXPECT_EQ(row.role == WindowRole::istart, row.twin != row.kind &&
+                                                  row.handle_arg)
+        << row.keyword;
+    if (row.make == nullptr) continue;
+    ++textual;
+    EXPECT_EQ(textual_row(row.keyword), &row);
+    const StagePtr stage =
+        row.make({.op = op_add(), .fn = fn_id(), .root = 0, .handle = 2});
+    EXPECT_EQ(stage->kind(), row.kind) << row.keyword;
+    EXPECT_EQ(stage->show().rfind(std::string(row.keyword), 0), 0u)
+        << stage->show();
+  }
+  EXPECT_EQ(textual, 9);  // map, scan, reduce, allreduce, bcast, 3 istart, wait
+  EXPECT_EQ(textual_row("map#"), nullptr);  // no text spelling
+  EXPECT_EQ(textual_row("reduce_balanced"), nullptr);
+}
+
 }  // namespace
 }  // namespace colop::ir

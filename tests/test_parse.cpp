@@ -66,7 +66,14 @@ TEST(Parse, ErrorsCarryPosition) {
   for (const std::string bad : {"", "scatter(+)", "scan()", "scan(+",
                                 "map(unknownfn)", "reduce(+,depth=3)",
                                 "scan(+) ; ; scan(+)", "scan(nosuchop)",
-                                "bcast(root=)"}) {
+                                "bcast(root=)", "reduce(+mod0)", "reduce(+mod)",
+                                "reduce(+mod7x)", "reduce(*mod-3)",
+                                "reduce(*mod99999999999999999999)",
+                                "reduce(+,root=99999999999)",
+                                "reduce(+,root=-1)", "bcast(root=-2)",
+                                "istart_bcast(h=-1)", "wait(h=2147483648)",
+                                "istart_bcast(h=1,h=2)",
+                                "istart_bcast(root=1,root=2)"}) {
     EXPECT_THROW((void)parse_program(bad), Error) << "'" << bad << "'";
   }
   try {
@@ -88,19 +95,46 @@ TEST(ParseFuzz, RandomProgramsRoundTripThroughShow) {
     const int n = static_cast<int>(rng.uniform(1, 7));
     for (int i = 0; i < n; ++i) {
       if (i) text += " ; ";
-      switch (rng.uniform(0, 4)) {
+      // Split-phase arguments are optional; h=0 is the default, which
+      // show() drops, so drawing it checks the round trip without it.
+      const auto root = [&rng] {
+        return ",root=" + std::to_string(rng.uniform(0, 3));
+      };
+      const auto handle = [&rng] { return ",h=" + std::to_string(rng.uniform(0, 3)); };
+      const auto op = [&] { return ops[static_cast<std::size_t>(rng.uniform(0, 10))]; };
+      switch (rng.uniform(0, 8)) {
         case 0:
           text += "map(" + maps[static_cast<std::size_t>(rng.uniform(0, 3))] + ")";
           break;
         case 1:
-          text += "scan(" + ops[static_cast<std::size_t>(rng.uniform(0, 10))] + ")";
+          text += "scan(" + op() + ")";
           break;
         case 2:
-          text += "reduce(" + ops[static_cast<std::size_t>(rng.uniform(0, 10))] +
-                  ",root=" + std::to_string(rng.uniform(0, 3)) + ")";
+          text += "reduce(" + op() + root() + ")";
           break;
         case 3:
-          text += "allreduce(" + ops[static_cast<std::size_t>(rng.uniform(0, 10))] + ")";
+          text += "allreduce(" + op() + ")";
+          break;
+        case 4: {
+          std::string args = op();
+          if (rng.uniform(0, 1)) args += root();
+          if (rng.uniform(0, 1)) args += handle();
+          text += "istart_reduce(" + args + ")";
+          break;
+        }
+        case 5:
+          text += "istart_allreduce(" + op() + (rng.uniform(0, 1) ? handle() : "") +
+                  ")";
+          break;
+        case 6: {
+          std::string args = rng.uniform(0, 1) ? root() : "";
+          if (rng.uniform(0, 1)) args += handle();
+          text += args.empty() ? "istart_bcast"
+                               : "istart_bcast(" + args.substr(1) + ")";
+          break;
+        }
+        case 7:
+          text += rng.uniform(0, 1) ? "wait" : "wait(" + handle().substr(1) + ")";
           break;
         default:
           text += "bcast";

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "colop/exec/sim_executor.h"
 #include "colop/exec/thread_executor.h"
@@ -590,11 +589,12 @@ TEST(SplitPhaseThreads, SegmentCountDoesNotChangeResults) {
   blocking.allreduce(ir::op_add()).map(ir::fn_pair());
   const Dist in = random_dist(6, 5, 42);
   const Dist want = blocking.eval_reference(in);
-  for (const char* segs : {"1", "3", "7", "64"}) {
-    ::setenv("COLOP_OVERLAP_SEGMENTS", segs, 1);
-    EXPECT_EQ(exec::run_on_threads(split, in), want) << "segments=" << segs;
+  for (const int segs : {1, 3, 7, 64}) {
+    EXPECT_EQ(exec::run_on_threads(split, in, ir::DataPlane::Auto,
+                                   mpsim::Ranks::threads, segs),
+              want)
+        << "segments=" << segs;
   }
-  ::unsetenv("COLOP_OVERLAP_SEGMENTS");
 }
 
 }  // namespace

@@ -481,7 +481,7 @@ std::vector<obs::StageRecord> stage_records(
     obs::StageRecord rec;
     rec.index = static_cast<int>(out.size());
     rec.label = stage->show();
-    rec.kind = rec.label.substr(0, rec.label.find('('));  // the stage's keyword
+    rec.kind = stage->row().keyword;
     rec.local = stage->is_local();
     if (provenance != nullptr && out.size() < provenance->size())
       rec.rule = (*provenance)[out.size()];
@@ -520,13 +520,6 @@ int main(int argc, char** argv) {
   model::Machine& machine = s.machine;
   const bool searching =
       s.strategy && *s.strategy != rules::SearchStrategy::greedy;
-
-  // --overlap works with every strategy (greedy just appends the overlap
-  // rules to its catalog); the segment count rides to the thread executor
-  // through the environment, read once before rank threads spawn.
-  if (s.overlap)
-    ::setenv("COLOP_OVERLAP_SEGMENTS",
-             std::to_string(s.overlap_segments).c_str(), 1);
 
   // Store root: --record=DIR wins (what we write is what we read), then
   // --store, then the environment/default.
@@ -861,7 +854,9 @@ int main(int argc, char** argv) {
       std::optional<exec::ThreadRunResult> run;
       for (int it = 0; it < s.warmup + s.repeat; ++it) {
         if (s.live) live_sampler->note_repeat(it);
-        auto r = exec::run_on_threads_instrumented(result.program, input);
+        auto r = exec::run_on_threads_instrumented(
+            result.program, input, ir::DataPlane::Auto, mpsim::Ranks::threads,
+            s.overlap_segments);
         if (it >= s.warmup) samples_ms.push_back(r.wall_seconds * 1e3);
         run = std::move(r);
       }
