@@ -36,9 +36,9 @@ inline double seconds(double ops) { return ops * kUnitSeconds; }
 
 /// Stamp the experimental configuration into the registry so every
 /// BENCH_*.json records WHAT was measured (p, m, machine parameters)
-/// alongside the measurements — bench_diff then compares like with like,
-/// and a baseline from a different configuration is visible as a changed
-/// scalar instead of a silently different experiment.
+/// alongside the measurements — `bench_history diff` then compares like
+/// with like, and a baseline from a different configuration is visible as
+/// a changed scalar instead of a silently different experiment.
 inline void record_machine(obs::MetricsRegistry& reg,
                            const model::Machine& mach) {
   reg.set("machine_p", mach.p);

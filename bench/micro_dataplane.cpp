@@ -8,7 +8,7 @@
 //
 // The gating scalars are the dimensionless speedup ratios — stable across
 // machines, which is what the committed Release baseline compares under
-// tools/bench_diff (higher is better).  Raw elements/sec and bytes/sec go
+// `bench_history diff` (higher is better).  Raw elements/sec and bytes/sec go
 // into the series for inspection and artifact upload.
 //
 // Usage: micro_dataplane [--quick]   (--quick shrinks sizes/reps for smoke

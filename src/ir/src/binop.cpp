@@ -18,6 +18,32 @@ Value numeric(const Value& a, const Value& b, IntFn fi, RealFn fr) {
   return Value(fr(a.number(), b.number()));
 }
 
+__extension__ using i128 = __int128;
+
+// r mod m in [0, m) for m >= 1.  Same value as ((r % m) + m) % m, but
+// q + m cannot overflow: it is only formed when q is negative.
+template <typename Int>
+std::int64_t floor_mod(Int r, std::int64_t m) {
+  const Int q = r % m;
+  return static_cast<std::int64_t>(q < 0 ? q + m : q);
+}
+
+// (x + y) mod m and (x * y) mod m, exact for every int64 operand: only a
+// sum or product that overflows int64 is redone in 128 bits.
+std::int64_t add_mod(std::int64_t x, std::int64_t y, std::int64_t m) {
+  std::int64_t r = 0;
+  if (__builtin_add_overflow(x, y, &r)) [[unlikely]]
+    return floor_mod(static_cast<i128>(x) + y, m);
+  return floor_mod(r, m);
+}
+
+std::int64_t mul_mod(std::int64_t x, std::int64_t y, std::int64_t m) {
+  std::int64_t r = 0;
+  if (__builtin_mul_overflow(x, y, &r)) [[unlikely]]
+    return floor_mod(static_cast<i128>(x) * y, m);
+  return floor_mod(r, m);
+}
+
 }  // namespace
 
 BinOpPtr op_add() {
@@ -157,7 +183,7 @@ BinOpPtr op_modadd(std::int64_t m) {
       .name = "+mod" + std::to_string(m),
       .fn =
           [m](const Value& a, const Value& b) {
-            return Value((((a.as_int() + b.as_int()) % m) + m) % m);
+            return Value(add_mod(a.as_int(), b.as_int(), m));
           },
       .associative = true,
       .commutative = true,
@@ -166,7 +192,7 @@ BinOpPtr op_modadd(std::int64_t m) {
       .unit = Value(std::int64_t{0}),
       .packed_fn = pk::bin_int("+mod" + std::to_string(m),
                                [m](std::int64_t x, std::int64_t y) {
-                                 return (((x + y) % m) + m) % m;
+                                 return add_mod(x, y, m);
                                }),
   });
 }
@@ -176,7 +202,7 @@ BinOpPtr op_modmul(std::int64_t m) {
       .name = "*mod" + std::to_string(m),
       .fn =
           [m](const Value& a, const Value& b) {
-            return Value((((a.as_int() * b.as_int()) % m) + m) % m);
+            return Value(mul_mod(a.as_int(), b.as_int(), m));
           },
       .associative = true,
       .commutative = true,
@@ -185,7 +211,7 @@ BinOpPtr op_modmul(std::int64_t m) {
       .unit = Value(std::int64_t{1}),
       .packed_fn = pk::bin_int("*mod" + std::to_string(m),
                                [m](std::int64_t x, std::int64_t y) {
-                                 return (((x * y) % m) + m) % m;
+                                 return mul_mod(x, y, m);
                                }),
   });
 }

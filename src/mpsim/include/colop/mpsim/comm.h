@@ -38,7 +38,6 @@ class Comm {
   [[nodiscard]] int rank() const noexcept { return rank_; }
   [[nodiscard]] int size() const noexcept { return group_ ? group_->size() : 0; }
   [[nodiscard]] Group& group() const { return *group_; }
-  [[nodiscard]] TrafficStats& stats() const { return group_->stats(); }
 
   /// Send `value` to `dest` with `tag` (user tags only; < kCollectiveTagBase).
   template <typename T>
@@ -94,7 +93,9 @@ class Comm {
 
   /// This rank's flight recorder; nullptr when telemetry is disabled.
   [[nodiscard]] rt::Recorder* flight_recorder() const noexcept { return rec_; }
-  /// This rank's telemetry counters; null exactly when the recorder is.
+  /// This rank's counters.  sends/send_bytes count every send; the wait,
+  /// barrier and queue fields move only while the recorder is non-null.
+  /// Null only for an invalid Comm.
   [[nodiscard]] rt::RankStats* rank_stats() const noexcept { return rt_stats_; }
 
   /// MPI_Comm_split analogue.  Collective over the group.  Ranks passing
@@ -120,12 +121,10 @@ class Comm {
   void send_raw(int dest, T value, int tag) const {
     COLOP_REQUIRE(dest >= 0 && dest < size(), "mpsim: send to invalid rank");
     const std::size_t bytes = wire_size(value);
-    group_->stats().record_send(rank_, bytes);
-    if (rec_ != nullptr) {
+    rt_stats_->sends.fetch_add(1, std::memory_order_relaxed);
+    rt_stats_->send_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    if (rec_ != nullptr)
       rec_->log(rt::Ev::send, dest, bytes, static_cast<std::uint64_t>(tag));
-      rt_stats_->sends.fetch_add(1, std::memory_order_relaxed);
-      rt_stats_->send_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    }
     group_->mailbox(dest).put(
         Message{std::any(std::move(value)), bytes, rank_, tag});
   }

@@ -1,6 +1,7 @@
 #pragma once
-// Shared state of one process group: mailboxes, barrier, traffic counters,
-// abort flag, and coordination state for communicator splits.
+// Shared state of one process group: mailboxes, barrier, telemetry fleet
+// (which holds the traffic counters), abort flag, and coordination state
+// for communicator splits.
 //
 // A Group is the moral equivalent of an MPI communicator's shared side.
 // Ranks interact with it through Comm handles (comm.h).
@@ -36,11 +37,15 @@ class Group {
 
   [[nodiscard]] int size() const noexcept { return size_; }
   [[nodiscard]] Mailbox& mailbox(int rank);
-  [[nodiscard]] TrafficStats& stats() noexcept { return stats_; }
+
+  /// Messages and bytes sent so far: the sum of every rank's
+  /// rt::RankStats sends/send_bytes, which Comm counts on each send.
+  [[nodiscard]] TrafficCounters traffic() noexcept;
 
   /// The group's runtime-telemetry fleet (flight recorders + wait/queue
   /// accounting, one slot per rank).  Disabled fleets hand out nullptr
-  /// recorders, which is the whole hot-path check.
+  /// recorders, which is the whole hot-path check; their stats slots still
+  /// count traffic.
   [[nodiscard]] rt::Fleet& fleet() noexcept { return fleet_; }
   [[nodiscard]] const rt::Fleet& fleet() const noexcept { return fleet_; }
 
@@ -77,7 +82,6 @@ class Group {
   int size_;
   rt::Fleet fleet_;  // before mailboxes_: they hold pointers into it
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  TrafficStats stats_;
   std::atomic<bool> aborted_{false};
 
   std::mutex barrier_mutex_;

@@ -46,7 +46,7 @@ class Mailbox {
   void set_owner(int rank, rt::Fleet& fleet) {
     owner_ = rank;
     fleet_ = &fleet;
-    stats_ = fleet.stats(rank);
+    stats_ = fleet.enabled() ? fleet.stats(rank) : nullptr;
   }
 
  private:

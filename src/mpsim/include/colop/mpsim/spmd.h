@@ -57,8 +57,7 @@ void run_spmd_impl(int nprocs, Body&& body, const std::shared_ptr<Group>& group,
     Comm comm(group, r);
     try {
       body(comm);
-      if (rt::RankStats* st = group->fleet().stats(r))
-        st->done.store(1, std::memory_order_release);
+      group->fleet().stats(r)->done.store(1, std::memory_order_release);
     } catch (...) {
       errors[static_cast<std::size_t>(r)] = std::current_exception();
       group->abort();
@@ -165,7 +164,7 @@ run_spmd_collect_traffic_on(const std::shared_ptr<Group>& group, Body&& body,
       group->size(),
       [&](Comm& comm) { results[static_cast<std::size_t>(comm.rank())] = body(comm); },
       group, ranks);
-  return {std::move(results), group->stats().snapshot()};
+  return {std::move(results), group->traffic()};
 }
 
 /// As run_spmd_collect, but also returns the group's traffic counters.
@@ -184,7 +183,7 @@ template <typename Body>
   auto group = Group::make(nprocs);
   detail::run_spmd_impl(nprocs, std::forward<Body>(body), group,
                         Ranks::threads);
-  return group->stats().snapshot();
+  return group->traffic();
 }
 
 }  // namespace colop::mpsim

@@ -1,19 +1,14 @@
 #pragma once
-// Traffic statistics for a process group.  Used by tests and benchmarks to
+// Traffic counters of one SPMD launch.  Used by tests and benchmarks to
 // demonstrate the communication savings of the optimization rules (the
 // rules trade messages for local arithmetic, so message/byte counts are the
 // direct observable).
 //
-// Counters are sharded per rank: every rank owns a cache-line-aligned slot
-// it updates with relaxed atomics, so p concurrently communicating threads
-// never contend on one cache line and no increment can be lost (the
-// regression tests pin exact counts under concurrent collectives).
-// snapshot() sums the shards; per-rank snapshots give the attribution the
-// observability layer exports.
+// Every send is counted once, in the sending rank's rt::RankStats slot of
+// the group's fleet (Comm::send_raw), whether or not telemetry records it;
+// Group::traffic() sums those slots into this value type.
 
-#include <atomic>
 #include <cstdint>
-#include <vector>
 
 namespace colop::mpsim {
 
@@ -29,64 +24,6 @@ struct TrafficCounters {
     return {a.messages + b.messages, a.bytes + b.bytes};
   }
   friend bool operator==(const TrafficCounters&, const TrafficCounters&) = default;
-};
-
-/// Thread-safe accumulating counters shared by all ranks of a group,
-/// sharded per sending rank.
-class TrafficStats {
- public:
-  /// `ranks`: number of shards (the group size).  Rank r records into
-  /// shard r; out-of-range ranks fall back to shard 0 so the aggregate is
-  /// never lost.
-  explicit TrafficStats(int ranks = 1)
-      : slots_(static_cast<std::size_t>(ranks < 1 ? 1 : ranks)) {}
-
-  void record_send(int rank, std::size_t bytes) noexcept {
-    Slot& s = slots_[shard(rank)];
-    s.messages.fetch_add(1, std::memory_order_relaxed);
-    s.bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] int ranks() const noexcept {
-    return static_cast<int>(slots_.size());
-  }
-
-  /// Aggregate over all ranks.
-  [[nodiscard]] TrafficCounters snapshot() const noexcept {
-    TrafficCounters total;
-    for (const Slot& s : slots_) {
-      total.messages += s.messages.load(std::memory_order_relaxed);
-      total.bytes += s.bytes.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  /// One sending rank's share.
-  [[nodiscard]] TrafficCounters snapshot(int rank) const noexcept {
-    const Slot& s = slots_[shard(rank)];
-    return {s.messages.load(std::memory_order_relaxed),
-            s.bytes.load(std::memory_order_relaxed)};
-  }
-
-  void reset() noexcept {
-    for (Slot& s : slots_) {
-      s.messages.store(0, std::memory_order_relaxed);
-      s.bytes.store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  // 64-byte alignment keeps each rank's counters on their own cache line.
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> messages{0};
-    std::atomic<std::uint64_t> bytes{0};
-  };
-
-  [[nodiscard]] std::size_t shard(int rank) const noexcept {
-    return rank > 0 && rank < ranks() ? static_cast<std::size_t>(rank) : 0;
-  }
-
-  std::vector<Slot> slots_;
 };
 
 }  // namespace colop::mpsim

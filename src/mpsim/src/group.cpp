@@ -50,7 +50,6 @@ bool Group::reusable() const {
 
 void Group::reset() {
   fleet_.reset();
-  stats_.reset();
   barrier_generation_ = 0;
   std::fill(split_slots_.begin(), split_slots_.end(), std::pair{-1, 0});
 }
@@ -69,7 +68,6 @@ void Group::recycle(Group* group) noexcept {
 Group::Group(int size)
     : size_(size),
       fleet_(size, rt::config()),
-      stats_(size),
       split_slots_(static_cast<std::size_t>(size), {-1, 0}) {
   COLOP_REQUIRE(size >= 1, "mpsim: group size must be >= 1");
   mailboxes_.reserve(static_cast<std::size_t>(size));
@@ -78,6 +76,16 @@ Group::Group(int size)
     mailboxes_.back()->set_abort_flag(&aborted_);
     mailboxes_.back()->set_owner(i, fleet_);
   }
+}
+
+TrafficCounters Group::traffic() noexcept {
+  TrafficCounters total;
+  for (int r = 0; r < size_; ++r) {
+    const rt::RankStats& s = *fleet_.stats(r);
+    total.messages += s.sends.load(std::memory_order_relaxed);
+    total.bytes += s.send_bytes.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 Mailbox& Group::mailbox(int rank) {

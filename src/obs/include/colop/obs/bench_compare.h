@@ -19,8 +19,8 @@
 //     google-benchmark schema of micro_collectives) are skipped with a
 //     note.
 //
-// tools/bench_diff drives this over two directories and turns
-// `regressed()` into its exit status.
+// `bench_history diff` (tools/bench_history.cpp) drives this over two
+// directories and turns `regressed()` into its exit status.
 
 #include <iosfwd>
 #include <string>
@@ -64,7 +64,7 @@ struct BenchDiffReport {
 /// True when a relative change moves `metric` beyond `threshold` in its bad
 /// direction: up for higher_is_worse metrics, down for higher_is_better
 /// ones, either way for the rest.  The one regression rule shared by
-/// compare_bench_json (bench_diff) and `bench_history check`.
+/// compare_bench_json (`bench_history diff`) and `bench_history check`.
 [[nodiscard]] bool regressed_beyond(const std::string& metric,
                                     double rel_change, double threshold);
 

@@ -1,9 +1,9 @@
 #pragma once
 // Metrics: the telemetry-hub registry (counters / gauges / histograms with
-// labels, Prometheus + JSON exposition) plus the older scalar/series
-// document registry the bench harnesses export.
+// labels, Prometheus + JSON exposition) plus the scalar/series document
+// format the bench harnesses export.
 //
-// Two registries serve two jobs:
+// Two types serve two jobs, and each run-time metric goes into one of them:
 //
 //   * Registry — the live telemetry surface.  Named, labeled instruments
 //     registered by every subsystem (mpsim traffic, exec stage latencies,
@@ -16,8 +16,9 @@
 //
 //   * MetricsRegistry — a self-describing measurement DOCUMENT: scalars,
 //     string info fields and row-oriented series, written once at the end
-//     of a run (the BENCH_*.json artifacts consumed by bench_diff and
-//     bench_history).
+//     of a benchmark (the BENCH_*.json artifacts that `bench_history diff`
+//     gates and `bench_history` tracks).  Nothing at run time publishes
+//     into it.
 
 #include <atomic>
 #include <cstdint>
@@ -185,7 +186,7 @@ class MetricsRegistry {
   [[nodiscard]] bool has(const std::string& name) const;
 
   /// Set a string info field (git_sha, trace_id, hostnames — identity, not
-  /// measurement; exported under "info", never compared by bench_diff).
+  /// measurement; exported under "info", never compared by the gate).
   void set_info(const std::string& name, std::string value);
   [[nodiscard]] std::string info(const std::string& name) const;
 
@@ -197,8 +198,6 @@ class MetricsRegistry {
   /// {"schema_version":N, "info": {...}, "scalars": {...},
   ///  "series": {"name": [{...}, ...]}}
   void write_json(std::ostream& os) const;
-  /// One CSV block per series: header row from the union of keys.
-  void write_csv(std::ostream& os) const;
 
   [[nodiscard]] std::map<std::string, double> scalars() const;
 

@@ -555,31 +555,4 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   os << "}}\n";
 }
 
-void MetricsRegistry::write_csv(std::ostream& os) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, value] : info_)
-    os << "info," << name << "," << value << "\n";
-  for (const auto& [name, value] : scalars_)
-    os << "scalar," << name << "," << json::number(value) << "\n";
-  for (const auto& [name, rows] : series_) {
-    std::set<std::string> keys;
-    for (const auto& row : rows)
-      for (const auto& [k, v] : row) keys.insert(k);
-    os << "series," << name;
-    for (const auto& k : keys) os << "," << k;
-    os << "\n";
-    for (const auto& row : rows) {
-      os << "row," << name;
-      for (const auto& k : keys) {
-        const auto it =
-            std::find_if(row.begin(), row.end(),
-                         [&](const auto& cell) { return cell.first == k; });
-        os << ",";
-        if (it != row.end()) os << json::number(it->second);
-      }
-      os << "\n";
-    }
-  }
-}
-
 }  // namespace colop::obs

@@ -92,7 +92,9 @@ struct Record {
 };
 
 /// Per-rank counters updated with relaxed atomics on the hot path and read
-/// by the watchdog/report side.  One cache line per rank.
+/// by the watchdog/report side.  sends/send_bytes are counted on every
+/// send, telemetry on or off (they are mpsim's traffic counters); the rest
+/// only while the fleet is enabled.  Cache-line aligned per rank.
 struct alignas(64) RankStats {
   std::atomic<std::uint64_t> sends{0};
   std::atomic<std::uint64_t> send_bytes{0};
@@ -257,7 +259,8 @@ struct FleetSnapshot {
 /// The per-group bundle of recorders + stats, one slot per rank.  Created
 /// by mpsim::Group; when disabled (runtime or compile time) no ring is
 /// allocated and recorder() returns nullptr everywhere, which is the
-/// single branch every instrumentation site keys on.
+/// single branch every instrumentation site keys on.  The stats slots are
+/// allocated either way: sends/send_bytes count every message.
 class Fleet {
  public:
   Fleet(int ranks, const Config& cfg);
@@ -280,8 +283,10 @@ class Fleet {
     if (recorders_.empty()) return nullptr;
     return recorders_[shard(rank)].get();
   }
+  /// Never null: the slots exist even when telemetry is disabled, because
+  /// every send is counted in them (mpsim's traffic counters).  Ranks
+  /// outside [0, ranks()) share slot 0.
   [[nodiscard]] RankStats* stats(int rank) noexcept {
-    if (stats_.empty()) return nullptr;
     return &stats_[shard(rank)];
   }
 
@@ -316,7 +321,7 @@ class Fleet {
   std::size_t built_capacity_ = 0;  ///< Config::ring_capacity at construction
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::unique_ptr<Recorder>> recorders_;  ///< empty when disabled
-  std::vector<RankStats> stats_;                      ///< empty when disabled
+  std::vector<RankStats> stats_;                      ///< one per rank, always
   std::vector<std::string> stage_labels_;
 };
 

@@ -108,15 +108,10 @@ struct RtReportOptions {
 }  // namespace colop::rt
 
 namespace colop::obs {
-class MetricsRegistry;
 class Registry;
 }  // namespace colop::obs
 
 namespace colop::rt {
-/// Publish the per-rank numbers into a metrics registry: one "rt_ranks"
-/// series row per rank plus rt_* scalars (wall_ms, drift_max_abs, ...).
-void publish_metrics(const RtReport& report, obs::MetricsRegistry& registry);
-
 /// Publish the measured run into the telemetry-hub registry (metrics.h
 /// Registry) — the live surface the embedded stats server exposes:
 ///   colop_mpsim_messages_total{rank} / colop_mpsim_bytes_total{rank}

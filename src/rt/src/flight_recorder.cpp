@@ -89,10 +89,10 @@ Fleet::Fleet(int ranks, const Config& cfg)
     : ranks_(ranks < 1 ? 1 : ranks),
       built_enabled_(cfg.enabled),
       built_capacity_(cfg.ring_capacity),
-      epoch_(std::chrono::steady_clock::now()) {
+      epoch_(std::chrono::steady_clock::now()),
+      stats_(static_cast<std::size_t>(ranks_)) {
   if (!kCompiledIn || !cfg.enabled) return;
   recorders_.reserve(static_cast<std::size_t>(ranks_));
-  stats_ = std::vector<RankStats>(static_cast<std::size_t>(ranks_));
   for (int r = 0; r < ranks_; ++r) {
     recorders_.push_back(std::make_unique<Recorder>(cfg.ring_capacity, epoch_));
     recorders_.back()->set_stats(&stats_[static_cast<std::size_t>(r)]);

@@ -227,32 +227,6 @@ void RtReport::write_chrome_trace(std::ostream& os) const {
   obs::write_chrome_trace(events, os, "colop rt");
 }
 
-void publish_metrics(const RtReport& report, obs::MetricsRegistry& registry) {
-  registry.set("rt_procs", report.procs);
-  registry.set("rt_wall_ms", report.wall_ms);
-  registry.set("rt_used_packed", report.used_packed ? 1 : 0);
-  registry.set("rt_dropped_records", static_cast<double>(report.dropped_total));
-  double drift_max = 0, wait_max = 0;
-  for (const StageReport& s : report.stages)
-    drift_max = std::max(drift_max, std::abs(s.drift));
-  for (const RankReport& r : report.ranks) {
-    wait_max = std::max(wait_max, r.recv_wait_ms + r.barrier_wait_ms);
-    registry.add_row(
-        "rt_ranks",
-        {{"rank", static_cast<double>(r.rank)},
-         {"busy_ms", r.busy_ms},
-         {"recv_wait_ms", r.recv_wait_ms},
-         {"barrier_wait_ms", r.barrier_wait_ms},
-         {"sends", static_cast<double>(r.sends)},
-         {"send_bytes", static_cast<double>(r.send_bytes)},
-         {"queue_depth_max", static_cast<double>(r.queue_depth_max)},
-         {"queue_depth_mean", r.queue_depth_mean},
-         {"queue_bytes_max", static_cast<double>(r.queue_bytes_max)}});
-  }
-  registry.set("rt_drift_max_abs", drift_max);
-  registry.set("rt_wait_max_ms", wait_max);
-}
-
 void publish_registry(const RtReport& report, obs::Registry& registry) {
   for (const RankReport& r : report.ranks) {
     const obs::LabelSet rank_label{{"rank", std::to_string(r.rank)}};

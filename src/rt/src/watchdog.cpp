@@ -69,8 +69,8 @@ void Watchdog::run() {
     std::vector<StallInfo> stalls;
     for (int r = 0; r < n; ++r) {
       Recorder* rec = fleet.recorder(r);
+      if (rec == nullptr) return;
       RankStats* st = fleet.stats(r);
-      if (rec == nullptr || st == nullptr) return;
       if (st->done.load(std::memory_order_relaxed) != 0) continue;
       const std::uint64_t head = rec->head();
       const bool progressed = head != last_head[static_cast<std::size_t>(r)];

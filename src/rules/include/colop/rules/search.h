@@ -84,7 +84,7 @@ struct SearchOptions {
 };
 
 /// Search internals, published to obs::Registry and archived in the run
-/// manifest so `colopt --diff` can explain why two runs chose different
+/// manifest so `colop_diff` can explain why two runs chose different
 /// schedules.
 struct SearchStats {
   std::size_t nodes_expanded = 0;   ///< states popped and expanded

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "colop/ir/binop.h"
+#include "colop/ir/packed.h"
 
 namespace colop::ir {
 namespace {
@@ -101,6 +107,48 @@ TEST(BinOp, ModularOpsStayInRange) {
       EXPECT_GE(p, 0);
       EXPECT_LT(p, 7);
     }
+}
+
+// Moduli near INT64_MAX: sums and products leave int64 long before the
+// reduction, so both kernels are checked against 128-bit arithmetic.
+TEST(BinOp, ModularOpsAreExactNearInt64Max) {
+  __extension__ using i128 = __int128;
+  const auto reference = [](i128 r, std::int64_t m) {
+    const i128 q = r % m;
+    return static_cast<std::int64_t>(q < 0 ? q + m : q);
+  };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::vector<std::int64_t> xs{kMin, kMin + 1, -kMax / 2, -1, 0, 1, 2,
+                                     3037000499, 3037000500, kMax / 2,
+                                     kMax - 1, kMax};
+  for (const std::int64_t m : {kMax, kMax - 1, kMax - 24, std::int64_t{1} << 62,
+                               std::int64_t{4294967311}}) {
+    const auto ma = op_modadd(m);
+    const auto mm = op_modmul(m);
+    Block a, b;
+    for (const std::int64_t x : xs)
+      for (const std::int64_t y : xs) {
+        a.emplace_back(x);
+        b.emplace_back(y);
+      }
+    const auto pa = PackedBlock::pack(a);
+    const auto pb = PackedBlock::pack(b);
+    ASSERT_TRUE(pa && pb);
+    const Block sums = ma->packed()(*pa, *pb).unpack();
+    const Block prods = mm->packed()(*pa, *pb).unpack();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::int64_t x = a[i].as_int(), y = b[i].as_int();
+      SCOPED_TRACE(std::to_string(x) + " op " + std::to_string(y) + " mod " +
+                   std::to_string(m));
+      const std::int64_t sum = reference(static_cast<i128>(x) + y, m);
+      const std::int64_t prod = reference(static_cast<i128>(x) * y, m);
+      EXPECT_EQ((*ma)(a[i], b[i]).as_int(), sum);
+      EXPECT_EQ((*mm)(a[i], b[i]).as_int(), prod);
+      EXPECT_EQ(sums[i].as_int(), sum);
+      EXPECT_EQ(prods[i].as_int(), prod);
+    }
+  }
 }
 
 TEST(BinOp, NamesAreStable) {

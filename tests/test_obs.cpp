@@ -200,17 +200,5 @@ TEST(ObsMetrics, ScalarsAndSeriesExportAsJson) {
   EXPECT_DOUBLE_EQ(runs->items[1]->get("t")->num, 5.0);
 }
 
-TEST(ObsMetrics, CsvExportListsSeriesColumns) {
-  MetricsRegistry reg;
-  reg.add_row("runs", {{"p", 4}, {"t", 9}});
-  reg.add_row("runs", {{"p", 8}, {"t", 5}});
-  std::ostringstream cs;
-  reg.write_csv(cs);
-  const std::string out = cs.str();
-  EXPECT_NE(out.find("p"), std::string::npos);
-  EXPECT_NE(out.find("t"), std::string::npos);
-  EXPECT_NE(out.find("8"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace colop::obs

@@ -138,7 +138,9 @@ TEST(Fleet, DisabledConfigAllocatesNothing) {
   EXPECT_FALSE(fleet.enabled());
   EXPECT_EQ(fleet.recorder(0), nullptr);
   EXPECT_EQ(fleet.recorder(3), nullptr);
-  EXPECT_EQ(fleet.stats(2), nullptr);
+  // No ring, but the stats slots stay: they count every send.
+  ASSERT_NE(fleet.stats(2), nullptr);
+  EXPECT_EQ(fleet.stats(2)->sends.load(), 0u);
 
   const auto snap = fleet.snapshot();
   EXPECT_FALSE(snap.enabled);

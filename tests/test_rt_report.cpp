@@ -1,6 +1,6 @@
 // Runtime report: per-rank accounting and wall-vs-model drift built from a
 // real thread-executor capture, plus the JSON/trace/HTML exporters and the
-// metrics bridge (acceptance: a Table-1 program at p = 8 reports per-rank
+// telemetry-registry bridge (acceptance: a Table-1 program at p = 8 reports per-rank
 // busy/wait/queue-depth stats and per-stage wall-vs-predicted drift).
 
 #include <gtest/gtest.h>
@@ -137,19 +137,25 @@ TEST(RtReport, RenderTextMentionsEveryRank) {
   EXPECT_NE(text.find("wall vs model"), std::string::npos);
 }
 
-TEST(RtReport, PublishMetricsExportsScalarsAndSeries) {
+TEST(RtReport, PublishRegistryExportsRanksAndStages) {
   if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const auto rep = table1_report();
-  obs::MetricsRegistry reg;
-  rt::publish_metrics(rep, reg);
-  EXPECT_TRUE(reg.has("rt_procs"));
-  EXPECT_EQ(reg.get("rt_procs"), kProcs);
-  EXPECT_TRUE(reg.has("rt_wall_ms"));
-  EXPECT_TRUE(reg.has("rt_drift_max_abs"));
-
+  obs::Registry reg;
+  rt::publish_registry(rep, reg);
   std::ostringstream os;
-  reg.write_json(os);
-  EXPECT_NE(os.str().find("rt_ranks"), std::string::npos);
+  reg.write_prometheus(os);
+  const std::string text = os.str();
+  for (const auto& r : rep.ranks)
+    EXPECT_NE(text.find("colop_mpsim_messages_total{rank=\"" +
+                        std::to_string(r.rank) + "\"} " +
+                        std::to_string(r.sends)),
+              std::string::npos)
+        << text;
+  EXPECT_EQ(rep.ranks.size(), static_cast<std::size_t>(kProcs));
+  EXPECT_NE(text.find("colop_exec_stage_seconds_count{index=\"0\",stage=\"scan(*)\"} 1"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("colop_exec_run_seconds_count 1"), std::string::npos);
 }
 
 TEST(RepeatStats, OfComputesOrderStatistics) {

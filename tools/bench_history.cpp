@@ -1,9 +1,13 @@
-// bench_history — the bench observatory.
+// bench_history — the bench observatory and regression gate.
 //
-// bench_diff answers "did THIS run regress against the committed
-// baseline?"; bench_history answers the longitudinal question: how has
-// every benchmark scalar moved across commits, and is the latest snapshot
-// an outlier against its own recent history?
+// `diff` answers "did THIS run regress against the committed baseline?";
+// the other commands answer the longitudinal question: how has every
+// benchmark scalar moved across commits, and is the latest snapshot an
+// outlier against its own recent history?
+//
+// All table/figure benchmarks are simnet-deterministic, so the committed
+// baselines are exact; the threshold exists for metrics that may
+// legitimately move a little as the model evolves.
 //
 // Storage is deliberately dumb: one append-only JSONL file per benchmark
 // under a history directory, one line per snapshot:
@@ -12,6 +16,11 @@
 //    "timestamp":"2026-08-08 12:00:00","trace_id":"...","scalars":{...}}
 //
 // Commands:
+//   diff    --baseline-dir D --current-dir D2 [--threshold X] [--json F]
+//           compare every BENCH_*.json in D with its namesake in D2
+//           (obs::compare_bench_json); exit 1 when any metric regressed
+//           beyond X (default 0.15), 2 on a missing directory or when no
+//           pair could be compared
 //   append  --history-dir D --in-dir D2 [--git-sha S]
 //           append every BENCH_*.json found in D2 as one snapshot each
 //   report  --history-dir D [--bench NAME]
@@ -20,11 +29,12 @@
 //           compare the latest snapshot of each bench against the rolling
 //           median of up to N prior snapshots; exit 1 when any metric
 //           drifted beyond X in its bad direction (direction semantics
-//           shared with bench_diff: *_time/*_cost higher-is-worse,
+//           shared with diff: *_time/*_cost higher-is-worse,
 //           *speedup*/*throughput* higher-is-better, anything else flags
 //           drift either way)
 //
-// Exit codes: 0 ok, 1 anomaly found (check), 2 usage error.
+// Exit codes: 0 ok, 1 regression (diff) or anomaly found (check), 2 usage
+// error.
 
 #include <algorithm>
 #include <cerrno>
@@ -62,6 +72,10 @@ struct Snapshot {
 void usage() {
   std::cerr <<
       "usage: bench_history <command> [options]\n"
+      "  diff   --baseline-dir D --current-dir D2 [--threshold X] [--json F]\n"
+      "         gate the BENCH_*.json files in D2 against the baselines in D\n"
+      "         (default threshold 0.15); exit 1 on a regression, 2 when a\n"
+      "         directory is missing or nothing was comparable\n"
       "  append --history-dir D --in-dir D2 [--git-sha S]\n"
       "         append every BENCH_*.json in D2 to D/<bench>.jsonl\n"
       "  report --history-dir D [--bench NAME]\n"
@@ -92,17 +106,34 @@ std::string field_string(const Value& doc, const std::string& key) {
   return v != nullptr && v->is(Value::Type::string) ? v->str : std::string();
 }
 
+std::string slurp(const fs::path& path) {
+  std::ifstream f(path);
+  if (!f) throw colop::Error("cannot read " + path.string());
+  std::ostringstream os;
+  os << f.rdbuf();
+  return os.str();
+}
+
+/// The BENCH_*.json files directly under `dir`, sorted.
+std::vector<fs::path> bench_files(const fs::path& dir) {
+  std::vector<fs::path> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_regular_file() && name.starts_with("BENCH_") &&
+        entry.path().extension() == ".json")
+      out.push_back(entry.path());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// Read one BENCH_*.json (either the stamped post-PR-6 shape with an
 /// "info" block or a bare legacy {"scalars":...} baseline) into a
 /// snapshot.  `fallback_bench` is the name implied by the filename.
 Snapshot read_bench_doc(const fs::path& path,
                         const std::string& fallback_bench,
                         const std::string& fallback_sha) {
-  std::ifstream f(path);
-  if (!f) throw colop::Error("cannot read " + path.string());
-  std::stringstream buf;
-  buf << f.rdbuf();
-  const Value doc = colop::obs::json::parse(buf.str());
+  const Value doc = colop::obs::json::parse(slurp(path));
 
   Snapshot snap;
   snap.bench = fallback_bench;
@@ -188,6 +219,65 @@ double median(std::vector<double> xs) {
   return n % 2 == 1 ? xs[n / 2] : (xs[n / 2 - 1] + xs[n / 2]) / 2;
 }
 
+int cmd_diff(const fs::path& baseline_dir, const fs::path& current_dir,
+             double threshold, const std::string& json_out) {
+  namespace obs = colop::obs;
+  if (!fs::is_directory(baseline_dir))
+    throw colop::Error("baseline dir not found: " + baseline_dir.string());
+  if (!fs::is_directory(current_dir))
+    throw colop::Error("current dir not found: " + current_dir.string());
+
+  std::vector<obs::BenchDiffReport> reports;
+  bool regressed = false;
+  int compared = 0;
+  for (const auto& base_path : bench_files(baseline_dir)) {
+    const fs::path cur_path = current_dir / base_path.filename();
+    if (!fs::exists(cur_path)) {
+      std::cout << base_path.filename().string()
+                << ": missing from current run — FAIL\n";
+      regressed = true;
+      continue;
+    }
+    auto report = obs::compare_bench_json(base_path.filename().string(),
+                                          slurp(base_path), slurp(cur_path),
+                                          threshold);
+    std::cout << report.render_text() << "\n";
+    if (!report.skipped) ++compared;
+    regressed = regressed || report.regressed();
+    reports.push_back(std::move(report));
+  }
+  for (const auto& cur_path : bench_files(current_dir))
+    if (!fs::exists(baseline_dir / cur_path.filename()))
+      std::cout << "note: " << cur_path.filename().string()
+                << " has no baseline (new benchmark?)\n";
+
+  if (compared == 0) {
+    std::cerr << "no comparable BENCH_*.json pairs found\n";
+    return 2;
+  }
+
+  if (!json_out.empty()) {
+    std::ofstream f(json_out);
+    if (!f) throw colop::Error("cannot open " + json_out + " for writing");
+    f << "{\"threshold\":" << obs::json::number(threshold)
+      << ",\"regressed\":" << (regressed ? "true" : "false")
+      << ",\"benchmarks\":[";
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      if (i > 0) f << ",";
+      reports[i].write_json(f);
+    }
+    f << "]}\n";
+    std::cout << "report written to " << json_out << "\n";
+  }
+
+  // The verdict keeps the `bench_diff:` prefix the gate's logs have always
+  // carried, so the output of every earlier run still compares.
+  std::cout << (regressed ? "bench_diff: REGRESSION detected"
+                          : "bench_diff: all benchmarks within threshold")
+            << "\n";
+  return regressed ? 1 : 0;
+}
+
 int cmd_append(const fs::path& history_dir, const fs::path& in_dir,
                const std::string& git_sha) {
   if (!fs::exists(in_dir)) {
@@ -197,15 +287,7 @@ int cmd_append(const fs::path& history_dir, const fs::path& in_dir,
   }
   fs::create_directories(history_dir);
   int appended = 0;
-  std::vector<fs::path> inputs;
-  for (const auto& entry : fs::directory_iterator(in_dir)) {
-    const std::string name = entry.path().filename().string();
-    if (entry.is_regular_file() && name.rfind("BENCH_", 0) == 0 &&
-        entry.path().extension() == ".json")
-      inputs.push_back(entry.path());
-  }
-  std::sort(inputs.begin(), inputs.end());
-  for (const auto& path : inputs) {
+  for (const auto& path : bench_files(in_dir)) {
     const std::string stem = path.stem().string();          // BENCH_<name>
     const std::string fallback = stem.substr(std::strlen("BENCH_"));
     Snapshot snap;
@@ -336,10 +418,12 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
-  if (command != "append" && command != "report" && command != "check")
+  if (command != "diff" && command != "append" && command != "report" &&
+      command != "check")
     usage_error("unknown command: " + command);
 
-  std::string history_dir, in_dir, git_sha, bench;
+  std::string history_dir, in_dir, git_sha, bench, baseline_dir, current_dir,
+      json_out;
   double threshold = 0.15;
   int window = 8;
   for (int i = 2; i < argc; ++i) {
@@ -356,9 +440,15 @@ int main(int argc, char** argv) {
       git_sha = next();
     } else if (arg == "--bench") {
       bench = next();
+    } else if (arg == "--baseline-dir") {
+      baseline_dir = next();
+    } else if (arg == "--current-dir") {
+      current_dir = next();
+    } else if (arg == "--json") {
+      json_out = next();
     } else if (arg == "--threshold") {
       threshold = parse_number(arg, next());
-      if (threshold <= 0) usage_error("--threshold must be positive");
+      if (threshold < 0) usage_error("--threshold must not be negative");
     } else if (arg == "--window") {
       window = static_cast<int>(parse_number(arg, next()));
       if (window < 1) usage_error("--window must be at least 1");
@@ -366,9 +456,14 @@ int main(int argc, char** argv) {
       usage_error("unknown option: " + arg);
     }
   }
-  if (history_dir.empty()) usage_error("--history-dir is required");
+  if (command == "diff" && (baseline_dir.empty() || current_dir.empty()))
+    usage_error("diff needs --baseline-dir and --current-dir");
+  if (command != "diff" && history_dir.empty())
+    usage_error("--history-dir is required");
 
   try {
+    if (command == "diff")
+      return cmd_diff(baseline_dir, current_dir, threshold, json_out);
     if (command == "append") {
       if (in_dir.empty()) usage_error("append needs --in-dir");
       return cmd_append(history_dir, in_dir, git_sha);
@@ -377,6 +472,6 @@ int main(int argc, char** argv) {
     return cmd_check(history_dir, bench, threshold, window);
   } catch (const colop::Error& e) {
     std::cerr << "bench_history: " << e.what() << "\n";
-    return 1;
+    return command == "diff" ? 2 : 1;  // diff: an IO error is not a regression
   }
 }

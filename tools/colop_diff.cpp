@@ -1,9 +1,8 @@
-// colop_diff — standalone cross-run forensics.
+// colop_diff — cross-run forensics.
 //
-// The same differential engine as `colopt --diff`, usable where only the
-// archive exists (CI artifact jobs, a laptop inspecting a bundle copied
-// out of a runner): diff two recorded runs and emit text, stable JSON
-// and/or a self-contained HTML report.
+// Diff two runs recorded with `colopt --record` and emit text, stable JSON
+// and/or a self-contained HTML report.  It needs only the archive (CI
+// artifact jobs, a laptop inspecting a bundle copied out of a runner).
 //
 // Usage:
 //   colop_diff [--store DIR] [--json F] [--html F] <runA> <runB>

@@ -38,7 +38,6 @@
 #include "colop/obs/drift.h"
 #include "colop/obs/metrics.h"
 #include "colop/obs/profile.h"
-#include "colop/obs/run_diff.h"
 #include "colop/obs/run_store.h"
 #include "colop/obs/serve.h"
 #include "colop/obs/trace_context.h"
@@ -79,12 +78,11 @@ struct Settings {
   bool live = false;        // --live: serve in-flight telemetry mid-run
   bool record = false;
   std::string record_dir, store_dir;
-  std::vector<std::string> diff;  // the two run selectors of --diff
   std::string example, program_text;
   // Report files; empty when not asked for.
   std::string search_report_json, verify_json, explain_json, trace, metrics,
       drift_json, profile_json, profile_trace, calibrate_json, rt_json,
-      rt_trace, rt_html, diff_json, diff_html;
+      rt_trace, rt_html;
 };
 
 void usage();
@@ -128,26 +126,25 @@ double parse_double(const std::string& flag, const char* text) {
 enum class Form {
   bare,      // --x
   word,      // --x V
-  words2,    // --x A B
   word_eq,   // --x V or --x=V
   optional,  // --x or --x=V
 };
 
-// The operand words a flag was given.
+// The operand a flag was given.
 struct Operand {
-  std::string flag;      // the flag's name, for bad_value
-  const char* const* v;  // the words; nullptr for an optional flag given bare
+  std::string flag;  // the flag's name, for bad_value
+  const char* v;     // nullptr for an optional flag given bare
 };
 
 int int_at_least(const Operand& o, int lo, const char* expected) {
-  const int v = parse_int(o.flag, o.v[0]);
-  if (v < lo) bad_value(o.flag, o.v[0], expected);
+  const int v = parse_int(o.flag, o.v);
+  if (v < lo) bad_value(o.flag, o.v, expected);
   return v;
 }
 
 double non_negative(const Operand& o) {
-  const double v = parse_double(o.flag, o.v[0]);
-  if (v < 0) bad_value(o.flag, o.v[0], "a non-negative number");
+  const double v = parse_double(o.flag, o.v);
+  if (v < 0) bad_value(o.flag, o.v, "a non-negative number");
   return v;
 }
 
@@ -188,9 +185,9 @@ const Flag kFlags[] = {
              "                 and re-discharge the winning sequence's rewrite\n"
              "                 certificates before returning it\n",
      .form = Form::word_eq, .apply = [](Settings& s, const Operand& o) {
-       s.strategy = rules::parse_strategy(o.v[0]);
+       s.strategy = rules::parse_strategy(o.v);
        if (!s.strategy)
-         bad_value(o.flag, o.v[0], "greedy, beam, bnb or exhaustive");
+         bad_value(o.flag, o.v, "greedy, beam, bnb or exhaustive");
      }},
     {.help = "  --beam-width=N beam frontier width (default 8; --opt=beam only)\n",
      .form = Form::word_eq, .apply = [](Settings& s, const Operand& o) {
@@ -263,8 +260,7 @@ const Flag kFlags[] = {
              "                 the optimized program's simulated execution to file F\n",
      .form = Form::word, .text = &Settings::trace},
     {.help = "  --metrics F    write run metrics to file F through the telemetry\n"
-             "                 registry (.prom for Prometheus text, .csv for the\n"
-             "                 legacy scalar CSV, JSON otherwise)\n",
+             "                 registry (.prom for Prometheus text, JSON otherwise)\n",
      .form = Form::word, .text = &Settings::metrics},
     {.help = "  --serve[=PORT] run the program on the thread executor, then serve\n"
              "                 the telemetry registry over HTTP on 127.0.0.1:PORT\n"
@@ -272,9 +268,9 @@ const Flag kFlags[] = {
              "                 on stdout): /metrics /metrics.json /runs\n"
              "                 /runs/<trace_id> /live /live.json /healthz\n",
      .form = Form::optional, .apply = [](Settings& s, const Operand& o) {
-       s.serve_port = o.v == nullptr ? 0 : parse_int(o.flag, o.v[0]);
+       s.serve_port = o.v == nullptr ? 0 : parse_int(o.flag, o.v);
        if (s.serve_port < 0 || s.serve_port > 65535)
-         bad_value(o.flag, o.v[0], "a port in 0..65535");
+         bad_value(o.flag, o.v, "a port in 0..65535");
      }},
     {.help = "  --live         with --serve: start the server *before* execution\n"
              "                 and stream in-flight telemetry — /metrics moves\n"
@@ -290,23 +286,10 @@ const Flag kFlags[] = {
              "                 .colop/runs); honors $COLOP_RUN_RETENTION, e.g.\n"
              "                 \"count=32,age=604800\"\n",
      .form = Form::optional, .text = &Settings::record_dir, .on = &Settings::record},
-    {.help = "  --store DIR    run-store root for --diff and --serve lookups\n"
+    {.help = "  --store DIR    run-store root for --record and --serve lookups\n"
              "                 (default: the --record DIR, else $COLOP_RUN_DIR,\n"
              "                 else .colop/runs)\n",
      .form = Form::word, .text = &Settings::store_dir},
-    {.help = "  --diff A B     cross-run forensics: diff two archived runs (each a\n"
-             "                 trace id, unique id prefix, latest, latest~N, or a\n"
-             "                 manifest.json path) and exit; no program operand\n"
-             "                 needed.  Reports machine drift, the stage-level\n"
-             "                 schedule diff with rule provenance, ranked suspect\n"
-             "                 stages, and totals\n",
-     .form = Form::words2,
-     .apply = [](Settings& s, const Operand& o) { s.diff = {o.v[0], o.v[1]}; }},
-    {.help = "  --diff-json F  write the run diff as stable JSON to file F\n",
-     .form = Form::word, .text = &Settings::diff_json},
-    {.help = "  --diff-html F  write the run diff as a self-contained HTML report\n"
-             "                 (side-by-side timelines + tables) to file F\n",
-     .form = Form::word, .text = &Settings::diff_html},
     {.help = "  --drift        report model-vs-simnet drift (time, messages, words)\n"
              "                 for p in {2,4,...,64}\n",
      .form = Form::bare, .on = &Settings::drift},
@@ -332,7 +315,7 @@ const Flag kFlags[] = {
      .form = Form::word, .text = &Settings::calibrate_from, .on = &Settings::calibrate,
      .apply = [](Settings& s, const Operand& o) {
        if (s.calibrate_from != "simnet" && s.calibrate_from != "mpsim")
-         bad_value(o.flag, o.v[0], "simnet or mpsim");
+         bad_value(o.flag, o.v, "simnet or mpsim");
      }},
     {.help = "  --calibrate-json F  write the calibration fit as JSON to file F\n",
      .form = Form::word, .text = &Settings::calibrate_json, .on = &Settings::calibrate},
@@ -363,11 +346,11 @@ const Flag kFlags[] = {
              "                 or the 'calibrated' one (measure + fit, then use\n"
              "                 the fitted ts/tw)\n",
      .form = Form::word, .apply = [](Settings& s, const Operand& o) {
-       const std::string_view which = o.v[0];
+       const std::string_view which = o.v;
        if (which == "calibrated")
          s.use_calibrated = true;
        else if (which != "configured")
-         bad_value(o.flag, o.v[0], "configured or calibrated");
+         bad_value(o.flag, o.v, "configured or calibrated");
      }},
 };
 
@@ -418,30 +401,27 @@ Settings parse_args(int argc, char** argv) {
       s.program_text = arg;
       continue;
     }
-    const char* inline_value = eq == std::string::npos ? nullptr : argv[i] + eq + 1;
-    const char* const* words = inline_value != nullptr ? &inline_value : nullptr;
-    if (words == nullptr && flag->form != Form::bare &&
+    const char* value = eq == std::string::npos ? nullptr : argv[i] + eq + 1;
+    if (value == nullptr && flag->form != Form::bare &&
         flag->form != Form::optional) {
-      const int n = flag->form == Form::words2 ? 2 : 1;
-      if (i + n >= argc) usage_error("");
-      words = argv + i + 1;
-      i += n;
+      if (i + 1 >= argc) usage_error("");
+      value = argv[++i];
     }
-    if (flag->text != nullptr && words != nullptr) {
+    if (flag->text != nullptr && value != nullptr) {
       // An empty operand names no file, directory or example.
       const std::string_view operand = operand_of(*flag);
       const char* expected = operand == "F"      ? "a file name"
                              : operand == "DIR"  ? "a directory"
                              : operand == "NAME" ? "an example name"
                                                  : nullptr;
-      if (expected != nullptr && *words[0] == '\0')
+      if (expected != nullptr && *value == '\0')
         bad_value(std::string(name_of(*flag)), "", expected);
-      s.*flag->text = words[0];
+      s.*flag->text = value;
     }
     if (flag->on != nullptr) s.*flag->on = true;
     if (flag->also != nullptr) s.*flag->also = true;
     if (flag->apply != nullptr)
-      flag->apply(s, {std::string(name_of(*flag)), words});
+      flag->apply(s, {std::string(name_of(*flag)), value});
   }
 
   // Cross-flag consistency (exit 2 like any other usage error: a flag
@@ -468,8 +448,6 @@ Settings parse_args(int argc, char** argv) {
     usage_error(
         "--repeat and --warmup time the threaded run: they require "
         "--rt-report, an --rt-* file or --serve\n\n");
-  if ((!s.diff_json.empty() || !s.diff_html.empty()) && s.diff.empty())
-    usage_error("--diff-json and --diff-html require --diff\n\n");
   return s;
 }
 
@@ -550,20 +528,6 @@ int main(int argc, char** argv) {
   };
 
   try {
-    if (!s.diff.empty()) {
-      // Forensics diff mode: pure archive analysis, no program run, no fresh
-      // trace id (the diff carries the two recorded ids).
-      const obs::RunStore store(store_root);
-      const obs::RunBundle a = obs::load_run_or_file(store, s.diff[0]);
-      const obs::RunBundle b = obs::load_run_or_file(store, s.diff[1]);
-      const obs::RunDiff d = obs::diff_runs(a, b);
-      std::cout << d.render_text();
-      write_report(s.diff_json, "\nrun diff", nullptr,
-                   [&](std::ostream& os) { d.write_json(os); });
-      write_report(s.diff_html, "run diff HTML report", nullptr,
-                   [&](std::ostream& os) { d.write_html(os); });
-      return 0;
-    }
     if (s.program_text.empty() && s.example.empty()) usage_error("");
 
     ir::Program program;
@@ -589,6 +553,16 @@ int main(int argc, char** argv) {
     if (auto err = ir::check_shapes(program)) {
       std::cerr << "shape error: " << *err << "\n";
       return 1;
+    }
+    // A root no rank holds would have every rank wait on a collective
+    // nobody roots; the cost model and simnet would price it anyway.
+    for (std::size_t i = 0; i < program.size(); ++i) {
+      const ir::Stage& stage = program.stage(i);
+      const int root = stage.root_rank();
+      if (stage.row().names_root && (root < 0 || root >= machine.p))
+        throw Error("stage " + std::to_string(i) + " (" + stage.show() +
+                    "): root " + std::to_string(root) +
+                    " is out of range for p = " + std::to_string(machine.p));
     }
 
     // One TraceId per invocation: every artifact this run writes (Chrome
@@ -918,37 +892,13 @@ int main(int argc, char** argv) {
       if (rt_rep) rt::publish_registry(*rt_rep, hub);
     }
 
-    // --metrics F writes the hub as JSON unless F names another format;
-    // the bundle always archives the JSON snapshot.
-    const bool csv = s.metrics.ends_with(".csv");
+    // --metrics F writes the hub as JSON unless F ends in .prom; the bundle
+    // always archives the JSON snapshot.
     const bool prom = s.metrics.ends_with(".prom");
-    if (csv) {
-      // Legacy scalar document, kept for spreadsheet-style consumers.
-      write_report(s.metrics, "metrics", nullptr, [&](std::ostream& os) {
-        obs::MetricsRegistry reg;
-        reg.set_info("trace_id", obs::trace_id());
-        reg.set("p", machine.p);
-        reg.set("m", machine.m);
-        reg.set("ts", machine.ts);
-        reg.set("tw", machine.tw);
-        reg.set("model_time_before", cost_before);
-        reg.set("model_time_after", cost_after);
-        reg.set("sim_time_before", before.time);
-        reg.set("sim_time_after", after.time);
-        reg.set("messages_before", static_cast<double>(before.messages));
-        reg.set("messages_after", static_cast<double>(after.messages));
-        reg.set("words_before", before.words);
-        reg.set("words_after", after.words);
-        reg.set("rewrites_applied", static_cast<double>(result.log.size()));
-        if (after.time > 0) reg.set("speedup", before.time / after.time);
-        if (rt_rep) rt::publish_metrics(*rt_rep, reg);
-        reg.write_csv(os);
-      });
-    } else if (prom) {
+    if (prom)
       write_report(s.metrics, "metrics", nullptr,
                    [&](std::ostream& os) { hub.write_prometheus(os); });
-    }
-    write_report(csv || prom ? std::string() : s.metrics, "metrics", "metrics",
+    write_report(prom ? std::string() : s.metrics, "metrics", "metrics",
                  [&](std::ostream& os) {
                    hub.write_json(os);
                    os << "\n";
