@@ -41,13 +41,13 @@ struct ThreadRunResult {
   double wall_seconds = 0;
   bool used_packed = false;  ///< ran on the flat data plane
   /// Flight-recorder capture of the run (stage spans, send/recv, waits,
-  /// queue depths).  `rt.enabled` is false when COLOP_RT=0 or the layer is
-  /// compiled out; feed an enabled capture to rt::build_report.
+  /// queue depths).  `rt.enabled` is false when COLOP_RT=0; feed an
+  /// enabled capture to rt::build_report.
   rt::FleetSnapshot rt;
 };
 
 /// As run_on_threads, plus traffic counters and wall-clock time.
-/// `plane` Auto defers to $COLOP_DATA_PLANE, then to packability; Boxed
+/// `plane` Auto runs packed iff the program and data are packable; Boxed
 /// and Packed force the path (Packed throws when the program or data do
 /// not fit the flat plane).
 [[nodiscard]] ThreadRunResult run_on_threads_instrumented(

@@ -287,7 +287,6 @@ ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
                             int segments, bool capture_rt) {
   COLOP_REQUIRE(!input.empty(), "run_on_threads: empty input");
   const auto p = static_cast<int>(input.size());
-  if (plane == ir::DataPlane::Auto) plane = ir::data_plane_from_env();
 
   if (plane != ir::DataPlane::Boxed) {
     if (auto packed = ir::try_pack_for(prog, input)) {

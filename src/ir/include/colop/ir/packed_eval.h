@@ -10,8 +10,8 @@
 // thread executor) silently fall back to the boxed path, so the flat
 // plane is a pure optimization: same results, same traffic, same errors.
 //
-// Selection can be forced for benchmarks and differential tests, either
-// per call (DataPlane) or globally via COLOP_DATA_PLANE=boxed|packed|auto.
+// Selection can be forced per call (DataPlane) for benchmarks and
+// differential tests.
 
 #include <cstddef>
 #include <optional>
@@ -29,9 +29,6 @@ enum class DataPlane {
   Boxed,   ///< always boxed
   Packed,  ///< packed or error (differential tests / benchmarks)
 };
-
-/// $COLOP_DATA_PLANE, re-read on every call so tests can flip it.
-[[nodiscard]] DataPlane data_plane_from_env();
 
 /// One block per rank, every one packed.
 using PackedDist = std::vector<PackedBlock>;

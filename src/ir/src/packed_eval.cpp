@@ -1,8 +1,5 @@
 #include "colop/ir/packed_eval.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "colop/mpsim/balanced_tree.h"
 #include "colop/support/bits.h"
 #include "colop/support/error.h"
@@ -29,14 +26,6 @@ PackedBlock fold_balanced_packed(const mpsim::BalancedTree& tree, int node,
 }
 
 }  // namespace
-
-DataPlane data_plane_from_env() {
-  const char* v = std::getenv("COLOP_DATA_PLANE");
-  if (v == nullptr) return DataPlane::Auto;
-  if (std::strcmp(v, "boxed") == 0) return DataPlane::Boxed;
-  if (std::strcmp(v, "packed") == 0) return DataPlane::Packed;
-  return DataPlane::Auto;
-}
 
 std::optional<PackedIneligibility> packed_ineligibility(const Program& prog,
                                                        const Shape& input,

@@ -36,14 +36,9 @@ Program Program::splice(std::size_t first, std::size_t count,
 Dist Program::eval_reference(Dist input) const {
   // Flat data plane when the program and data allow it (packed_eval.h);
   // identical results either way, the boxed path is the semantics.
-  const DataPlane plane = data_plane_from_env();
-  if (plane != DataPlane::Boxed) {
-    if (auto packed = try_pack_for(*this, input)) {
-      eval_reference_packed(*this, *packed);
-      return unpack_dist(*packed);
-    }
-    COLOP_REQUIRE(plane != DataPlane::Packed,
-                  "COLOP_DATA_PLANE=packed but not packable: " + show());
+  if (auto packed = try_pack_for(*this, input)) {
+    eval_reference_packed(*this, *packed);
+    return unpack_dist(*packed);
   }
   for (const auto& s : stages_) s->eval_reference(input);
   return input;

@@ -22,9 +22,8 @@
 //     an acquire fence reads claimed_ to discard any record the producer
 //     may have started to overwrite meanwhile (drain(), snapshot()).
 //
-// Enablement is layered: compile out entirely with -DCOLOP_RT_DISABLE
-// (every call site folds to nothing behind `if (recorder == nullptr)`),
-// or disable at runtime with COLOP_RT=0 (no ring is ever allocated).
+// Disable at runtime with COLOP_RT=0: no ring is ever allocated, and every
+// call site folds to nothing behind `if (recorder == nullptr)`.
 
 #include <atomic>
 #include <chrono>
@@ -34,13 +33,6 @@
 #include <vector>
 
 namespace colop::rt {
-
-/// True when the telemetry layer is compiled in at all.
-#ifdef COLOP_RT_DISABLE
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 /// Runtime configuration, loaded once from the environment:
 ///   COLOP_RT=0            disable recording (default: enabled)

@@ -91,7 +91,7 @@ Fleet::Fleet(int ranks, const Config& cfg)
       built_capacity_(cfg.ring_capacity),
       epoch_(std::chrono::steady_clock::now()),
       stats_(static_cast<std::size_t>(ranks_)) {
-  if (!kCompiledIn || !cfg.enabled) return;
+  if (!cfg.enabled) return;
   recorders_.reserve(static_cast<std::size_t>(ranks_));
   for (int r = 0; r < ranks_; ++r) {
     recorders_.push_back(std::make_unique<Recorder>(cfg.ring_capacity, epoch_));

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "colop/ir/program.h"
@@ -45,31 +46,44 @@ struct RuleMatch {
   }
 };
 
+/// The algebraic law a rule relies on: Table 1's side-condition column.
+/// It decides which checks certification re-runs on the matched operators
+/// (every law re-checks associativity) and the side condition a
+/// certificate states.
+enum class Law {
+  structural,   ///< no algebraic side condition
+  associative,  ///< rank-indexed repetition of one operator
+  commutative,  ///< the window's operators are one commutative +
+  distributes,  ///< the first operator x distributes over the last +
+  split_phase,  ///< request-handle legality of an overlap rewrite
+};
+
+struct RuleRow;  // one row of the rule catalog (rules.cpp)
+
+/// One rule of the catalog: a view of its row.  The catalog is the single
+/// list of rules; every row carries its name, description, law and match.
 class Rule {
  public:
-  virtual ~Rule() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
+  explicit Rule(const RuleRow& row) : row_(&row) {}
+  [[nodiscard]] std::string name() const;
   /// One-line statement of LHS -> RHS with the side condition.
-  [[nodiscard]] virtual std::string description() const = 0;
+  [[nodiscard]] std::string description() const;
+  [[nodiscard]] Law law() const;
+  /// The side condition a certificate of this rule states.
+  [[nodiscard]] std::string side_condition() const;
   /// Try to match at stage index `at`; nullopt if the window does not
-  /// match or a side condition fails.
-  [[nodiscard]] virtual std::optional<RuleMatch> match(const ir::Program& prog,
-                                                       std::size_t at) const = 0;
+  /// match or a side condition fails.  When the window's shape matched
+  /// but a condition failed and `why` is non-null, *why receives the
+  /// failed condition (explain mode); otherwise no reason is built.
+  [[nodiscard]] std::optional<RuleMatch> match(
+      const ir::Program& prog, std::size_t at,
+      std::string* why = nullptr) const;
 
   /// All matches of this rule anywhere in the program.
   [[nodiscard]] std::vector<RuleMatch> matches(const ir::Program& prog) const;
 
-  // --- explain-mode diagnostics -------------------------------------------
-  // A match() implementation that declines a window whose SHAPE matched but
-  // whose side condition failed may call reject("...") just before
-  // returning nullopt.  The caller (the Optimizer's explain mode) pops the
-  // reason with take_reject(); callers that don't care can ignore it — the
-  // slot is thread-local and overwritten by the next attempt.
-
-  /// Record why the current match attempt failed its side condition.
-  static void reject(std::string reason);
-  /// Pop (and clear) the last reject reason on this thread.
-  [[nodiscard]] static std::string take_reject();
+ private:
+  const RuleRow* row_;
 };
 
 using RulePtr = std::shared_ptr<const Rule>;
@@ -124,6 +138,10 @@ using RulePtr = std::shared_ptr<const Rule>;
 /// but certificate replay always recognises them (all_rules() +
 /// overlap_rules()).
 [[nodiscard]] std::vector<RulePtr> overlap_rules();
+
+/// The rule of that name among all_rules() and overlap_rules(); null when
+/// there is none.
+[[nodiscard]] RulePtr find_rule(std::string_view name);
 
 /// True iff, in `prog`, every stage after index `after` up to (and
 /// including) the first collective stage is rank-uniform and that first

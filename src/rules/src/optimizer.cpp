@@ -174,14 +174,13 @@ std::vector<RuleMatch> Optimizer::admissible_matches(
       ex != nullptr ? model::program_time(prog, machine_) : 0;
   for (const auto& rule : rules_) {
     for (std::size_t at = 0; at < prog.size(); ++at) {
-      if (ex != nullptr) (void)Rule::take_reject();  // drop stale reasons
-      auto m = rule->match(prog, at);
+      std::string why;
+      auto m = rule->match(prog, at, ex != nullptr ? &why : nullptr);
       if (!m) {
         if (ex != nullptr) {
           RuleAttempt a;
           a.rule = rule->name();
           a.position = at;
-          const std::string why = Rule::take_reject();
           a.verdict = why.empty() ? "no match" : "condition failed: " + why;
           ex->attempts.push_back(std::move(a));
         }

@@ -93,9 +93,9 @@ struct DerivationCertificates {
 [[nodiscard]] std::vector<ir::BinOpPtr> stage_ops(
     std::span<const ir::StagePtr> stages);
 
-/// The side condition a named rule consumes, e.g. "⊗ distributes over ⊕"
-/// (docs/RULES.md lists the full table).  Unknown rules map to
-/// "associativity of the collective operators".
+/// The side condition a named rule consumes, read from its catalog row
+/// (rules::Rule::side_condition; docs/RULES.md lists the full table).
+/// Unknown rules map to "associativity of the collective operators".
 [[nodiscard]] std::string side_condition_of(const std::string& rule_name);
 
 /// Replay `log` (an optimizer derivation starting from `source`) and

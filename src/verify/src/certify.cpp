@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <ostream>
-#include <set>
 #include <sstream>
 #include <unordered_map>
 
@@ -19,20 +18,6 @@ namespace {
 using ir::BinOpPtr;
 using ir::Program;
 using ir::Value;
-
-const std::set<std::string>& distributivity_rules() {
-  static const std::set<std::string> s = {"SR2-Reduction", "SS2-Scan",
-                                          "BSS2-Comcast", "BSR2-Local",
-                                          "BSR2-Alllocal"};
-  return s;
-}
-
-const std::set<std::string>& commutativity_rules() {
-  static const std::set<std::string> s = {"SR-Reduction", "SS-Scan",
-                                          "BSS-Comcast", "BSR-Local",
-                                          "BSR-Alllocal"};
-  return s;
-}
 
 struct GenChoice {
   rules::ElemGen gen;
@@ -176,22 +161,8 @@ std::vector<BinOpPtr> stage_ops(std::span<const ir::StagePtr> stages) {
 }
 
 std::string side_condition_of(const std::string& rule_name) {
-  if (distributivity_rules().contains(rule_name))
-    return "x distributes over + (all operators associative)";
-  if (commutativity_rules().contains(rule_name))
-    return "+ commutative (and associative)";
-  if (rule_name == "BS-Comcast" || rule_name == "BR-Local" ||
-      rule_name == "CR-Alllocal")
-    return "+ associative (rank-indexed repetition of one operator)";
-  if (rule_name == "RB-Allreduce" || rule_name == "SB-Elim" ||
-      rule_name == "BB-Elim" || rule_name == "MB-Swap")
-    return "structural (no algebraic side condition)";
-  if (rule_name == "Overlap-Split")
-    return "no request in flight at the seam; interior elementwise-local "
-           "(V22x split-phase contracts hold)";
-  if (rule_name == "Wait-Sink")
-    return "sunk-past stage is elementwise-local and does not need the "
-           "request's completion";
+  if (const rules::RulePtr rule = rules::find_rule(rule_name))
+    return rule->side_condition();
   return "associativity of the collective operators";
 }
 
@@ -207,7 +178,6 @@ struct StepOutcome {
 };
 
 StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
-                         const std::vector<rules::RulePtr>& rules,
                          const PropertyCheckOptions& popts,
                          const CertifyOptions& opts, WindowVerdicts& windows) {
   StepOutcome out;
@@ -218,14 +188,12 @@ StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
   bool ok = true;
 
   // Obligation 1: re-derivability.
-  rules::RulePtr rule;
-  for (const auto& r : rules)
-    if (r->name() == step.rule) rule = r;
+  const rules::RulePtr rule = rules::find_rule(step.rule);
+  std::string reject;
   std::optional<rules::RuleMatch> match;
-  if (rule) match = rule->match(prog, step.position);
+  if (rule) match = rule->match(prog, step.position, &reject);
   if (!rule || !match || match->count != step.count ||
       match->replacement.size() != step.replaced_by) {
-    std::string reject = rules::Rule::take_reject();
     if (reject.empty()) reject = "window shape mismatch";
     std::string why =
         !rule ? "no rule of this name exists"
@@ -268,7 +236,7 @@ StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
           "is unsound, not just this rewrite"));
     }
   }
-  if (commutativity_rules().contains(step.rule)) {
+  if (rule->law() == rules::Law::commutative) {
     for (const auto& op : ops) {
       const ValueDomain dom = domain_for(*op);
       if (auto cx = find_comm_counterexample(*op, dom, popts)) {
@@ -285,7 +253,7 @@ StepOutcome certify_step(const Program& prog, const rules::AppliedRule& step,
       }
     }
   }
-  if (distributivity_rules().contains(step.rule)) {
+  if (rule->law() == rules::Law::distributes) {
     if (ops.size() < 2) {
       ok = false;
       out.report.add(cert_diag(
@@ -391,10 +359,6 @@ DerivationCertificates certify_derivation(
     const Program& source, const std::vector<rules::AppliedRule>& log,
     const CertifyOptions& opts) {
   DerivationCertificates out;
-  // Replay recognises every rule the optimizer could have used, including
-  // the --overlap-gated split-phase rules.
-  auto rules = rules::all_rules();
-  for (auto& r : rules::overlap_rules()) rules.push_back(std::move(r));
   PropertyCheckOptions popts;
   popts.random_trials = opts.property_trials;
   popts.seed = opts.seed;
@@ -402,7 +366,7 @@ DerivationCertificates certify_derivation(
   WindowVerdicts windows;
   Program prog = source;
   for (const auto& step : log) {
-    StepOutcome o = certify_step(prog, step, rules, popts, opts, windows);
+    StepOutcome o = certify_step(prog, step, popts, opts, windows);
     out.certificates.push_back(std::move(o.cert));
     out.report.merge(std::move(o.report));
     if (!o.next) break;
@@ -416,8 +380,6 @@ SequenceCertification certify_sequences(
     const std::vector<std::vector<rules::AppliedRule>>& paths,
     const CertifyOptions& opts) {
   SequenceCertification out;
-  auto rules = rules::all_rules();
-  for (auto& r : rules::overlap_rules()) rules.push_back(std::move(r));
   PropertyCheckOptions popts;
   popts.random_trials = opts.property_trials;
   popts.seed = opts.seed;
@@ -431,7 +393,7 @@ SequenceCertification certify_sequences(
       auto it = cache.find(step_cache_key(prog, step));
       if (it == cache.end()) {
         it = cache.emplace(step_cache_key(prog, step),
-                           certify_step(prog, step, rules, popts, opts, windows))
+                           certify_step(prog, step, popts, opts, windows))
                  .first;
         ++out.discharged_steps;
       } else {

@@ -97,7 +97,6 @@ TEST(LiveBus, RunLifecycleBumpsSeqOnEveryEdge) {
 }
 
 TEST(LiveSampler, FoldsEventsIntoRegistryInstruments) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
   rt::LiveSampler sampler(reg);  // no start(): drive sample_once()
 
@@ -164,7 +163,6 @@ TEST(LiveSampler, FoldsEventsIntoRegistryInstruments) {
 }
 
 TEST(LiveSampler, StallEventFlagsRankAndState) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
   rt::LiveSampler sampler(reg);
   rt::LiveRunInfo info;
@@ -204,7 +202,6 @@ TEST(LiveSampler, IdleWithoutARunAndSeqQuiescesWhenNothingMoves) {
 }
 
 TEST(LiveSampler, SnapshotJsonParsesAndCarriesProgress) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
   rt::LiveSampler sampler(reg);
   rt::LiveRunInfo info;
@@ -260,7 +257,6 @@ TEST(LiveSampler, WaitNewerTimesOutAndWakes) {
 }
 
 TEST(LiveSampler, BackgroundThreadFoldsWithoutManualSampling) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
   rt::LiveSampler sampler(reg);
   sampler.begin_run(rt::LiveRunInfo{});
@@ -282,7 +278,6 @@ TEST(LiveSampler, BackgroundThreadFoldsWithoutManualSampling) {
 // ~20 records per launch, ~20k in all — far more than any ring holds, so
 // counts taken from drained records would come up short.
 TEST(LiveSampler, CountsAreExactOverManyShortLaunches) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   constexpr int kP = 8;
   constexpr int kLaunches = 1000;
   const ir::Program prog = three_stages();
@@ -350,7 +345,6 @@ TEST(LiveSampler, RuntimeTelemetryOffKeepsRunStateWithoutRankRows) {
 // contract; the assertions watch counter monotonicity and that every
 // record was either folded or counted as dropped.
 TEST(LiveHammer, CountersStayMonotonicUnderConcurrentScrapes) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   rt::Config& cfg = rt::mutable_config();
   const rt::Config saved = cfg;
   cfg.ring_capacity = 16;  // small rings force lap-and-drop paths

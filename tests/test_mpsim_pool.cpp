@@ -183,7 +183,6 @@ TEST(RankPool, UnreceivedMessagesDoNotReachTheNextLaunch) {
 }
 
 TEST(RankPool, LaunchAfterAWatchdogStallMatchesAFreshGroup) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   ConfigGuard guard;
   rt::Config& cfg = rt::mutable_config();
   cfg.enabled = true;
@@ -210,7 +209,6 @@ TEST(RankPool, LaunchAfterAWatchdogStallMatchesAFreshGroup) {
 }
 
 TEST(RankPool, FleetFollowsTheConfigOfEachLaunch) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   ConfigGuard guard;
   rt::Config& cfg = rt::mutable_config();
   const auto prog = ir::parse_program("scan(+) ; reduce(+) ; bcast");

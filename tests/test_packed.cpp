@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "colop/exec/thread_executor.h"
 #include "colop/ir/packed.h"
 #include "colop/ir/packed_eval.h"
@@ -297,31 +295,6 @@ TEST(Packable, NonUniformBlockSizesStayBoxed) {
   EXPECT_FALSE(try_pack_for(prog, input).has_value());
   // ... and the boxed path still reports the canonical error.
   EXPECT_THROW((void)prog.eval_reference(input), Error);
-}
-
-TEST(Packable, EnvVarForcesPlane) {
-  Program prog;
-  prog.scan(op_add());
-  const Dist input{{Value(1)}, {Value(2)}};
-
-  ::setenv("COLOP_DATA_PLANE", "boxed", 1);
-  EXPECT_EQ(data_plane_from_env(), DataPlane::Boxed);
-  EXPECT_EQ(prog.eval_reference(input), eval_reference_boxed(prog, input));
-
-  ::setenv("COLOP_DATA_PLANE", "packed", 1);
-  EXPECT_EQ(data_plane_from_env(), DataPlane::Packed);
-  EXPECT_EQ(prog.eval_reference(input), eval_reference_boxed(prog, input));
-
-  // Forcing packed on an unpackable program is an error, not a fallback.
-  ElemFn opaque;
-  opaque.name = "opaque";
-  opaque.fn = [](const Value& v) { return v; };
-  Program boxed_only;
-  boxed_only.map(opaque);
-  EXPECT_THROW((void)boxed_only.eval_reference(input), Error);
-
-  ::unsetenv("COLOP_DATA_PLANE");
-  EXPECT_EQ(data_plane_from_env(), DataPlane::Auto);
 }
 
 // --- executor ------------------------------------------------------------

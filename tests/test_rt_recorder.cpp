@@ -148,7 +148,6 @@ TEST(Fleet, DisabledConfigAllocatesNothing) {
 }
 
 TEST(Fleet, EnabledFleetKeepsPerRankSlots) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   Config cfg;
   cfg.ring_capacity = 32;
   Fleet fleet(2, cfg);
@@ -193,7 +192,6 @@ TEST(Fleet, DisabledRuntimeEmitsNoEventsOnThreadedRun) {
 }
 
 TEST(Fleet, EnabledRuntimeCapturesThreadedRun) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   ConfigGuard guard;
   rt::mutable_config().enabled = true;
 

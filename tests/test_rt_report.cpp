@@ -44,7 +44,6 @@ rt::RtReport table1_report() {
 }
 
 TEST(RtReport, PerRankAccountingAtP8) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const auto rep = table1_report();
   ASSERT_EQ(rep.ranks.size(), static_cast<std::size_t>(kProcs));
   EXPECT_EQ(rep.procs, kProcs);
@@ -64,7 +63,6 @@ TEST(RtReport, PerRankAccountingAtP8) {
 }
 
 TEST(RtReport, StageDriftAgainstModel) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const auto rep = table1_report();
   ASSERT_EQ(rep.stages.size(), 3u);
   EXPECT_GT(rep.scale_ns_per_op, 0.0);
@@ -85,7 +83,6 @@ TEST(RtReport, StageDriftAgainstModel) {
 }
 
 TEST(RtReport, JsonRoundTrips) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const auto rep = table1_report();
   std::ostringstream os;
   rep.write_json(os);
@@ -111,7 +108,6 @@ TEST(RtReport, JsonRoundTrips) {
 }
 
 TEST(RtReport, TraceAndHtmlExportersProduceDocuments) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const auto rep = table1_report();
   ASSERT_FALSE(rep.events.empty());
 
@@ -130,7 +126,6 @@ TEST(RtReport, TraceAndHtmlExportersProduceDocuments) {
 }
 
 TEST(RtReport, RenderTextMentionsEveryRank) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const auto rep = table1_report();
   const std::string text = rep.render_text();
   EXPECT_NE(text.find("per-rank accounting"), std::string::npos);
@@ -138,7 +133,6 @@ TEST(RtReport, RenderTextMentionsEveryRank) {
 }
 
 TEST(RtReport, PublishRegistryExportsRanksAndStages) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const auto rep = table1_report();
   obs::Registry reg;
   rt::publish_registry(rep, reg);

@@ -54,7 +54,6 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(Watchdog, DetectsSilentRank) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   Config cfg;
   cfg.ring_capacity = 64;
   Fleet fleet(2, cfg);
@@ -83,7 +82,6 @@ TEST(Watchdog, DetectsSilentRank) {
 }
 
 TEST(Watchdog, DoneRanksAreNotStalls) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   Config cfg;
   cfg.ring_capacity = 64;
   Fleet fleet(2, cfg);
@@ -109,7 +107,6 @@ TEST(Watchdog, DoneRanksAreNotStalls) {
 // deadline and aborts the group; on fibers the launch sees at once that
 // no rank can go on, and each blocked rank throws its own report.
 TEST(Watchdog, StalledRecvTriggersPostMortemAndReleasesPeers) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   ConfigGuard guard;
   auto& cfg = rt::mutable_config();
   cfg.enabled = true;
@@ -185,7 +182,6 @@ TEST(ThreadExecutor, ExceptionCarriesRankAndStageContext) {
 // abort wakes it), and with COLOP_RT_DUMP set the launcher leaves a
 // post-mortem behind.
 TEST(Watchdog, UncaughtExceptionDumpsPostMortemAndReleasesPeer) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   ConfigGuard guard;
   auto& cfg = rt::mutable_config();
   cfg.enabled = true;
@@ -217,7 +213,6 @@ TEST(Watchdog, UncaughtExceptionDumpsPostMortemAndReleasesPeer) {
 }
 
 TEST(SnapshotEvents, PairsSendsWithRecvFlowArrows) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   Config cfg;
   cfg.ring_capacity = 32;
   Fleet fleet(2, cfg);

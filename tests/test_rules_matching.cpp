@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "colop/ir/ir.h"
+#include "colop/ir/parse.h"
+#include "colop/rules/derived_ops.h"
+#include "colop/rules/optimizer.h"
 #include "colop/rules/rules.h"
 
 namespace colop::rules {
@@ -194,6 +199,174 @@ TEST(RuleMatching, MatchBeyondEndReturnsNothing) {
     EXPECT_FALSE(rule->match(prog, 2).has_value()) << rule->name();
     EXPECT_FALSE(rule->match(prog, 99).has_value()) << rule->name();
   }
+}
+
+// --- every verdict the catalog gives --------------------------------------
+
+RulePtr rule_by_name(const std::string& name) {
+  auto rules = all_rules();
+  for (auto& r : overlap_rules()) rules.push_back(std::move(r));
+  for (const auto& r : rules)
+    if (r->name() == name) return r;
+  return nullptr;
+}
+
+/// The explain-mode attempt of `rule` at `at`, as the optimizer records it.
+RuleAttempt attempt_at(const RulePtr& rule, const Program& prog,
+                       std::size_t at) {
+  ExplainLog log;
+  OptimizerOptions opts;
+  opts.explain = &log;
+  const Optimizer optimizer(model::Machine{}, {rule}, opts);
+  (void)optimizer.admissible_matches(prog);
+  for (const auto& a : log.attempts)
+    if (a.position == at) return a;
+  return {};
+}
+
+struct VerdictCase {
+  const char* rule;
+  Program prog;
+  std::size_t at;
+  /// "condition failed: ..." for a declined window, "" for a match.
+  const char* failed;
+  const char* note;  ///< the match's note (matches only)
+};
+
+Program text(const char* program) { return ir::parse_program(program); }
+
+std::vector<VerdictCase> verdict_cases() {
+  using ir::op_add;
+  using ir::op_mul;
+  Program sr2_widths, sr_widths, ss2_widths, ss_widths, rb_balanced_root,
+      rb_balanced, mb_pair, mb_broken;
+  sr2_widths.scan(op_mul()).reduce(op_add(), 0, 2);
+  sr_widths.scan(op_add()).allreduce(op_add(), 2);
+  ss2_widths.scan(op_mul()).scan(op_add(), 2);
+  ss_widths.scan(op_add(), 2).scan(op_add());
+  rb_balanced_root.reduce_balanced(make_op_sr(op_add()), 1).bcast();
+  rb_balanced.reduce_balanced(make_op_sr(op_add()), 2).bcast(2);
+  mb_pair.map(ir::fn_pair()).bcast(0, 2);
+  mb_broken.map(ir::fn_proj1()).map(ir::fn_id()).bcast();
+  const char* not_dist = "condition failed: + does not distribute over *";
+  const char* roots0 = "condition failed: roots must be processor 0";
+  const char* bcast0 = "condition failed: bcast root must be processor 0";
+  const char* widths = "condition failed: element widths differ";
+  const char* mat2 = "condition failed: mat2 is not commutative";
+  return {
+      // SR2-Reduction
+      {"SR2-Reduction", text("scan(*) ; reduce(+)"), 0, "", "x=*, +=+"},
+      {"SR2-Reduction", text("scan(*) ; allreduce(+)"), 0, "", "x=*, +=+"},
+      {"SR2-Reduction", sr2_widths, 0, widths, ""},
+      {"SR2-Reduction", text("scan(+) ; reduce(*)"), 0, not_dist, ""},
+      {"SR2-Reduction", text("scan(+) ; allreduce(*)"), 0, not_dist, ""},
+      // SR-Reduction
+      {"SR-Reduction", text("scan(+) ; reduce(+,root=3)"), 0, "", "+=+"},
+      {"SR-Reduction", text("scan(max) ; allreduce(max)"), 0, "", "+=max"},
+      {"SR-Reduction", sr_widths, 0, widths, ""},
+      {"SR-Reduction", text("scan(+) ; reduce(max)"), 0,
+       "condition failed: scan and reduce operators differ", ""},
+      {"SR-Reduction", text("scan(+) ; allreduce(max)"), 0,
+       "condition failed: scan and reduce operators differ", ""},
+      {"SR-Reduction", text("scan(mat2) ; reduce(mat2)"), 0, mat2, ""},
+      // SS2-Scan
+      {"SS2-Scan", text("scan(*) ; scan(+)"), 0, "", "x=*, +=+"},
+      {"SS2-Scan", ss2_widths, 0, widths, ""},
+      {"SS2-Scan", text("scan(+) ; scan(*)"), 0, not_dist, ""},
+      // SS-Scan
+      {"SS-Scan", text("scan(+) ; scan(+)"), 0, "", "+=+"},
+      {"SS-Scan", ss_widths, 0, widths, ""},
+      {"SS-Scan", text("scan(+) ; scan(max)"), 0,
+       "condition failed: scan operators differ", ""},
+      {"SS-Scan", text("scan(mat2) ; scan(mat2)"), 0, mat2, ""},
+      // Comcast
+      {"BS-Comcast", text("bcast(root=2) ; scan(mat2)"), 0, "", "+=mat2"},
+      {"BSS2-Comcast", text("bcast ; scan(*) ; scan(+)"), 0, "", "x=*, +=+"},
+      {"BSS2-Comcast", text("bcast ; scan(+) ; scan(*)"), 0, not_dist, ""},
+      {"BSS-Comcast", text("bcast ; scan(max) ; scan(max)"), 0, "", "+=max"},
+      {"BSS-Comcast", text("bcast ; scan(+) ; scan(max)"), 0,
+       "condition failed: scan operators differ", ""},
+      {"BSS-Comcast", text("bcast ; scan(mat2) ; scan(mat2)"), 0, mat2, ""},
+      // Local
+      {"BR-Local", text("bcast ; reduce(+)"), 0, "", "+=+"},
+      {"BR-Local", text("bcast(root=1) ; reduce(+)"), 0, roots0, ""},
+      {"BR-Local", text("bcast ; reduce(+,root=2)"), 0, roots0, ""},
+      {"BSR2-Local", text("bcast ; scan(*) ; reduce(+)"), 0, "", "x=*, +=+"},
+      {"BSR2-Local", text("bcast ; scan(*) ; reduce(+,root=1)"), 0, roots0, ""},
+      {"BSR2-Local", text("bcast ; scan(+) ; reduce(*)"), 0, not_dist, ""},
+      {"BSR-Local", text("bcast ; scan(+) ; reduce(+)"), 0, "", "+=+"},
+      {"BSR-Local", text("bcast(root=1) ; scan(+) ; reduce(+)"), 0, roots0, ""},
+      {"BSR-Local", text("bcast ; scan(+) ; reduce(max)"), 0,
+       "condition failed: scan and reduce operators differ", ""},
+      {"BSR-Local", text("bcast ; scan(mat2) ; reduce(mat2)"), 0, mat2, ""},
+      // Alllocal
+      {"CR-Alllocal", text("bcast ; allreduce(max)"), 0, "", "+=max"},
+      {"CR-Alllocal", text("bcast(root=1) ; allreduce(+)"), 0, bcast0, ""},
+      {"BSR2-Alllocal", text("bcast ; scan(*) ; allreduce(+)"), 0, "",
+       "x=*, +=+"},
+      {"BSR2-Alllocal", text("bcast(root=1) ; scan(*) ; allreduce(+)"), 0,
+       bcast0, ""},
+      {"BSR2-Alllocal", text("bcast ; scan(+) ; allreduce(*)"), 0, not_dist,
+       ""},
+      {"BSR-Alllocal", text("bcast ; scan(+) ; allreduce(+)"), 0, "", "+=+"},
+      {"BSR-Alllocal", text("bcast(root=1) ; scan(+) ; allreduce(+)"), 0,
+       bcast0, ""},
+      {"BSR-Alllocal", text("bcast ; scan(+) ; allreduce(max)"), 0,
+       "condition failed: scan and allreduce operators differ", ""},
+      {"BSR-Alllocal", text("bcast ; scan(mat2) ; allreduce(mat2)"), 0, mat2,
+       ""},
+      // Derived combinations
+      {"RB-Allreduce", text("reduce(max,root=1) ; bcast(root=1)"), 0, "",
+       "+=max"},
+      {"RB-Allreduce", text("reduce(+,root=1) ; bcast"), 0,
+       "condition failed: reduce root differs from bcast root", ""},
+      {"RB-Allreduce", rb_balanced, 0, "", "op=op_sr[+]"},
+      {"RB-Allreduce", rb_balanced_root, 0,
+       "condition failed: reduce root differs from bcast root", ""},
+      {"SB-Elim", text("scan(*) ; bcast"), 0, "", "+=*"},
+      {"SB-Elim", text("scan(+) ; bcast(root=1)"), 0, bcast0, ""},
+      {"BB-Elim", text("bcast(root=1) ; bcast(root=2)"), 0, "", ""},
+      {"MB-Swap", mb_pair, 0, "", "f=pair"},
+      {"MB-Swap", mb_broken, 1,
+       "condition failed: shape inference failed before the map", ""},
+      // Split-phase
+      {"Overlap-Split", text("reduce(+) ; map(id)"), 0, "", "C=reduce(+)"},
+      {"Overlap-Split", text("bcast(root=1) ; map(pair)"), 0, "", "C=bcast"},
+      {"Overlap-Split",
+       text("istart_bcast(h=1) ; reduce(+) ; map(id) ; wait(h=1)"), 1,
+       "condition failed: another nonblocking request is already in flight "
+       "here",
+       ""},
+      {"Wait-Sink", text("istart_reduce(+,h=4) ; wait(h=4) ; map(id)"), 1, "",
+       "h=4"},
+  };
+}
+
+TEST(RuleVerdicts, EveryConditionAndMatchIsPinned) {
+  for (const VerdictCase& c : verdict_cases()) {
+    const RulePtr rule = rule_by_name(c.rule);
+    ASSERT_NE(rule, nullptr) << c.rule;
+    const RuleAttempt a = attempt_at(rule, c.prog, c.at);
+    const std::string where = std::string(c.rule) + " on " + c.prog.show();
+    EXPECT_EQ(a.rule, c.rule) << where;
+    if (*c.failed != '\0') {
+      EXPECT_FALSE(a.matched) << where;
+      EXPECT_EQ(a.verdict, c.failed) << where;
+    } else {
+      EXPECT_TRUE(a.matched) << where << ": " << a.verdict;
+      EXPECT_EQ(a.note, c.note) << where;
+    }
+  }
+}
+
+TEST(RuleVerdicts, EveryRuleHasAPinnedMatch) {
+  std::set<std::string> matched;
+  for (const VerdictCase& c : verdict_cases())
+    if (*c.failed == '\0') matched.insert(c.rule);
+  auto rules = all_rules();
+  for (auto& r : overlap_rules()) rules.push_back(std::move(r));
+  for (const auto& r : rules)
+    EXPECT_TRUE(matched.contains(r->name())) << r->name();
 }
 
 }  // namespace

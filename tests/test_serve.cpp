@@ -193,7 +193,6 @@ TEST(Serve, LiveEndpointsFourOhFourWithoutSampler) {
 }
 
 TEST(Serve, LiveEndpointsServeSamplerSnapshots) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
   rt::LiveSampler sampler(reg);
   rt::LiveRunInfo info;
@@ -246,7 +245,6 @@ TEST(Serve, LiveEndpointsServeSamplerSnapshots) {
 }
 
 TEST(Serve, RunsDocumentEmbedsLiveProgress) {
-  if (!rt::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   obs::Registry reg;
   rt::LiveSampler sampler(reg);
   rt::LiveRunInfo info;

@@ -87,44 +87,46 @@ TEST(ShapeInference, ScanBalancedTransmitsAllButTheScanComponent) {
 }
 
 TEST(ShapeInference, EveryRuleRewriteIsShapeConsistent) {
-  std::vector<Program> lhss;
-  {
-    Program p;
-    p.scan(op_mul()).reduce(op_add());
-    lhss.push_back(p);
-    p = Program{};
-    p.scan(op_add()).allreduce(op_add());
-    lhss.push_back(p);
-    p = Program{};
-    p.scan(op_mul()).scan(op_add());
-    lhss.push_back(p);
-    p = Program{};
-    p.bcast().scan(op_add()).scan(op_add());
-    lhss.push_back(p);
-    p = Program{};
-    p.bcast().scan(op_mul()).reduce(op_add());
-    lhss.push_back(p);
-    p = Program{};
-    p.bcast().allreduce(op_add());
-    lhss.push_back(p);
-    p = Program{};
-    p.reduce(op_add()).bcast();
-    lhss.push_back(p);
-    p = Program{};
-    p.scan(op_add()).bcast();
-    lhss.push_back(p);
-    p = Program{};
-    p.map(fn_id()).bcast();
-    lhss.push_back(p);
-  }
-  for (const auto& lhs : lhss) {
-    ASSERT_FALSE(check_shapes(lhs).has_value()) << lhs.show();
-    for (const auto& rule : rules::all_rules()) {
-      for (const auto& m : rule->matches(lhs)) {
-        const Program rhs = m.apply(lhs);
-        EXPECT_FALSE(check_shapes(rhs).has_value())
-            << rule->name() << ": " << rhs.show() << " — "
-            << check_shapes(rhs).value_or("");
+  // Every LHS at element width w = 1, 2, 3: a leading map(pair|triple)
+  // makes the w-word elements, and every collective declares w words.
+  for (const int w : {1, 2, 3}) {
+    const auto lhs_of = [w](auto&& build) {
+      Program p;
+      if (w == 2) p.map(fn_pair());
+      if (w == 3) p.map(fn_triple());
+      build(p);
+      return p;
+    };
+    const std::vector<Program> lhss = {
+        lhs_of([w](Program& p) { p.scan(op_mul(), w).reduce(op_add(), 0, w); }),
+        lhs_of([w](Program& p) { p.scan(op_add(), w).allreduce(op_add(), w); }),
+        lhs_of([w](Program& p) { p.scan(op_mul(), w).scan(op_add(), w); }),
+        lhs_of([w](Program& p) {
+          p.bcast(0, w).scan(op_add(), w).scan(op_add(), w);
+        }),
+        lhs_of([w](Program& p) {
+          p.bcast(0, w).scan(op_mul(), w).reduce(op_add(), 0, w);
+        }),
+        lhs_of([w](Program& p) { p.bcast(0, w).allreduce(op_add(), w); }),
+        lhs_of([w](Program& p) {
+          p.bcast(0, w).scan(op_mul(), w).allreduce(op_add(), w);
+        }),
+        lhs_of([w](Program& p) {
+          p.bcast(0, w).scan(op_add(), w).allreduce(op_add(), w);
+        }),
+        lhs_of([w](Program& p) { p.reduce(op_add(), 0, w).bcast(0, w); }),
+        lhs_of([w](Program& p) { p.scan(op_add(), w).bcast(0, w); }),
+        lhs_of([w](Program& p) { p.map(fn_id()).bcast(0, w); }),
+    };
+    for (const auto& lhs : lhss) {
+      ASSERT_FALSE(check_shapes(lhs).has_value()) << lhs.show();
+      for (const auto& rule : rules::all_rules()) {
+        for (const auto& m : rule->matches(lhs)) {
+          const Program rhs = m.apply(lhs);
+          EXPECT_FALSE(check_shapes(rhs).has_value())
+              << "w=" << w << " " << rule->name() << ": " << rhs.show()
+              << " — " << check_shapes(rhs).value_or("");
+        }
       }
     }
   }

@@ -596,14 +596,44 @@ TEST(Certificates, ForgedDerivationFailsReplay) {
 }
 
 TEST(Certificates, SideConditionTableNamesTheGuards) {
-  EXPECT_NE(side_condition_of("SR2-Reduction").find("distribut"),
-            std::string::npos);
-  EXPECT_NE(side_condition_of("SR-Reduction").find("commutativ"),
-            std::string::npos);
-  EXPECT_NE(side_condition_of("BS-Comcast").find("associativ"),
-            std::string::npos);
-  EXPECT_NE(side_condition_of("BB-Elim").find("structural"),
-            std::string::npos);
+  const std::string distributes =
+      "x distributes over + (all operators associative)";
+  const std::string commutative = "+ commutative (and associative)";
+  const std::string associative =
+      "+ associative (rank-indexed repetition of one operator)";
+  const std::string structural = "structural (no algebraic side condition)";
+  const std::vector<std::pair<std::string, std::string>> expect = {
+      {"SR2-Reduction", distributes},
+      {"SR-Reduction", commutative},
+      {"SS2-Scan", distributes},
+      {"SS-Scan", commutative},
+      {"BS-Comcast", associative},
+      {"BSS2-Comcast", distributes},
+      {"BSS-Comcast", commutative},
+      {"BR-Local", associative},
+      {"BSR2-Local", distributes},
+      {"BSR-Local", commutative},
+      {"CR-Alllocal", associative},
+      {"BSR2-Alllocal", distributes},
+      {"BSR-Alllocal", commutative},
+      {"RB-Allreduce", structural},
+      {"SB-Elim", structural},
+      {"BB-Elim", structural},
+      {"MB-Swap", structural},
+      {"Overlap-Split",
+       "no request in flight at the seam; interior elementwise-local "
+       "(V22x split-phase contracts hold)"},
+      {"Wait-Sink",
+       "sunk-past stage is elementwise-local and does not need the "
+       "request's completion"},
+      {"No-Such-Rule", "associativity of the collective operators"},
+  };
+  for (const auto& [rule, condition] : expect)
+    EXPECT_EQ(side_condition_of(rule), condition) << rule;
+  // Every catalog rule is in the table above.
+  auto catalog = rules::all_rules();
+  for (auto& r : rules::overlap_rules()) catalog.push_back(std::move(r));
+  EXPECT_EQ(catalog.size() + 1, expect.size());
 }
 
 // --- umbrella: verify_program --------------------------------------------

@@ -914,8 +914,6 @@ int main(int argc, char** argv) {
               std::chrono::system_clock::now().time_since_epoch())
               .count());
       bundle.machine = {machine.p, machine.m, machine.ts, machine.tw};
-      if (const char* dp = std::getenv("COLOP_DATA_PLANE"))
-        bundle.data_plane = dp;
       for (int a = 1; a < argc; ++a) bundle.args.emplace_back(argv[a]);
       bundle.program_before = program.show();
       bundle.program_after = result.program.show();
