@@ -1,9 +1,10 @@
 // Micro benchmark for the flat data plane (boxed Values vs PackedBlock).
 //
 // Phase A times the local kernels head to head on one block: map pair,
-// elementwise scan/reduce combines, the op_sr2 derived combine, and the
-// cost of materializing a transmissible copy (boxed deep copy vs packed
-// memcpy serialization).  Phase B runs table1-style pipelines end to end
+// elementwise scan/reduce combines, the op_sr2 derived combine, the cost
+// of materializing a transmissible copy (boxed deep copy vs packed memcpy
+// serialization), and the same kernels on certification-sized blocks of 2
+// elements (small_block).  Phase B runs table1-style pipelines end to end
 // on the mpsim thread executor, once per plane.
 //
 // The gating scalars are the dimensionless speedup ratios — stable across
@@ -143,6 +144,49 @@ Measurement bench_reduce_local(std::size_t m, int reps) {
   });
   const double n = static_cast<double>(m) * 7;  // combines performed
   return {"reduce_local", n / tb, n / tp};
+}
+
+// Certification-sized blocks (m = 2, CertifyOptions::block): per step an
+// op_add zip that the packed side reaches through a pack and leaves through
+// an unpack, plus an op_sr2[fmul,fadd] zip on pairs.  At this size a block
+// is a few words, so the step measures per-block overhead (allocation,
+// dispatch, canonicalization), not arithmetic.
+Measurement bench_small_block(int reps) {
+  constexpr std::size_t m = 2;
+  constexpr int kSteps = 4096;
+  Rng rng(7);
+  const Block a = random_int_block(rng, m);
+  const Block b = random_int_block(rng, m);
+  const Block s1 = random_real_block(rng, m);
+  const Block s2 = random_real_block(rng, m);
+  Block pa, pb;
+  for (std::size_t j = 0; j < m; ++j) {
+    pa.push_back(Value::tuple_of({s1[j], s2[j]}));
+    pb.push_back(Value::tuple_of({s2[j], s1[j]}));
+  }
+  const auto add = ir::op_add();
+  const auto sr2 = rules::make_op_sr2(ir::op_fmul(), ir::op_fadd());
+  const PackedBlock ppa = *PackedBlock::pack(pa);
+  const PackedBlock ppb = *PackedBlock::pack(pb);
+
+  const double tb = best_seconds(reps, [&] {
+    for (int step = 0; step < kSteps; ++step) {
+      Block sum(m), pairs(m);
+      for (std::size_t j = 0; j < m; ++j) sum[j] = (*add)(a[j], b[j]);
+      for (std::size_t j = 0; j < m; ++j) pairs[j] = (*sr2)(pa[j], pb[j]);
+      g_sink = g_sink + sum.size() + pairs.size();
+    }
+  });
+  const double tp = best_seconds(reps, [&] {
+    for (int step = 0; step < kSteps; ++step) {
+      const Block sum =
+          add->packed()(*PackedBlock::pack(a), *PackedBlock::pack(b)).unpack();
+      const PackedBlock pairs = sr2->packed()(ppa, ppb);
+      g_sink = g_sink + sum.size() + pairs.size();
+    }
+  });
+  const double n = static_cast<double>(m) * kSteps;
+  return {"small_block", n / tb, n / tp};
 }
 
 // Boxed planes copy a Block per hop; the packed plane memcpy-serializes.
@@ -337,6 +381,7 @@ int main(int argc, char** argv) {
     ms.push_back(bench_zip("sr2_zip", *sr2, a, b, reps));
   }
   ms.push_back(bench_serialize(m_local, reps, reg));
+  ms.push_back(bench_small_block(reps));
 
   // Phase B: table1-style pipelines, p = 4 ranks on real threads.
   {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -18,11 +19,16 @@ using ir::Block;
 using ir::PackedBlock;
 using ir::Value;
 
+static_assert(sizeof(PackedBlock) <= mpsim::Payload::kInlineBytes,
+              "a packed block travels inside its message, not in a heap box");
+
 // Lift a Value binary operator to blocks (MPI count semantics: collectives
-// combine blocks elementwise).
+// combine blocks elementwise).  The lifted function refers to `f`, which
+// the stage owns: a collective copies its operator, and a copied
+// std::function may allocate.
 template <typename F>
-auto lift2(F f) {
-  return [f = std::move(f)](const Block& a, const Block& b) {
+auto lift2(const F& f) {
+  return [&f](const Block& a, const Block& b) {
     COLOP_ASSERT(a.size() == b.size(), "block size mismatch in collective");
     Block out(a.size());
     for (std::size_t j = 0; j < a.size(); ++j) out[j] = f(a[j], b[j]);
@@ -31,8 +37,8 @@ auto lift2(F f) {
 }
 
 template <typename F>
-auto lift1(F f) {
-  return [f = std::move(f)](const Block& a) {
+auto lift1(const F& f) {
+  return [&f](const Block& a) {
     Block out(a.size());
     for (std::size_t j = 0; j < a.size(); ++j) out[j] = f(a[j]);
     return out;
@@ -121,10 +127,7 @@ void exec_stage(const ir::Stage& stage, mpsim::Comm& comm, Block& block) {
     }
     case Kind::Scan: {
       const auto& s = static_cast<const ir::ScanStage&>(stage);
-      block = mpsim::scan(comm, std::move(block),
-                          lift2([op = s.op](const Value& a, const Value& b) {
-                            return (*op)(a, b);
-                          }));
+      block = mpsim::scan(comm, std::move(block), lift2(*s.op));
       return;
     }
     // Split-phase: an istart runs its blocking collective and wait
@@ -134,20 +137,13 @@ void exec_stage(const ir::Stage& stage, mpsim::Comm& comm, Block& block) {
     case Kind::Reduce:
     case Kind::IStartReduce: {
       const auto& s = static_cast<const ir::ReduceStage&>(stage);
-      block = mpsim::reduce(comm, std::move(block),
-                            lift2([op = s.op](const Value& a, const Value& b) {
-                              return (*op)(a, b);
-                            }),
-                            s.root);
+      block = mpsim::reduce(comm, std::move(block), lift2(*s.op), s.root);
       return;
     }
     case Kind::AllReduce:
     case Kind::IStartAllReduce: {
       const auto& s = static_cast<const ir::AllReduceStage&>(stage);
-      block = mpsim::allreduce(comm, std::move(block),
-                               lift2([op = s.op](const Value& a, const Value& b) {
-                                 return (*op)(a, b);
-                               }));
+      block = mpsim::allreduce(comm, std::move(block), lift2(*s.op));
       return;
     }
     case Kind::Bcast:
@@ -217,17 +213,18 @@ void exec_stage_packed(const ir::Stage& stage, mpsim::Comm& comm,
     }
     case Kind::Scan: {
       const auto& s = static_cast<const ir::ScanStage&>(stage);
-      block = mpsim::scan(comm, std::move(block), s.op->packed());
+      block = mpsim::scan(comm, std::move(block), std::cref(s.op->packed()));
       return;
     }
     case Kind::Reduce: {
       const auto& s = static_cast<const ir::ReduceStage&>(stage);
-      block = mpsim::reduce(comm, std::move(block), s.op->packed(), s.root);
+      block = mpsim::reduce(comm, std::move(block), std::cref(s.op->packed()),
+                            s.root);
       return;
     }
     case Kind::AllReduce: {
       const auto& s = static_cast<const ir::AllReduceStage&>(stage);
-      block = mpsim::allreduce(comm, std::move(block), s.op->packed());
+      block = mpsim::allreduce(comm, std::move(block), std::cref(s.op->packed()));
       return;
     }
     case Kind::Bcast: {
@@ -238,21 +235,23 @@ void exec_stage_packed(const ir::Stage& stage, mpsim::Comm& comm,
     case Kind::ScanBalanced: {
       const auto& s = static_cast<const ir::ScanBalancedStage&>(stage);
       block = mpsim::scan_balanced(comm, std::move(block),
-                                   s.op2.packed_combine2, s.op2.packed_degrade,
-                                   s.op2.packed_strip);
+                                   std::cref(s.op2.packed_combine2),
+                                   std::cref(s.op2.packed_degrade),
+                                   std::cref(s.op2.packed_strip));
       return;
     }
     case Kind::ReduceBalanced: {
       const auto& s = static_cast<const ir::ReduceBalancedStage&>(stage);
       block = mpsim::reduce_balanced(comm, std::move(block),
-                                     s.op.packed_combine, s.op.packed_unit,
-                                     s.root);
+                                     std::cref(s.op.packed_combine),
+                                     std::cref(s.op.packed_unit), s.root);
       return;
     }
     case Kind::AllReduceBalanced: {
       const auto& s = static_cast<const ir::AllReduceBalancedStage&>(stage);
       block = mpsim::allreduce_balanced(comm, std::move(block),
-                                        s.op.packed_combine, s.op.packed_unit);
+                                        std::cref(s.op.packed_combine),
+                                        std::cref(s.op.packed_unit));
       return;
     }
     case Kind::Iter: {
@@ -293,17 +292,15 @@ ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
       auto group = mpsim::Group::make(p);
       group->fleet().set_stage_labels(stage_labels(prog));
       const auto t0 = std::chrono::steady_clock::now();
-      auto [output, traffic] =
-          mpsim::run_spmd_collect_traffic_on<PackedBlock>(
-              group, [&](mpsim::Comm& comm) {
-                return run_rank(
-                    prog, comm,
-                    std::move((*packed)[static_cast<std::size_t>(comm.rank())]),
-                    true, exec_stage_packed);
-              },
-              ranks);
+      const auto traffic = mpsim::run_spmd_in_place_on(
+          group, *packed,
+          [&](mpsim::Comm& comm, PackedBlock block) {
+            return run_rank(prog, comm, std::move(block), true,
+                            exec_stage_packed);
+          },
+          ranks);
       const auto t1 = std::chrono::steady_clock::now();
-      return {ir::unpack_dist(output), traffic,
+      return {ir::unpack_dist(*packed), traffic,
               std::chrono::duration<double>(t1 - t0).count(), true,
               capture_rt ? group->fleet().snapshot() : rt::FleetSnapshot{}};
     }
@@ -319,12 +316,11 @@ ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
   // whole window pipelined; the interior and wait stages then no-op.
   const std::vector<ir::OverlapWindow> windows = ir::overlap_windows(prog);
   const auto t0 = std::chrono::steady_clock::now();
-  auto [output, traffic] = mpsim::run_spmd_collect_traffic_on<Block>(
-      group, [&](mpsim::Comm& comm) {
-        // Each rank owns exactly its slot — move, don't copy, the block in.
+  const auto traffic = mpsim::run_spmd_in_place_on(
+      group, input,
+      [&](mpsim::Comm& comm, Block block) {
         return run_rank(
-            prog, comm,
-            std::move(input[static_cast<std::size_t>(comm.rank())]), false,
+            prog, comm, std::move(block), false,
             [&prog, &windows, segments, idx = std::size_t{0}](
                 const ir::Stage& st, mpsim::Comm& c, Block& b) mutable {
               const std::size_t i = idx++;
@@ -340,7 +336,7 @@ ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
       },
       ranks);
   const auto t1 = std::chrono::steady_clock::now();
-  return {std::move(output), traffic,
+  return {std::move(input), traffic,
           std::chrono::duration<double>(t1 - t0).count(), false,
           capture_rt ? group->fleet().snapshot() : rt::FleetSnapshot{}};
 }

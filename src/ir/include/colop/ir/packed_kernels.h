@@ -17,9 +17,10 @@
 // rules/derived_ops.cpp.
 
 #include <bit>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "colop/ir/packed.h"
 #include "colop/support/error.h"
@@ -30,10 +31,20 @@ namespace colop::ir::pk {
 /// components become undefined scalars; an empty lane collapses to wild).
 [[nodiscard]] PackedBlock lane_scalar(const PackedBlock& b, std::size_t l);
 
+/// Copy scalar component `c` into lane l of tuple block `out` (a wild
+/// component leaves the lane all-undefined).  Callers canonicalize.
+void set_lane(PackedBlock& out, std::size_t l, const PackedBlock& c);
+
 /// Assemble a tuple block from per-component scalar blocks (wild
 /// components become all-undefined lanes) under the given element mask.
-[[nodiscard]] PackedBlock tuple_of(std::vector<PackedBlock> components,
-                                   const Mask& elem, std::size_t m);
+[[nodiscard]] PackedBlock tuple_of(std::span<const PackedBlock* const> components,
+                                   MaskView elem, std::size_t m);
+template <typename... Components>
+[[nodiscard]] PackedBlock tuple_of(MaskView elem, std::size_t m,
+                                   const Components&... components) {
+  const PackedBlock* const parts[] = {&components...};
+  return tuple_of(parts, elem, m);
+}
 
 /// Shorthand: all-undefined scalar component for tuple_of().
 [[nodiscard]] inline PackedBlock undef_component(std::size_t m) {
@@ -42,31 +53,32 @@ namespace colop::ir::pk {
 
 namespace detail {
 
-[[nodiscard]] inline double slot_as_double(const PackedBlock::Lane& lane,
-                                           std::size_t i) {
-  if (lane.dtype == DType::f64) return std::bit_cast<double>(lane.data[i]);
-  return static_cast<double>(std::bit_cast<std::int64_t>(lane.data[i]));
+[[nodiscard]] inline double slot_as_double(DType dtype, std::uint64_t w) {
+  if (dtype == DType::f64) return std::bit_cast<double>(w);
+  return static_cast<double>(std::bit_cast<std::int64_t>(w));
 }
 
-/// Common scalar-zip prologue.  Returns the all-undefined result when one
-/// side is wild or no element is defined on both sides; otherwise checks
+/// Common scalar-zip prologue.  True when the result is all-undefined (one
+/// side is wild, or no element is defined on both sides); otherwise checks
 /// that both operands really are scalar blocks of equal size.
 [[nodiscard]] inline bool zip_trivial(const PackedBlock& a,
                                       const PackedBlock& b,
-                                      const std::string& name,
-                                      PackedBlock& out) {
+                                      const std::string& name) {
   COLOP_REQUIRE(a.size() == b.size(), name + ": packed block size mismatch");
-  if (a.is_wild() || b.is_wild()) {
-    out = PackedBlock::wild(a.size());
-    return true;
-  }
+  if (a.is_wild() || b.is_wild()) return true;
   COLOP_REQUIRE(a.is_scalar() && b.is_scalar(),
                 name + ": packed kernel expects scalar elements");
-  if (mask_none(mask_and(a.lane(0).defined, b.lane(0).defined))) {
-    out = PackedBlock::wild(a.size());
-    return true;
-  }
-  return false;
+  return mask_disjoint(a.defined(0), b.defined(0));
+}
+
+/// The result's defined mask (a AND b, in place) and canonical form.
+inline void zip_finish(const PackedBlock& a, const PackedBlock& b,
+                       PackedBlock& out) {
+  const MaskSpan def = out.defined(0);
+  const MaskView da = a.defined(0);
+  const MaskView db = b.defined(0);
+  for (std::size_t w = 0; w < def.size(); ++w) def[w] = da[w] & db[w];
+  out.canonicalize();
 }
 
 // Mirror of binop.cpp's numeric(): both lanes integer -> integer kernel,
@@ -75,27 +87,29 @@ namespace detail {
 template <typename IntFn, typename RealFn>
 PackedBlock zip_numeric(const PackedBlock& a, const PackedBlock& b, IntFn fi,
                         RealFn fr, bool force_real, const std::string& name) {
-  PackedBlock out;
-  if (zip_trivial(a, b, name, out)) return out;
-  const auto& la = a.lane(0);
-  const auto& lb = b.lane(0);
   const std::size_t m = a.size();
-  const bool int_path =
-      !force_real && la.dtype == DType::i64 && lb.dtype == DType::i64;
-  out = PackedBlock::scalars(m, int_path ? DType::i64 : DType::f64);
-  auto& lo = out.lane(0);
+  const bool trivial = zip_trivial(a, b, name);
+  const bool int_path = !trivial && !force_real && a.dtype(0) == DType::i64 &&
+                        b.dtype(0) == DType::i64;
+  // One result object on every path, so it is built in place.
+  PackedBlock out = trivial ? PackedBlock::wild(m)
+                            : PackedBlock::scalars(m, int_path ? DType::i64 : DType::f64);
+  if (trivial) return out;
+  const DType ta = a.dtype(0);
+  const DType tb = b.dtype(0);
+  const std::uint64_t* xa = a.data(0).data();
+  const std::uint64_t* xb = b.data(0).data();
+  std::uint64_t* xo = out.data(0).data();
   if (int_path) {
     for (std::size_t i = 0; i < m; ++i)
-      lo.data[i] = std::bit_cast<std::uint64_t>(
-          fi(std::bit_cast<std::int64_t>(la.data[i]),
-             std::bit_cast<std::int64_t>(lb.data[i])));
+      xo[i] = std::bit_cast<std::uint64_t>(fi(std::bit_cast<std::int64_t>(xa[i]),
+                                              std::bit_cast<std::int64_t>(xb[i])));
   } else {
     for (std::size_t i = 0; i < m; ++i)
-      lo.data[i] = std::bit_cast<std::uint64_t>(
-          fr(slot_as_double(la, i), slot_as_double(lb, i)));
+      xo[i] = std::bit_cast<std::uint64_t>(
+          fr(slot_as_double(ta, xa[i]), slot_as_double(tb, xb[i])));
   }
-  lo.defined = mask_and(la.defined, lb.defined);
-  out.canonicalize();
+  zip_finish(a, b, out);
   return out;
 }
 
@@ -106,21 +120,19 @@ PackedBlock zip_numeric(const PackedBlock& a, const PackedBlock& b, IntFn fi,
 template <typename IntFn>
 PackedBlock zip_int(const PackedBlock& a, const PackedBlock& b, IntFn fi,
                     const std::string& name) {
-  PackedBlock out;
-  if (zip_trivial(a, b, name, out)) return out;
-  const auto& la = a.lane(0);
-  const auto& lb = b.lane(0);
-  COLOP_REQUIRE(la.dtype == DType::i64 && lb.dtype == DType::i64,
-                name + ": not an integer");
   const std::size_t m = a.size();
-  out = PackedBlock::scalars(m, DType::i64);
-  auto& lo = out.lane(0);
+  const bool trivial = zip_trivial(a, b, name);
+  COLOP_REQUIRE(trivial || (a.dtype(0) == DType::i64 && b.dtype(0) == DType::i64),
+                name + ": not an integer");
+  PackedBlock out = trivial ? PackedBlock::wild(m) : PackedBlock::scalars(m, DType::i64);
+  if (trivial) return out;
+  const std::uint64_t* xa = a.data(0).data();
+  const std::uint64_t* xb = b.data(0).data();
+  std::uint64_t* xo = out.data(0).data();
   for (std::size_t i = 0; i < m; ++i)
-    lo.data[i] = std::bit_cast<std::uint64_t>(
-        fi(std::bit_cast<std::int64_t>(la.data[i]),
-           std::bit_cast<std::int64_t>(lb.data[i])));
-  lo.defined = mask_and(la.defined, lb.defined);
-  out.canonicalize();
+    xo[i] = std::bit_cast<std::uint64_t>(fi(std::bit_cast<std::int64_t>(xa[i]),
+                                            std::bit_cast<std::int64_t>(xb[i])));
+  zip_finish(a, b, out);
   return out;
 }
 

@@ -170,35 +170,40 @@ void eval_reference_packed(const Program& prog, PackedDist& state) {
         PackedBlock acc = state[0];
         for (std::size_t r = 1; r < state.size(); ++r)
           acc = st.op->packed()(acc, state[r]);
-        for (auto& block : state) block = acc;
+        for (std::size_t r = 1; r < state.size(); ++r) state[r] = acc;
+        state[0] = std::move(acc);
         break;
       }
       case Stage::Kind::Bcast: {
         const auto& st = static_cast<const BcastStage&>(*stage);
         COLOP_REQUIRE(st.root >= 0 && st.root < p, "bcast: invalid root");
-        const PackedBlock src = state[static_cast<std::size_t>(st.root)];
-        for (auto& block : state) block = src;
+        const PackedBlock& src = state[static_cast<std::size_t>(st.root)];
+        for (auto& block : state)
+          if (&block != &src) block = src;
         break;
       }
       case Stage::Kind::ScanBalanced: {
         // Mirror of the boxed butterfly simulation, stripped values and
         // all (stage.cpp) — blockwise instead of elementwise.
+        // Each phase reads `state` and writes `next`; a rank without a
+        // partner is read by no one, so its block moves through degrade.
         const auto& op2 = static_cast<const ScanBalancedStage&>(*stage).op2;
+        PackedDist next(state.size());
         for (int k = 0; (1 << k) < p; ++k) {
-          const PackedDist before = state;
           for (int r = 0; r < p; ++r) {
             const int partner = r ^ (1 << k);
-            auto& block = state[static_cast<std::size_t>(r)];
+            auto& own = state[static_cast<std::size_t>(r)];
+            auto& block = next[static_cast<std::size_t>(r)];
             if (partner >= p) {
-              block = op2.packed_degrade(std::move(block));
+              block = op2.packed_degrade(std::move(own));
               continue;
             }
             const PackedBlock received =
-                op2.packed_strip(before[static_cast<std::size_t>(partner)]);
-            const auto& own = before[static_cast<std::size_t>(r)];
+                op2.packed_strip(state[static_cast<std::size_t>(partner)]);
             block = r < partner ? op2.packed_combine2(own, received).first
                                 : op2.packed_combine2(received, own).second;
           }
+          state.swap(next);
         }
         break;
       }
@@ -215,9 +220,10 @@ void eval_reference_packed(const Program& prog, PackedDist& state) {
       case Stage::Kind::AllReduceBalanced: {
         const auto& st = static_cast<const AllReduceBalancedStage&>(*stage);
         const auto tree = mpsim::BalancedTree::build(p);
-        const PackedBlock result =
+        PackedBlock result =
             fold_balanced_packed(tree, tree.root(), state, st.op);
-        for (auto& block : state) block = result;
+        for (std::size_t r = 1; r < state.size(); ++r) state[r] = result;
+        state[0] = std::move(result);
         break;
       }
       case Stage::Kind::Iter: {

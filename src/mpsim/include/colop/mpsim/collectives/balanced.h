@@ -18,6 +18,7 @@
 //       rank has no partner in a phase (partner id >= p): the paper keeps
 //       the first tuple component and marks the rest undefined.
 
+#include <optional>
 #include <utility>
 
 #include "colop/mpsim/balanced_tree.h"
@@ -38,7 +39,10 @@ template <typename T, typename Op, typename UnitOp>
   const int tag = comm.next_collective_tag();
 
   const BalancedTree tree = BalancedTree::build(p);
-  T original = value;
+  // Non-root ranks return their input unchanged (Eq 5); the root's is
+  // consumed, so only the others keep a copy.
+  std::optional<T> original;
+  if (r != root) original.emplace(value);
   T acc = std::move(value);
 
   // Process internal nodes bottom-up; height levels are combining phases.
@@ -58,10 +62,10 @@ template <typename T, typename Op, typename UnitOp>
     }
   }
 
-  if (root == 0) return r == 0 ? std::move(acc) : std::move(original);
+  if (root == 0) return r == 0 ? std::move(acc) : std::move(*original);
   if (r == 0) comm.send_raw(root, std::move(acc), tag);
   if (r == root) return comm.recv_raw<T>(0, tag);
-  return original;
+  return std::move(*original);
 }
 
 /// Balanced all-reduction ("the tree can be extended to a butterfly").

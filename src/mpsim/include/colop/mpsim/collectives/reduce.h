@@ -9,6 +9,7 @@
 // matrix multiply, function composition) are safe — same guarantee MPI
 // gives for user ops.
 
+#include <optional>
 #include <utility>
 
 #include "colop/mpsim/comm.h"
@@ -29,7 +30,10 @@ template <typename T, typename Op>
   if (p == 1) return value;
   const int tag = comm.next_collective_tag();
 
-  T original = value;  // non-root ranks keep their input (Eq 5)
+  // Non-root ranks return their input unchanged (Eq 5); the root's is
+  // consumed, so only the others keep a copy.
+  std::optional<T> original;
+  if (r != root) original.emplace(value);
   T acc = std::move(value);
   bool sent = false;
   for (int mask = 1; mask < p && !sent; mask <<= 1) {
@@ -42,10 +46,10 @@ template <typename T, typename Op>
       acc = op(std::move(acc), comm.recv_raw<T>(r + mask, tag));
     }
   }
-  if (root == 0) return r == 0 ? std::move(acc) : std::move(original);
+  if (root == 0) return r == 0 ? std::move(acc) : std::move(*original);
   if (r == 0) comm.send_raw(root, std::move(acc), tag);
   if (r == root) return comm.recv_raw<T>(0, tag);
-  return original;
+  return std::move(*original);
 }
 
 /// All-reduce via recursive doubling (butterfly).  Non-power-of-two ranks

@@ -11,7 +11,6 @@
 // never cross-talk even without inter-collective synchronization (the paper
 // explicitly does not require synchronization between collective stages).
 
-#include <any>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -126,7 +125,7 @@ class Comm {
     if (rec_ != nullptr)
       rec_->log(rt::Ev::send, dest, bytes, static_cast<std::uint64_t>(tag));
     group_->mailbox(dest).put(
-        Message{std::any(std::move(value)), bytes, rank_, tag});
+        Message{Payload(std::move(value)), bytes, rank_, tag});
   }
 
   template <typename T>
@@ -141,7 +140,7 @@ class Comm {
                 static_cast<std::uint64_t>(tag));
       rt_stats_->recvs.fetch_add(1, std::memory_order_relaxed);
     }
-    T* v = std::any_cast<T>(&msg.payload);
+    T* v = msg.payload.get<T>();
     COLOP_REQUIRE(v != nullptr, "mpsim: recv type does not match sent type");
     return std::move(*v);
   }

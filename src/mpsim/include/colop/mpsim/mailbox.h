@@ -5,12 +5,19 @@
 // blocks, recv blocks until a matching message is available.  Messages from
 // the same (source, tag) are delivered FIFO, which the collectives rely on
 // to separate successive phases that reuse one tag.
+//
+// Queued messages sit in cells the mailbox owns and recycles: a (source,
+// tag) queue is a linked list of cells, and a taken message's cell goes to
+// a free list.  Groups are reused across launches (group.h), so once a
+// mailbox has held as many messages at once as a launch needs, a hop with
+// a payload that fits inline (message.h) allocates nothing.
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "colop/mpsim/message.h"
 #include "colop/rt/flight_recorder.h"
@@ -30,7 +37,7 @@ class Mailbox {
   /// Non-blocking probe: true iff a matching message is queued.
   [[nodiscard]] bool probe(int source, int tag) const;
 
-  /// Number of queued messages across all (source, tag) keys.
+  /// Number of queued messages across all (source, tag) keys, O(1).
   [[nodiscard]] std::size_t pending() const;
 
   /// Wake all blocked receivers so they can observe an abort.
@@ -63,9 +70,21 @@ class Mailbox {
     }
   };
 
+  struct Cell {
+    Message msg;
+    Cell* next = nullptr;
+  };
+  struct Queue {
+    Cell* head = nullptr;
+    Cell* tail = nullptr;
+  };
+
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::unordered_map<Key, std::deque<Message>, KeyHash> queues_;
+  std::unordered_map<Key, Queue, KeyHash> queues_;
+  std::vector<std::unique_ptr<Cell>> cells_;  ///< every cell, queued or free
+  Cell* free_ = nullptr;                      ///< cells holding no message
+  std::size_t queued_ = 0;                    ///< messages in queues_
   const std::atomic<bool>* aborted_ = nullptr;
   int owner_ = 0;
   rt::Fleet* fleet_ = nullptr;

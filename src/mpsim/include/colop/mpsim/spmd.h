@@ -168,6 +168,26 @@ run_spmd_collect_traffic_on(const std::shared_ptr<Group>& group, Body&& body,
 }
 
 /// As run_spmd_collect, but also returns the group's traffic counters.
+/// Rank r runs `body(comm, std::move(values[r]))` and its result replaces
+/// values[r]: a launch that maps one value per rank holds one vector, not
+/// an input and an output one.
+template <typename T, typename Body>
+[[nodiscard]] TrafficCounters run_spmd_in_place_on(
+    const std::shared_ptr<Group>& group, std::vector<T>& values, Body&& body,
+    Ranks ranks = Ranks::threads) {
+  COLOP_REQUIRE(group != nullptr, "mpsim: null group");
+  COLOP_REQUIRE(values.size() == static_cast<std::size_t>(group->size()),
+                "mpsim: one value per rank");
+  detail::run_spmd_impl(
+      group->size(),
+      [&](Comm& comm) {
+        T& slot = values[static_cast<std::size_t>(comm.rank())];
+        slot = body(comm, std::move(slot));
+      },
+      group, ranks);
+  return group->traffic();
+}
+
 template <typename R, typename Body>
 [[nodiscard]] std::pair<std::vector<R>, TrafficCounters> run_spmd_collect_traffic(
     int nprocs, Body&& body, Ranks ranks = Ranks::threads) {

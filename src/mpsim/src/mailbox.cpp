@@ -31,7 +31,18 @@ void Mailbox::put(Message msg) {
   const std::size_t bytes = msg.bytes;
   {
     std::lock_guard lk(mutex_);
-    queues_[Key{msg.source, msg.tag}].push_back(std::move(msg));
+    Cell* cell = free_;
+    if (cell != nullptr) {
+      free_ = cell->next;
+      cell->next = nullptr;
+    } else {
+      cell = cells_.emplace_back(std::make_unique<Cell>()).get();
+    }
+    Queue& q = queues_[Key{msg.source, msg.tag}];
+    cell->msg = std::move(msg);
+    (q.tail != nullptr ? q.tail->next : q.head) = cell;
+    q.tail = cell;
+    ++queued_;
   }
   detail::note_progress();
   if (stats_ != nullptr) {
@@ -50,10 +61,13 @@ void Mailbox::put(Message msg) {
 Message Mailbox::take(int source, int tag) {
   std::unique_lock lk(mutex_);
   const Key key{source, tag};
+  const auto queued = [&] {
+    auto it = queues_.find(key);
+    return it != queues_.end() && it->second.head != nullptr;
+  };
   auto ready = [&] {
     if (aborted_ && aborted_->load(std::memory_order_acquire)) return true;
-    auto it = queues_.find(key);
-    return it != queues_.end() && !it->second.empty();
+    return queued();
   };
   if (!ready()) {
     // About to block: account the wait so per-rank blocked time and the
@@ -70,14 +84,16 @@ Message Mailbox::take(int source, int tag) {
       detail::wait_until(lk, cv_, ready, site);
     }
   }
-  if (aborted_ && aborted_->load(std::memory_order_acquire)) {
-    auto it = queues_.find(key);
-    if (it == queues_.end() || it->second.empty())
-      throw Error("mpsim: group aborted while waiting in recv");
-  }
-  auto& q = queues_[key];
-  Message msg = std::move(q.front());
-  q.pop_front();
+  if (aborted_ && aborted_->load(std::memory_order_acquire) && !queued())
+    throw Error("mpsim: group aborted while waiting in recv");
+  Queue& q = queues_[key];
+  Cell* cell = q.head;
+  q.head = cell->next;
+  if (q.head == nullptr) q.tail = nullptr;
+  Message msg = std::move(cell->msg);
+  cell->next = free_;
+  free_ = cell;
+  --queued_;
   if (stats_ != nullptr) {
     stats_->queue_depth.fetch_sub(1, std::memory_order_relaxed);
     stats_->queue_bytes.fetch_sub(msg.bytes, std::memory_order_relaxed);
@@ -88,14 +104,12 @@ Message Mailbox::take(int source, int tag) {
 bool Mailbox::probe(int source, int tag) const {
   std::lock_guard lk(mutex_);
   auto it = queues_.find(Key{source, tag});
-  return it != queues_.end() && !it->second.empty();
+  return it != queues_.end() && it->second.head != nullptr;
 }
 
 std::size_t Mailbox::pending() const {
   std::lock_guard lk(mutex_);
-  std::size_t n = 0;
-  for (const auto& [k, q] : queues_) n += q.size();
-  return n;
+  return queued_;
 }
 
 void Mailbox::notify_abort() {

@@ -1,15 +1,14 @@
 #include "colop/rules/derived_ops.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "colop/ir/packed_kernels.h"
 #include "colop/support/error.h"
 
 namespace colop::rules {
 
-using ir::Mask;
 using ir::PackedBlock;
 using ir::Tuple;
 namespace pk = ir::pk;
@@ -68,12 +67,15 @@ BinOpPtr make_op_sr2(BinOpPtr otimes, BinOpPtr oplus) {
       const PackedBlock x1 = pk::lane_scalar(a, 1);
       const PackedBlock y0 = pk::lane_scalar(b, 0);
       const PackedBlock y1 = pk::lane_scalar(b, 1);
-      std::vector<PackedBlock> out;
-      out.reserve(2);
-      out.push_back(pp(x0, pt(x1, y0)));
-      out.push_back(pt(x1, y1));
-      return pk::tuple_of(std::move(out),
-                          ir::mask_and(a.elem_mask(), b.elem_mask()), a.size());
+      // Element mask a AND b, built in place.
+      PackedBlock out = PackedBlock::tuples(2, a.size());
+      const ir::MaskSpan elem = out.elem_mask();
+      std::copy(a.elem_mask().begin(), a.elem_mask().end(), elem.begin());
+      ir::mask_and_into(elem, b.elem_mask());
+      pk::set_lane(out, 0, pp(x0, pt(x1, y0)));
+      pk::set_lane(out, 1, pt(x1, y1));
+      out.canonicalize();
+      return out;
     };
   }
   return ir::BinOp::make({
@@ -120,20 +122,14 @@ ir::BalancedOp make_op_sr(BinOpPtr oplus, int elem_words) {
       const PackedBlock y0 = pk::lane_scalar(b, 0);
       const PackedBlock y1 = pk::lane_scalar(b, 1);
       const PackedBlock uu = po(x1, y1);
-      std::vector<PackedBlock> out;
-      out.reserve(2);
-      out.push_back(po(po(x0, y0), x1));
-      out.push_back(po(uu, uu));
-      return pk::tuple_of(std::move(out), ir::mask_full(a.size()), a.size());
+      return pk::tuple_of(a.elem_mask(), a.size(), po(po(x0, y0), x1),
+                          po(uu, uu));
     };
     op.packed_unit = [po = oplus->packed()](PackedBlock v) {
       require_full_tuple(v, 2, "op_sr");
       const PackedBlock x1 = pk::lane_scalar(v, 1);
-      std::vector<PackedBlock> out;
-      out.reserve(2);
-      out.push_back(pk::lane_scalar(v, 0));
-      out.push_back(po(x1, x1));
-      return pk::tuple_of(std::move(out), ir::mask_full(v.size()), v.size());
+      return pk::tuple_of(v.elem_mask(), v.size(), pk::lane_scalar(v, 0),
+                          po(x1, x1));
     };
   }
   return op;
@@ -175,7 +171,7 @@ ir::BalancedOp2 make_op_ss(BinOpPtr oplus, int elem_words) {
       require_full_tuple(a, 4, "op_ss");
       require_full_tuple(b, 4, "op_ss");
       const std::size_t m = a.size();
-      const Mask full = ir::mask_full(m);
+      const ir::MaskView full = a.elem_mask();  // require_full_tuple
       const PackedBlock x0 = pk::lane_scalar(a, 0);
       const PackedBlock x1 = pk::lane_scalar(a, 1);
       const PackedBlock x2 = pk::lane_scalar(a, 2);
@@ -188,42 +184,23 @@ ir::BalancedOp2 make_op_ss(BinOpPtr oplus, int elem_words) {
       const PackedBlock uu = po(x2, y2);
       const PackedBlock uuuu = po(uu, uu);
       const PackedBlock vv = po(x3, y3);
-      std::vector<PackedBlock> lo;
-      lo.reserve(4);
-      lo.push_back(x0);
-      lo.push_back(ttu);
-      lo.push_back(uuuu);
-      lo.push_back(vv);
-      std::vector<PackedBlock> hi;
-      hi.reserve(4);
-      hi.push_back(po(po(y0, x1), x3));
-      hi.push_back(ttu);
-      hi.push_back(uuuu);
-      hi.push_back(po(uu, vv));
-      return std::make_pair(pk::tuple_of(std::move(lo), full, m),
-                            pk::tuple_of(std::move(hi), full, m));
+      return std::make_pair(
+          pk::tuple_of(full, m, x0, ttu, uuuu, vv),
+          pk::tuple_of(full, m, po(po(y0, x1), x3), ttu, uuuu, po(uu, vv)));
     };
     op.packed_degrade = [](PackedBlock v) {
       require_full_tuple(v, 4, "op_ss");
       const std::size_t m = v.size();
-      std::vector<PackedBlock> out;
-      out.reserve(4);
-      out.push_back(pk::lane_scalar(v, 0));
-      out.push_back(pk::undef_component(m));
-      out.push_back(pk::undef_component(m));
-      out.push_back(pk::undef_component(m));
-      return pk::tuple_of(std::move(out), ir::mask_full(m), m);
+      const PackedBlock undef = pk::undef_component(m);
+      return pk::tuple_of(v.elem_mask(), m, pk::lane_scalar(v, 0), undef,
+                          undef, undef);
     };
     op.packed_strip = [](PackedBlock v) {
       require_full_tuple(v, 4, "op_ss");
       const std::size_t m = v.size();
-      std::vector<PackedBlock> out;
-      out.reserve(4);
-      out.push_back(pk::undef_component(m));
-      out.push_back(pk::lane_scalar(v, 1));
-      out.push_back(pk::lane_scalar(v, 2));
-      out.push_back(pk::lane_scalar(v, 3));
-      return pk::tuple_of(std::move(out), ir::mask_full(m), m);
+      return pk::tuple_of(v.elem_mask(), m, pk::undef_component(m),
+                          pk::lane_scalar(v, 1), pk::lane_scalar(v, 2),
+                          pk::lane_scalar(v, 3));
     };
   }
   return op;
@@ -387,11 +364,8 @@ ir::ElemFn make_op_bsr2(BinOpPtr otimes, BinOpPtr oplus) {
       require_full_tuple(v, 2, "op_bsr2");
       const PackedBlock x0 = pk::lane_scalar(v, 0);
       const PackedBlock x1 = pk::lane_scalar(v, 1);
-      std::vector<PackedBlock> out;
-      out.reserve(2);
-      out.push_back(pp(x0, pt(x0, x1)));
-      out.push_back(pt(x1, x1));
-      return pk::tuple_of(std::move(out), ir::mask_full(v.size()), v.size());
+      return pk::tuple_of(v.elem_mask(), v.size(), pp(x0, pt(x0, x1)),
+                          pt(x1, x1));
     };
   }
   return f;
@@ -424,11 +398,8 @@ ir::ElemFn make_op_bsr(BinOpPtr oplus) {
       const PackedBlock x0 = pk::lane_scalar(v, 0);
       const PackedBlock x1 = pk::lane_scalar(v, 1);
       const PackedBlock uu = po(x1, x1);
-      std::vector<PackedBlock> out;
-      out.reserve(2);
-      out.push_back(po(po(x0, x0), x1));
-      out.push_back(po(uu, uu));
-      return pk::tuple_of(std::move(out), ir::mask_full(v.size()), v.size());
+      return pk::tuple_of(v.elem_mask(), v.size(), po(po(x0, x0), x1),
+                          po(uu, uu));
     };
   }
   return f;

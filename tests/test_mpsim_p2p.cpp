@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -97,6 +99,31 @@ TEST(P2p, MoveOnlyAndVectorPayloads) {
       EXPECT_DOUBLE_EQ(got[999], 999.0);
     }
   });
+}
+
+TEST(P2p, PayloadHoldsSmallValuesInlineAndBoxesLargeOnes) {
+  // Inline (an int, a vector handle, a unique_ptr) and boxed (larger than
+  // the inline capacity) values survive moves and release what they own.
+  using Big = std::array<char, Payload::kInlineBytes + 1>;
+  Big big{};
+  big.back() = 'z';
+  std::vector<Payload> payloads;
+  payloads.emplace_back(7);
+  payloads.emplace_back(std::vector<int>{1, 2, 3});
+  payloads.emplace_back(std::make_unique<std::string>("owned"));
+  payloads.emplace_back(big);
+  payloads.emplace_back();
+  std::vector<Payload> moved;
+  for (auto& payload : payloads) moved.push_back(std::move(payload));
+  EXPECT_EQ(payloads[0].get<int>(), nullptr);  // moved-from is empty
+  EXPECT_EQ(*moved[0].get<int>(), 7);
+  EXPECT_EQ(moved[0].get<double>(), nullptr);  // type must match exactly
+  EXPECT_EQ(moved[1].get<std::vector<int>>()->size(), 3u);
+  EXPECT_EQ(**moved[2].get<std::unique_ptr<std::string>>(), "owned");
+  EXPECT_EQ(moved[3].get<Big>()->back(), 'z');
+  EXPECT_EQ(moved[4].get<int>(), nullptr);
+  moved[0] = std::move(moved[3]);  // assignment over a live inline value
+  EXPECT_EQ(moved[0].get<Big>()->back(), 'z');
 }
 
 TEST(P2p, UserTagRangeEnforced) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "colop/mpsim/mpsim.h"
@@ -95,6 +98,60 @@ TEST(Request, ProbeAndPendingOnComm) {
       comm.barrier();
     }
   });
+}
+
+TEST(Request, PendingCountsEveryQueuedMessageAcrossKeys) {
+  // 4 sources x 32 tags = 128 keys, puts interleaved with takes of other
+  // keys: pending() is the number queued at every step, and each key
+  // still delivers FIFO.
+  const auto group = std::make_shared<Group>(4);
+  Mailbox& mb = group->mailbox(0);
+  std::map<std::pair<int, int>, std::deque<int>> queued;
+  std::size_t count = 0;
+  int next = 0;
+  const auto take = [&](int source, int tag) {
+    auto& q = queued[{source, tag}];
+    if (q.empty()) return;
+    Message msg = mb.take(source, tag);
+    ASSERT_NE(msg.payload.get<int>(), nullptr);
+    EXPECT_EQ(*msg.payload.get<int>(), q.front());
+    q.pop_front();
+    --count;
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (int source = 0; source < 4; ++source) {
+      for (int tag = 0; tag < 32; ++tag) {
+        mb.put(Message{Payload(next), sizeof(int), source, tag});
+        queued[{source, tag}].push_back(next++);
+        ++count;
+        if ((source + tag + round) % 3 == 0) take((source + 1) % 4, tag * 7 % 32);
+        ASSERT_EQ(mb.pending(), count);
+      }
+    }
+  }
+  EXPECT_GT(count, 128u);
+  for (const auto& [key, q] : std::map(queued))
+    for (std::size_t i = 0; i < q.size(); ++i) take(key.first, key.second);
+  EXPECT_EQ(mb.pending(), 0u);
+}
+
+TEST(Request, GroupWithAQueuedMessageIsNotReused) {
+  constexpr int p = 7;
+  const Group* clean = nullptr;
+  {
+    auto group = Group::make(p);
+    clean = group.get();
+    group->mailbox(3).put(Message{Payload(1), sizeof(int), 1, 9});
+    (void)group->mailbox(3).take(1, 9);
+  }
+  {
+    auto group = Group::make(p);
+    EXPECT_EQ(group.get(), clean) << "an emptied group is reused";
+    group->mailbox(3).put(Message{Payload(42), sizeof(int), 1, 9});
+  }  // released with one message still queued
+  auto group = Group::make(p);
+  EXPECT_EQ(group->mailbox(3).pending(), 0u);
+  EXPECT_FALSE(group->mailbox(3).probe(1, 9));
 }
 
 TEST(Request, RejectsCollectiveTagSpace) {

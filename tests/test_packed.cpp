@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "colop/exec/thread_executor.h"
 #include "colop/ir/packed.h"
 #include "colop/ir/packed_eval.h"
@@ -46,11 +51,19 @@ TEST(PackedMask, BasicOps) {
   EXPECT_FALSE(mask_get(m, 128));
   EXPECT_FALSE(mask_get(m, 4096));  // out of range reads as undefined
 
-  const Mask full = mask_full(130);
+  Mask full(mask_words(130));
+  mask_fill(full, 130);
   EXPECT_EQ(mask_popcount(full), 130u);
+  EXPECT_EQ(full.back(), 0x3u);  // tail bits past element 129 stay clear
   EXPECT_TRUE(mask_subset(m, full));
   EXPECT_FALSE(mask_subset(full, m));
-  EXPECT_EQ(mask_popcount(mask_and(m, full)), 3u);
+  Mask both = m;
+  mask_and_into(both, full);
+  EXPECT_EQ(both, m);
+  EXPECT_FALSE(mask_disjoint(m, full));
+  EXPECT_TRUE(mask_disjoint(m, Mask(3, 0)));
+  mask_and_into(both, Mask(1, ~std::uint64_t{0}));  // missing words read as 0
+  EXPECT_EQ(mask_popcount(both), 1u);
 }
 
 // --- pack / unpack -------------------------------------------------------
@@ -60,7 +73,7 @@ TEST(PackedBlockTest, ScalarIntRoundTrip) {
   const auto p = PackedBlock::pack(b);
   ASSERT_TRUE(p.has_value());
   EXPECT_TRUE(p->is_scalar());
-  EXPECT_EQ(p->lane(0).dtype, DType::i64);
+  EXPECT_EQ(p->dtype(0), DType::i64);
   EXPECT_EQ(p->unpack(), b);
 }
 
@@ -68,7 +81,7 @@ TEST(PackedBlockTest, ScalarRealRoundTrip) {
   const Block b{Value(1.5), U(), Value(-0.0), Value(3.25)};
   const auto p = PackedBlock::pack(b);
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->lane(0).dtype, DType::f64);
+  EXPECT_EQ(p->dtype(0), DType::f64);
   const Block back = p->unpack();
   ASSERT_EQ(back.size(), b.size());
   EXPECT_EQ(back, b);  // structural: -0.0 bit pattern preserved
@@ -151,6 +164,137 @@ TEST(PackedBlockTest, FromBytesRejectsGarbage) {
   EXPECT_THROW((void)PackedBlock::from_bytes(nullptr, 0), Error);
   const std::vector<std::byte> junk(16, std::byte{0x5a});
   EXPECT_THROW((void)PackedBlock::from_bytes(junk.data(), junk.size()), Error);
+}
+
+// --- storage: inline (small) and heap (large) blocks ----------------------
+
+// A canonical block of m elements with the given arity (kWildArity: every
+// element `_`): whole-element and per-component `_`, int and real lanes.
+PackedBlock sample_block(std::size_t m, int arity) {
+  Block b(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (arity == PackedBlock::kWildArity || i % 5 == 3) continue;
+    const auto scalar = [i](std::size_t l) {
+      if ((i + l) % 7 == 2) return U();
+      const auto v = static_cast<std::int64_t>(i * 31 + l) - 40;
+      return l % 2 == 1 ? Value(static_cast<double>(v) + 0.5) : Value(v);
+    };
+    if (arity == 0) {
+      b[i] = scalar(0);
+    } else {
+      Tuple t;
+      for (int l = 0; l < arity; ++l) t.push_back(scalar(static_cast<std::size_t>(l)));
+      b[i] = Value(std::move(t));
+    }
+  }
+  auto p = PackedBlock::pack(b);
+  EXPECT_TRUE(p.has_value()) << "m " << m << " arity " << arity;
+  if (!p) return PackedBlock::wild(m);
+  EXPECT_EQ(p->unpack(), b) << "m " << m << " arity " << arity;
+  return *p;
+}
+
+// Sizes on both sides of the inline limit (8 elements) and of each mask
+// word, times every lane count up to the inline limit (4 lanes).
+std::vector<PackedBlock> boundary_blocks() {
+  std::vector<PackedBlock> out;
+  for (const std::size_t m : {0, 1, 2, 8, 9, 63, 64, 65, 4096})
+    for (const int arity : {PackedBlock::kWildArity, 0, 1, 2, 4})
+      out.push_back(sample_block(m, arity));
+  return out;
+}
+
+std::string describe(const PackedBlock& b) {
+  return "m " + std::to_string(b.size()) + " arity " + std::to_string(b.arity());
+}
+
+TEST(PackedStorage, CopyAndMoveAcrossTheInlineHeapBoundary) {
+  const std::vector<PackedBlock> blocks = boundary_blocks();
+  for (const PackedBlock& src : blocks) {
+    for (const PackedBlock& prior : blocks) {
+      const std::string what = describe(prior) + " <- " + describe(src);
+      PackedBlock copy(src);
+      EXPECT_TRUE(copy == src) << what;
+      PackedBlock assigned = prior;
+      assigned = src;
+      EXPECT_TRUE(assigned == src) << what;
+      PackedBlock moved(std::move(copy));
+      EXPECT_TRUE(moved == src) << what;
+      EXPECT_TRUE(copy.is_wild()) << what;  // moved-from: `_` of its size
+      EXPECT_EQ(copy.size(), src.size()) << what;
+      PackedBlock move_assigned = prior;
+      move_assigned = std::move(moved);
+      EXPECT_TRUE(move_assigned == src) << what;
+      EXPECT_TRUE(moved.is_wild()) << what;
+      // A moved-from block is still a block: it takes new contents.
+      moved = prior;
+      EXPECT_TRUE(moved == prior) << what;
+    }
+  }
+  PackedBlock self = blocks.back();
+  const PackedBlock& alias = self;
+  self = alias;
+  EXPECT_TRUE(self == blocks.back());
+  PackedBlock& same = self;
+  self = std::move(same);
+  EXPECT_TRUE(self == blocks.back());
+  // Blocks sit in Dists of up to p = 9 per certification launch.
+  EXPECT_LE(sizeof(PackedBlock), 384u);
+}
+
+TEST(PackedStorage, WireRoundTripAtEverySize) {
+  for (const PackedBlock& b : boundary_blocks()) {
+    const auto bytes = b.to_bytes();
+    const PackedBlock back = PackedBlock::from_bytes(bytes.data(), bytes.size());
+    EXPECT_TRUE(back == b) << describe(b);
+    EXPECT_EQ(back.to_bytes(), bytes) << describe(b);
+    // A lane count that disagrees with the arity is garbage, not a block.
+    if (!b.is_tuple()) continue;
+    std::vector<std::byte> bad = bytes;
+    const std::uint64_t lanes = b.lane_count() + 1;
+    std::memcpy(bad.data() + 16, &lanes, 8);
+    EXPECT_THROW((void)PackedBlock::from_bytes(bad.data(), bad.size()), Error);
+  }
+}
+
+TEST(PackedStorage, CanonicalizeCollapsesToWildAtEverySize) {
+  for (const PackedBlock& b : boundary_blocks()) {
+    if (b.is_wild()) {
+      EXPECT_TRUE(b == PackedBlock::wild(b.size())) << describe(b);
+      continue;
+    }
+    // Undefining element 0 wholesale clears its lanes too.
+    PackedBlock one = b;
+    mask_set(one.elem_mask(), 0, false);
+    one.canonicalize();
+    Block expect = b.unpack();
+    expect[0] = U();
+    EXPECT_EQ(one.unpack(), expect) << describe(b);
+    // No element left: the canonical form is the wild block.
+    PackedBlock none = b;
+    const MaskSpan elem = none.elem_mask();
+    std::fill(elem.begin(), elem.end(), 0);
+    none.canonicalize();
+    EXPECT_TRUE(none.is_wild()) << describe(b);
+    EXPECT_TRUE(none == PackedBlock::wild(b.size())) << describe(b);
+  }
+}
+
+TEST(PackedStorage, EqualityComparesShapeAndEveryWord) {
+  for (const PackedBlock& b : boundary_blocks()) {
+    EXPECT_TRUE(b == PackedBlock(b)) << describe(b);
+    EXPECT_FALSE(b == PackedBlock::wild(b.size() + 1)) << describe(b);
+    if (b.is_wild()) continue;
+    PackedBlock word = b;
+    word.data(0)[0] ^= 1;
+    EXPECT_FALSE(word == b) << describe(b);
+    PackedBlock mask = b;
+    mask.defined(0)[0] ^= 1;
+    EXPECT_FALSE(mask == b) << describe(b);
+    PackedBlock dtype = b;
+    dtype.set_dtype(0, b.dtype(0) == DType::i64 ? DType::f64 : DType::i64);
+    EXPECT_FALSE(dtype == b) << describe(b);
+  }
 }
 
 // --- compiled kernels vs boxed operators ---------------------------------
