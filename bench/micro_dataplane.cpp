@@ -27,6 +27,7 @@
 #include "colop/exec/thread_executor.h"
 #include "colop/ir/packed_eval.h"
 #include "colop/ir/packed_kernels.h"
+#include "colop/ir/plane.h"
 #include "colop/obs/metrics.h"
 #include "colop/rt/flight_recorder.h"
 #include "colop/rt/live.h"
@@ -89,7 +90,7 @@ Measurement bench_map_pair(std::size_t m, int reps) {
 
   const double tb = best_seconds(reps, [&] {
     Block blk = b;
-    for (auto& v : blk) v = f(v);  // exec_stage's boxed map loop
+    ir::Plane<Block>::map(f, blk);  // exec_stage<Block>'s map
     g_sink = g_sink + blk.size();
   });
   const double tp = best_seconds(reps, [&] {

@@ -6,7 +6,10 @@
 // with the wait — the cost calculus prices the window at max(comm, local).
 // Both spellings compute bit-identical results (the executor's segmented
 // pipeline is a pure scheduling change), and the V22x contract analysis
-// proves the window well-formed before anything runs.
+// proves the window well-formed before anything runs.  Windows run on
+// either data plane; this one stays boxed because `smooth` is a plain
+// lambda with no packed kernel (a window whose maps all have kernels runs
+// on PackedBlock segments).
 //
 // Build & run:   ./build/examples/overlap_pipeline
 

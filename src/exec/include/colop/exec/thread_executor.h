@@ -13,9 +13,11 @@
 // When the program and data are packable (colop/ir/packed_eval.h) the
 // executor runs on the flat data plane instead: rank-local state is a
 // PackedBlock, the collective schedules move flat buffers, and local
-// stages call the compiled kernels.  Results, traffic byte counts and
-// message counts are identical to the boxed path — the fuzz tests assert
-// this bit for bit.
+// stages call the compiled kernels.  One stage loop serves both planes:
+// each stage kind is one case of exec_stage<B>, and a split-phase overlap
+// window pipelines Block or PackedBlock segments alike (ir/plane.h).
+// Results, traffic byte counts and message counts are identical on the
+// two planes — the fuzz tests assert this bit for bit.
 
 #include <chrono>
 
@@ -55,12 +57,17 @@ struct ThreadRunResult {
     ir::DataPlane plane = ir::DataPlane::Auto,
     mpsim::Ranks ranks = mpsim::Ranks::threads, int overlap_segments = 4);
 
-/// Execute a single stage on one rank (exposed for custom SPMD drivers).
-void exec_stage(const ir::Stage& stage, mpsim::Comm& comm, ir::Block& block);
+/// Execute a single stage on one rank (exposed for custom SPMD drivers), on
+/// either data plane: B is ir::Block or ir::PackedBlock.  The packed plane
+/// needs every kernel the stage calls (the callers check with
+/// ir::packable()).  An istart runs as its blocking twin and wait does
+/// nothing; only the executor's own loop pipelines overlap windows.
+template <typename B>
+void exec_stage(const ir::Stage& stage, mpsim::Comm& comm, B& block);
 
-/// Flat-plane twin of exec_stage.  Requires the stage to be packable
-/// (every kernel present — the callers check with ir::packable()).
-void exec_stage_packed(const ir::Stage& stage, mpsim::Comm& comm,
-                       ir::PackedBlock& block);
+extern template void exec_stage<ir::Block>(const ir::Stage&, mpsim::Comm&,
+                                           ir::Block&);
+extern template void exec_stage<ir::PackedBlock>(const ir::Stage&,
+                                                 mpsim::Comm&, ir::PackedBlock&);
 
 }  // namespace colop::exec

@@ -165,6 +165,18 @@ class PackedBlock {
   /// traffic counters agree between the two data planes.
   [[nodiscard]] std::size_t defined_words() const;
 
+  // --- segments ----------------------------------------------------------
+
+  /// Elements [lo, hi) as a block of their own, in canonical form: a lane
+  /// with nothing defined in the range is i64, and a range with no defined
+  /// element is the wild block.
+  [[nodiscard]] PackedBlock slice(std::size_t lo, std::size_t hi) const;
+  /// The concatenation of `segments` (each canonical), inverting slice():
+  /// wild segments contribute undefined elements, the defined ones must
+  /// share one arity, and a lane takes the dtype of the segments that
+  /// define something in it.
+  [[nodiscard]] static PackedBlock join(std::span<const PackedBlock> segments);
+
   // --- boxed conversion --------------------------------------------------
 
   /// nullopt when the block does not fit the flat representation (nested
@@ -211,6 +223,10 @@ class PackedBlock {
   /// one if it is large enough).
   void reshape(int arity, std::size_t m);
   void release() noexcept;
+  /// Copy elements [from, from + n) of `src` (same arity) to [to, to + n):
+  /// payload words, and mask bits ORed into clear ones.
+  void copy_elems(std::size_t to, const PackedBlock& src, std::size_t from,
+                  std::size_t n);
   [[nodiscard]] bool on_heap() const { return words_ != inline_; }
 
   std::uint64_t* words_ = inline_;

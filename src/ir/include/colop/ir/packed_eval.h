@@ -1,14 +1,17 @@
 #pragma once
-// Capability check and reference evaluation for the flat data plane.
+// Data-plane selection: when a program and its data may run packed.
 //
 // A program runs packed when every stage has a compiled kernel AND the
 // element shape stays flat (scalar or tuple-of-scalars) at every program
 // point — checked statically by packed_ineligibility() via the stage shape
-// transformers.  Data must also fit: try_pack_dist() packs every block
-// (uniform block size, homogeneous lanes) or reports failure.  Whenever
-// either check fails the callers (Program::eval_reference, the exec
-// thread executor) silently fall back to the boxed path, so the flat
-// plane is a pure optimization: same results, same traffic, same errors.
+// transformers.  Split-phase windows qualify like any other stage: their
+// segments are packed blocks too.  Data must also fit: try_pack_dist()
+// packs every block (uniform block size, homogeneous lanes) or reports
+// failure.  Whenever either check fails the callers
+// (Program::eval_reference, the exec thread executor) silently fall back
+// to the boxed path, so the flat plane is a pure optimization: same
+// results, same traffic, same errors.  Both planes evaluate the one
+// generic stage body (eval_stage, plane.h).
 //
 // Selection can be forced per call (DataPlane) for benchmarks and
 // differential tests.
@@ -70,10 +73,6 @@ struct PackedIneligibility {
 /// boxed".
 [[nodiscard]] std::optional<PackedDist> try_pack_for(const Program& prog,
                                                      const Dist& input);
-
-/// Sequential reference semantics on the flat plane — stage for stage the
-/// mirror of Stage::eval_reference.
-void eval_reference_packed(const Program& prog, PackedDist& state);
 
 /// The boxed reference semantics, bypassing data-plane selection (the
 /// oracle side of differential tests).

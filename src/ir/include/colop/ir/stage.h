@@ -7,9 +7,10 @@
 // calls.  The balanced stages carry the paper's special non-associative
 // operators (reduce_balanced, scan_balanced).
 //
-// Every stage implements the sequential reference semantics
-// (eval_reference); the executors in colop::exec run the same stages on
-// the mpsim thread runtime and on the simnet cost simulator.
+// The sequential reference semantics of every kind is one generic body
+// over the block type (eval_stage, plane.h); the executors in colop::exec
+// run the same stages on the mpsim thread runtime and on the simnet cost
+// simulator.
 
 #include <cstdint>
 #include <functional>
@@ -95,8 +96,6 @@ class Stage {
   /// Pretty form built from the row's keyword and this stage's arguments,
   /// e.g. "scan(+)" — used by Program::show().
   [[nodiscard]] std::string show() const;
-  /// Sequential reference semantics (Eqs 4-8, 13 and Section 3).
-  virtual void eval_reference(Dist& state) const = 0;
   /// True for map/map#/iter (no communication).
   [[nodiscard]] bool is_local() const;
 
@@ -135,7 +134,6 @@ struct MapStage final : Stage {
   [[nodiscard]] bool has_packed_kernels() const override {
     return fn.packed_fn != nullptr;
   }
-  void eval_reference(Dist& state) const override;
 };
 
 struct MapIndexedStage final : Stage {
@@ -149,7 +147,6 @@ struct MapIndexedStage final : Stage {
   [[nodiscard]] bool has_packed_kernels() const override {
     return fn.packed_fn != nullptr;
   }
-  void eval_reference(Dist& state) const override;
 };
 
 struct ScanStage final : Stage {
@@ -162,7 +159,6 @@ struct ScanStage final : Stage {
   [[nodiscard]] const BinOpPtr& binop() const override { return op; }
   [[nodiscard]] int wire_words() const override { return words; }
   [[nodiscard]] bool has_packed_kernels() const override { return op->has_packed(); }
-  void eval_reference(Dist& state) const override;
 };
 
 // reduce, allreduce and bcast carry an optional request handle.  Set, the
@@ -187,7 +183,6 @@ struct ReduceStage final : Stage {
   [[nodiscard]] int request_handle() const override { return handle.value_or(-1); }
   [[nodiscard]] int wire_words() const override { return words; }
   [[nodiscard]] bool has_packed_kernels() const override { return op->has_packed(); }
-  void eval_reference(Dist& state) const override;
 };
 
 struct AllReduceStage final : Stage {
@@ -205,7 +200,6 @@ struct AllReduceStage final : Stage {
   [[nodiscard]] int request_handle() const override { return handle.value_or(-1); }
   [[nodiscard]] int wire_words() const override { return words; }
   [[nodiscard]] bool has_packed_kernels() const override { return op->has_packed(); }
-  void eval_reference(Dist& state) const override;
 };
 
 struct BcastStage final : Stage {
@@ -221,7 +215,6 @@ struct BcastStage final : Stage {
   [[nodiscard]] int root_rank() const override { return root; }
   [[nodiscard]] int request_handle() const override { return handle.value_or(-1); }
   [[nodiscard]] int wire_words() const override { return words; }
-  void eval_reference(Dist& state) const override;
 };
 
 struct ScanBalancedStage final : Stage {
@@ -233,7 +226,6 @@ struct ScanBalancedStage final : Stage {
   [[nodiscard]] bool has_packed_kernels() const override {
     return op2.packed_combine2 && op2.packed_degrade && op2.packed_strip;
   }
-  void eval_reference(Dist& state) const override;
 };
 
 struct ReduceBalancedStage final : Stage {
@@ -248,7 +240,6 @@ struct ReduceBalancedStage final : Stage {
   [[nodiscard]] bool has_packed_kernels() const override {
     return op.packed_combine && op.packed_unit;
   }
-  void eval_reference(Dist& state) const override;
 };
 
 struct AllReduceBalancedStage final : Stage {
@@ -260,7 +251,6 @@ struct AllReduceBalancedStage final : Stage {
   [[nodiscard]] bool has_packed_kernels() const override {
     return op.packed_combine && op.packed_unit;
   }
-  void eval_reference(Dist& state) const override;
 };
 
 /// iter f [x, _, ..., _] = [f^(log2 p) x, _, ..., _]   (Section 3.5)
@@ -280,7 +270,6 @@ struct IterStage final : Stage {
   [[nodiscard]] bool has_packed_kernels() const override {
     return step.packed_fn != nullptr;
   }
-  void eval_reference(Dist& state) const override;
   /// Shared by the reference evaluator and the executors.
   [[nodiscard]] Value apply_local(int p, const Value& x) const;
 };
@@ -290,7 +279,6 @@ struct WaitStage final : Stage {
   int handle;  ///< request handle of the istart this completes
   [[nodiscard]] Kind kind() const override { return Kind::Wait; }
   [[nodiscard]] int request_handle() const override { return handle; }
-  void eval_reference(Dist& state) const override;
 };
 
 // --- the stage-kind table ------------------------------------------------
@@ -300,7 +288,8 @@ struct WaitStage final : Stage {
 // prices it, and how it steps the element shape and the distribution
 // state.  The per-instance facts (operator, root, handle, words) come from
 // the Stage accessors above.  A new kind is one row plus its evaluators
-// (eval_reference, the executors, the cost model) and its tests.
+// (one case in eval_stage<B> and in exec::exec_stage<B>, the simnet
+// executor, the cost model) and its tests.
 
 /// The first text argument: none (bcast, wait), an element function
 /// (map, map#, iter) or an operator (the combining collectives).

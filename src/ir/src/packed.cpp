@@ -225,6 +225,73 @@ std::size_t PackedBlock::defined_words() const {
   return n;
 }
 
+// --- segments ------------------------------------------------------------
+
+namespace {
+
+// OR bits [from, from + n) of `src` into `dst` from bit `to`, a word at a time.
+void mask_copy_bits(MaskSpan dst, std::size_t to, MaskView src, std::size_t from,
+                    std::size_t n) {
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t s = from + i, d = to + i;
+    std::uint64_t w = src[s / 64] >> (s % 64);
+    if (s % 64 != 0 && s / 64 + 1 < src.size()) w |= src[s / 64 + 1] << (64 - s % 64);
+    const std::size_t take = std::min(n - i, 64 - d % 64);
+    if (take < 64) w &= (std::uint64_t{1} << take) - 1;
+    dst[d / 64] |= w << (d % 64);
+    i += take;
+  }
+}
+
+}  // namespace
+
+void PackedBlock::copy_elems(std::size_t to, const PackedBlock& src, std::size_t from,
+                             std::size_t n) {
+  if (is_tuple()) mask_copy_bits(elem_mask(), to, src.elem_mask(), from, n);
+  for (std::size_t l = 0; l < lane_count(); ++l) {
+    std::memcpy(data(l).data() + to, src.data(l).data() + from, n * 8);
+    mask_copy_bits(defined(l), to, src.defined(l), from, n);
+  }
+}
+
+PackedBlock PackedBlock::slice(std::size_t lo, std::size_t hi) const {
+  COLOP_ASSERT(lo <= hi && hi <= m_, "PackedBlock: slice out of range");
+  const std::size_t n = hi - lo;
+  if (is_wild()) return wild(n);
+  PackedBlock out = is_scalar() ? scalars(n, DType::i64) : tuples(arity_, n);
+  for (std::size_t l = 0; l < lane_count(); ++l) out.set_dtype(l, dtype(l));
+  out.copy_elems(0, *this, lo, n);
+  out.canonicalize();
+  return out;
+}
+
+PackedBlock PackedBlock::join(std::span<const PackedBlock> segments) {
+  std::size_t m = 0;
+  int arity = kWildArity;
+  for (const PackedBlock& s : segments) {
+    m += s.m_;
+    COLOP_REQUIRE(s.is_wild() || arity == kWildArity || arity == s.arity_,
+                  "PackedBlock: joined segments differ in arity");
+    if (!s.is_wild()) arity = s.arity_;
+  }
+  if (arity == kWildArity) return wild(m);
+  PackedBlock out = arity == 0 ? scalars(m, DType::i64) : tuples(arity, m);
+  std::size_t at = 0;
+  for (const PackedBlock& s : segments) {
+    // A canonical segment's empty lane is i64: the lane's dtype comes from
+    // the segments that define something in it.
+    for (std::size_t l = 0; l < s.lane_count(); ++l) {
+      if (mask_none(s.defined(l))) continue;
+      COLOP_REQUIRE(mask_none(out.defined(l)) || out.dtype(l) == s.dtype(l),
+                    "PackedBlock: joined segments differ in a lane's dtype");
+      out.set_dtype(l, s.dtype(l));
+    }
+    if (!s.is_wild()) out.copy_elems(at, s, 0, s.m_);
+    at += s.m_;
+  }
+  return out;
+}
+
 // --- boxed conversion ----------------------------------------------------
 
 std::optional<PackedBlock> PackedBlock::pack(const Block& boxed) {

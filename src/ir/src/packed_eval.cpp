@@ -1,6 +1,6 @@
 #include "colop/ir/packed_eval.h"
 
-#include "colop/mpsim/balanced_tree.h"
+#include "colop/ir/plane.h"
 #include "colop/support/bits.h"
 #include "colop/support/error.h"
 
@@ -12,17 +12,6 @@ bool flat(const Shape& s) {
   for (const auto& c : s.components())
     if (!c.is_scalar()) return false;
   return true;
-}
-
-PackedBlock fold_balanced_packed(const mpsim::BalancedTree& tree, int node,
-                                 const PackedDist& state,
-                                 const BalancedOp& op) {
-  const auto& n = tree.node(node);
-  if (n.is_leaf()) return state[static_cast<std::size_t>(n.first)];
-  if (n.is_unit())
-    return op.packed_unit(fold_balanced_packed(tree, n.right, state, op));
-  return op.packed_combine(fold_balanced_packed(tree, n.left, state, op),
-                           fold_balanced_packed(tree, n.right, state, op));
 }
 
 }  // namespace
@@ -42,10 +31,6 @@ std::optional<PackedIneligibility> packed_ineligibility(const Program& prog,
     for (std::size_t i = 0; i < prog.size(); ++i) {
       const Stage& stage = prog.stage(i);
       const KindRow& row = stage.row();
-      if (row.role == WindowRole::istart || row.role == WindowRole::wait)
-        return PackedIneligibility{
-            i, "split-phase stages are boxed-only (the overlap window "
-               "engine pipelines boxed segments)"};
       // The doubling step applies verbatim only for p = 2^k; the
       // generalized fold is an arbitrary boxed function, so other p stay
       // on the boxed path entirely.
@@ -134,121 +119,8 @@ std::optional<PackedDist> try_pack_for(const Program& prog,
   return try_pack_dist(input);
 }
 
-void eval_reference_packed(const Program& prog, PackedDist& state) {
-  COLOP_REQUIRE(!state.empty(), "eval_reference_packed: empty distributed list");
-  const auto p = static_cast<int>(state.size());
-  for (const auto& stage : prog.stages()) {
-    switch (stage->kind()) {
-      case Stage::Kind::Map: {
-        const auto& st = static_cast<const MapStage&>(*stage);
-        for (auto& block : state) block = st.fn.packed_fn(std::move(block));
-        break;
-      }
-      case Stage::Kind::MapIndexed: {
-        const auto& st = static_cast<const MapIndexedStage&>(*stage);
-        for (std::size_t r = 0; r < state.size(); ++r)
-          state[r] = st.fn.packed_fn(static_cast<int>(r), std::move(state[r]));
-        break;
-      }
-      case Stage::Kind::Scan: {
-        const auto& st = static_cast<const ScanStage&>(*stage);
-        for (std::size_t r = 1; r < state.size(); ++r)
-          state[r] = st.op->packed()(state[r - 1], state[r]);
-        break;
-      }
-      case Stage::Kind::Reduce: {
-        const auto& st = static_cast<const ReduceStage&>(*stage);
-        COLOP_REQUIRE(st.root >= 0 && st.root < p, "reduce: invalid root");
-        PackedBlock acc = state[0];
-        for (std::size_t r = 1; r < state.size(); ++r)
-          acc = st.op->packed()(acc, state[r]);
-        state[static_cast<std::size_t>(st.root)] = std::move(acc);
-        break;
-      }
-      case Stage::Kind::AllReduce: {
-        const auto& st = static_cast<const AllReduceStage&>(*stage);
-        PackedBlock acc = state[0];
-        for (std::size_t r = 1; r < state.size(); ++r)
-          acc = st.op->packed()(acc, state[r]);
-        for (std::size_t r = 1; r < state.size(); ++r) state[r] = acc;
-        state[0] = std::move(acc);
-        break;
-      }
-      case Stage::Kind::Bcast: {
-        const auto& st = static_cast<const BcastStage&>(*stage);
-        COLOP_REQUIRE(st.root >= 0 && st.root < p, "bcast: invalid root");
-        const PackedBlock& src = state[static_cast<std::size_t>(st.root)];
-        for (auto& block : state)
-          if (&block != &src) block = src;
-        break;
-      }
-      case Stage::Kind::ScanBalanced: {
-        // Mirror of the boxed butterfly simulation, stripped values and
-        // all (stage.cpp) — blockwise instead of elementwise.
-        // Each phase reads `state` and writes `next`; a rank without a
-        // partner is read by no one, so its block moves through degrade.
-        const auto& op2 = static_cast<const ScanBalancedStage&>(*stage).op2;
-        PackedDist next(state.size());
-        for (int k = 0; (1 << k) < p; ++k) {
-          for (int r = 0; r < p; ++r) {
-            const int partner = r ^ (1 << k);
-            auto& own = state[static_cast<std::size_t>(r)];
-            auto& block = next[static_cast<std::size_t>(r)];
-            if (partner >= p) {
-              block = op2.packed_degrade(std::move(own));
-              continue;
-            }
-            const PackedBlock received =
-                op2.packed_strip(state[static_cast<std::size_t>(partner)]);
-            block = r < partner ? op2.packed_combine2(own, received).first
-                                : op2.packed_combine2(received, own).second;
-          }
-          state.swap(next);
-        }
-        break;
-      }
-      case Stage::Kind::ReduceBalanced: {
-        const auto& st = static_cast<const ReduceBalancedStage&>(*stage);
-        COLOP_REQUIRE(st.root >= 0 && st.root < p,
-                      "reduce_balanced: invalid root");
-        const auto tree = mpsim::BalancedTree::build(p);
-        PackedBlock result =
-            fold_balanced_packed(tree, tree.root(), state, st.op);
-        state[static_cast<std::size_t>(st.root)] = std::move(result);
-        break;
-      }
-      case Stage::Kind::AllReduceBalanced: {
-        const auto& st = static_cast<const AllReduceBalancedStage&>(*stage);
-        const auto tree = mpsim::BalancedTree::build(p);
-        PackedBlock result =
-            fold_balanced_packed(tree, tree.root(), state, st.op);
-        for (std::size_t r = 1; r < state.size(); ++r) state[r] = result;
-        state[0] = std::move(result);
-        break;
-      }
-      case Stage::Kind::Iter: {
-        const auto& st = static_cast<const IterStage&>(*stage);
-        COLOP_REQUIRE(is_pow2(static_cast<std::uint64_t>(p)),
-                      "iter: packed plane requires a power-of-two p");
-        PackedBlock& head = state[0];
-        for (unsigned i = 0; i < log2_floor(static_cast<std::uint64_t>(p)); ++i)
-          head = st.step.packed_fn(std::move(head));
-        for (std::size_t r = 1; r < state.size(); ++r)
-          state[r] = PackedBlock::wild(state[r].size());
-        break;
-      }
-      case Stage::Kind::IStartReduce:
-      case Stage::Kind::IStartBcast:
-      case Stage::Kind::IStartAllReduce:
-      case Stage::Kind::Wait:
-        // packed_ineligibility() rejects split-phase programs before this point.
-        throw_error("eval_reference_packed: split-phase stages are boxed-only");
-    }
-  }
-}
-
 Dist eval_reference_boxed(const Program& prog, Dist input) {
-  for (const auto& s : prog.stages()) s->eval_reference(input);
+  for (const auto& s : prog.stages()) eval_stage(*s, input);
   return input;
 }
 

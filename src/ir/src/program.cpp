@@ -1,6 +1,7 @@
 #include "colop/ir/program.h"
 
 #include "colop/ir/packed_eval.h"
+#include "colop/ir/plane.h"
 #include "colop/support/error.h"
 
 namespace colop::ir {
@@ -37,11 +38,10 @@ Dist Program::eval_reference(Dist input) const {
   // Flat data plane when the program and data allow it (packed_eval.h);
   // identical results either way, the boxed path is the semantics.
   if (auto packed = try_pack_for(*this, input)) {
-    eval_reference_packed(*this, *packed);
+    for (const auto& s : stages_) eval_stage(*s, *packed);
     return unpack_dist(*packed);
   }
-  for (const auto& s : stages_) s->eval_reference(input);
-  return input;
+  return eval_reference_boxed(*this, std::move(input));
 }
 
 std::size_t Program::collective_count() const {

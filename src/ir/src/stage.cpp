@@ -1,6 +1,10 @@
 #include "colop/ir/stage.h"
 
 #include <iterator>
+#include <string>
+#include <vector>
+
+#include "colop/ir/plane.h"
 
 #include "colop/mpsim/balanced_tree.h"
 #include "colop/support/bits.h"
@@ -9,129 +13,134 @@
 namespace colop::ir {
 namespace {
 
-// Sequentially fold element j of the distributed list over the paper's
-// balanced tree: leaves are processors, unit nodes apply op((), x).
-Value fold_balanced(const mpsim::BalancedTree& tree, int node,
-                    const Dist& state, std::size_t j, const BalancedOp& op) {
+// Sequentially fold the distributed list over the paper's balanced tree,
+// a block at a time: leaves are processors, unit nodes apply op((), x).
+template <typename B>
+B fold_balanced(const mpsim::BalancedTree& tree, int node,
+                const std::vector<B>& state, const BalancedOp& op) {
   const auto& n = tree.node(node);
-  if (n.is_leaf()) return state[static_cast<std::size_t>(n.first)][j];
+  if (n.is_leaf()) return state[static_cast<std::size_t>(n.first)];
   if (n.is_unit())
-    return op.unit_case(fold_balanced(tree, n.right, state, j, op));
-  return op.combine(fold_balanced(tree, n.left, state, j, op),
-                    fold_balanced(tree, n.right, state, j, op));
+    return Plane<B>::unit(op)(fold_balanced(tree, n.right, state, op));
+  return Plane<B>::combine(op)(fold_balanced(tree, n.left, state, op),
+                               fold_balanced(tree, n.right, state, op));
 }
 
-// All collective stages require a uniform block size across processors
-// (MPI's `count` is identical on every rank of a collective call).
-std::size_t uniform_block_size(const Dist& state, const char* what) {
-  COLOP_REQUIRE(!state.empty(), std::string(what) + ": empty distributed list");
-  const std::size_t m = state[0].size();
-  for (const auto& b : state)
-    COLOP_REQUIRE(b.size() == m, std::string(what) + ": non-uniform block sizes");
-  return m;
+// A combined result lands on the root, or on every rank: copies to ranks
+// 1..p-1, the original moves into rank 0.
+template <typename B>
+void deliver(const Stage& stage, B result, std::vector<B>& state) {
+  if (stage.row().names_root) {
+    state[static_cast<std::size_t>(stage.root_rank())] = std::move(result);
+    return;
+  }
+  for (std::size_t r = 1; r < state.size(); ++r) state[r] = result;
+  state[0] = std::move(result);
 }
 
 }  // namespace
 
-void MapStage::eval_reference(Dist& state) const {
-  for (auto& block : state)
-    for (auto& v : block) v = fn(v);
-}
-
-void MapIndexedStage::eval_reference(Dist& state) const {
-  for (std::size_t r = 0; r < state.size(); ++r)
-    for (auto& v : state[r]) v = fn(static_cast<int>(r), v);
-}
-
-void ScanStage::eval_reference(Dist& state) const {
-  const std::size_t m = uniform_block_size(state, "scan");
-  for (std::size_t j = 0; j < m; ++j) {
-    Value acc = state[0][j];
-    for (std::size_t r = 1; r < state.size(); ++r) {
-      acc = (*op)(acc, state[r][j]);
-      state[r][j] = acc;
+template <typename B>
+void eval_stage(const Stage& stage, std::vector<B>& state) {
+  using P = Plane<B>;
+  using Kind = Stage::Kind;
+  const auto p = static_cast<int>(state.size());
+  // Collectives need one block per rank, all of one size (MPI's `count` is
+  // the same on every rank of a call).  Errors name an istart by its
+  // blocking twin.
+  const KindRow& row = stage.row();
+  const auto fail = [&row](const char* what) {
+    throw_error(std::string(row.role == WindowRole::istart ? kind_row(row.twin).keyword
+                                                           : row.keyword) +
+                what);
+  };
+  if (row.role != WindowRole::elementwise && row.role != WindowRole::wait) {
+    if (state.empty()) fail(": empty distributed list");
+    for (const auto& b : state)
+      if (b.size() != state[0].size()) fail(": non-uniform block sizes");
+  }
+  if (row.names_root && (stage.root_rank() < 0 || stage.root_rank() >= p))
+    fail(": invalid root");
+  switch (stage.kind()) {
+    case Kind::Map:
+      for (auto& block : state) P::map(static_cast<const MapStage&>(stage).fn, block);
+      return;
+    case Kind::MapIndexed:
+      for (std::size_t r = 0; r < state.size(); ++r)
+        P::map(static_cast<const MapIndexedStage&>(stage).fn, static_cast<int>(r),
+               state[r]);
+      return;
+    case Kind::Scan:
+      for (std::size_t r = 1; r < state.size(); ++r)
+        state[r] = P::binop(*stage.binop())(state[r - 1], state[r]);
+      return;
+    // An istart evaluates exactly like its blocking twin, and wait(h) is a
+    // value-level no-op (the continuation-overlap reading, stage.h).
+    case Kind::Reduce:
+    case Kind::IStartReduce:
+    case Kind::AllReduce:
+    case Kind::IStartAllReduce: {
+      B acc = state[0];
+      for (std::size_t r = 1; r < state.size(); ++r)
+        acc = P::binop(*stage.binop())(acc, state[r]);
+      deliver(stage, std::move(acc), state);
+      return;
     }
-  }
-}
-
-void ReduceStage::eval_reference(Dist& state) const {
-  const std::size_t m = uniform_block_size(state, "reduce");
-  const auto p = static_cast<int>(state.size());
-  COLOP_REQUIRE(root >= 0 && root < p, "reduce: invalid root");
-  Block result(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    Value acc = state[0][j];
-    for (std::size_t r = 1; r < state.size(); ++r) acc = (*op)(acc, state[r][j]);
-    result[j] = acc;
-  }
-  state[static_cast<std::size_t>(root)] = std::move(result);
-}
-
-void AllReduceStage::eval_reference(Dist& state) const {
-  const std::size_t m = uniform_block_size(state, "allreduce");
-  Block result(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    Value acc = state[0][j];
-    for (std::size_t r = 1; r < state.size(); ++r) acc = (*op)(acc, state[r][j]);
-    result[j] = acc;
-  }
-  for (auto& block : state) block = result;
-}
-
-void BcastStage::eval_reference(Dist& state) const {
-  uniform_block_size(state, "bcast");
-  const auto p = static_cast<int>(state.size());
-  COLOP_REQUIRE(root >= 0 && root < p, "bcast: invalid root");
-  const Block src = state[static_cast<std::size_t>(root)];
-  for (auto& block : state) block = src;
-}
-
-void ScanBalancedStage::eval_reference(Dist& state) const {
-  // scan_balanced is DEFINED by its butterfly schedule (Fig. 5); the
-  // reference semantics simulate it sequentially, transmitting only the
-  // stripped value exactly like the parallel executor does.
-  uniform_block_size(state, "scan_balanced");
-  const auto p = static_cast<int>(state.size());
-  for (int k = 0; (1 << k) < p; ++k) {
-    const Dist before = state;
-    for (int r = 0; r < p; ++r) {
-      const int partner = r ^ (1 << k);
-      auto& block = state[static_cast<std::size_t>(r)];
-      if (partner >= p) {
-        for (auto& v : block) v = op2.degrade(v);
-        continue;
-      }
-      const auto& other = before[static_cast<std::size_t>(partner)];
-      const auto& own = before[static_cast<std::size_t>(r)];
-      for (std::size_t j = 0; j < block.size(); ++j) {
-        const Value received = op2.strip(other[j]);
-        block[j] = r < partner ? op2.combine2(own[j], received).first
-                               : op2.combine2(received, own[j]).second;
-      }
+    case Kind::Bcast:
+    case Kind::IStartBcast: {
+      const B& src = state[static_cast<std::size_t>(stage.root_rank())];
+      for (auto& block : state)
+        if (&block != &src) block = src;
+      return;
     }
+    case Kind::ScanBalanced: {
+      // scan_balanced is DEFINED by its butterfly schedule (Fig. 5); the
+      // reference simulates it sequentially, transmitting only the
+      // stripped value exactly like the parallel executor does.  Each
+      // phase reads `state` and writes `next`; a rank without a partner is
+      // read by no one, so its block moves through degrade.
+      const auto& op2 = static_cast<const ScanBalancedStage&>(stage).op2;
+      std::vector<B> next(state.size());
+      for (int k = 0; (1 << k) < p; ++k) {
+        for (int r = 0; r < p; ++r) {
+          const int partner = r ^ (1 << k);
+          auto& own = state[static_cast<std::size_t>(r)];
+          auto& block = next[static_cast<std::size_t>(r)];
+          if (partner >= p) {
+            block = P::degrade(op2)(std::move(own));
+            continue;
+          }
+          const B received = P::strip(op2)(state[static_cast<std::size_t>(partner)]);
+          block = r < partner ? P::combine2(op2)(own, received).first
+                              : P::combine2(op2)(received, own).second;
+        }
+        state.swap(next);
+      }
+      return;
+    }
+    case Kind::ReduceBalanced:
+    case Kind::AllReduceBalanced: {
+      const auto& op = stage.kind() == Kind::ReduceBalanced
+                           ? static_cast<const ReduceBalancedStage&>(stage).op
+                           : static_cast<const AllReduceBalancedStage&>(stage).op;
+      const auto tree = mpsim::BalancedTree::build(p);
+      deliver(stage, fold_balanced(tree, tree.root(), state, op), state);
+      return;
+    }
+    case Kind::Iter:
+      // The paper: "The rest is undetermined, while the length of the
+      // result is equal to the length of xs."
+      P::iter_local(static_cast<const IterStage&>(stage), p, state[0]);
+      for (std::size_t r = 1; r < state.size(); ++r) P::make_undefined(state[r]);
+      return;
+    case Kind::Wait:
+      return;
   }
+  COLOP_ASSERT(false, "unhandled stage kind");
 }
 
-void ReduceBalancedStage::eval_reference(Dist& state) const {
-  const std::size_t m = uniform_block_size(state, "reduce_balanced");
-  const auto p = static_cast<int>(state.size());
-  COLOP_REQUIRE(root >= 0 && root < p, "reduce_balanced: invalid root");
-  const auto tree = mpsim::BalancedTree::build(p);
-  Block result(m);
-  for (std::size_t j = 0; j < m; ++j)
-    result[j] = fold_balanced(tree, tree.root(), state, j, op);
-  state[static_cast<std::size_t>(root)] = std::move(result);
-}
-
-void AllReduceBalancedStage::eval_reference(Dist& state) const {
-  const std::size_t m = uniform_block_size(state, "allreduce_balanced");
-  const auto p = static_cast<int>(state.size());
-  const auto tree = mpsim::BalancedTree::build(p);
-  Block result(m);
-  for (std::size_t j = 0; j < m; ++j)
-    result[j] = fold_balanced(tree, tree.root(), state, j, op);
-  for (auto& block : state) block = result;
-}
+template void eval_stage<Block>(const Stage&, std::vector<Block>&);
+template void eval_stage<PackedBlock>(const Stage&, std::vector<PackedBlock>&);
 
 Value IterStage::apply_local(int p, const Value& x) const {
   if (is_pow2(static_cast<std::uint64_t>(p))) {
@@ -146,20 +155,6 @@ Value IterStage::apply_local(int p, const Value& x) const {
                     "generalized fold was provided");
   return general_fold(p, x);
 }
-
-void IterStage::eval_reference(Dist& state) const {
-  uniform_block_size(state, "iter");
-  const auto p = static_cast<int>(state.size());
-  for (auto& v : state[0]) v = apply_local(p, v);
-  // The paper: "The rest is undetermined, while the length of the result
-  // is equal to the length of xs."
-  for (std::size_t r = 1; r < state.size(); ++r)
-    for (auto& v : state[r]) v = Value::undefined();
-}
-
-// wait(h) is a value-level no-op: the istart it completes already applied
-// the collective (continuation-overlap semantics, stage.h).
-void WaitStage::eval_reference(Dist& /*state*/) const {}
 
 const std::string& Stage::label() const {
   static const std::string none;
@@ -258,7 +253,8 @@ constexpr KindRow kRows[] = {
                                 std::optional(a.handle));
      },
      .role = WindowRole::istart, .post = PostState::root_only, .reads = Reads::all,
-     .names_root = true, .regroups = kTree, .balanced = "reduce_balanced"},
+     .names_root = true, .regroups = kTree, .balanced = "reduce_balanced",
+     .kernel_owner = "operator", .kernel_gap = kNoKernel},
     {.kind = Kind::IStartBcast, .keyword = "istart_bcast", .twin = Kind::Bcast,
      .root_arg = true, .handle_arg = true,
      .make = [](KindArgs&& a) {
@@ -272,7 +268,8 @@ constexpr KindRow kRows[] = {
        return make<AllReduceStage>(std::move(a.op), a.words, std::optional(a.handle));
      },
      .role = WindowRole::istart, .post = PostState::uniform, .reads = Reads::all,
-     .regroups = kButterfly, .balanced = "allreduce_balanced"},
+     .regroups = kButterfly, .balanced = "allreduce_balanced",
+     .kernel_owner = "operator", .kernel_gap = kNoKernel},
     {.kind = Kind::Wait, .keyword = "wait", .twin = Kind::Wait, .handle_arg = true,
      .make = [](KindArgs&& a) { return make<WaitStage>(a.handle); },
      .role = WindowRole::wait, .shape = ShapeStep::local},

@@ -82,10 +82,11 @@ constexpr int kProcCounts[] = {1, 2, 3, 4, 5, 7, 8};
 constexpr int kBlockSizes[] = {1, 3, 8};
 
 // Random program of 1-4 stages over `ops`.  The first six stage kinds all
-// have flat-plane kernels; `boxed_only_stages` adds four that can force the
-// program off the flat plane (an opaque map, a split-phase window, iter,
+// have flat-plane kernels; `boxed_only_stages` adds four more draws: three
+// that can force the program off the flat plane (an opaque map, iter,
 // which is packable only at powers of two, and pair, which nests the
-// element shape when applied twice).
+// element shape when applied twice) and a split-phase window, which runs
+// packed like the rest.
 Program random_program(Rng& rng, int p, const std::vector<BinOpPtr>& ops,
                        bool boxed_only_stages = false) {
   const auto pick = [&] {
@@ -218,6 +219,53 @@ TEST(FuzzDataPlane, Table1RulesLhsAndRhs) {
                        /*require_packable=*/false);
         }
       }
+    }
+  }
+}
+
+// Split-phase windows run packed: random istart ; maps ; wait windows over
+// int and real data with `_` sprinkled in, at several pipeline depths, give
+// the boxed run's output and traffic.  Segments of a block may differ in
+// what they define (a wild segment, an empty lane) and the interior maps
+// may change the arity.
+TEST(FuzzDataPlane, SplitPhaseWindowsMatchAcrossPlanes) {
+  Rng rng(20261019);
+  for (int trial = 0; trial < 80; ++trial) {
+    const int p = kProcCounts[rng.uniform(0, 6)];
+    const int m = static_cast<int>(rng.uniform(0, 9));
+    const int kind = static_cast<int>(rng.uniform(0, 1));
+    const auto ops = kind == 0 ? int_ops() : real_ops();
+    const auto op = ops[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(ops.size()) - 1))];
+    const auto root = static_cast<int>(rng.uniform(0, p - 1));
+    Program prog;
+    switch (rng.uniform(0, 2)) {
+      case 0: prog.istart_allreduce(op, 1, 1); break;
+      case 1: prog.istart_reduce(op, root, 1, 1); break;
+      default: prog.istart_bcast(root, 1, 1); break;
+    }
+    switch (rng.uniform(0, 3)) {
+      case 0: break;
+      case 1: prog.map(fn_pair()); break;
+      case 2: prog.map(fn_pair()).map(fn_proj1()); break;
+      default: prog.map_indexed(rules::make_op_comp_bs(op)); break;
+    }
+    prog.wait(1);
+    const Dist input = random_input(rng, p, m, kind, 0.4);
+    SCOPED_TRACE(prog.show() + " at p=" + std::to_string(p) +
+                 " m=" + std::to_string(m));
+    const Dist want = eval_reference_boxed(prog, input);
+    EXPECT_EQ(prog.eval_reference(input), want);
+    for (const int segs : {1, 3, 7, 64}) {
+      const auto boxed = exec::run_on_threads_instrumented(
+          prog, input, DataPlane::Boxed, mpsim::Ranks::threads, segs);
+      const auto packed = exec::run_on_threads_instrumented(
+          prog, input, DataPlane::Packed, mpsim::Ranks::threads, segs);
+      EXPECT_TRUE(packed.used_packed) << "segments=" << segs;
+      EXPECT_EQ(boxed.output, want) << "segments=" << segs;
+      EXPECT_EQ(packed.output, boxed.output) << "segments=" << segs;
+      EXPECT_EQ(packed.traffic.messages, boxed.traffic.messages);
+      EXPECT_EQ(packed.traffic.bytes, boxed.traffic.bytes);
     }
   }
 }

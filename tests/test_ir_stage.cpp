@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "colop/ir/ir.h"
+#include "colop/ir/packed_eval.h"
 #include "colop/rules/derived_ops.h"
 #include "colop/support/error.h"
 
@@ -204,6 +205,78 @@ TEST(KindTable, TextualRowsBuildTheirKindAndTwinsPairUp) {
   EXPECT_EQ(textual, 9);  // map, scan, reduce, allreduce, bcast, 3 istart, wait
   EXPECT_EQ(textual_row("map#"), nullptr);  // no text spelling
   EXPECT_EQ(textual_row("reduce_balanced"), nullptr);
+}
+
+// --- reference errors ----------------------------------------------------
+//
+// The messages the sequential reference throws, on both routes:
+// Program::eval_reference (the packed plane when the program and data are
+// packable) and eval_reference_boxed.
+
+void expect_reference_error(const Program& p, const Dist& in,
+                            const std::string& want) {
+  SCOPED_TRACE(p.show());
+  for (const bool boxed : {false, true}) {
+    try {
+      (void)(boxed ? eval_reference_boxed(p, in) : p.eval_reference(in));
+      ADD_FAILURE() << (boxed ? "boxed" : "auto") << ": no error, want "
+                    << want;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), want) << (boxed ? "boxed" : "auto");
+    }
+  }
+}
+
+// One program per collective kind, named as its message names it (an
+// istart twin reports its blocking twin's keyword).
+std::vector<std::pair<Program, std::string>> one_collective_each(int root) {
+  std::vector<std::pair<Program, std::string>> out;
+  const auto add = [&out](Program p, const char* what) {
+    out.emplace_back(std::move(p), what);
+  };
+  add(Program().scan(op_add()), "scan");
+  add(Program().reduce(op_add(), root), "reduce");
+  add(Program().allreduce(op_add()), "allreduce");
+  add(Program().bcast(root), "bcast");
+  add(Program().scan_balanced(rules::make_op_ss(op_add())), "scan_balanced");
+  add(Program().reduce_balanced(rules::make_op_sr(op_add()), root),
+      "reduce_balanced");
+  add(Program().allreduce_balanced(rules::make_op_sr(op_add())),
+      "allreduce_balanced");
+  add(Program().iter(rules::make_op_br(op_add())), "iter");
+  add(Program().istart_reduce(op_add(), root, 1, 1).wait(1), "reduce");
+  add(Program().istart_bcast(root, 1, 1).wait(1), "bcast");
+  add(Program().istart_allreduce(op_add(), 1, 1).wait(1), "allreduce");
+  return out;
+}
+
+TEST(ReferenceErrors, NonUniformBlockSizesOnEveryCollective) {
+  const Dist d{block_of_ints({1, 2}), block_of_ints({3}),
+               block_of_ints({4, 5})};
+  for (const auto& [p, what] : one_collective_each(0))
+    expect_reference_error(p, d, what + ": non-uniform block sizes");
+}
+
+TEST(ReferenceErrors, EmptyDistOnEveryCollective) {
+  for (const auto& [p, what] : one_collective_each(0))
+    expect_reference_error(p, {}, what + ": empty distributed list");
+}
+
+TEST(ReferenceErrors, RootOutOfRange) {
+  for (const int root : {3, 7}) {
+    for (const auto& [p, what] : one_collective_each(root)) {
+      if (!p.stage(0).row().names_root) continue;
+      expect_reference_error(p, ints({1, 2, 3}), what + ": invalid root");
+    }
+  }
+}
+
+TEST(ReferenceErrors, IterAtSixWithoutGeneralizedFold) {
+  const ElemFn step = rules::make_op_br(op_add());
+  expect_reference_error(Program().iter(step), ints({3, 0, 0, 0, 0, 0}),
+                         "iter(" + step.name +
+                             "): processor count is not a power of two and "
+                             "no generalized fold was provided");
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "colop/ir/packed.h"
 #include "colop/ir/packed_eval.h"
 #include "colop/ir/packed_kernels.h"
+#include "colop/ir/plane.h"
 #include "colop/rules/derived_ops.h"
 #include "colop/support/error.h"
 
@@ -294,6 +295,74 @@ TEST(PackedStorage, EqualityComparesShapeAndEveryWord) {
     PackedBlock dtype = b;
     dtype.set_dtype(0, b.dtype(0) == DType::i64 ? DType::f64 : DType::i64);
     EXPECT_FALSE(dtype == b) << describe(b);
+  }
+}
+
+// --- segments: the overlap window's split and join -----------------------
+
+TEST(PackedSegments, SplitThenJoinGivesTheBlockBack) {
+  for (const std::size_t m : {0, 1, 2, 5, 8, 9, 65}) {
+    for (const int arity : {PackedBlock::kWildArity, 0, 1, 2, 4}) {
+      const PackedBlock b = sample_block(m, arity);
+      const Block boxed = b.unpack();
+      for (const std::size_t K : {1, 3, 7, 64}) {
+        const std::string what = describe(b) + " K " + std::to_string(K);
+        const auto segs = split(b, K);
+        const auto boxed_segs = split(boxed, K);
+        ASSERT_EQ(segs.size(), K) << what;
+        ASSERT_EQ(boxed_segs.size(), K) << what;
+        for (std::size_t k = 0; k < K; ++k) {
+          // Each segment holds its elements, in canonical form (what
+          // pack() builds from them).
+          EXPECT_EQ(segs[k].unpack(), boxed_segs[k]) << what << " seg " << k;
+          EXPECT_TRUE(segs[k] == *PackedBlock::pack(boxed_segs[k]))
+              << what << " seg " << k;
+        }
+        EXPECT_TRUE(Plane<PackedBlock>::join(segs) == b) << what;
+        EXPECT_EQ(Plane<Block>::join(boxed_segs), boxed) << what;
+      }
+    }
+  }
+}
+
+TEST(PackedSegments, SegmentWithNothingDefinedIsWild) {
+  const Block b{U(), U(), U(), Value(1.5), U(), Value(3.5)};
+  const PackedBlock packed = *PackedBlock::pack(b);
+  const auto segs = split(packed, 2);
+  EXPECT_TRUE(segs[0].is_wild());
+  EXPECT_EQ(segs[0].size(), 3u);
+  EXPECT_TRUE(segs[1].is_scalar());
+  EXPECT_TRUE(PackedBlock::join(segs) == packed);
+}
+
+TEST(PackedSegments, EmptyLaneTakesItsDtypeFromTheOtherSegments) {
+  const auto pair = [](Value a, Value b) { return Value(Tuple{a, b}); };
+  const Block b{pair(Value(1), U()), pair(Value(2), U()),
+                pair(Value(3), Value(0.5)), pair(Value(4), Value(1.5))};
+  const PackedBlock packed = *PackedBlock::pack(b);
+  ASSERT_EQ(packed.dtype(1), DType::f64);
+  const auto segs = split(packed, 2);
+  EXPECT_EQ(segs[0].dtype(1), DType::i64);  // nothing defined in the lane
+  EXPECT_EQ(segs[1].dtype(1), DType::f64);
+  const PackedBlock joined = PackedBlock::join(segs);
+  EXPECT_EQ(joined.dtype(1), DType::f64);
+  EXPECT_TRUE(joined == packed);
+}
+
+TEST(PackedSegments, JoinAfterAMapThatChangesTheArity) {
+  // pair of an all-`_` segment is a block of (_, _) tuples with i64 lanes;
+  // beside segments of defined reals the joined lanes are f64 again.
+  const Block b{U(), U(), Value(0.25), Value(-2.0), U(), Value(7.5), Value(1.0)};
+  const PackedBlock packed = *PackedBlock::pack(b);
+  const ElemFn pair = fn_pair();
+  for (const std::size_t K : {1, 2, 3, 7}) {
+    auto segs = split(packed, K);
+    for (PackedBlock& seg : segs) Plane<PackedBlock>::map(pair, seg);
+    const PackedBlock joined = PackedBlock::join(segs);
+    EXPECT_TRUE(joined == pair.packed_fn(packed)) << "K " << K;
+    Block boxed = b;
+    Plane<Block>::map(pair, boxed);
+    EXPECT_EQ(joined.unpack(), boxed) << "K " << K;
   }
 }
 

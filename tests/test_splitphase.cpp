@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "colop/exec/sim_executor.h"
 #include "colop/exec/thread_executor.h"
@@ -568,6 +569,25 @@ std::vector<Spelling> table1_spellings() {
   return out;
 }
 
+// The split-phase program on the packed plane against the boxed one, at
+// several pipeline depths: it runs packed, and output, message count and
+// byte count match the boxed run and `want`.
+void expect_packed_window_matches_boxed(const Program& split, const Dist& in,
+                                        const Dist& want) {
+  for (const int segs : {1, 3, 7, 64}) {
+    SCOPED_TRACE("segments=" + std::to_string(segs));
+    const auto boxed = exec::run_on_threads_instrumented(
+        split, in, ir::DataPlane::Boxed, mpsim::Ranks::threads, segs);
+    const auto packed = exec::run_on_threads_instrumented(
+        split, in, ir::DataPlane::Packed, mpsim::Ranks::threads, segs);
+    EXPECT_TRUE(packed.used_packed);
+    EXPECT_EQ(boxed.output, want);
+    EXPECT_EQ(packed.output, boxed.output);
+    EXPECT_EQ(packed.traffic.messages, boxed.traffic.messages);
+    EXPECT_EQ(packed.traffic.bytes, boxed.traffic.bytes);
+  }
+}
+
 TEST(SplitPhaseThreads, BlockingAndSplitPhaseAgreeOnEveryShape) {
   std::uint64_t seed = 1;
   for (const auto& s : table1_spellings()) {
@@ -578,6 +598,8 @@ TEST(SplitPhaseThreads, BlockingAndSplitPhaseAgreeOnEveryShape) {
           << s.name << " blocking, p=" << p;
       EXPECT_EQ(exec::run_on_threads(s.split, in), want)
           << s.name << " split, p=" << p;
+      SCOPED_TRACE(std::string(s.name) + " split, p=" + std::to_string(p));
+      expect_packed_window_matches_boxed(s.split, in, want);
     }
   }
 }
@@ -595,6 +617,7 @@ TEST(SplitPhaseThreads, SegmentCountDoesNotChangeResults) {
               want)
         << "segments=" << segs;
   }
+  expect_packed_window_matches_boxed(split, in, want);
 }
 
 }  // namespace
