@@ -41,8 +41,6 @@ struct SimRunResult {
 /// istart..wait overlap window (labelled "overlap{istart ; ... ; wait}").
 struct StageSpan {
   std::string label;
-  int stage = 0;              ///< index of the (first) stage
-  bool overlapped = false;    ///< the span is an overlap window
   std::vector<double> start;  ///< per-processor start time
   std::vector<double> end;    ///< per-processor completion time
 };

@@ -43,8 +43,9 @@ struct ThreadRunResult {
   double wall_seconds = 0;
   bool used_packed = false;  ///< ran on the flat data plane
   /// Flight-recorder capture of the run (stage spans, send/recv, waits,
-  /// queue depths).  `rt.enabled` is false when COLOP_RT=0; feed an
-  /// enabled capture to rt::build_report.
+  /// queue depths).  `rt.enabled` is false when COLOP_RT=0.  The
+  /// analyzer reads an enabled capture through rt::profile_snapshot;
+  /// rt::build_report adds the mailbox counters and the model's drift.
   rt::FleetSnapshot rt;
 };
 

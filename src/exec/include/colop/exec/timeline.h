@@ -10,7 +10,6 @@
 #include "colop/exec/sim_executor.h"
 #include "colop/ir/program.h"
 #include "colop/model/machine.h"
-#include "colop/obs/event.h"
 #include "colop/simnet/machine.h"
 
 namespace colop::exec {
@@ -30,16 +29,6 @@ struct SimTrace {
 [[nodiscard]] SimTrace trace_on_simnet(const ir::Program& prog,
                                        const model::Machine& mach,
                                        SimSchedules sched = {});
-
-/// The trace as obs events (ts/dur in simulated op units, tid = the
-/// processor): the stage spans (cat "exec", pid 0, skipped on processors
-/// that did not take part) followed by the machine ops (cat "simnet", pid
-/// `ops_pid`, named "<span label>.<kind>", args kind, peer, words).  With
-/// `stage_args` spans carry "stage" (and "overlapped") and ops a trailing
-/// "stage".
-[[nodiscard]] std::vector<obs::Event> trace_events(const SimTrace& trace,
-                                                   int ops_pid = 0,
-                                                   bool stage_args = false);
 
 /// ASCII Gantt chart: one row per processor, letters identify stages, '.'
 /// is idle/waiting time; a legend follows.  `width` is the number of time

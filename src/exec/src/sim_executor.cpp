@@ -161,8 +161,6 @@ void run_on_simnet(const ir::Program& prog, simnet::SimMachine& mach, double m,
     }
     if (spans != nullptr) {
       StageSpan span;
-      span.stage = static_cast<int>(i);
-      span.overlapped = window;
       if (window) {
         ir::Program piece;
         for (std::size_t j = i; j <= last; ++j) piece.push(prog.stages()[j]);

@@ -6,17 +6,15 @@
 #include <ostream>
 #include <sstream>
 
+#include "colop/obs/html.h"
 #include "colop/obs/json.h"
 #include "colop/support/error.h"
 
 namespace colop::obs {
 namespace {
 
-std::string fmt(double v, int prec = 3) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", prec, v);
-  return buf;
-}
+using html::escape;
+using html::fixed;
 
 std::string fmt_g(double v) {
   char buf[64];
@@ -29,7 +27,7 @@ std::string fmt_g(double v) {
 std::string rel_text(double a, double b) {
   if (a == 0) return b == 0 ? "+0.0%" : "n/a";
   const double rel = (b - a) / std::abs(a);
-  return (rel >= 0 ? "+" : "") + fmt(rel * 100, 1) + "%";
+  return (rel >= 0 ? "+" : "") + fixed(rel * 100, 1) + "%";
 }
 
 /// Longest-common-subsequence alignment of the two schedules by stage
@@ -185,24 +183,6 @@ void write_total_json(std::ostream& os, const char* name, double a, double b) {
   os << "}";
 }
 
-std::string esc_html(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '<') out += "&lt;";
-    else if (c == '>') out += "&gt;";
-    else if (c == '&') out += "&amp;";
-    else out += c;
-  }
-  return out;
-}
-
-// Qualitative palette (colorblind-safe, shared with the rt HTML report).
-const char* stage_color(int i) {
-  static const char* kPalette[] = {"#4e79a7", "#f28e2b", "#59a14f", "#e15759",
-                                   "#b07aa1", "#76b7b2", "#edc948", "#9c755f"};
-  return kPalette[i >= 0 ? i % 8 : 0];
-}
-
 }  // namespace
 
 RunDiff diff_runs(const RunBundle& a, const RunBundle& b) {
@@ -289,7 +269,7 @@ std::string RunDiff::render_text() const {
   os << "  sim words    " << fmt_g(a.sim.words) << " -> " << fmt_g(b.sim.words)
      << "\n";
   if (a.wall_ms > 0 || b.wall_ms > 0)
-    os << "  wall ms      " << fmt(a.wall_ms) << " -> " << fmt(b.wall_ms)
+    os << "  wall ms      " << fixed(a.wall_ms) << " -> " << fixed(b.wall_ms)
        << "  (" << rel_text(a.wall_ms, b.wall_ms) << ")\n";
   if (drift_present)
     os << "  model drift  max |rel err| " << fmt_g(drift_max_rel_err_a)
@@ -325,7 +305,7 @@ std::string RunDiff::render_text() const {
       const StageDelta& st = stages[s.stage];
       os << "  #" << rank + 1 << " " << st.label;
       if (!st.rule_b.empty()) os << " [" << st.rule_b << "]";
-      os << "  +" << fmt_g(s.delta) << " (" << fmt(s.share * 100, 1) << "%)\n";
+      os << "  +" << fmt_g(s.delta) << " (" << fixed(s.share * 100, 1) << "%)\n";
     }
   }
   os << "\n";
@@ -444,33 +424,20 @@ void RunDiff::write_json(std::ostream& os) const {
 }
 
 void RunDiff::write_html(std::ostream& os) const {
-  os << "<!DOCTYPE html><html><head><meta charset=\"utf-8\">"
-     << "<title>colop run diff</title><style>\n"
-     << "body{font:14px/1.5 system-ui,sans-serif;margin:24px;color:#1a1a2e}\n"
-     << "table{border-collapse:collapse;margin:12px 0}\n"
-     << "th,td{border:1px solid #d4d4dc;padding:4px 10px;text-align:right}\n"
-     << "th{background:#f4f4f8}td:first-child,th:first-child{text-align:left}\n"
-     << "h1{font-size:20px}h2{font-size:16px;margin-top:28px}\n"
-     << "code{background:#f4f4f8;padding:1px 4px;border-radius:3px}\n"
-     << ".cols{display:flex;gap:32px;flex-wrap:wrap}\n"
-     << ".up{color:#b02a30;font-weight:600}.down{color:#2a7a2e}\n"
-     << ".legend span{display:inline-block;margin-right:14px}\n"
-     << ".legend i{display:inline-block;width:11px;height:11px;"
-     << "margin-right:4px;border-radius:2px}\n"
-     << "</style></head><body>\n";
+  html::begin_page(os, "colop run diff");
   os << "<h1>colop run forensics: A vs B</h1>\n";
 
   // --- run identity, side by side ---------------------------------------
   os << "<table><tr><th></th><th>run A</th><th>run B</th></tr>\n"
-     << "<tr><td>trace id</td><td><code>" << esc_html(a.trace_id)
-     << "</code></td><td><code>" << esc_html(b.trace_id) << "</code></td></tr>\n"
-     << "<tr><td>recorded</td><td>" << esc_html(a.timestamp) << "</td><td>"
-     << esc_html(b.timestamp) << "</td></tr>\n"
-     << "<tr><td>git sha</td><td><code>" << esc_html(a.git_sha.substr(0, 12))
-     << "</code></td><td><code>" << esc_html(b.git_sha.substr(0, 12))
+     << "<tr><td>trace id</td><td><code>" << escape(a.trace_id)
+     << "</code></td><td><code>" << escape(b.trace_id) << "</code></td></tr>\n"
+     << "<tr><td>recorded</td><td>" << escape(a.timestamp) << "</td><td>"
+     << escape(b.timestamp) << "</td></tr>\n"
+     << "<tr><td>git sha</td><td><code>" << escape(a.git_sha.substr(0, 12))
+     << "</code></td><td><code>" << escape(b.git_sha.substr(0, 12))
      << "</code></td></tr>\n"
-     << "<tr><td>program</td><td><code>" << esc_html(a.program)
-     << "</code></td><td><code>" << esc_html(b.program) << "</code></td></tr>\n"
+     << "<tr><td>program</td><td><code>" << escape(a.program)
+     << "</code></td><td><code>" << escape(b.program) << "</code></td></tr>\n"
      << "<tr><td>machine</td><td>p=" << machine_a.p << " m=" << fmt_g(machine_a.m)
      << " ts=" << fmt_g(machine_a.ts) << " tw=" << fmt_g(machine_a.tw)
      << "</td><td" << (machine_changed() ? " class=\"up\"" : "") << ">p="
@@ -511,42 +478,27 @@ void RunDiff::write_html(std::ostream& os) const {
   // One horizontal bar per run, segments proportional to per-stage model
   // time, both drawn against the same scale so a longer run is visibly
   // longer.
-  const double total_a = a.model_cost, total_b = b.model_cost;
-  const double tmax = std::max(total_a, total_b);
+  const double tmax = std::max(a.model_cost, b.model_cost);
   if (tmax > 0) {
-    const int width = 960, left = 36, bar_h = 22, gap = 14;
-    const double sx = (width - left - 10) / tmax;
-    os << "<h2>schedule timelines (model time)</h2>\n<svg width=\"" << width
-       << "\" height=\"" << 2 * bar_h + gap + 16 << "\" role=\"img\">\n";
-    const std::vector<StageRecord>* runs[2] = {nullptr, nullptr};
-    // Rebuild per-run stage sequences from the aligned diff rows so the
-    // two bars share one palette index per diff row.
+    std::vector<html::Bar> bars;
     for (int which = 0; which < 2; ++which) {
-      const int y = 4 + which * (bar_h + gap);
-      os << "<text x=\"4\" y=\"" << y + 15
-         << "\" font-size=\"12\" fill=\"#555\">" << (which == 0 ? "A" : "B")
-         << "</text>\n";
-      double x = left;
+      double t0 = 0;
       for (std::size_t i = 0; i < stages.size(); ++i) {
         const StageDelta& s = stages[i];
         const double t = which == 0 ? s.time_a : s.time_b;
         if (t <= 0) continue;
-        const double w = std::max(0.75, t * sx);
-        os << "<rect x=\"" << fmt(x, 2) << "\" y=\"" << y << "\" width=\""
-           << fmt(w, 2) << "\" height=\"" << bar_h << "\" fill=\""
-           << stage_color(static_cast<int>(i)) << "\""
-           << (s.status == "same" ? "" : " stroke=\"#1a1a2e\"") << "><title>"
-           << esc_html(s.label) << " " << fmt_g(t) << " op units ("
-           << esc_html(s.status) << ")</title></rect>\n";
-        x += w;
+        bars.push_back({which, t0, t0 + t, html::color(static_cast<int>(i)),
+                        s.label + " " + fmt_g(t) + " op units (" + s.status +
+                            ")",
+                        false, s.status != "same"});
+        t0 += t;
       }
     }
-    (void)runs;
-    os << "</svg>\n<p class=\"legend\">";
-    for (std::size_t i = 0; i < stages.size(); ++i)
-      os << "<span><i style=\"background:" << stage_color(static_cast<int>(i))
-         << "\"></i>" << esc_html(stages[i].label) << "</span>";
-    os << "</p>\n";
+    std::vector<std::string> labels;
+    labels.reserve(stages.size());
+    for (const StageDelta& s : stages) labels.push_back(s.label);
+    os << "<h2>schedule timelines (model time)</h2>\n";
+    html::lanes(os, {"A", "B"}, bars, tmax, labels);
   }
 
   // --- stage diff table ---------------------------------------------------
@@ -555,10 +507,10 @@ void RunDiff::write_html(std::ostream& os) const {
      << "<th>delta</th></tr>\n";
   for (const StageDelta& s : stages) {
     const double delta = s.delta();
-    os << "<tr><td><code>" << esc_html(s.label) << "</code></td><td>"
-       << esc_html(s.status) << "</td><td>"
-       << esc_html(s.rule_a.empty() ? "—" : s.rule_a) << "</td><td>"
-       << esc_html(s.rule_b.empty() ? "—" : s.rule_b) << "</td><td>"
+    os << "<tr><td><code>" << escape(s.label) << "</code></td><td>"
+       << escape(s.status) << "</td><td>"
+       << escape(s.rule_a.empty() ? "—" : s.rule_a) << "</td><td>"
+       << escape(s.rule_b.empty() ? "—" : s.rule_b) << "</td><td>"
        << (s.index_a < 0 ? std::string("—") : fmt_g(s.time_a)) << "</td><td>"
        << (s.index_b < 0 ? std::string("—") : fmt_g(s.time_b))
        << "</td><td class=\"" << (delta > 0 ? "up" : delta < 0 ? "down" : "")
@@ -576,10 +528,10 @@ void RunDiff::write_html(std::ostream& os) const {
     for (std::size_t rank = 0; rank < suspects.size(); ++rank) {
       const Suspect& s = suspects[rank];
       const StageDelta& st = stages[s.stage];
-      os << "<tr><td>#" << rank + 1 << "</td><td><code>" << esc_html(st.label)
-         << "</code></td><td>" << esc_html(st.rule_b.empty() ? "—" : st.rule_b)
+      os << "<tr><td>#" << rank + 1 << "</td><td><code>" << escape(st.label)
+         << "</code></td><td>" << escape(st.rule_b.empty() ? "—" : st.rule_b)
          << "</td><td class=\"up\">+" << fmt_g(s.delta) << "</td><td>"
-         << fmt(s.share * 100, 1) << "%</td></tr>\n";
+         << fixed(s.share * 100, 1) << "%</td></tr>\n";
     }
     os << "</table>\n";
   }
@@ -628,8 +580,8 @@ void RunDiff::write_html(std::ostream& os) const {
     };
     for (const auto& row : rows)
       os << "<tr><td>" << row.name << "</td><td>"
-         << esc_html(cell(search_a, row.field)) << "</td><td>"
-         << esc_html(cell(search_b, row.field)) << "</td></tr>\n";
+         << escape(cell(search_a, row.field)) << "</td><td>"
+         << escape(cell(search_b, row.field)) << "</td></tr>\n";
     os << "</table>\n";
   }
 
@@ -648,12 +600,13 @@ void RunDiff::write_html(std::ostream& os) const {
     } else {
       os << "<ul>\n";
       for (const std::string& r : *col.rules)
-        os << "<li><code>" << esc_html(r) << "</code></li>\n";
+        os << "<li><code>" << escape(r) << "</code></li>\n";
       os << "</ul>\n";
     }
     os << "</div>\n";
   }
-  os << "</div>\n</body></html>\n";
+  os << "</div>\n";
+  html::end_page(os);
 }
 
 }  // namespace colop::obs

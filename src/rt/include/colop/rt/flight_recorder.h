@@ -54,7 +54,7 @@ struct Config {
 [[nodiscard]] inline const Config& config() { return mutable_config(); }
 
 /// What happened.  Values are stable on the wire (post-mortems print them
-/// and the report exporter maps them to Chrome phases).
+/// and rt::profile_snapshot turns them into the analyzer's ops).
 enum class Ev : std::uint8_t {
   none = 0,
   stage_begin,    ///< executor entered stage `stage`

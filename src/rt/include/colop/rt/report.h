@@ -4,31 +4,35 @@
 //
 // Input is a FleetSnapshot captured after a run_on_threads execution (the
 // executor returns one in ThreadRunResult::rt) plus the model's per-stage
-// predictions in op units.  Output:
+// predictions in op units.  The snapshot goes through the analyzer every
+// clock shares (rt/op_stream.h -> obs::profile_events), so a thread run
+// gets what a simulated one gets, in wall-clock ns: the busy/comm/idle
+// split, the critical path, and per-stage critical time labelled with the
+// optimizer rule that produced the stage.  On top of that Profile:
 //
-//   * per-rank accounting — events, sends/bytes, measured recv-wait and
-//     barrier-wait time, inbound queue depth (max / mean) and bytes in
-//     flight — the measured imbalance view the simulated profiler cannot
-//     give;
-//   * per-stage wall-vs-predicted drift.  Wall clock is in nanoseconds and
-//     the model in abstract op units, so the comparison normalizes both
-//     sides to shares of their totals (equivalently: fits the single
-//     scale factor s = Σwall/Σmodel and reports wall/(model*s) - 1).
-//     A stage whose drift is positive eats more of the real makespan than
-//     the calculus predicted — exactly the imbalance signal the paper's
-//     rules cannot see;
+//   * per-rank counters the mailboxes measured — sends/bytes, recv-wait
+//     and barrier-wait time, inbound queue depth (max / mean) and bytes in
+//     flight, records logged and dropped;
+//   * per-stage wall-vs-predicted drift.  A stage's wall time is the max
+//     (and mean) over ranks of the time its ops cover.  Wall clock is in
+//     nanoseconds and the model in abstract op units, so the comparison
+//     normalizes both sides to shares of their totals (equivalently: fits
+//     the single scale factor s = Σwall/Σmodel and reports
+//     wall/(model*s) - 1).  A stage whose drift is positive eats more of
+//     the real makespan than the calculus predicted — exactly the
+//     imbalance signal the paper's rules cannot see;
 //   * repeat statistics (min/median/stddev over --repeat runs) so numbers
 //     from loaded CI machines carry their own error bars.
 //
-// Exporters: render_text, write_json, write_chrome_trace (per-rank spans
-// with send->recv flow arrows), write_html (self-contained timeline +
-// summary page, no external assets).
+// Exporters: render_text, write_json, write_html (self-contained timeline +
+// summary page on the shared obs/html.h shell).  The Chrome trace is the
+// profile's own (obs::Profile::write_chrome_trace).
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "colop/obs/event.h"
+#include "colop/obs/critical_path.h"
 #include "colop/rt/flight_recorder.h"
 
 namespace colop::rt {
@@ -42,8 +46,7 @@ struct RankReport {
   std::uint64_t recvs = 0;
   double recv_wait_ms = 0;       ///< measured blocked time in recv
   double barrier_wait_ms = 0;    ///< measured time inside barriers
-  double busy_ms = 0;            ///< span - waits (local work + send driving)
-  double span_ms = 0;            ///< first to last record
+  double busy_ms = 0;            ///< compute time in the profile
   std::uint64_t queue_depth_max = 0;
   double queue_depth_mean = 0;
   std::uint64_t queue_bytes_max = 0;
@@ -52,13 +55,13 @@ struct RankReport {
 struct StageReport {
   int index = 0;
   std::string label;
-  double wall_ms = 0;        ///< max per-rank duration of this stage
-  double wall_mean_ms = 0;   ///< mean per-rank duration
+  double wall_ms = 0;        ///< max per-rank time covered by its ops
+  double wall_mean_ms = 0;   ///< mean of that over the ranks observed
   double model_time = 0;     ///< cost calculus prediction, op units
   double measured_share = 0; ///< wall_ms / Σ wall_ms
   double predicted_share = 0;///< model_time / Σ model_time
   double drift = 0;          ///< wall/(model*scale) - 1; 0 when not comparable
-  int ranks_observed = 0;    ///< ranks whose ring retained both boundaries
+  int ranks_observed = 0;    ///< ranks with ops in this stage
 };
 
 struct RepeatStats {
@@ -74,7 +77,6 @@ struct RepeatStats {
 };
 
 struct RtReport {
-  std::string program;       ///< joined stage labels
   int procs = 0;
   bool used_packed = false;
   double wall_ms = 0;        ///< measured wall time of the reported run
@@ -82,12 +84,13 @@ struct RtReport {
   RepeatStats timing;
   std::vector<RankReport> ranks;
   std::vector<StageReport> stages;
-  std::vector<obs::Event> events;  ///< converted records (trace/html)
   std::uint64_t dropped_total = 0;
+  /// The run through the analyzer (clock "ns"); stages[i] and
+  /// profile.stages[i] describe the same program stage.
+  obs::Profile profile;
 
   [[nodiscard]] std::string render_text() const;
   void write_json(std::ostream& os) const;
-  void write_chrome_trace(std::ostream& os) const;
   void write_html(std::ostream& os) const;
 };
 
@@ -95,9 +98,10 @@ struct RtReportOptions {
   /// Per-stage model predictions in op units, indexed like stage labels;
   /// empty = no drift section.
   std::vector<double> model_stage_times;
+  /// Per-stage provenance (rules::stage_provenance), indexed likewise.
+  std::vector<std::string> provenance;
   double wall_seconds = 0;   ///< executor-measured wall time of the run
   bool used_packed = false;
-  bool keep_events = true;   ///< retain converted events for trace/html
   RepeatStats timing{};
 };
 

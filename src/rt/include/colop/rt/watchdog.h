@@ -7,8 +7,9 @@
 // that is not done, has made no progress, and whose last event is older
 // than the deadline is a stall.  On the first stall the watchdog dumps a
 // post-mortem — the tail of every rank's flight recorder as text and,
-// when a dump path is configured, as a Chrome trace with flow arrows
-// between matching send/recv pairs — and then (by default) aborts the
+// when a dump path is configured, as the run's op stream in Chrome's
+// format (rt/op_stream.h: waits still open are closed at the dump, flow
+// arrows join matched send/recv pairs) — and then (by default) aborts the
 // group so ranks blocked in recv/barrier unwind instead of hanging the
 // process forever.
 //
@@ -23,7 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "colop/obs/event.h"
 #include "colop/rt/flight_recorder.h"
 
 namespace colop::rt {
@@ -89,20 +89,15 @@ class Watchdog {
 
 // --- post-mortem ----------------------------------------------------------
 
-/// Convert a fleet snapshot into obs events (stage spans, send instants,
-/// recv/barrier spans, and flow arrows linking each send to the recv that
-/// consumed it).  Timestamps are microseconds since the fleet epoch, tid
-/// is the rank — directly exportable with obs::write_chrome_trace.
-[[nodiscard]] std::vector<obs::Event> snapshot_events(const FleetSnapshot& snap);
-
 /// Text post-mortem: per-rank status line (done/blocked, stats) and the
 /// last `tail` records of every rank's flight recorder.
 void write_post_mortem_text(const FleetSnapshot& snap, std::ostream& os,
                             const std::string& reason, std::size_t tail = 16);
 
 /// Dump a post-mortem for `fleet`.  Text goes to stderr; when `path` is
-/// non-empty, also writes <path>.txt and <path>.trace.json (Chrome trace
-/// with send->recv flow arrows).  Returns the text that was emitted.
+/// non-empty, also writes <path>.txt and <path>.trace.json (the profile's
+/// Chrome trace: ops, send->recv flow arrows and the critical path).
+/// Returns the text that was emitted.
 std::string dump_post_mortem(const Fleet& fleet, const std::string& reason,
                              const std::string& path);
 

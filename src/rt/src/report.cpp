@@ -7,22 +7,18 @@
 #include <ostream>
 #include <sstream>
 
-#include "colop/obs/chrome_trace.h"
+#include "colop/obs/html.h"
 #include "colop/obs/json.h"
 #include "colop/obs/metrics.h"
 #include "colop/obs/trace_context.h"
-#include "colop/rt/watchdog.h"
+#include "colop/rt/op_stream.h"
 
 namespace colop::rt {
 namespace {
 
 constexpr double kNsPerMs = 1e6;
 
-std::string fmt(double v, int prec = 3) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.*f", prec, v);
-  return buf;
-}
+using obs::html::fixed;
 
 }  // namespace
 
@@ -50,16 +46,16 @@ RtReport build_report(const FleetSnapshot& snap, const RtReportOptions& opts) {
   rep.used_packed = opts.used_packed;
   rep.wall_ms = opts.wall_seconds * 1e3;
   rep.timing = opts.timing;
-  {
-    std::string prog;
-    for (const auto& l : snap.stage_labels) {
-      if (!prog.empty()) prog += " ; ";
-      prog += l;
-    }
-    rep.program = prog;
+  rep.profile = profile_snapshot(snap);
+  obs::Profile& prof = rep.profile;
+  for (obs::StageProfile& sp : prof.stages) {
+    const auto i = static_cast<std::size_t>(sp.index);
+    if (i < opts.model_stage_times.size())
+      sp.model_time = opts.model_stage_times[i];
+    if (i < opts.provenance.size()) sp.rule = opts.provenance[i];
   }
 
-  // --- per rank ----------------------------------------------------------
+  // --- per rank: the mailboxes' counters, busy time from the profile ------
   for (const RankSnapshot& rs : snap.per_rank) {
     RankReport rr;
     rr.rank = rs.rank;
@@ -75,61 +71,48 @@ RtReport build_report(const FleetSnapshot& snap, const RtReportOptions& opts) {
     rr.queue_depth_max = rs.stats.queue_depth_max;
     rr.queue_depth_mean = rs.stats.queue_depth_mean();
     rr.queue_bytes_max = rs.stats.queue_bytes_max;
-    if (!rs.records.empty()) {
-      rr.span_ms = static_cast<double>(rs.records.back().t_ns -
-                                       rs.records.front().t_ns) /
-                   kNsPerMs;
-      rr.busy_ms =
-          std::max(0.0, rr.span_ms - rr.recv_wait_ms - rr.barrier_wait_ms);
-    }
+    if (rs.rank >= 0 && rs.rank < prof.procs)
+      rr.busy_ms = prof.ranks[static_cast<std::size_t>(rs.rank)].busy / kNsPerMs;
     rep.ranks.push_back(rr);
   }
 
-  // --- per stage ---------------------------------------------------------
-  const std::size_t nstages = snap.stage_labels.size();
-  if (nstages > 0) {
-    std::vector<StageReport> stages(nstages);
-    for (std::size_t i = 0; i < nstages; ++i) {
-      stages[i].index = static_cast<int>(i);
-      stages[i].label = snap.stage_labels[i];
-      if (i < opts.model_stage_times.size())
-        stages[i].model_time = opts.model_stage_times[i];
-    }
-    for (const RankSnapshot& rs : snap.per_rank) {
-      std::vector<double> begin_ns(nstages, -1);
-      for (const Record& r : rs.records) {
-        if (r.stage >= nstages) continue;
-        if (r.kind == Ev::stage_begin)
-          begin_ns[r.stage] = static_cast<double>(r.t_ns);
-        else if (r.kind == Ev::stage_end && begin_ns[r.stage] >= 0) {
-          const double ms =
-              (static_cast<double>(r.t_ns) - begin_ns[r.stage]) / kNsPerMs;
-          StageReport& sr = stages[r.stage];
-          sr.wall_ms = std::max(sr.wall_ms, ms);
-          sr.wall_mean_ms += ms;
-          ++sr.ranks_observed;
-        }
-      }
-    }
-    double wall_total = 0, model_total = 0;
-    for (StageReport& sr : stages) {
-      if (sr.ranks_observed > 0) sr.wall_mean_ms /= sr.ranks_observed;
-      wall_total += sr.wall_ms;
-      model_total += sr.model_time;
-    }
-    const double scale =  // wall-ms per op unit, fitted over the whole run
-        model_total > 0 && wall_total > 0 ? wall_total / model_total : 0;
-    rep.scale_ns_per_op = scale * kNsPerMs;
-    for (StageReport& sr : stages) {
-      if (wall_total > 0) sr.measured_share = sr.wall_ms / wall_total;
-      if (model_total > 0) sr.predicted_share = sr.model_time / model_total;
-      if (scale > 0 && sr.model_time > 0 && sr.ranks_observed > 0)
-        sr.drift = sr.wall_ms / (sr.model_time * scale) - 1;
-    }
-    rep.stages = std::move(stages);
+  // --- per stage: each rank's time in the stage, summed from its ops -------
+  const std::size_t nstages = prof.stages.size();
+  const auto procs = static_cast<std::size_t>(std::max(0, prof.procs));
+  std::vector<std::vector<double>> in_stage(nstages,
+                                            std::vector<double>(procs, -1));
+  for (const obs::Op& op : prof.ops) {
+    const auto i = static_cast<std::size_t>(op.stage);
+    const auto r = static_cast<std::size_t>(op.rank);
+    if (op.stage < 0 || i >= nstages || r >= procs) continue;
+    in_stage[i][r] = std::max(in_stage[i][r], 0.0) + (op.end - op.start);
   }
-
-  if (opts.keep_events) rep.events = snapshot_events(snap);
+  double wall_total = 0, model_total = 0;
+  for (std::size_t i = 0; i < nstages; ++i) {
+    StageReport sr;
+    sr.index = static_cast<int>(i);
+    sr.label = prof.stages[i].label;
+    sr.model_time = prof.stages[i].model_time;
+    for (const double ns : in_stage[i]) {
+      if (ns < 0) continue;
+      sr.wall_ms = std::max(sr.wall_ms, ns / kNsPerMs);
+      sr.wall_mean_ms += ns / kNsPerMs;
+      ++sr.ranks_observed;
+    }
+    if (sr.ranks_observed > 0) sr.wall_mean_ms /= sr.ranks_observed;
+    wall_total += sr.wall_ms;
+    model_total += sr.model_time;
+    rep.stages.push_back(std::move(sr));
+  }
+  const double scale =  // wall-ms per op unit, fitted over the whole run
+      model_total > 0 && wall_total > 0 ? wall_total / model_total : 0;
+  rep.scale_ns_per_op = scale * kNsPerMs;
+  for (StageReport& sr : rep.stages) {
+    if (wall_total > 0) sr.measured_share = sr.wall_ms / wall_total;
+    if (model_total > 0) sr.predicted_share = sr.model_time / model_total;
+    if (scale > 0 && sr.model_time > 0 && sr.ranks_observed > 0)
+      sr.drift = sr.wall_ms / (sr.model_time * scale) - 1;
+  }
   return rep;
 }
 
@@ -137,12 +120,12 @@ std::string RtReport::render_text() const {
   std::ostringstream os;
   os << "runtime telemetry (p=" << procs << ", plane="
      << (used_packed ? "packed" : "boxed") << ")\n";
-  if (!program.empty()) os << "program : " << program << "\n";
-  os << "wall    : " << fmt(wall_ms) << " ms";
+  if (!profile.program.empty()) os << "program : " << profile.program << "\n";
+  os << "wall    : " << fixed(wall_ms) << " ms";
   if (timing.repeats > 1)
     os << "  (over " << timing.repeats << " repeats, " << timing.warmups
-       << " warmups: min " << fmt(timing.min_ms) << " / median "
-       << fmt(timing.median_ms) << " / stddev " << fmt(timing.stddev_ms)
+       << " warmups: min " << fixed(timing.min_ms) << " / median "
+       << fixed(timing.median_ms) << " / stddev " << fixed(timing.stddev_ms)
        << " ms)";
   os << "\n";
   if (dropped_total > 0)
@@ -166,25 +149,37 @@ std::string RtReport::render_text() const {
   }
 
   if (!stages.empty()) {
-    os << "\nper-stage wall vs model (scale " << fmt(scale_ns_per_op, 1)
+    os << "\nper-stage wall vs model (scale " << fixed(scale_ns_per_op, 1)
        << " ns/op):\n"
-       << "  stage                          wall_ms  share%  model%   drift\n";
+       << "  stage                          wall_ms  share%  model%   drift"
+          "   crit%\n";
     for (const StageReport& s : stages) {
+      const double crit =
+          profile.makespan > 0
+              ? profile.stages[static_cast<std::size_t>(s.index)].critical /
+                    profile.makespan
+              : 0;
       char line[200];
-      std::snprintf(line, sizeof line, "  %-28s %9.3f %7.1f %7.1f %+7.1f%%\n",
+      std::snprintf(line, sizeof line,
+                    "  %-28s %9.3f %7.1f %7.1f %+7.1f%% %7.1f\n",
                     s.label.substr(0, 28).c_str(), s.wall_ms,
                     s.measured_share * 100, s.predicted_share * 100,
-                    s.drift * 100);
+                    s.drift * 100, crit * 100);
       os << line;
     }
   }
+  os << "\ncritical path: " << profile.critical_path.size()
+     << " segments over " << fixed(profile.makespan / kNsPerMs) << " ms"
+     << (profile.balanced() ? "" : " (busy + comm + idle != makespan)")
+     << (profile.path_complete() ? "" : " (the path has gaps)") << "\n"
+     << profile.bottleneck_line();
   return os.str();
 }
 
 void RtReport::write_json(std::ostream& os) const {
   namespace js = obs::json;
-  os << "{\"program\":" << js::quote(program) << obs::trace_id_json_field()
-     << ",\"procs\":" << procs
+  os << "{\"program\":" << js::quote(profile.program)
+     << obs::trace_id_json_field() << ",\"procs\":" << procs
      << ",\"plane\":" << js::quote(used_packed ? "packed" : "boxed")
      << ",\"wall_ms\":" << js::number(wall_ms)
      << ",\"scale_ns_per_op\":" << js::number(scale_ns_per_op)
@@ -193,7 +188,11 @@ void RtReport::write_json(std::ostream& os) const {
      << ",\"min_ms\":" << js::number(timing.min_ms)
      << ",\"median_ms\":" << js::number(timing.median_ms)
      << ",\"mean_ms\":" << js::number(timing.mean_ms)
-     << ",\"stddev_ms\":" << js::number(timing.stddev_ms) << "}";
+     << ",\"stddev_ms\":" << js::number(timing.stddev_ms) << "}"
+     << ",\"clock\":" << js::quote(profile.clock)
+     << ",\"makespan\":" << js::number(profile.makespan)
+     << ",\"balanced\":" << (profile.balanced() ? "true" : "false")
+     << ",\"path_complete\":" << (profile.path_complete() ? "true" : "false");
   os << ",\"ranks\":[";
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     const RankReport& r = ranks[i];
@@ -210,21 +209,102 @@ void RtReport::write_json(std::ostream& os) const {
   os << "],\"stages\":[";
   for (std::size_t i = 0; i < stages.size(); ++i) {
     const StageReport& s = stages[i];
+    const obs::StageProfile& sp = profile.stages[i];
     os << (i ? "," : "") << "{\"index\":" << s.index
        << ",\"label\":" << js::quote(s.label)
+       << ",\"rule\":" << js::quote(sp.rule)
        << ",\"wall_ms\":" << js::number(s.wall_ms)
        << ",\"wall_mean_ms\":" << js::number(s.wall_mean_ms)
        << ",\"model_time\":" << js::number(s.model_time)
        << ",\"measured_share\":" << js::number(s.measured_share)
        << ",\"predicted_share\":" << js::number(s.predicted_share)
        << ",\"drift\":" << js::number(s.drift)
-       << ",\"ranks_observed\":" << s.ranks_observed << "}";
+       << ",\"ranks_observed\":" << s.ranks_observed
+       << ",\"critical\":" << js::number(sp.critical)
+       << ",\"busy\":" << js::number(sp.busy)
+       << ",\"comm\":" << js::number(sp.comm) << "}";
   }
-  os << "]}\n";
+  os << "],\"critical_path\":";
+  profile.write_path_json(os);
+  os << "}\n";
 }
 
-void RtReport::write_chrome_trace(std::ostream& os) const {
-  obs::write_chrome_trace(events, os, "colop rt");
+void RtReport::write_html(std::ostream& os) const {
+  namespace html = obs::html;
+  html::begin_page(os, "colop runtime report");
+  os << "<h1>colop runtime telemetry</h1>\n<p>program: <code>"
+     << html::escape(profile.program) << "</code><br>p=" << procs
+     << ", plane=" << (used_packed ? "packed" : "boxed") << ", wall "
+     << fixed(wall_ms) << " ms";
+  if (timing.repeats > 1)
+    os << " (" << timing.repeats << " repeats: min " << fixed(timing.min_ms)
+       << " / median " << fixed(timing.median_ms) << " / stddev "
+       << fixed(timing.stddev_ms) << " ms)";
+  if (dropped_total > 0)
+    os << "<br><b>note:</b> flight recorder dropped " << dropped_total
+       << " records";
+  os << "</p>\n";
+
+  // --- timeline: each rank's ops, coloured by stage, waits as strips -----
+  std::vector<html::Bar> bars;
+  for (const obs::Op& op : profile.ops) {
+    if (op.end <= op.start || op.stage < 0 ||
+        op.stage >= static_cast<int>(stages.size()))
+      continue;
+    const bool wait = op.kind == obs::Op::Kind::recv_wait;
+    bars.push_back({op.rank, op.start / 1e3, op.end / 1e3,
+                    wait ? html::kWaitColor : html::color(op.stage),
+                    stages[static_cast<std::size_t>(op.stage)].label + " " +
+                        obs::kind_name(op.kind) + " P" +
+                        std::to_string(op.rank),
+                    wait});
+  }
+  if (!bars.empty() && profile.makespan > 0) {
+    std::vector<std::string> lanes, labels;
+    lanes.reserve(static_cast<std::size_t>(procs));
+    for (int r = 0; r < procs; ++r) lanes.push_back("P" + std::to_string(r));
+    labels.reserve(stages.size());
+    for (const StageReport& s : stages) labels.push_back(s.label);
+    os << "<h2>timeline (us)</h2>\n";
+    html::lanes(os, lanes, bars, profile.makespan / 1e3, labels,
+                "recv/barrier wait");
+  }
+  os << "<p>" << html::escape(profile.bottleneck_line()) << "</p>\n";
+
+  // --- per-rank table ----------------------------------------------------
+  os << "<h2>per-rank accounting</h2>\n<table><tr><th>rank</th>"
+     << "<th>busy ms</th><th>recv wait ms</th><th>barrier wait ms</th>"
+     << "<th>sends</th><th>bytes</th><th>queue depth max</th>"
+     << "<th>queue depth mean</th><th>queue bytes max</th></tr>\n";
+  for (const RankReport& r : ranks)
+    os << "<tr><td>P" << r.rank << "</td><td>" << fixed(r.busy_ms) << "</td><td>"
+       << fixed(r.recv_wait_ms) << "</td><td>" << fixed(r.barrier_wait_ms)
+       << "</td><td>" << r.sends << "</td><td>" << r.send_bytes << "</td><td>"
+       << r.queue_depth_max << "</td><td>" << fixed(r.queue_depth_mean, 2)
+       << "</td><td>" << r.queue_bytes_max << "</td></tr>\n";
+  os << "</table>\n";
+
+  // --- per-stage table ---------------------------------------------------
+  if (!stages.empty()) {
+    os << "<h2>wall-clock vs model</h2>\n<p>scale " << fixed(scale_ns_per_op, 1)
+       << " ns per op unit</p>\n<table><tr><th>stage</th><th>rule</th>"
+       << "<th>wall ms (max)</th><th>wall ms (mean)</th>"
+       << "<th>measured share</th><th>predicted share</th><th>drift</th>"
+       << "<th>critical ms</th></tr>\n";
+    for (const StageReport& s : stages) {
+      const obs::StageProfile& sp =
+          profile.stages[static_cast<std::size_t>(s.index)];
+      os << "<tr><td><code>" << html::escape(s.label) << "</code></td><td>"
+         << html::escape(sp.rule.empty() ? "-" : sp.rule) << "</td><td>"
+         << fixed(s.wall_ms) << "</td><td>" << fixed(s.wall_mean_ms) << "</td><td>"
+         << fixed(s.measured_share * 100, 1) << "%</td><td>"
+         << fixed(s.predicted_share * 100, 1) << "%</td><td>"
+         << (s.drift >= 0 ? "+" : "") << fixed(s.drift * 100, 1) << "%</td><td>"
+         << fixed(sp.critical / kNsPerMs) << "</td></tr>\n";
+    }
+    os << "</table>\n";
+  }
+  html::end_page(os);
 }
 
 void publish_registry(const RtReport& report, obs::Registry& registry) {

@@ -4,11 +4,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
-#include <tuple>
 
-#include "colop/obs/chrome_trace.h"
+#include "colop/rt/op_stream.h"
 
 namespace colop::rt {
 
@@ -107,93 +105,6 @@ void Watchdog::run() {
 
 // --- post-mortem ----------------------------------------------------------
 
-std::vector<obs::Event> snapshot_events(const FleetSnapshot& snap) {
-  std::vector<obs::Event> events;
-  // Flow ids: the k-th send on (src, dst, tag) pairs with the k-th recv_end
-  // on the same key.  FIFO per key is the mailbox's delivery guarantee.
-  std::map<std::tuple<int, int, std::uint64_t>, std::uint64_t> send_seq, recv_seq;
-  std::uint64_t next_id = 1;
-  std::map<std::tuple<int, int, std::uint64_t, std::uint64_t>, std::uint64_t> flow_ids;
-  auto flow_id = [&](int src, int dst, std::uint64_t tag, std::uint64_t k) {
-    auto [it, fresh] = flow_ids.try_emplace({src, dst, tag, k}, next_id);
-    if (fresh) ++next_id;
-    return it->second;
-  };
-
-  for (const RankSnapshot& rs : snap.per_rank) {
-    for (const Record& r : rs.records) {
-      obs::Event ev;
-      ev.cat = "rt";
-      ev.ts = static_cast<double>(r.t_ns) / 1e3;  // ns -> us
-      ev.tid = rs.rank;
-      switch (r.kind) {
-        case Ev::stage_begin:
-        case Ev::stage_end:
-          ev.phase = r.kind == Ev::stage_begin ? obs::Phase::begin
-                                               : obs::Phase::end;
-          ev.name = snap.stage_label(r.stage);
-          if (ev.name.empty()) ev.name = "stage";
-          break;
-        case Ev::send: {
-          ev.phase = obs::Phase::instant;
-          ev.name = "send";
-          ev.value = static_cast<double>(r.bytes);
-          ev.args.emplace_back("dest", std::to_string(r.peer));
-          ev.args.emplace_back("bytes", std::to_string(r.bytes));
-          const std::uint64_t k = send_seq[{rs.rank, r.peer, r.aux}]++;
-          obs::Event flow = ev;
-          flow.phase = obs::Phase::flow_start;
-          flow.name = "msg";
-          flow.args.clear();
-          flow.id = flow_id(rs.rank, r.peer, r.aux, k);
-          events.push_back(flow);
-          break;
-        }
-        case Ev::recv_begin:
-          ev.phase = obs::Phase::begin;
-          ev.name = "recv";
-          ev.args.emplace_back("source", std::to_string(r.peer));
-          break;
-        case Ev::recv_end: {
-          ev.phase = obs::Phase::end;
-          ev.name = "recv";
-          const std::uint64_t k = recv_seq[{r.peer, rs.rank, r.aux}]++;
-          obs::Event flow;
-          flow.cat = "rt";
-          flow.ts = ev.ts;
-          flow.tid = rs.rank;
-          flow.phase = obs::Phase::flow_end;
-          flow.name = "msg";
-          flow.id = flow_id(r.peer, rs.rank, r.aux, k);
-          events.push_back(flow);
-          break;
-        }
-        case Ev::barrier_begin:
-          ev.phase = obs::Phase::begin;
-          ev.name = "barrier";
-          break;
-        case Ev::barrier_end:
-          ev.phase = obs::Phase::end;
-          ev.name = "barrier";
-          break;
-        case Ev::plane:
-          ev.phase = obs::Phase::instant;
-          ev.name = r.aux != 0 ? "plane:packed" : "plane:boxed";
-          break;
-        case Ev::mark:
-          ev.phase = obs::Phase::instant;
-          ev.name = "mark";
-          ev.value = static_cast<double>(r.aux);
-          break;
-        case Ev::none:
-          continue;
-      }
-      events.push_back(std::move(ev));
-    }
-  }
-  return events;
-}
-
 void write_post_mortem_text(const FleetSnapshot& snap, std::ostream& os,
                             const std::string& reason, std::size_t tail) {
   os << "=== colop rt post-mortem ===\n";
@@ -233,6 +144,7 @@ void write_post_mortem_text(const FleetSnapshot& snap, std::ostream& os,
 std::string dump_post_mortem(const Fleet& fleet, const std::string& reason,
                              const std::string& path) {
   const FleetSnapshot snap = fleet.snapshot();
+  const std::uint64_t now = fleet.now_ns();
   std::ostringstream text;
   write_post_mortem_text(snap, text, reason);
   std::cerr << text.str();
@@ -241,7 +153,8 @@ std::string dump_post_mortem(const Fleet& fleet, const std::string& reason,
     if (txt) txt << text.str();
     std::ofstream trace(path + ".trace.json");
     if (trace)
-      obs::write_chrome_trace(snapshot_events(snap), trace, "colop rt post-mortem");
+      profile_snapshot(snap, now).write_chrome_trace(trace,
+                                                     "colop rt post-mortem");
   }
   return text.str();
 }

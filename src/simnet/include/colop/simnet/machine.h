@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "colop/obs/critical_path.h"
 #include "colop/support/error.h"
 
 namespace colop::simnet {
@@ -47,23 +48,11 @@ struct NetParams {
 /// distance on a (near-)square 2D mesh.
 [[nodiscard]] int topology_hops(Topology topo, int p, int a, int b);
 
-/// One traced machine op on one processor, in simulated time (op units).
-/// `peer` is the message counterpart of a send/recv_wait/exchange (-1 for
-/// local computation), so trace consumers (obs::profile) can rebuild the
-/// happens-before graph without re-running the schedule.
-struct SimOp {
-  enum class Kind : std::uint8_t { compute, send, recv_wait, exchange };
-  int rank = 0;
-  Kind kind = Kind::compute;
-  int peer = -1;
-  int stage = -1;  ///< stage index current at the op (SimMachine::set_stage)
-  double start = 0;
-  double end = 0;
-  double words = 0;
-};
-
-/// "compute", "send", "recv_wait" or "exchange".
-[[nodiscard]] const char* kind_name(SimOp::Kind kind);
+/// One traced machine op on one processor, in simulated time (op units):
+/// the analyzer's op type (obs/critical_path.h), so obs::profile_events
+/// reads a simulated run directly.  simnet writes compute, send,
+/// recv_wait (only when the receiver actually waited) and exchange ops.
+using SimOp = obs::Op;
 
 class SimMachine {
  public:

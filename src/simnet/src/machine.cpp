@@ -29,16 +29,6 @@ SimMachine::SimMachine(int p, NetParams net)
   COLOP_REQUIRE(p >= 1, "simnet: need at least one processor");
 }
 
-const char* kind_name(SimOp::Kind kind) {
-  switch (kind) {
-    case SimOp::Kind::compute: return "compute";
-    case SimOp::Kind::send: return "send";
-    case SimOp::Kind::recv_wait: return "recv_wait";
-    case SimOp::Kind::exchange: return "exchange";
-  }
-  return "compute";
-}
-
 void SimMachine::compute(int proc, double ops) {
   check(proc);
   auto& c = clock_[static_cast<std::size_t>(proc)];

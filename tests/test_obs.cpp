@@ -1,5 +1,5 @@
-// The observability core: the strict JSON parser, the Chrome trace-event
-// exporter validated by round-tripping through it, and the measurement
+// The observability core: the strict JSON parser, the op stream's Chrome
+// trace writer validated by round-tripping through it, and the measurement
 // document registry.
 
 #include <gtest/gtest.h>
@@ -8,10 +8,9 @@
 #include <sstream>
 #include <string>
 
-#include "colop/obs/chrome_trace.h"
+#include "colop/obs/critical_path.h"
 #include "colop/obs/json.h"
 #include "colop/obs/metrics.h"
-#include "colop/obs/event.h"
 #include "colop/support/error.h"
 
 namespace colop::obs {
@@ -50,48 +49,16 @@ TEST(ObsJson, RejectsMalformedDocuments) {
   EXPECT_THROW((void)json::parse(""), Error);
 }
 
-std::vector<Event> sample_events() {
-  std::vector<Event> evs;
-  Event b;
-  b.phase = Phase::begin;
-  b.name = "stage";
-  b.cat = "exec";
-  b.ts = 10;
-  b.tid = 0;
-  evs.push_back(b);
-  Event e = b;
-  e.phase = Phase::end;
-  e.ts = 25;
-  evs.push_back(e);
-  Event x;
-  x.phase = Phase::complete;
-  x.name = "compute";
-  x.cat = "simnet";
-  x.ts = 12;
-  x.dur = 8;
-  x.tid = 2;
-  evs.push_back(x);
-  Event i;
-  i.phase = Phase::instant;
-  i.name = "send";
-  i.cat = "mpsim";
-  i.ts = 13;
-  i.tid = 2;
-  i.args.emplace_back("dest", "3");
-  evs.push_back(i);
-  Event c;
-  c.phase = Phase::counter;
-  c.name = "messages";
-  c.cat = "mpsim";
-  c.ts = 14;
-  c.value = 42;
-  evs.push_back(c);
-  return evs;
+/// Rank 2 of three computes [12, 20] in stage 0; ranks 0 and 1 idle.
+Profile sample_profile() {
+  Profile prof = profile_events({{2, Op::Kind::compute, -1, 0, 12, 20, 0}}, 3);
+  prof.set_stages({StageProfile{.label = "stage"}});
+  return prof;
 }
 
 TEST(ObsChromeTrace, ExportRoundTripsThroughTheStrictParser) {
   std::ostringstream os;
-  write_chrome_trace(sample_events(), os, "proc", "rank");
+  sample_profile().write_chrome_trace(os, "proc");
   const auto doc = json::parse(os.str());
   ASSERT_TRUE(doc.is(json::Value::Type::object));
   const auto* evs = doc.get("traceEvents");
@@ -107,8 +74,8 @@ TEST(ObsChromeTrace, ExportRoundTripsThroughTheStrictParser) {
     const auto* ph = item->get("ph");
     ASSERT_NE(ph, nullptr);
     const std::string code = ph->str;
-    EXPECT_TRUE(code == "B" || code == "E" || code == "X" || code == "i" ||
-                code == "C" || code == "M")
+    EXPECT_TRUE(code == "X" || code == "s" || code == "t" || code == "f" ||
+                code == "M")
         << code;
     ASSERT_NE(item->get("pid"), nullptr);
     ASSERT_NE(item->get("tid"), nullptr);
@@ -123,27 +90,20 @@ TEST(ObsChromeTrace, ExportRoundTripsThroughTheStrictParser) {
       ASSERT_NE(dur, nullptr);
       EXPECT_DOUBLE_EQ(dur->num, 8.0);
     }
-    if (code == "C") {
-      const auto* args = item->get("args");
-      ASSERT_NE(args, nullptr);
-      ASSERT_NE(args->get("messages"), nullptr);
-      EXPECT_DOUBLE_EQ(args->get("messages")->num, 42.0);
-    }
     ++phases[code];
   }
-  // One process_name plus one thread_name and one thread_sort_index per
-  // distinct tid {0, 2}.
-  EXPECT_EQ(phases["M"], 5);
-  EXPECT_EQ(phases["B"], 1);
-  EXPECT_EQ(phases["E"], 1);
-  EXPECT_EQ(phases["X"], 1);
-  EXPECT_EQ(phases["i"], 1);
-  EXPECT_EQ(phases["C"], 1);
+  // Two process_names plus a thread_name and a thread_sort_index per rank
+  // and process; the stage span and the op; the critical path ([0, 12]
+  // idle at the start, then the op) as one flow from start to end.
+  EXPECT_EQ(phases["M"], 2 + 2 * 2 * 3);
+  EXPECT_EQ(phases["X"], 2);
+  EXPECT_EQ(phases["s"], 1);
+  EXPECT_EQ(phases["f"], 1);
 }
 
 TEST(ObsChromeTrace, MetadataNamesProcessAndThreads) {
   std::ostringstream os;
-  write_chrome_trace(sample_events(), os, "proc", "rank");
+  sample_profile().write_chrome_trace(os, "proc");
   const auto doc = json::parse(os.str());
   const auto* evs = doc.get("traceEvents");
   ASSERT_NE(evs, nullptr);
@@ -161,10 +121,10 @@ TEST(ObsChromeTrace, MetadataNamesProcessAndThreads) {
     const auto* nm = args->get("name");
     ASSERT_NE(nm, nullptr);
     if (item->get("name")->str == "process_name")
-      proc_named = nm->str == "proc";
+      proc_named = nm->str.rfind("proc: ", 0) == 0;
     if (item->get("name")->str == "thread_name" &&
         item->get("tid")->num == 2.0)
-      thread2_named = nm->str == "rank2";
+      thread2_named = nm->str == "rank 2";
   }
   EXPECT_TRUE(proc_named);
   EXPECT_TRUE(thread2_named);

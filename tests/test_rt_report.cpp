@@ -1,13 +1,16 @@
 // Runtime report: per-rank accounting and wall-vs-model drift built from a
 // real thread-executor capture, plus the JSON/trace/HTML exporters and the
 // telemetry-registry bridge (acceptance: a Table-1 program at p = 8 reports per-rank
-// busy/wait/queue-depth stats and per-stage wall-vs-predicted drift).
+// busy/wait/queue-depth stats, per-stage wall-vs-predicted drift, and the
+// wall-clock critical path from the analyzer simulated runs use).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "colop/exec/thread_executor.h"
 #include "colop/ir/parse.h"
@@ -22,8 +25,9 @@ namespace {
 
 constexpr int kProcs = 8;
 
-/// Run the paper's Table-1 program at p = 8 and build the merged report.
-rt::RtReport table1_report() {
+/// Run the paper's Table-1 program at p = 8 and build the merged report;
+/// `snap` receives the capture it was built from.
+rt::RtReport table1_report(rt::FleetSnapshot* snap = nullptr) {
   const ir::Program program = ir::parse_program("scan(*) ; reduce(+) ; bcast");
   Rng rng(0x51);
   ir::Dist input(kProcs);
@@ -40,7 +44,19 @@ rt::RtReport table1_report() {
   opts.wall_seconds = run.wall_seconds;
   opts.used_packed = run.used_packed;
   opts.timing = rt::RepeatStats::of({run.wall_seconds * 1e3});
+  if (snap != nullptr) *snap = run.rt;
   return rt::build_report(run.rt, opts);
+}
+
+/// Time from rank `rank`'s first op to its last: its first to last record.
+double span_ns(const rt::RtReport& rep, int rank) {
+  double first = -1, last = 0;
+  for (const auto& op : rep.profile.ops)
+    if (op.rank == rank) {
+      if (first < 0 || op.start < first) first = op.start;
+      last = std::max(last, op.end);
+    }
+  return first < 0 ? 0 : last - first;
 }
 
 TEST(RtReport, PerRankAccountingAtP8) {
@@ -52,7 +68,7 @@ TEST(RtReport, PerRankAccountingAtP8) {
   std::uint64_t sends = 0, queue_max = 0;
   for (const auto& r : rep.ranks) {
     EXPECT_GT(r.events, 0u) << "rank " << r.rank;
-    EXPECT_GT(r.span_ms, 0.0) << "rank " << r.rank;
+    EXPECT_GT(span_ns(rep, r.rank), 0.0) << "rank " << r.rank;
     EXPECT_GE(r.busy_ms, 0.0) << "rank " << r.rank;
     EXPECT_GE(r.recv_wait_ms, 0.0);
     sends += r.sends;
@@ -109,10 +125,10 @@ TEST(RtReport, JsonRoundTrips) {
 
 TEST(RtReport, TraceAndHtmlExportersProduceDocuments) {
   const auto rep = table1_report();
-  ASSERT_FALSE(rep.events.empty());
+  ASSERT_FALSE(rep.profile.ops.empty());
 
   std::ostringstream trace;
-  rep.write_chrome_trace(trace);
+  rep.profile.write_chrome_trace(trace);
   EXPECT_NE(trace.str().find("traceEvents"), std::string::npos);
   // Validate the trace is well-formed JSON, not just a prefix.
   EXPECT_NO_THROW((void)obs::json::parse(trace.str()));
@@ -130,6 +146,75 @@ TEST(RtReport, RenderTextMentionsEveryRank) {
   const std::string text = rep.render_text();
   EXPECT_NE(text.find("per-rank accounting"), std::string::npos);
   EXPECT_NE(text.find("wall vs model"), std::string::npos);
+}
+
+TEST(RtReport, RankRowsAreTheRankStats) {
+  rt::FleetSnapshot snap;
+  const auto rep = table1_report(&snap);
+  ASSERT_EQ(rep.ranks.size(), snap.per_rank.size());
+  for (std::size_t i = 0; i < rep.ranks.size(); ++i) {
+    const auto& r = rep.ranks[i];
+    const auto& st = snap.per_rank[i].stats;
+    EXPECT_EQ(r.events, snap.per_rank[i].logged);
+    EXPECT_EQ(r.dropped, snap.per_rank[i].dropped);
+    EXPECT_EQ(r.sends, st.sends);
+    EXPECT_EQ(r.send_bytes, st.send_bytes);
+    EXPECT_EQ(r.recvs, st.recvs);
+    EXPECT_DOUBLE_EQ(r.recv_wait_ms, static_cast<double>(st.recv_wait_ns) / 1e6);
+    EXPECT_DOUBLE_EQ(r.barrier_wait_ms,
+                     static_cast<double>(st.barrier_wait_ns) / 1e6);
+    EXPECT_EQ(r.queue_depth_max, st.queue_depth_max);
+    EXPECT_DOUBLE_EQ(r.queue_depth_mean, st.queue_depth_mean());
+    EXPECT_EQ(r.queue_bytes_max, st.queue_bytes_max);
+  }
+}
+
+// The thread run goes through the simulated runs' analyzer: its accounting
+// tiles each rank's timeline, its critical path covers [0, makespan] in
+// ns, and each stage's wall time is its ops' extent on the slowest rank.
+TEST(RtReport, CriticalPathOnTheWallClock) {
+  rt::FleetSnapshot snap;
+  const auto rep = table1_report(&snap);
+  const auto& prof = rep.profile;
+  EXPECT_EQ(prof.clock, "ns");
+  EXPECT_TRUE(prof.balanced()) << prof.render_text();
+  EXPECT_TRUE(prof.path_complete()) << prof.render_text();
+  ASSERT_FALSE(prof.critical_path.empty());
+  ASSERT_EQ(prof.stages.size(), rep.stages.size());
+  for (std::size_t i = 0; i < rep.stages.size(); ++i) {
+    EXPECT_EQ(prof.stages[i].label, rep.stages[i].label);
+    EXPECT_EQ(prof.stages[i].model_time, rep.stages[i].model_time);
+    EXPECT_LE(rep.stages[i].wall_ms * 1e6, prof.makespan);
+  }
+  // A stage's wall time is still stage_end - stage_begin, max over ranks.
+  std::vector<double> longest(rep.stages.size(), 0);
+  for (const auto& rs : snap.per_rank) {
+    std::vector<double> begin(rep.stages.size(), 0);
+    for (const auto& r : rs.records) {
+      if (r.stage >= rep.stages.size()) continue;
+      const double t = static_cast<double>(r.t_ns);
+      if (r.kind == rt::Ev::stage_begin) begin[r.stage] = t;
+      if (r.kind == rt::Ev::stage_end)
+        longest[r.stage] = std::max(longest[r.stage], t - begin[r.stage]);
+    }
+  }
+  for (std::size_t i = 0; i < rep.stages.size(); ++i)
+    EXPECT_NEAR(rep.stages[i].wall_ms, longest[i] / 1e6, 1e-9) << i;
+  for (const auto& r : rep.ranks)
+    EXPECT_DOUBLE_EQ(r.busy_ms,
+                     prof.ranks[static_cast<std::size_t>(r.rank)].busy / 1e6);
+
+  EXPECT_NE(rep.render_text().find("bottleneck: stage "), std::string::npos)
+      << rep.render_text();
+  std::ostringstream os;
+  rep.write_json(os);
+  const auto doc = obs::json::parse(os.str());
+  EXPECT_TRUE(doc.get("balanced")->b);
+  EXPECT_TRUE(doc.get("path_complete")->b);
+  EXPECT_EQ(doc.get("clock")->str, "ns");
+  EXPECT_FALSE(doc.get("critical_path")->items.empty());
+  for (const char* key : {"critical", "busy", "comm", "rule"})
+    EXPECT_NE(doc.get("stages")->items[0]->get(key), nullptr) << key;
 }
 
 TEST(RtReport, PublishRegistryExportsRanksAndStages) {

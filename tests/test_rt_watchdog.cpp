@@ -20,7 +20,9 @@
 #include "colop/ir/ir.h"
 #include "colop/ir/parse.h"
 #include "colop/mpsim/mpsim.h"
+#include "colop/obs/json.h"
 #include "colop/rt/flight_recorder.h"
+#include "colop/rt/op_stream.h"
 #include "colop/rt/watchdog.h"
 #include "colop/support/error.h"
 
@@ -44,6 +46,26 @@ constexpr mpsim::Ranks kBothModes[] = {mpsim::Ranks::threads,
 
 const char* mode_name(mpsim::Ranks ranks) {
   return ranks == mpsim::Ranks::fibers ? "fibers" : "threads";
+}
+
+/// Count the message flow arrows ("msg" flows) in a Chrome trace and keep
+/// the id of the last start and of the last end.
+void count_message_flows(const std::string& trace, int& starts,
+                         std::uint64_t& start_id, int& ends,
+                         std::uint64_t& end_id) {
+  const auto doc = obs::json::parse(trace);
+  for (const auto& ev : doc.get("traceEvents")->items) {
+    const auto* name = ev->get("name");
+    if (name == nullptr || name->str != "msg") continue;
+    const auto id = static_cast<std::uint64_t>(ev->get("id")->num);
+    if (ev->get("ph")->str == "s") {
+      ++starts;
+      start_id = id;
+    } else if (ev->get("ph")->str == "f") {
+      ++ends;
+      end_id = id;
+    }
+  }
 }
 
 std::string slurp(const std::string& path) {
@@ -153,6 +175,14 @@ TEST(Watchdog, StalledRecvTriggersPostMortemAndReleasesPeers) {
 
     const std::string trace = slurp(prefix + ".trace.json");
     EXPECT_NE(trace.find("traceEvents"), std::string::npos);
+    // Ranks 1..3 received their own messages before blocking: the dump
+    // parses and draws those flows.
+    int starts = 0, ends = 0;
+    std::uint64_t start_id = 0, end_id = 0;
+    EXPECT_NO_THROW(
+        count_message_flows(trace, starts, start_id, ends, end_id));
+    EXPECT_GE(starts, 1) << trace;
+    EXPECT_EQ(starts, ends) << trace;
     std::remove((prefix + ".txt").c_str());
     std::remove((prefix + ".trace.json").c_str());
   }
@@ -212,7 +242,7 @@ TEST(Watchdog, UncaughtExceptionDumpsPostMortemAndReleasesPeer) {
   }
 }
 
-TEST(SnapshotEvents, PairsSendsWithRecvFlowArrows) {
+TEST(OpStream, PairsSendsWithRecvFlowArrows) {
   Config cfg;
   cfg.ring_capacity = 32;
   Fleet fleet(2, cfg);
@@ -220,19 +250,11 @@ TEST(SnapshotEvents, PairsSendsWithRecvFlowArrows) {
   fleet.recorder(1)->log(Ev::recv_begin, 0, 0, 5);
   fleet.recorder(1)->log(Ev::recv_end, 0, 16, 5);
 
-  const auto events = rt::snapshot_events(fleet.snapshot());
+  std::ostringstream trace;
+  rt::profile_snapshot(fleet.snapshot()).write_chrome_trace(trace);
   std::uint64_t start_id = 0, end_id = 0;
   int starts = 0, ends = 0;
-  for (const auto& ev : events) {
-    if (ev.phase == obs::Phase::flow_start) {
-      ++starts;
-      start_id = ev.id;
-    }
-    if (ev.phase == obs::Phase::flow_end) {
-      ++ends;
-      end_id = ev.id;
-    }
-  }
+  count_message_flows(trace.str(), starts, start_id, ends, end_id);
   EXPECT_EQ(starts, 1);
   EXPECT_EQ(ends, 1);
   EXPECT_EQ(start_id, end_id) << "send and recv must share a flow id";

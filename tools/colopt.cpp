@@ -34,7 +34,6 @@
 #include "colop/ir/parse.h"
 #include "colop/model/calib.h"
 #include "colop/obs/calibrate.h"
-#include "colop/obs/chrome_trace.h"
 #include "colop/obs/drift.h"
 #include "colop/obs/metrics.h"
 #include "colop/obs/profile.h"
@@ -321,12 +320,13 @@ const Flag kFlags[] = {
      .form = Form::word, .text = &Settings::calibrate_json, .on = &Settings::calibrate},
     {.help = "  --rt-report    run the optimized program on the thread executor and\n"
              "                 report runtime telemetry: per-rank busy/wait/queue\n"
-             "                 depth and per-stage wall-clock-vs-predicted drift\n",
+             "                 depth, per-stage wall-clock-vs-predicted drift and\n"
+             "                 the wall-clock critical path\n",
      .form = Form::bare, .on = &Settings::rt_report},
     {.help = "  --rt-json F    write the runtime report as JSON to file F\n",
      .form = Form::word, .text = &Settings::rt_json, .on = &Settings::rt_report},
     {.help = "  --rt-trace F   write the flight-recorder capture as a Chrome trace\n"
-             "                 (send->recv flow arrows) to file F\n",
+             "                 (send->recv and critical-path flow arrows) to file F\n",
      .form = Form::word, .text = &Settings::rt_trace, .on = &Settings::rt_report},
     {.help = "  --rt-html F    write a self-contained HTML runtime report (timeline\n"
              "                 + tables, no external assets) to file F\n",
@@ -717,14 +717,12 @@ int main(int argc, char** argv) {
     }
 
     if (!s.trace.empty()) {
-      // Stage spans plus the fine-grained machine ops beneath them, all in
-      // simulated time.
-      const auto events =
-          exec::trace_events(exec::trace_on_simnet(result.program, machine));
-      const std::string n = std::to_string(events.size());
-      write_report(s.trace, "\nChrome trace (" + n + " events)", nullptr,
+      // Stage spans plus the machine ops beneath them, in simulated time.
+      const auto prof = obs::profile_program(result.program, machine);
+      const std::string n = std::to_string(prof.ops.size());
+      write_report(s.trace, "\nChrome trace (" + n + " ops)", nullptr,
                    [&](std::ostream& os) {
-                     obs::write_chrome_trace(events, os, "colopt");
+                     prof.write_chrome_trace(os, "colopt");
                    });
     }
 
@@ -841,6 +839,7 @@ int main(int argc, char** argv) {
       for (const auto& stage : result.program.stages())
         ropts.model_stage_times.push_back(
             model::stage_cost(*stage).eval(machine));
+      ropts.provenance = provenance;
       ropts.wall_seconds = run->wall_seconds;
       ropts.used_packed = run->used_packed;
       ropts.timing = rt::RepeatStats::of(samples_ms, s.warmup);
@@ -853,8 +852,9 @@ int main(int argc, char** argv) {
                      "out; per-rank and per-stage sections are empty)\n";
       write_report(s.rt_json, "runtime report", "rt",
                    [&](std::ostream& os) { rt_rep->write_json(os); });
-      write_report(s.rt_trace, "runtime trace", nullptr,
-                   [&](std::ostream& os) { rt_rep->write_chrome_trace(os); });
+      write_report(s.rt_trace, "runtime trace", nullptr, [&](std::ostream& os) {
+        rt_rep->profile.write_chrome_trace(os, "colop rt");
+      });
       write_report(s.rt_html, "runtime HTML report", nullptr,
                    [&](std::ostream& os) { rt_rep->write_html(os); });
     }
