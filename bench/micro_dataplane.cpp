@@ -3,9 +3,11 @@
 // Phase A times the local kernels head to head on one block: map pair,
 // elementwise scan/reduce combines, the op_sr2 derived combine, the cost
 // of materializing a transmissible copy (boxed deep copy vs packed memcpy
-// serialization), and the same kernels on certification-sized blocks of 2
-// elements (small_block).  Phase B runs table1-style pipelines end to end
-// on the mpsim thread executor, once per plane.
+// serialization), the same kernels on certification-sized blocks of 2
+// elements (small_block), and the executor's boundary: a pack plus
+// unpack-in-place round trip against a boxed block copy (boundary).
+// Phase B runs table1-style pipelines end to end on the mpsim thread
+// executor, once per plane.
 //
 // The gating scalars are the dimensionless speedup ratios — stable across
 // machines, which is what the committed Release baseline compares under
@@ -216,6 +218,25 @@ Measurement bench_serialize(std::size_t m, int reps,
           static_cast<double>(m) / tp};
 }
 
+// The executor's boundary: a block enters the packed plane through one
+// pack pass and leaves it by unpacking into its own storage.  The boxed
+// plane's nearest cost is one deep copy of the block.
+Measurement bench_boundary(std::size_t m, int reps) {
+  Rng rng(8);
+  const Block b = random_int_block(rng, m);
+  Block back = b;
+
+  const double tb = best_seconds(reps, [&] {
+    const Block copy = b;
+    g_sink = g_sink + copy.size();
+  });
+  const double tp = best_seconds(reps, [&] {
+    PackedBlock::pack(b)->unpack_into(back);
+    g_sink = g_sink + back.size();
+  });
+  return {"boundary", static_cast<double>(m) / tb, static_cast<double>(m) / tp};
+}
+
 // --- Phase B: end-to-end pipelines on the thread executor ----------------
 
 double e2e_seconds(const ir::Program& prog, const ir::Dist& input,
@@ -383,6 +404,7 @@ int main(int argc, char** argv) {
   }
   ms.push_back(bench_serialize(m_local, reps, reg));
   ms.push_back(bench_small_block(reps));
+  ms.push_back(bench_boundary(m_local, reps));
 
   // Phase B: table1-style pipelines, p = 4 ranks on real threads.
   {

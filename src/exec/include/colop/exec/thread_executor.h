@@ -40,8 +40,11 @@ namespace colop::exec {
 struct ThreadRunResult {
   ir::Dist output;
   mpsim::TrafficCounters traffic;  ///< messages/bytes actually sent
-  double wall_seconds = 0;
+  double wall_seconds = 0;  ///< the launch: every rank's stage loop
   bool used_packed = false;  ///< ran on the flat data plane
+  /// The boxed<->packed boundary around the launch (0 on a boxed run).
+  double pack_seconds = 0;
+  double unpack_seconds = 0;
   /// Flight-recorder capture of the run (stage spans, send/recv, waits,
   /// queue depths).  `rt.enabled` is false when COLOP_RT=0.  The
   /// analyzer reads an enabled capture through rt::profile_snapshot;

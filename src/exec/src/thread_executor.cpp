@@ -166,13 +166,17 @@ ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
                             ir::DataPlane plane, mpsim::Ranks ranks,
                             int segments, bool capture_rt) {
   COLOP_REQUIRE(!input.empty(), "run_on_threads: empty input");
+  using Clock = std::chrono::steady_clock;
+  const auto seconds = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
+  const auto t_pack = Clock::now();
   std::optional<ir::PackedDist> packed;
-  if (plane != ir::DataPlane::Boxed) {
-    packed = ir::try_pack_for(prog, input);
-    COLOP_REQUIRE(packed || plane != ir::DataPlane::Packed,
-                  "run_on_threads: packed plane forced but the program or "
-                  "data is not packable: " + prog.show());
-  }
+  if (plane != ir::DataPlane::Boxed) packed = ir::pack_for_run(prog, input);
+  COLOP_REQUIRE(packed || plane != ir::DataPlane::Packed,
+                "run_on_threads: packed plane forced but the program or "
+                "data is not packable: " + prog.show());
+  const double pack_seconds = packed ? seconds(t_pack, Clock::now()) : 0;
   auto group = mpsim::Group::make(static_cast<int>(input.size()));
   group->fleet().set_stage_labels(stage_labels(prog));
   // Plan the overlap windows once (shared, read-only by every rank).
@@ -186,11 +190,13 @@ ThreadRunResult run_threads(const ir::Program& prog, ir::Dist input,
         },
         ranks);
   };
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
   const auto traffic = packed ? launch(*packed) : launch(input);
-  const auto t1 = std::chrono::steady_clock::now();
-  return {packed ? ir::unpack_dist(*packed) : std::move(input), traffic,
-          std::chrono::duration<double>(t1 - t0).count(), packed.has_value(),
+  const auto t1 = Clock::now();
+  if (packed)
+    for (std::size_t r = 0; r < input.size(); ++r) (*packed)[r].unpack_into(input[r]);
+  return {std::move(input), traffic, seconds(t0, t1), packed.has_value(), pack_seconds,
+          packed ? seconds(t1, Clock::now()) : 0,
           capture_rt ? group->fleet().snapshot() : rt::FleetSnapshot{}};
 }
 

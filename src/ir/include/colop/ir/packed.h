@@ -70,8 +70,18 @@ using MaskSpan = std::span<std::uint64_t>;
 [[nodiscard]] constexpr std::size_t mask_words(std::size_t m) {
   return (m + 63) / 64;
 }
-[[nodiscard]] bool mask_get(MaskView mask, std::size_t i);
-void mask_set(MaskSpan mask, std::size_t i, bool bit);
+// Inline: packed kernels read and write masks per element.  mask_set
+// checks its index in debug builds only.
+[[nodiscard]] inline bool mask_get(MaskView mask, std::size_t i) {
+  return i / 64 < mask.size() && ((mask[i / 64] >> (i % 64)) & 1u) != 0;
+}
+inline void mask_set(MaskSpan mask, std::size_t i, bool bit) {
+#ifndef NDEBUG
+  COLOP_ASSERT(i / 64 < mask.size(), "mask_set: index out of range");
+#endif
+  const std::uint64_t b = std::uint64_t{1} << (i % 64);
+  mask[i / 64] = bit ? mask[i / 64] | b : mask[i / 64] & ~b;
+}
 /// Set `mask` to all-ones over m elements (tail bits zero).
 void mask_fill(MaskSpan mask, std::size_t m);
 /// dst &= src over dst's words (src words past its end read as zero).
@@ -150,10 +160,6 @@ class PackedBlock {
     return is_scalar() ? defined(0) : MaskSpan(words_, is_tuple() ? mask_words(m_) : 0);
   }
 
-  [[nodiscard]] bool elem_defined(std::size_t i) const {
-    return !is_wild() && mask_get(elem_mask(), i);
-  }
-
   /// Restore the canonical form after kernels wrote raw data: clamp lane
   /// masks to the element mask, zero undefined payload words and mask tail
   /// bits, reset empty lanes to i64, and collapse to wild when no element
@@ -179,11 +185,23 @@ class PackedBlock {
 
   // --- boxed conversion --------------------------------------------------
 
+  /// The arity the first defined value of `blocks` packs as: 0 for a
+  /// number (and when nothing is defined), n for an n-tuple; nullopt for
+  /// the empty tuple, which stays boxed.
+  [[nodiscard]] static std::optional<int> arity_of(std::span<const Block> blocks);
   /// nullopt when the block does not fit the flat representation (nested
   /// tuples, mixed arities, int/real mixed within one lane, non-numeric
   /// leaves).  Lossless: unpack(*pack(b)) == b.
   [[nodiscard]] static std::optional<PackedBlock> pack(const Block& boxed);
+  /// pack() with the arity of the defined elements given (>= 0): one pass
+  /// that writes every word once and builds each mask word in a register;
+  /// nullopt also when a defined element has another arity.
+  [[nodiscard]] static std::optional<PackedBlock> pack(const Block& boxed,
+                                                       int arity);
   [[nodiscard]] Block unpack() const;
+  /// unpack() into `out`'s own storage: it is resized to size() and every
+  /// element assigned in place, so a tuple of this arity keeps its buffer.
+  void unpack_into(Block& out) const;
 
   // --- flat wire format --------------------------------------------------
 

@@ -5,13 +5,19 @@
 // element shape stays flat (scalar or tuple-of-scalars) at every program
 // point — checked statically by packed_ineligibility() via the stage shape
 // transformers.  Split-phase windows qualify like any other stage: their
-// segments are packed blocks too.  Data must also fit: try_pack_dist()
-// packs every block (uniform block size, homogeneous lanes) or reports
-// failure.  Whenever either check fails the callers
-// (Program::eval_reference, the exec thread executor) silently fall back
-// to the boxed path, so the flat plane is a pure optimization: same
-// results, same traffic, same errors.  Both planes evaluate the one
-// generic stage body (eval_stage, plane.h).
+// segments are packed blocks too.  Data must also fit, and try_pack_for()
+// checks that while it packs, in one pass over the values: the element
+// arity comes from the first defined value, the program is checked against
+// it, and then every block is packed (uniform block size, one arity, no
+// nesting, homogeneous lanes) or the guard reports failure.  Whenever
+// either check fails the callers (Program::eval_reference, the exec thread
+// executor) silently fall back to the boxed path, so the flat plane is a
+// pure optimization: same results, same traffic, same errors.  Both planes
+// evaluate the one generic stage body (eval_stage, plane.h).
+//
+// A packed run's output goes back into the caller's own blocks
+// (pack_for_run, then PackedBlock::unpack_into per rank): no second boxed
+// Dist is built.
 //
 // Selection can be forced per call (DataPlane) for benchmarks and
 // differential tests.
@@ -57,22 +63,16 @@ struct PackedIneligibility {
   return !packed_ineligibility(prog, input, p);
 }
 
-/// Element shape of a distributed list, if uniform and flat: scalar,
-/// or tuple of scalars (undefined elements/components are compatible with
-/// anything).  nullopt for nested/mixed data — or when nothing is defined
-/// anywhere, in which case packing trivially succeeds but no shape can be
-/// named; callers treat that as scalar.
-[[nodiscard]] std::optional<Shape> dist_shape(const Dist& input);
-
-/// Pack every block (requiring the uniform block size the collectives
-/// assume); nullopt when any block does not fit the flat representation.
-[[nodiscard]] std::optional<PackedDist> try_pack_dist(const Dist& input);
-[[nodiscard]] Dist unpack_dist(const PackedDist& packed);
-
-/// The complete guard: shape + capability + data.  nullopt means "stay
-/// boxed".
+/// The complete guard: shape + capability + data, in one pass over the
+/// values.  nullopt means "stay boxed".
 [[nodiscard]] std::optional<PackedDist> try_pack_for(const Program& prog,
                                                      const Dist& input);
+
+/// try_pack_for() for a run that owns `input` and unpacks into its blocks:
+/// on success it frees at once the tuples the output cannot reuse (the
+/// output element is not a tuple of the input's arity).
+[[nodiscard]] std::optional<PackedDist> pack_for_run(const Program& prog,
+                                                     Dist& input);
 
 /// The boxed reference semantics, bypassing data-plane selection (the
 /// oracle side of differential tests).

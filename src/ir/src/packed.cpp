@@ -13,30 +13,7 @@ constexpr std::uint32_t kMagic = 0x31425043;  // "CPB1" little-endian
 /// pack()'s dtype byte for a lane no defined component has fixed yet.
 constexpr unsigned char kDTypeUnset = 0xff;
 
-std::uint64_t encode_i64(std::int64_t v) { return std::bit_cast<std::uint64_t>(v); }
-std::uint64_t encode_f64(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-Value decode(DType dtype, std::uint64_t w) {
-  if (dtype == DType::i64) return Value(std::bit_cast<std::int64_t>(w));
-  return Value(std::bit_cast<double>(w));
-}
-
 }  // namespace
-
-bool mask_get(MaskView mask, std::size_t i) {
-  const std::size_t w = i / 64;
-  if (w >= mask.size()) return false;
-  return (mask[w] >> (i % 64)) & 1u;
-}
-
-void mask_set(MaskSpan mask, std::size_t i, bool bit) {
-  const std::size_t w = i / 64;
-  COLOP_ASSERT(w < mask.size(), "mask_set: index out of range");
-  if (bit)
-    mask[w] |= std::uint64_t{1} << (i % 64);
-  else
-    mask[w] &= ~(std::uint64_t{1} << (i % 64));
-}
 
 void mask_fill(MaskSpan mask, std::size_t m) {
   std::fill(mask.begin(), mask.end(), ~std::uint64_t{0});
@@ -294,76 +271,147 @@ PackedBlock PackedBlock::join(std::span<const PackedBlock> segments) {
 
 // --- boxed conversion ----------------------------------------------------
 
-std::optional<PackedBlock> PackedBlock::pack(const Block& boxed) {
-  const std::size_t m = boxed.size();
-  // Classify: scalar block, tuple block, or all-undefined (wild).
-  int arity = kWildArity;
-  for (const Value& v : boxed) {
-    if (v.is_undefined()) continue;
-    const int a = v.is_tuple() ? static_cast<int>(v.as_tuple().size()) : 0;
-    if (v.is_tuple() && a == 0) return std::nullopt;  // empty tuple: keep boxed
-    if (arity == kWildArity)
-      arity = a;
-    else if (arity != a)
-      return std::nullopt;  // mixed scalar/tuple or mixed arities
-  }
-  if (arity == kWildArity) return wild(m);
-
-  PackedBlock out = arity == 0 ? scalars(m, DType::i64) : tuples(arity, m);
-  // Lane dtypes: fixed by the first defined component, then enforced.
-  // canonicalize() resets lanes that stay unset (nothing defined) to i64.
-  unsigned char* dtypes = out.dtype_bytes();
-  std::fill(dtypes, dtypes + out.lane_count(), kDTypeUnset);
-  const auto put = [&](std::size_t l, std::size_t i, const Value& v) -> bool {
-    if (v.is_undefined()) return true;
-    if (!v.is_number()) return false;  // nested tuple: keep boxed
-    const auto dt = static_cast<unsigned char>(v.is_int() ? DType::i64 : DType::f64);
-    if (dtypes[l] == kDTypeUnset)
-      dtypes[l] = dt;
-    else if (dtypes[l] != dt)
-      return false;  // int and real mixed in one lane: keep boxed
-    out.data(l)[i] = v.is_int() ? encode_i64(v.as_int()) : encode_f64(v.as_real());
-    mask_set(out.defined(l), i, true);
-    return true;
-  };
-  for (std::size_t i = 0; i < m; ++i) {
-    const Value& v = boxed[i];
-    if (v.is_undefined()) continue;
-    if (arity == 0) {
-      if (!put(0, i, v)) return std::nullopt;
-    } else {
-      mask_set(out.elem_mask(), i, true);
-      const Tuple& t = v.as_tuple();
-      for (std::size_t l = 0; l < t.size(); ++l)
-        if (!put(l, i, t[l])) return std::nullopt;
+std::optional<int> PackedBlock::arity_of(std::span<const Block> blocks) {
+  for (const Block& block : blocks)
+    for (const Value& v : block) {
+      if (v.is_undefined()) continue;
+      if (!v.is_tuple()) return 0;
+      const std::size_t n = v.as_tuple().size();
+      return n == 0 ? std::nullopt : std::optional(static_cast<int>(n));
     }
+  return 0;
+}
+
+std::optional<PackedBlock> PackedBlock::pack(const Block& boxed) {
+  const auto arity = arity_of({&boxed, 1});
+  return arity ? pack(boxed, *arity) : std::nullopt;
+}
+
+namespace {
+
+// The payload word of a defined leaf, checking it against its lane's dtype
+// (fixed by the lane's first defined leaf).  False for a tuple (nesting, or
+// a tuple in a scalar block) and for int and real mixed in one lane.
+bool put_leaf(const Value& v, unsigned char& dtype, std::uint64_t& word) {
+  unsigned char dt;
+  if (v.is_int()) {
+    dt = static_cast<unsigned char>(DType::i64);
+    word = std::bit_cast<std::uint64_t>(v.as_int());
+  } else if (v.is_real()) {
+    dt = static_cast<unsigned char>(DType::f64);
+    word = std::bit_cast<std::uint64_t>(v.as_real());
+  } else {
+    return false;
   }
-  out.canonicalize();
+  if (dt == dtype) return true;
+  if (dtype != kDTypeUnset) return false;
+  dtype = dt;
+  return true;
+}
+
+}  // namespace
+
+std::optional<PackedBlock> PackedBlock::pack(const Block& boxed, int arity) {
+  COLOP_REQUIRE(arity >= 0, "PackedBlock: bad arity");
+  const std::size_t m = boxed.size();
+  // Every word of the layout is written once: payload (zero when
+  // undefined), mask words (tail bits zero), dtype bytes and padding, so
+  // the result is canonical without a canonicalize() pass.
+  const std::size_t mw = mask_words(m);
+  const std::size_t stride = m + mw;  // lane l's words start at l * stride
+  PackedBlock out;
+  out.reshape(arity, m);
+  const std::size_t lanes = out.lane_count();
+  std::uint64_t* lane0 = out.words_ + (arity == 0 ? 0 : mw);
+  unsigned char* dtypes = out.dtype_bytes();
+  std::memset(dtypes, 0, (lanes + 7) / 8 * 8);
+  std::fill(dtypes, dtypes + lanes, kDTypeUnset);
+  std::uint64_t any = 0;
+  for (std::size_t w = 0; w < mw; ++w) {
+    const std::size_t lo = w * 64, hi = std::min(m, lo + 64);
+    std::uint64_t bits = 0;  // the element mask word, stored once
+    if (arity == 0) {
+      // The hot case: one lane, whose mask is the element mask and whose
+      // dtype stays in a register.
+      unsigned char dtype = dtypes[0];
+      for (std::size_t i = lo; i < hi; ++i) {
+        const Value& v = boxed[i];
+        std::uint64_t word = 0;
+        if (!v.is_undefined()) {
+          if (!put_leaf(v, dtype, word)) return std::nullopt;
+          bits |= std::uint64_t{1} << (i - lo);
+        }
+        lane0[i] = word;
+      }
+      dtypes[0] = dtype;
+      lane0[m + w] = bits;
+    } else {
+      for (std::size_t l = 0; l < lanes; ++l) lane0[l * stride + m + w] = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const Value& v = boxed[i];
+        const bool defined = !v.is_undefined();
+        if (defined && (!v.is_tuple() || v.as_tuple().size() != lanes))
+          return std::nullopt;  // a scalar among tuples, or mixed arities
+        bits |= std::uint64_t{defined} << (i - lo);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          std::uint64_t word = 0;
+          if (defined && !v.as_tuple()[l].is_undefined()) {
+            if (!put_leaf(v.as_tuple()[l], dtypes[l], word)) return std::nullopt;
+            lane0[l * stride + m + w] |= std::uint64_t{1} << (i - lo);
+          }
+          lane0[l * stride + i] = word;
+        }
+      }
+      out.words_[w] = bits;
+    }
+    any |= bits;
+  }
+  if (any == 0) return wild(m);
+  for (std::size_t l = 0; l < lanes; ++l)
+    if (dtypes[l] == kDTypeUnset) dtypes[l] = static_cast<unsigned char>(DType::i64);
   return out;
 }
 
 Block PackedBlock::unpack() const {
-  Block out(m_);  // default-constructed Values are undefined
-  if (is_wild()) return out;
-  if (is_scalar()) {
-    const DType dt = dtype(0);
-    const auto words = data(0);
-    const MaskView def = defined(0);
-    for (std::size_t i = 0; i < m_; ++i)
-      if (mask_get(def, i)) out[i] = decode(dt, words[i]);
-    return out;
-  }
-  const MaskView elem = elem_mask();
-  for (std::size_t i = 0; i < m_; ++i) {
-    if (!mask_get(elem, i)) continue;
-    Tuple t;
-    t.reserve(lane_count());
-    for (std::size_t l = 0; l < lane_count(); ++l)
-      t.push_back(mask_get(defined(l), i) ? decode(dtype(l), data(l)[i])
-                                          : Value::undefined());
-    out[i] = Value(std::move(t));
-  }
+  Block out;
+  unpack_into(out);
   return out;
+}
+
+void PackedBlock::unpack_into(Block& out) const {
+  out.resize(m_);
+  const MaskView elem = elem_mask();  // empty for the wild block
+  const std::size_t lanes = lane_count();
+  // The element mask a word at a time: a clear bit is `_`, a set one goes
+  // to `leaf`, which writes a number, or a tuple of this arity into the
+  // buffer of one already there.
+  const auto fill = [&](auto leaf) {
+    for (std::size_t w = 0; w * 64 < m_; ++w) {
+      const std::uint64_t bits = w < elem.size() ? elem[w] : 0;
+      for (std::size_t i = w * 64; i < std::min(m_, w * 64 + 64); ++i)
+        if (((bits >> (i % 64)) & 1u) == 0)
+          out[i] = Value::undefined();
+        else
+          leaf(out[i], i);
+    }
+  };
+  const std::uint64_t* words0 = words_ + lane_offset(0);
+  if (is_tuple()) {
+    fill([&](Value& v, std::size_t i) {
+      if (!v.is_tuple() || v.as_tuple().size() != lanes) v = Value(Tuple(lanes));
+      Tuple& t = v.as_tuple();
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const std::uint64_t w = data(l)[i];
+        t[l] = !mask_get(defined(l), i)  ? Value::undefined()
+               : dtype(l) == DType::i64 ? Value(std::bit_cast<std::int64_t>(w))
+                                        : Value(std::bit_cast<double>(w));
+      }
+    });
+  } else if (lanes == 0 || dtype(0) == DType::i64) {
+    fill([&](Value& v, std::size_t i) { v = std::bit_cast<std::int64_t>(words0[i]); });
+  } else {
+    fill([&](Value& v, std::size_t i) { v = std::bit_cast<double>(words0[i]); });
+  }
 }
 
 // --- flat wire format ----------------------------------------------------

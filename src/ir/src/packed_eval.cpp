@@ -63,60 +63,42 @@ std::optional<PackedIneligibility> packed_ineligibility(const Program& prog,
   return std::nullopt;
 }
 
-std::optional<Shape> dist_shape(const Dist& input) {
-  std::optional<Shape> shape;
-  for (const Block& block : input) {
-    for (const Value& v : block) {
-      if (v.is_undefined()) continue;
-      Shape s;
-      if (v.is_number()) {
-        s = Shape::scalar();
-      } else if (v.is_tuple()) {
-        const Tuple& t = v.as_tuple();
-        if (t.empty()) return std::nullopt;
-        for (const Value& c : t)
-          if (!c.is_number() && !c.is_undefined()) return std::nullopt;
-        s = Shape::replicate(Shape::scalar(), static_cast<int>(t.size()));
-      } else {
-        return std::nullopt;
-      }
-      if (!shape)
-        shape = s;
-      else if (!(*shape == s))
-        return std::nullopt;
-    }
-  }
-  return shape ? *shape : Shape::scalar();
-}
-
-std::optional<PackedDist> try_pack_dist(const Dist& input) {
+std::optional<PackedDist> try_pack_for(const Program& prog,
+                                       const Dist& input) {
   if (input.empty()) return std::nullopt;
+  // The first defined value fixes the arity, and packing holds every
+  // other value to it.
+  const auto arity = PackedBlock::arity_of(input);
+  if (!arity) return std::nullopt;
+  const Shape shape = *arity >= 1 ? Shape::replicate(Shape::scalar(), *arity)
+                                  : Shape::scalar();
+  if (!packable(prog, shape, static_cast<int>(input.size()))) return std::nullopt;
   const std::size_t m = input[0].size();
   PackedDist out;
   out.reserve(input.size());
   for (const Block& block : input) {
     if (block.size() != m) return std::nullopt;  // collectives need uniform m
-    auto packed = PackedBlock::pack(block);
+    auto packed = PackedBlock::pack(block, *arity);
     if (!packed) return std::nullopt;
     out.push_back(std::move(*packed));
   }
   return out;
 }
 
-Dist unpack_dist(const PackedDist& packed) {
-  Dist out;
-  out.reserve(packed.size());
-  for (const PackedBlock& b : packed) out.push_back(b.unpack());
-  return out;
-}
-
-std::optional<PackedDist> try_pack_for(const Program& prog,
-                                       const Dist& input) {
-  if (input.empty()) return std::nullopt;
-  const auto shape = dist_shape(input);
-  if (!shape) return std::nullopt;
-  if (!packable(prog, *shape, static_cast<int>(input.size()))) return std::nullopt;
-  return try_pack_dist(input);
+std::optional<PackedDist> pack_for_run(const Program& prog, Dist& input) {
+  auto packed = try_pack_for(prog, input);
+  const int arity = packed ? *PackedBlock::arity_of(input) : 0;
+  if (arity >= 1) {
+    // Only the elementwise stages change the element shape, and
+    // packable() has walked them already, so none of these throws.
+    const Shape in = Shape::replicate(Shape::scalar(), arity);
+    Shape out = in;
+    for (const auto& stage : prog.stages())
+      if (stage->row().role == WindowRole::elementwise) out = stage->apply_shape(out);
+    if (!(out == in))
+      for (Block& block : input) block.clear();  // keeps the block's buffer
+  }
+  return packed;
 }
 
 Dist eval_reference_boxed(const Program& prog, Dist input) {

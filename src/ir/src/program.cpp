@@ -37,9 +37,10 @@ Program Program::splice(std::size_t first, std::size_t count,
 Dist Program::eval_reference(Dist input) const {
   // Flat data plane when the program and data allow it (packed_eval.h);
   // identical results either way, the boxed path is the semantics.
-  if (auto packed = try_pack_for(*this, input)) {
+  if (auto packed = pack_for_run(*this, input)) {
     for (const auto& s : stages_) eval_stage(*s, *packed);
-    return unpack_dist(*packed);
+    for (std::size_t r = 0; r < input.size(); ++r) (*packed)[r].unpack_into(input[r]);
+    return input;
   }
   return eval_reference_boxed(*this, std::move(input));
 }

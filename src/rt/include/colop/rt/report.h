@@ -80,6 +80,8 @@ struct RtReport {
   int procs = 0;
   bool used_packed = false;
   double wall_ms = 0;        ///< measured wall time of the reported run
+  double pack_ms = 0;        ///< boxed->packed boundary before it (0 boxed)
+  double unpack_ms = 0;      ///< packed->boxed boundary after it (0 boxed)
   double scale_ns_per_op = 0;///< fitted wall-ns per model op unit
   RepeatStats timing;
   std::vector<RankReport> ranks;
@@ -101,6 +103,8 @@ struct RtReportOptions {
   /// Per-stage provenance (rules::stage_provenance), indexed likewise.
   std::vector<std::string> provenance;
   double wall_seconds = 0;   ///< executor-measured wall time of the run
+  double pack_seconds = 0;   ///< ThreadRunResult::pack_seconds
+  double unpack_seconds = 0; ///< ThreadRunResult::unpack_seconds
   bool used_packed = false;
   RepeatStats timing{};
 };

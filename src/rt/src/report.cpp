@@ -45,6 +45,8 @@ RtReport build_report(const FleetSnapshot& snap, const RtReportOptions& opts) {
   rep.procs = snap.ranks;
   rep.used_packed = opts.used_packed;
   rep.wall_ms = opts.wall_seconds * 1e3;
+  rep.pack_ms = opts.pack_seconds * 1e3;
+  rep.unpack_ms = opts.unpack_seconds * 1e3;
   rep.timing = opts.timing;
   rep.profile = profile_snapshot(snap);
   obs::Profile& prof = rep.profile;
@@ -127,7 +129,8 @@ std::string RtReport::render_text() const {
        << " warmups: min " << fixed(timing.min_ms) << " / median "
        << fixed(timing.median_ms) << " / stddev " << fixed(timing.stddev_ms)
        << " ms)";
-  os << "\n";
+  os << "\nboundary: pack " << fixed(pack_ms) << " ms, unpack " << fixed(unpack_ms)
+     << " ms\n";
   if (dropped_total > 0)
     os << "note    : ring dropped " << dropped_total
        << " records; oldest events are missing\n";
@@ -182,6 +185,8 @@ void RtReport::write_json(std::ostream& os) const {
      << obs::trace_id_json_field() << ",\"procs\":" << procs
      << ",\"plane\":" << js::quote(used_packed ? "packed" : "boxed")
      << ",\"wall_ms\":" << js::number(wall_ms)
+     << ",\"pack_ms\":" << js::number(pack_ms)
+     << ",\"unpack_ms\":" << js::number(unpack_ms)
      << ",\"scale_ns_per_op\":" << js::number(scale_ns_per_op)
      << ",\"dropped\":" << dropped_total << ",\"timing\":{"
      << "\"repeats\":" << timing.repeats << ",\"warmups\":" << timing.warmups

@@ -489,16 +489,168 @@ TEST(Packable, AdmitsFlatProgramsRejectsOthers) {
   EXPECT_FALSE(packable(bad, Shape::scalar(), 4));
 }
 
-TEST(Packable, DistShapeDetection) {
-  EXPECT_EQ(dist_shape({{Value(1), U()}}), Shape::scalar());
-  EXPECT_EQ(dist_shape({{U(), U()}}), Shape::scalar());  // nothing defined
-  EXPECT_EQ(dist_shape({{Value::tuple_of({Value(1), Value(2)})}}),
-            Shape::replicate(Shape::scalar(), 2));
-  EXPECT_FALSE(dist_shape({{Value(1), Value::tuple_of({Value(1), Value(2)})}})
-                   .has_value());
-  EXPECT_FALSE(
-      dist_shape({{Value::tuple_of({Value::tuple_of({Value(1)}), Value(2)})}})
+// --- the boxed<->packed boundary -----------------------------------------
+
+// map pair is packable on scalars only (a pair of tuples nests), pi_1 on
+// tuples only (pi_1 of a scalar is a shape error): which of the two the
+// guard admits names the element shape it read off the data.
+Program scalar_only() {
+  Program prog;
+  prog.map(fn_pair());
+  return prog;
+}
+Program tuple_only() {
+  Program prog;
+  prog.map(fn_proj1());
+  return prog;
+}
+
+// The guard reads the element shape off the data: scalars, nothing defined
+// (scalars, every block wild), pairs; mixed and nested data stay boxed.
+TEST(PackedBoundary, GuardDetectsTheElementShape) {
+  const auto scalar = try_pack_for(scalar_only(), {{Value(1), U()}});
+  ASSERT_TRUE(scalar.has_value());
+  EXPECT_EQ((*scalar)[0].arity(), 0);
+  EXPECT_FALSE(try_pack_for(tuple_only(), {{Value(1), U()}}).has_value());
+  // Nothing defined: scalar, every block wild.
+  const auto wild = try_pack_for(scalar_only(), {{U(), U()}, {U(), U()}});
+  ASSERT_TRUE(wild.has_value());
+  EXPECT_TRUE((*wild)[0].is_wild() && (*wild)[1].is_wild());
+  const Dist pairs{{Value::tuple_of({Value(1), Value(2)})}};
+  const auto pair = try_pack_for(tuple_only(), pairs);
+  ASSERT_TRUE(pair.has_value());
+  EXPECT_EQ((*pair)[0].arity(), 2);
+  EXPECT_FALSE(try_pack_for(scalar_only(), pairs).has_value());
+  for (const Program& prog : {scalar_only(), tuple_only()}) {
+    EXPECT_FALSE(
+        try_pack_for(prog, {{Value(1), Value::tuple_of({Value(1), Value(2)})}})
+            .has_value());
+    EXPECT_FALSE(
+        try_pack_for(prog, {{Value::tuple_of({Value::tuple_of({Value(1)}), Value(2)})}})
+            .has_value());
+  }
+}
+
+TEST(PackedBoundary, GuardRejectsWhatDoesNotFitOneLayout) {
+  const auto pair = [](Value a, Value b) { return Value::tuple_of({a, b}); };
+  const auto triple = Value::tuple_of({Value(1), Value(2), Value(3)});
+  const std::vector<std::pair<std::string, Dist>> scalars{
+      {"int and real in one lane", {{Value(1), Value(2.0)}}},
+      {"a tuple among scalars, across blocks",
+       {{Value(1)}, {pair(Value(1), Value(2))}}},
+      {"non-uniform m", {{Value(1), Value(2)}, {Value(3)}}},
+  };
+  for (const auto& [what, input] : scalars)
+    EXPECT_FALSE(try_pack_for(scalar_only(), input).has_value()) << what;
+  const std::vector<std::pair<std::string, Dist>> tuples{
+      {"mixed arity in a block", {{pair(Value(1), Value(2)), triple}}},
+      {"mixed arity across blocks", {{pair(Value(1), Value(2))}, {triple}}},
+      {"a nested tuple past the first",
+       {{pair(Value(1), Value(2)), pair(pair(U(), U()), U())}}},
+      {"an empty tuple", {{Value(Tuple{})}}},
+      {"an empty tuple past the first", {{pair(Value(1), Value(2)), Value(Tuple{})}}},
+      {"int and real in one lane", {{pair(Value(1), U()), pair(Value(1.5), U())}}},
+      {"int and real, a component apart",
+       {{pair(U(), Value(1)), pair(U(), Value(0.5))}}},
+      {"non-uniform m", {{pair(Value(1), Value(2))}, {U(), U()}}},
+  };
+  for (const auto& [what, input] : tuples)
+    EXPECT_FALSE(try_pack_for(tuple_only(), input).has_value()) << what;
+  // Each block fixes its own lane dtypes: int in one block, real in the
+  // next is fine, as is a block of `_` before the first defined value.
+  EXPECT_TRUE(
+      try_pack_for(scalar_only(), {{U()}, {Value(1)}, {Value(0.5)}}).has_value());
+  EXPECT_TRUE(
+      try_pack_for(tuple_only(), {{pair(Value(1), U())}, {pair(Value(0.5), Value(2))}})
           .has_value());
+}
+
+// Element types the boundary must carry exactly, by name.
+Block boundary_sample(const std::string& kind, std::size_t m) {
+  Block b(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto k = static_cast<std::int64_t>(i);
+    const double x = 0.25 * static_cast<double>(k) - 3;
+    if (kind == "ints") {
+      b[i] = Value(k * 7 - 11);
+    } else if (kind == "reals") {
+      b[i] = Value(x);
+    } else if (kind == "sprinkled") {
+      b[i] = i % 3 == 1 ? U() : Value(k);
+    } else if (kind == "pairs") {
+      b[i] = Value::tuple_of({Value(k), Value(x)});
+    } else if (kind == "quads") {
+      const Value maybe = i % 4 == 0 ? U() : Value(k);
+      b[i] = Value::tuple_of({Value(x), maybe, Value(-k), Value(x * x)});
+    } else if (kind == "undefined tuples") {
+      // Whole-element `_` next to tuples whose components are all `_`.
+      b[i] = i % 2 == 0 ? U() : Value::tuple_of({U(), U()});
+      if (i % 5 == 4) b[i] = Value::tuple_of({Value(k), U()});
+    }  // "wild": every element `_`
+  }
+  return b;
+}
+
+TEST(PackedBoundary, UnpackIntoAnExistingBlockEqualsUnpack) {
+  const std::vector<std::string> kinds{"ints",  "reals", "sprinkled", "pairs",
+                                       "quads", "wild",  "undefined tuples"};
+  for (const std::size_t m : {0u, 1u, 63u, 64u, 65u, 4096u, 65537u}) {
+    for (const std::string& kind : kinds) {
+      const std::string what = kind + ", m " + std::to_string(m);
+      const Block b = boundary_sample(kind, m);
+      const auto p = PackedBlock::pack(b);
+      ASSERT_TRUE(p.has_value()) << what;
+      const Block fresh = p->unpack();
+      EXPECT_EQ(fresh, b) << what;
+      // Into the block it came from (tuples reused in place), into
+      // nothing, and into blocks of other sizes and element types.
+      std::vector<Block> targets{b, Block{}, boundary_sample("quads", m + 3),
+                                 boundary_sample("ints", m / 2),
+                                 boundary_sample("pairs", m)};
+      for (Block& target : targets) {
+        p->unpack_into(target);
+        EXPECT_EQ(target, b) << what;
+      }
+    }
+  }
+}
+
+TEST(PackedBoundary, PackedRunReturnsTheInputsOwnBlocks) {
+  Program prog;
+  prog.scan(op_add())
+      .map(fn_pair())
+      .allreduce(rules::make_op_sr2(op_mul(), op_add()), 2)
+      .map(fn_proj1());
+  Dist input;
+  for (int r = 0; r < 3; ++r) input.push_back(boundary_sample("sprinkled", 300));
+  const Dist want = eval_reference_boxed(prog, input);
+  const Value* storage = input[1].data();
+  const auto run = exec::run_on_threads_instrumented(prog, std::move(input),
+                                                     DataPlane::Packed);
+  EXPECT_EQ(run.output, want);
+  EXPECT_EQ(run.output[1].data(), storage);  // no second boxed Dist
+  EXPECT_GT(run.pack_seconds, 0.0);
+  EXPECT_GT(run.unpack_seconds, 0.0);
+  const auto boxed = exec::run_on_threads_instrumented(prog, want, DataPlane::Boxed);
+  EXPECT_EQ(boxed.pack_seconds, 0.0);
+  EXPECT_EQ(boxed.unpack_seconds, 0.0);
+}
+
+// A tuple input whose output is scalar: the run frees the tuples it cannot
+// reuse, and the result is still the reference semantics.
+TEST(PackedBoundary, TuplesTheOutputCannotReuseAreReleased) {
+  Dist input{boundary_sample("pairs", 65), boundary_sample("pairs", 65)};
+  const Dist want = eval_reference_boxed(tuple_only(), input);
+  EXPECT_EQ(tuple_only().eval_reference(input), want);
+  Dist owned = input;
+  ASSERT_TRUE(pack_for_run(tuple_only(), owned).has_value());
+  EXPECT_TRUE(owned[0].empty() && owned[1].empty());
+  // Same arity out: the tuples stay for unpack_into to fill in place.
+  Program keep;
+  keep.scan(op_add());
+  Dist kept = input;
+  ASSERT_TRUE(pack_for_run(keep, kept).has_value());
+  EXPECT_EQ(kept, input);
 }
 
 TEST(Packable, NonUniformBlockSizesStayBoxed) {

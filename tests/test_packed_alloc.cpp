@@ -2,8 +2,9 @@
 // evaluates every rewrite on blocks of 2 elements; at that size packing,
 // the kernels and a mailbox hop must not touch the allocator, and at
 // 65536 elements they must take a small constant number of buffers, not
-// one per lane or mask.  This binary replaces the global operator new to
-// count calls.
+// one per lane or mask.  A packed thread run must hand its output back in
+// the input's own blocks, not in a second boxed Dist.  This binary
+// replaces the global operator new to count calls and bytes.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "colop/exec/thread_executor.h"
 #include "colop/ir/binop.h"
 #include "colop/ir/packed.h"
 #include "colop/mpsim/group.h"
@@ -18,15 +20,23 @@
 
 namespace {
 std::atomic<long> g_news{0};
+std::atomic<std::size_t> g_bytes{0};
+/// Allocations of exactly this many bytes are counted apart (g_sized_bytes).
+std::atomic<std::size_t> g_sized{0};
+std::atomic<std::size_t> g_sized_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_news.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
+  if (n == g_sized.load(std::memory_order_relaxed))
+    g_sized_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line, so GCC does not pair an inlined `new` with free().
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace colop::ir {
 namespace {
@@ -91,6 +101,28 @@ TEST(PackedAlloc, MailboxHopOfASmallBlockAllocatesNothing) {
   };
   hop();  // the first hop makes the key's queue and a cell
   EXPECT_EQ(news_during(hop), 0);
+}
+
+// Two ranks of 65536 int scalars through scan, allreduce and a map: the
+// stages make packed blocks (one buffer of m + m/64 + 1 words each), and
+// everything else the run allocates, group and telemetry included, stays
+// under one boxed block.  Unpacking into a fresh Dist took two.
+TEST(PackedAlloc, PackedRunReturnsTheInputsBlocks) {
+  constexpr std::size_t m = 65536;
+  Program prog;
+  prog.scan(op_add()).allreduce(op_max()).map(fn_id());
+  const Dist input(2, ints(m));
+  (void)exec::run_on_threads(prog, input, DataPlane::Packed);  // warm the pool
+  Dist staged = input;
+  g_sized.store(8 * (m + mask_words(m) + 1));
+  const std::size_t bytes0 = g_bytes.load(), sized0 = g_sized_bytes.load();
+  Dist out = exec::run_on_threads(prog, std::move(staged), DataPlane::Packed);
+  const std::size_t bytes = g_bytes.load() - bytes0;
+  const std::size_t packed = g_sized_bytes.load() - sized0;
+  g_sized.store(0);
+  EXPECT_GT(packed, 0u);
+  EXPECT_LT(bytes - packed, m * sizeof(Value));
+  EXPECT_EQ(out.size(), 2u);
 }
 
 }  // namespace

@@ -42,6 +42,8 @@ rt::RtReport table1_report(rt::FleetSnapshot* snap = nullptr) {
   for (const auto& stage : program.stages())
     opts.model_stage_times.push_back(model::stage_cost(*stage).eval(mach));
   opts.wall_seconds = run.wall_seconds;
+  opts.pack_seconds = run.pack_seconds;
+  opts.unpack_seconds = run.unpack_seconds;
   opts.used_packed = run.used_packed;
   opts.timing = rt::RepeatStats::of({run.wall_seconds * 1e3});
   if (snap != nullptr) *snap = run.rt;
@@ -121,6 +123,25 @@ TEST(RtReport, JsonRoundTrips) {
   const auto* timing = doc.get("timing");
   ASSERT_NE(timing, nullptr);
   EXPECT_NE(timing->get("median_ms"), nullptr);
+}
+
+// The table-1 run is packable: its boundary shows next to the wall time,
+// in the text and in the JSON.
+TEST(RtReport, BoundaryLineCarriesPackAndUnpack) {
+  const auto rep = table1_report();
+  ASSERT_TRUE(rep.used_packed);
+  EXPECT_GT(rep.pack_ms, 0.0);
+  EXPECT_GT(rep.unpack_ms, 0.0);
+  const std::string text = rep.render_text();
+  const auto wall = text.find("\nwall    : ");
+  const auto boundary = text.find("\nboundary: pack ");
+  ASSERT_NE(boundary, std::string::npos) << text;
+  EXPECT_EQ(text.find('\n', wall + 1), boundary) << "the line after the wall time";
+  std::ostringstream os;
+  rep.write_json(os);
+  const auto doc = obs::json::parse(os.str());
+  EXPECT_EQ(doc.get("pack_ms")->num, rep.pack_ms);
+  EXPECT_EQ(doc.get("unpack_ms")->num, rep.unpack_ms);
 }
 
 TEST(RtReport, TraceAndHtmlExportersProduceDocuments) {

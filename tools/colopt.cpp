@@ -79,7 +79,7 @@ struct Settings {
   std::string record_dir, store_dir;
   std::string example, program_text;
   // Report files; empty when not asked for.
-  std::string search_report_json, verify_json, explain_json, trace, metrics,
+  std::string search_report_json, verify_json, explain_json, metrics,
       drift_json, profile_json, profile_trace, calibrate_json, rt_json,
       rt_trace, rt_html;
 };
@@ -255,9 +255,6 @@ const Flag kFlags[] = {
      .form = Form::bare, .on = &Settings::explain},
     {.help = "  --explain-json F  write the explain log as JSON to file F\n",
      .form = Form::word, .text = &Settings::explain_json, .on = &Settings::explain},
-    {.help = "  --trace F      write a Chrome trace (chrome://tracing, Perfetto) of\n"
-             "                 the optimized program's simulated execution to file F\n",
-     .form = Form::word, .text = &Settings::trace},
     {.help = "  --metrics F    write run metrics to file F through the telemetry\n"
              "                 registry (.prom for Prometheus text, JSON otherwise)\n",
      .form = Form::word, .text = &Settings::metrics},
@@ -716,16 +713,6 @@ int main(int argc, char** argv) {
                 << exec::render_timeline(ta, 72, tb.makespan);
     }
 
-    if (!s.trace.empty()) {
-      // Stage spans plus the machine ops beneath them, in simulated time.
-      const auto prof = obs::profile_program(result.program, machine);
-      const std::string n = std::to_string(prof.ops.size());
-      write_report(s.trace, "\nChrome trace (" + n + " ops)", nullptr,
-                   [&](std::ostream& os) {
-                     prof.write_chrome_trace(os, "colopt");
-                   });
-    }
-
     if (s.drift) {
       const auto ro = obs::drift_report(program, machine);
       const auto rr = obs::drift_report(result.program, machine);
@@ -841,6 +828,8 @@ int main(int argc, char** argv) {
             model::stage_cost(*stage).eval(machine));
       ropts.provenance = provenance;
       ropts.wall_seconds = run->wall_seconds;
+      ropts.pack_seconds = run->pack_seconds;
+      ropts.unpack_seconds = run->unpack_seconds;
       ropts.used_packed = run->used_packed;
       ropts.timing = rt::RepeatStats::of(samples_ms, s.warmup);
       rt_rep = rt::build_report(run->rt, ropts);
