@@ -39,13 +39,18 @@ class BinOp {
     double ops_cost = 1.0;
     /// Identity element, if any (used by workload generators/tests).
     std::optional<Value> unit;
-    /// Optional compiled block kernel for the flat data plane: must equal
-    /// apply() mapped over a whole block, undefined gating included
-    /// (packed_kernels.h).  Operators without one evaluate boxed.
+    /// Optional lane kernel of a scalar operator for the flat data plane
+    /// (packed_kernels.h): apply() over one lane of int/real words.  The
+    /// derived operators compose their formulas from these.
+    PackedLaneFn packed_lane;
+    /// Optional block kernel for the flat data plane: must equal apply()
+    /// mapped over a whole block, undefined gating included.  Left unset
+    /// with packed_lane set, it is the lane kernel over scalar blocks.
+    /// Operators without either evaluate boxed.
     PackedBinFn packed_fn;
   };
 
-  explicit BinOp(Spec spec) : spec_(std::move(spec)) {}
+  explicit BinOp(Spec spec);
 
   /// Apply the operator.  Undefined operands yield undefined (the paper's
   /// `_` values never carry information forward).
@@ -68,8 +73,10 @@ class BinOp {
   }
   [[nodiscard]] double ops_cost() const { return spec_.ops_cost; }
   [[nodiscard]] const std::optional<Value>& unit() const { return spec_.unit; }
-  [[nodiscard]] bool has_packed() const { return spec_.packed_fn != nullptr; }
+  [[nodiscard]] bool has_packed() const { return static_cast<bool>(spec_.packed_fn); }
   [[nodiscard]] const PackedBinFn& packed() const { return spec_.packed_fn; }
+  [[nodiscard]] bool has_packed_lane() const { return spec_.packed_lane != nullptr; }
+  [[nodiscard]] const PackedLaneFn& packed_lane() const { return spec_.packed_lane; }
 
   [[nodiscard]] static BinOpPtr make(Spec spec) {
     return std::make_shared<const BinOp>(std::move(spec));

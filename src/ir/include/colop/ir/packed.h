@@ -52,6 +52,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -70,17 +71,9 @@ using MaskSpan = std::span<std::uint64_t>;
 [[nodiscard]] constexpr std::size_t mask_words(std::size_t m) {
   return (m + 63) / 64;
 }
-// Inline: packed kernels read and write masks per element.  mask_set
-// checks its index in debug builds only.
+// Inline: unpacking reads the lane masks per element.
 [[nodiscard]] inline bool mask_get(MaskView mask, std::size_t i) {
   return i / 64 < mask.size() && ((mask[i / 64] >> (i % 64)) & 1u) != 0;
-}
-inline void mask_set(MaskSpan mask, std::size_t i, bool bit) {
-#ifndef NDEBUG
-  COLOP_ASSERT(i / 64 < mask.size(), "mask_set: index out of range");
-#endif
-  const std::uint64_t b = std::uint64_t{1} << (i % 64);
-  mask[i / 64] = bit ? mask[i / 64] | b : mask[i / 64] & ~b;
 }
 /// Set `mask` to all-ones over m elements (tail bits zero).
 void mask_fill(MaskSpan mask, std::size_t m);
@@ -147,6 +140,9 @@ class PackedBlock {
   }
   /// Copy lane `from` of `src` (dtype, data, mask; same size) into lane l.
   void copy_lane(std::size_t l, const PackedBlock& src, std::size_t from);
+  /// Become lane l of this tuple block as a scalar block, in this block's
+  /// own buffer (the wild block when the lane defines nothing).
+  void keep_lane(std::size_t l);
 
   /// Element-level defined mask.  For scalars this aliases defined(0) (an
   /// undefined scalar and an undefined element are the same thing); for
@@ -170,6 +166,12 @@ class PackedBlock {
   /// matches the boxed accounting exactly (undefined costs nothing), so
   /// traffic counters agree between the two data planes.
   [[nodiscard]] std::size_t defined_words() const;
+
+  /// Take the shape (arity, m), in this block's buffer when it is large
+  /// enough: kernels that write every payload and mask word call this
+  /// instead of clearing a fresh block.  Payload and mask words are left
+  /// unspecified; the dtype bytes read i64.
+  void reshape(int arity, std::size_t m);
 
   // --- segments ----------------------------------------------------------
 
@@ -236,10 +238,6 @@ class PackedBlock {
     return reinterpret_cast<const unsigned char*>(words_ + lane_offset(lane_count()));
   }
 
-  /// Take the shape (arity, m) with room for its words, contents
-  /// unspecified: inline when they fit, else a heap buffer (the current
-  /// one if it is large enough).
-  void reshape(int arity, std::size_t m);
   void release() noexcept;
   /// Copy elements [from, from + n) of `src` (same arity) to [to, to + n):
   /// payload words, and mask bits ORed into clear ones.
@@ -261,14 +259,101 @@ class PackedBlock {
 /// contract as payload_bytes(const Value&): 8 bytes per defined scalar.
 [[nodiscard]] std::size_t payload_bytes(const PackedBlock& b);
 
-/// Elementwise kernels over packed blocks.  A PackedBinFn is the packed
-/// counterpart of BinOp::apply lifted to whole blocks (undefined gating
-/// included); the map forms are the counterparts of ElemFn / ElemIdxFn.
-using PackedBinFn =
-    std::function<PackedBlock(const PackedBlock&, const PackedBlock&)>;
+/// Elementwise kernels over packed blocks.  The map forms are the packed
+/// counterparts of ElemFn / ElemIdxFn and take their block by value, so
+/// they may compute in its buffer.
 using PackedMapFn = std::function<PackedBlock(PackedBlock)>;
 using PackedIdxMapFn = std::function<PackedBlock(int, PackedBlock)>;
-using PackedBinFn2 = std::function<std::pair<PackedBlock, PackedBlock>(
-    const PackedBlock&, const PackedBlock&)>;
+
+/// One lane of a block (or a run of its elements starting at a multiple of
+/// 64) as a lane kernel reads it.
+struct LaneView {
+  DType dtype;
+  const std::uint64_t* data;
+  const std::uint64_t* defined;
+};
+/// A scalar operator over one lane: writes n result words to `data` and
+/// mask_words(n) words of `a AND b` to `defined`, and returns the result's
+/// dtype, which depends on the operand dtypes only.  The outputs may be
+/// a's or b's own words; what lies under a clear bit is unspecified.
+using PackedLaneFn = std::function<DType(LaneView a, LaneView b, std::uint64_t* data,
+                                         std::uint64_t* defined, std::size_t n)>;
+
+/// A packed binary kernel: writes `a op b` (BinOp::apply lifted to whole
+/// blocks, undefined gating included) into `out`, which may be `a` or `b`
+/// itself -- the kernel then computes in that operand's buffer -- or any
+/// other block, whose contents it replaces.
+using PackedBinKernel =
+    std::function<void(const PackedBlock& a, const PackedBlock& b, PackedBlock& out)>;
+/// A paired kernel (BalancedOp2): the lower partner's result into `lo`,
+/// which may be `a`, and the upper's into `hi`, which may be `b`.
+using PackedBinKernel2 = std::function<void(const PackedBlock& a, const PackedBlock& b,
+                                            PackedBlock& lo, PackedBlock& hi)>;
+
+namespace detail {
+/// Where a kernel may put its result: the operand itself when the caller
+/// gave it up (a non-const rvalue, T = PackedBlock), else `otherwise`.
+template <typename T, typename U>
+PackedBlock& lend(U& operand, PackedBlock& otherwise) {
+  if constexpr (std::is_same_v<T, PackedBlock>) {
+    return operand;
+  } else {
+    return otherwise;
+  }
+}
+}  // namespace detail
+
+/// A kernel called the way the collectives call an operator, on two
+/// blocks: an operand passed as a non-const rvalue lends its buffer to the
+/// result (the left one when both do), so a combine allocates only when
+/// the caller keeps both operands.  The kernel's left/right order holds
+/// whichever buffer the result lands in.
+class PackedBinFn {
+ public:
+  PackedBinFn() = default;
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, PackedBinFn> &&
+             std::is_constructible_v<PackedBinKernel, F>)
+  PackedBinFn(F kernel) : kernel_(std::move(kernel)) {}
+
+  explicit operator bool() const { return static_cast<bool>(kernel_); }
+  void operator()(const PackedBlock& a, const PackedBlock& b, PackedBlock& out) const {
+    kernel_(a, b, out);
+  }
+  template <typename A, typename B>
+  [[nodiscard]] PackedBlock operator()(A&& a, B&& b) const {
+    PackedBlock spare;
+    PackedBlock& out = detail::lend<A>(a, detail::lend<B>(b, spare));
+    kernel_(a, b, out);
+    return std::move(out);
+  }
+
+ private:
+  PackedBinKernel kernel_;
+};
+
+/// PackedBinKernel2 called like PackedBinFn: `lo` lands in a given-up `a`,
+/// `hi` in a given-up `b`.
+class PackedBinFn2 {
+ public:
+  PackedBinFn2() = default;
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, PackedBinFn2> &&
+             std::is_constructible_v<PackedBinKernel2, F>)
+  PackedBinFn2(F kernel) : kernel_(std::move(kernel)) {}
+
+  explicit operator bool() const { return static_cast<bool>(kernel_); }
+  template <typename A, typename B>
+  [[nodiscard]] std::pair<PackedBlock, PackedBlock> operator()(A&& a, B&& b) const {
+    PackedBlock spare_lo, spare_hi;
+    PackedBlock& lo = detail::lend<A>(a, spare_lo);
+    PackedBlock& hi = detail::lend<B>(b, spare_hi);
+    kernel_(a, b, lo, hi);
+    return {std::move(lo), std::move(hi)};
+  }
+
+ private:
+  PackedBinKernel2 kernel_;
+};
 
 }  // namespace colop::ir

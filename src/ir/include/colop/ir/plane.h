@@ -7,8 +7,10 @@
 // is plane-specific from Plane<B> — a stage's kernels, iter's local step,
 // the undefined block, and the segment slice/join of an overlap window.
 // Kernels reach the mpsim collectives by reference: packed ones as std::cref
-// of the stage's std::function, boxed ones as lifts capturing the stage's
-// function by reference (a copied std::function may allocate).
+// of the stage's PackedBinFn, which computes a combine in the buffer of an
+// operand the collective gives up (std::move), boxed ones as lifts
+// capturing the stage's function by reference (a copied std::function may
+// allocate).
 // Plane<PackedBlock> needs every kernel the stage calls; packable()
 // (packed_eval.h) checks that first.
 

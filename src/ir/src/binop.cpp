@@ -19,6 +19,7 @@ Value numeric(const Value& a, const Value& b, IntFn fi, RealFn fr) {
 }
 
 __extension__ using i128 = __int128;
+__extension__ using u128 = unsigned __int128;
 
 // r mod m in [0, m) for m >= 1.  Same value as ((r % m) + m) % m, but
 // q + m cannot overflow: it is only formed when q is negative.
@@ -28,23 +29,65 @@ std::int64_t floor_mod(Int r, std::int64_t m) {
   return static_cast<std::int64_t>(q < 0 ? q + m : q);
 }
 
-// (x + y) mod m and (x * y) mod m, exact for every int64 operand: only a
-// sum or product that overflows int64 is redone in 128 bits.
-std::int64_t add_mod(std::int64_t x, std::int64_t y, std::int64_t m) {
-  std::int64_t r = 0;
-  if (__builtin_add_overflow(x, y, &r)) [[unlikely]]
-    return floor_mod(static_cast<i128>(x) + y, m);
-  return floor_mod(r, m);
-}
+// (x + y) mod m and (x * y) mod m for one modulus m >= 1, exact for every
+// int64 operand; both planes call these.  Operands already in [0, m) --
+// every value a modular program computes -- skip the 64-bit division: a
+// sum takes one conditional subtract, and for m <= 2^32 a product (below
+// 2^64) takes its remainder through a reciprocal computed once (Lemire,
+// Kaser and Kurz, "Faster Remainder by Direct Computation", 2019: exact
+// for every 64-bit dividend at a 128-bit reciprocal).  Anything else is
+// reduced exactly, redoing in 128 bits only a sum or product that
+// overflows int64.
+class Modulus {
+ public:
+  explicit Modulus(std::int64_t m)
+      : m_(m),
+        um_(static_cast<std::uint64_t>(m)),
+        small_(m <= (std::int64_t{1} << 32)),
+        reciprocal_(m >= 1 ? ~u128{0} / um_ + 1 : 0) {
+    COLOP_REQUIRE(m >= 1, "modular operator: the modulus must be at least 1");
+  }
 
-std::int64_t mul_mod(std::int64_t x, std::int64_t y, std::int64_t m) {
-  std::int64_t r = 0;
-  if (__builtin_mul_overflow(x, y, &r)) [[unlikely]]
-    return floor_mod(static_cast<i128>(x) * y, m);
-  return floor_mod(r, m);
-}
+  [[nodiscard]] std::int64_t add(std::int64_t x, std::int64_t y) const {
+    const auto ux = static_cast<std::uint64_t>(x), uy = static_cast<std::uint64_t>(y);
+    if (ux < um_ && uy < um_) [[likely]] {
+      const std::uint64_t s = ux + uy;  // below 2m <= 2^64 - 2
+      return static_cast<std::int64_t>(s >= um_ ? s - um_ : s);
+    }
+    std::int64_t r = 0;
+    if (__builtin_add_overflow(x, y, &r)) [[unlikely]]
+      return floor_mod(static_cast<i128>(x) + y, m_);
+    return floor_mod(r, m_);
+  }
+
+  [[nodiscard]] std::int64_t mul(std::int64_t x, std::int64_t y) const {
+    const auto ux = static_cast<std::uint64_t>(x), uy = static_cast<std::uint64_t>(y);
+    if (small_ && ux < um_ && uy < um_) [[likely]] {
+      // (reciprocal * n mod 2^128) * m >> 128, in 64-bit halves.
+      const u128 low = reciprocal_ * (ux * uy);
+      const u128 bottom =
+          (static_cast<u128>(static_cast<std::uint64_t>(low)) * um_) >> 64;
+      return static_cast<std::int64_t>((bottom + (low >> 64) * um_) >> 64);
+    }
+    std::int64_t r = 0;
+    if (__builtin_mul_overflow(x, y, &r)) [[unlikely]]
+      return floor_mod(static_cast<i128>(x) * y, m_);
+    return floor_mod(r, m_);
+  }
+
+ private:
+  std::int64_t m_;
+  std::uint64_t um_;
+  bool small_;
+  u128 reciprocal_;  ///< ceil(2^128 / m), wrapped to 0 for m = 1
+};
 
 }  // namespace
+
+BinOp::BinOp(Spec spec) : spec_(std::move(spec)) {
+  if (!spec_.packed_fn && spec_.packed_lane)
+    spec_.packed_fn = pk::zip_lanes(spec_.name, spec_.packed_lane);
+}
 
 BinOpPtr op_add() {
   static const BinOpPtr op = BinOp::make({
@@ -60,8 +103,8 @@ BinOpPtr op_add() {
       .distributes_over = {"first", "max", "min"},
       .ops_cost = 1.0,
       .unit = Value(std::int64_t{0}),
-      .packed_fn = pk::bin_numeric(
-          "+", [](std::int64_t x, std::int64_t y) { return x + y; },
+      .packed_lane = pk::lane_numeric(
+          [](std::int64_t x, std::int64_t y) { return x + y; },
           [](double x, double y) { return x + y; }),
   });
   return op;
@@ -83,8 +126,8 @@ BinOpPtr op_mul() {
       .distributes_over = {"+", "f+", "first", "gcd"},
       .ops_cost = 1.0,
       .unit = Value(std::int64_t{1}),
-      .packed_fn = pk::bin_numeric(
-          "*", [](std::int64_t x, std::int64_t y) { return x * y; },
+      .packed_lane = pk::lane_numeric(
+          [](std::int64_t x, std::int64_t y) { return x * y; },
           [](double x, double y) { return x * y; }),
   });
   return op;
@@ -103,8 +146,8 @@ BinOpPtr op_max() {
       .commutative = true,
       .distributes_over = {"first", "max", "min"},
       .ops_cost = 1.0,
-      .packed_fn = pk::bin_numeric(
-          "max", [](std::int64_t x, std::int64_t y) { return std::max(x, y); },
+      .packed_lane = pk::lane_numeric(
+          [](std::int64_t x, std::int64_t y) { return std::max(x, y); },
           [](double x, double y) { return std::max(x, y); }),
   });
   return op;
@@ -123,8 +166,8 @@ BinOpPtr op_min() {
       .commutative = true,
       .distributes_over = {"first", "max", "min"},
       .ops_cost = 1.0,
-      .packed_fn = pk::bin_numeric(
-          "min", [](std::int64_t x, std::int64_t y) { return std::min(x, y); },
+      .packed_lane = pk::lane_numeric(
+          [](std::int64_t x, std::int64_t y) { return std::min(x, y); },
           [](double x, double y) { return std::min(x, y); }),
   });
   return op;
@@ -139,7 +182,7 @@ BinOpPtr op_band() {
       .distributes_over = {"band", "bor", "first"},
       .ops_cost = 1.0,
       .unit = Value(std::int64_t{-1}),
-      .packed_fn = pk::bin_int(
+      .packed_lane = pk::lane_int(
           "band", [](std::int64_t x, std::int64_t y) { return x & y; }),
   });
   return op;
@@ -154,7 +197,7 @@ BinOpPtr op_bor() {
       .distributes_over = {"band", "bor", "first"},
       .ops_cost = 1.0,
       .unit = Value(std::int64_t{0}),
-      .packed_fn = pk::bin_int(
+      .packed_lane = pk::lane_int(
           "bor", [](std::int64_t x, std::int64_t y) { return x | y; }),
   });
   return op;
@@ -172,47 +215,49 @@ BinOpPtr op_gcd() {
       .distributes_over = {"first", "gcd"},
       .ops_cost = 1.0,
       .unit = Value(std::int64_t{0}),
-      .packed_fn = pk::bin_int(
+      .packed_lane = pk::lane_int(
           "gcd", [](std::int64_t x, std::int64_t y) { return std::gcd(x, y); }),
   });
   return op;
 }
 
 BinOpPtr op_modadd(std::int64_t m) {
+  const Modulus mod(m);
   return BinOp::make({
       .name = "+mod" + std::to_string(m),
       .fn =
-          [m](const Value& a, const Value& b) {
-            return Value(add_mod(a.as_int(), b.as_int(), m));
+          [mod](const Value& a, const Value& b) {
+            return Value(mod.add(a.as_int(), b.as_int()));
           },
       .associative = true,
       .commutative = true,
       .distributes_over = {"first"},
       .ops_cost = 1.0,
       .unit = Value(std::int64_t{0}),
-      .packed_fn = pk::bin_int("+mod" + std::to_string(m),
-                               [m](std::int64_t x, std::int64_t y) {
-                                 return add_mod(x, y, m);
-                               }),
+      .packed_lane = pk::lane_int("+mod" + std::to_string(m),
+                                  [mod](std::int64_t x, std::int64_t y) {
+                                    return mod.add(x, y);
+                                  }),
   });
 }
 
 BinOpPtr op_modmul(std::int64_t m) {
+  const Modulus mod(m);
   return BinOp::make({
       .name = "*mod" + std::to_string(m),
       .fn =
-          [m](const Value& a, const Value& b) {
-            return Value(mul_mod(a.as_int(), b.as_int(), m));
+          [mod](const Value& a, const Value& b) {
+            return Value(mod.mul(a.as_int(), b.as_int()));
           },
       .associative = true,
       .commutative = true,
       .distributes_over = {"+mod" + std::to_string(m), "first"},
       .ops_cost = 1.0,
       .unit = Value(std::int64_t{1}),
-      .packed_fn = pk::bin_int("*mod" + std::to_string(m),
-                               [m](std::int64_t x, std::int64_t y) {
-                                 return mul_mod(x, y, m);
-                               }),
+      .packed_lane = pk::lane_int("*mod" + std::to_string(m),
+                                  [mod](std::int64_t x, std::int64_t y) {
+                                    return mod.mul(x, y);
+                                  }),
   });
 }
 
@@ -225,8 +270,7 @@ BinOpPtr op_fadd() {
       .distributes_over = {"first", "max", "min"},
       .ops_cost = 1.0,
       .unit = Value(0.0),
-      .packed_fn =
-          pk::bin_real("f+", [](double x, double y) { return x + y; }),
+      .packed_lane = pk::lane_real([](double x, double y) { return x + y; }),
   });
   return op;
 }
@@ -240,8 +284,7 @@ BinOpPtr op_fmul() {
       .distributes_over = {"+", "f+", "first"},
       .ops_cost = 1.0,
       .unit = Value(1.0),
-      .packed_fn =
-          pk::bin_real("f*", [](double x, double y) { return x * y; }),
+      .packed_lane = pk::lane_real([](double x, double y) { return x * y; }),
   });
   return op;
 }
@@ -292,6 +335,7 @@ BinOpPtr op_first() {
       // nonnegative integers — see docs/VERIFY.md on value domains.)
       .distributes_over = {"band", "bor", "first", "gcd", "max", "min"},
       .ops_cost = 0.0,
+      .packed_lane = pk::lane_first(),
       .packed_fn = pk::bin_first(),
   });
   return op;

@@ -74,6 +74,8 @@ void PackedBlock::reshape(int arity, std::size_t m) {
   }
   arity_ = arity;
   m_ = m;
+  const std::size_t lanes = lanes_of(arity);
+  if (lanes > 0) std::memset(dtype_bytes(), 0, (lanes + 7) / 8 * 8);
 }
 
 void PackedBlock::release() noexcept {
@@ -135,6 +137,21 @@ PackedBlock PackedBlock::wild(std::size_t m) {
   PackedBlock b;
   b.m_ = m;
   return b;
+}
+
+void PackedBlock::keep_lane(std::size_t l) {
+  COLOP_ASSERT(is_tuple() && l < lane_count(), "PackedBlock: keep_lane of no lane");
+  if (mask_none(defined(l))) {
+    arity_ = kWildArity;
+    return;
+  }
+  // A canonical lane that defines something is a canonical scalar block's
+  // words: undefined payload zero, mask within the element mask, tail clear.
+  const DType dt = dtype(l);
+  std::memmove(words_, words_ + lane_offset(l), (m_ + mask_words(m_)) * 8);
+  arity_ = 0;
+  std::memset(dtype_bytes(), 0, 8);
+  set_dtype(0, dt);
 }
 
 PackedBlock PackedBlock::scalars(std::size_t m, DType dtype) {

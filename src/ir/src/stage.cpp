@@ -72,7 +72,7 @@ void eval_stage(const Stage& stage, std::vector<B>& state) {
       return;
     case Kind::Scan:
       for (std::size_t r = 1; r < state.size(); ++r)
-        state[r] = P::binop(*stage.binop())(state[r - 1], state[r]);
+        state[r] = P::binop(*stage.binop())(state[r - 1], std::move(state[r]));
       return;
     // An istart evaluates exactly like its blocking twin, and wait(h) is a
     // value-level no-op (the continuation-overlap reading, stage.h).
@@ -82,7 +82,7 @@ void eval_stage(const Stage& stage, std::vector<B>& state) {
     case Kind::IStartAllReduce: {
       B acc = state[0];
       for (std::size_t r = 1; r < state.size(); ++r)
-        acc = P::binop(*stage.binop())(acc, state[r]);
+        acc = P::binop(*stage.binop())(std::move(acc), state[r]);
       deliver(stage, std::move(acc), state);
       return;
     }
@@ -110,9 +110,9 @@ void eval_stage(const Stage& stage, std::vector<B>& state) {
             block = P::degrade(op2)(std::move(own));
             continue;
           }
-          const B received = P::strip(op2)(state[static_cast<std::size_t>(partner)]);
-          block = r < partner ? P::combine2(op2)(own, received).first
-                              : P::combine2(op2)(received, own).second;
+          B received = P::strip(op2)(state[static_cast<std::size_t>(partner)]);
+          block = r < partner ? P::combine2(op2)(own, std::move(received)).first
+                              : P::combine2(op2)(std::move(received), own).second;
         }
         state.swap(next);
       }

@@ -4,8 +4,9 @@
 //
 // Two schedules:
 //   * butterfly (default) — each rank maintains (prefix, block-total) and
-//     exchanges totals with rank XOR 2^k; two operator applications per
-//     element per phase, matching the paper's T_scan = log p*(ts+m*(tw+2)).
+//     exchanges totals with rank XOR 2^k; up to two operator applications
+//     per element per phase, matching the paper's T_scan = log p*(ts+m*(tw+2)),
+//     of which a rank applies only those its prefix needs.
 //     Works for any p: a rank whose upper partner does not exist simply
 //     keeps going — its block total becomes stale, but stale totals are
 //     only ever produced in the topmost incomplete block and are never
@@ -15,6 +16,7 @@
 //
 // Operators need only be associative; combinations happen in rank order.
 
+#include <optional>
 #include <utility>
 
 #include "colop/mpsim/comm.h"
@@ -32,17 +34,31 @@ template <typename T, typename Op>
   const int tag = comm.next_collective_tag();
 
   if (algo == ScanAlgo::butterfly) {
-    T prefix = value;
-    T total = std::move(value);
+    // The block total equals the prefix until an upper partner's total is
+    // appended to it, so it is kept apart only from then on; after this
+    // rank's last exchange nobody reads it, so it is neither updated nor
+    // copied for that send.
+    T prefix = std::move(value);
+    std::optional<T> total;
+    const auto exchanges_after = [&](int k) {
+      for (int j = k + 1; (1 << j) < p; ++j)
+        if ((r ^ (1 << j)) < p) return true;
+      return false;
+    };
     for (int k = 0; (1 << k) < p; ++k) {
       const int partner = r ^ (1 << k);
       if (partner >= p) continue;  // topmost incomplete block: idle
-      T other_total = comm.sendrecv_tagged(partner, total, tag);
-      if (partner < r) {
-        prefix = op(other_total, std::move(prefix));
-        total = op(std::move(other_total), std::move(total));
+      const bool total_live = exchanges_after(k);
+      T sent = !total ? T(prefix) : total_live ? T(*total) : std::move(*total);
+      T other_total = comm.sendrecv_tagged(partner, std::move(sent), tag);
+      if (!total_live) {
+        if (partner < r) prefix = op(std::move(other_total), std::move(prefix));
+      } else if (partner < r) {
+        if (total) total = op(other_total, std::move(*total));
+        prefix = op(std::move(other_total), std::move(prefix));
       } else {
-        total = op(std::move(total), std::move(other_total));
+        total = total ? op(std::move(*total), std::move(other_total))
+                      : op(prefix, std::move(other_total));
       }
     }
     return prefix;

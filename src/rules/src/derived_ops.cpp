@@ -1,17 +1,19 @@
 #include "colop/rules/derived_ops.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <optional>
+#include <string>
 #include <utility>
 
-#include "colop/ir/packed_kernels.h"
 #include "colop/support/error.h"
 
 namespace colop::rules {
 
+using ir::DType;
 using ir::PackedBlock;
 using ir::Tuple;
-namespace pk = ir::pk;
 
 namespace {
 
@@ -28,12 +30,73 @@ Value make_tuple(Vs&&... vs) {
 
 // Packed-kernel preamble for a derived operator over n-tuples whose boxed
 // twin as_tuple()s every element unconditionally (no undefined gating).
-void require_full_tuple(const PackedBlock& b, int arity, const char* name) {
+// False for the empty block, which has no element to reject and which the
+// kernel returns as it is (empty blocks are wild).
+bool full_tuples(const PackedBlock& b, int arity, const char* name) {
+  if (b.size() == 0) return false;
   COLOP_REQUIRE(b.arity() == arity,
                 std::string(name) + ": packed kernel expects " +
                     std::to_string(arity) + "-tuples");
   COLOP_REQUIRE(ir::mask_popcount(b.elem_mask()) == b.size(),
                 std::string(name) + ": undefined element");
+  return true;
+}
+
+// --- packed derived kernels ----------------------------------------------
+//
+// Each writes its result lane by lane through the base operators' lane
+// kernels, into one output block that may be an operand itself.  So every
+// step below writes a result lane only after the last read, in that step
+// or any later one, of the operand lanes that share its words (lane l of
+// `a` or of `b`); a lane kernel may read and write the same words.  A
+// formula with no such order (op_sr2, op_bsr2) keeps one intermediate lane
+// on the stack and runs a chunk of elements at a time.
+
+// Lane l of b from element lo on, as a lane kernel reads it.
+ir::LaneView lane(const PackedBlock& b, std::size_t l, std::size_t lo = 0) {
+  return {b.dtype(l), b.data(l).data() + lo, b.defined(l).data() + lo / 64};
+}
+
+// A result lane being written, from element lo on: its words, and the dtype
+// the last kernel that wrote them returned.
+struct Result {
+  DType dtype = DType::i64;
+  std::uint64_t* data;
+  std::uint64_t* defined;
+
+  Result(PackedBlock& b, std::size_t l, std::size_t lo = 0)
+      : data(b.data(l).data() + lo), defined(b.defined(l).data() + lo / 64) {}
+  Result(std::uint64_t* d, std::uint64_t* m) : data(d), defined(m) {}
+  [[nodiscard]] ir::LaneView view() const { return {dtype, data, defined}; }
+  void set(const ir::PackedLaneFn& f, ir::LaneView x, ir::LaneView y, std::size_t n) {
+    dtype = f(x, y, data, defined, n);
+  }
+};
+
+// Elements per pass of a kernel with a stack lane: 2 KB of payload.
+constexpr std::size_t kChunk = 256;
+
+// step(lo, n, scratch) over the chunks of m elements (lo a multiple of 64).
+template <typename Step>
+void by_chunks(std::size_t m, Step step) {
+  std::uint64_t data[kChunk] = {};
+  std::uint64_t defined[kChunk / 64] = {};
+  for (std::size_t lo = 0; lo < m; lo += kChunk)
+    step(lo, std::min(kChunk, m - lo), Result(data, defined));
+}
+
+// A result block that is not an operand: m arity-tuples, every element
+// defined (the kernels that call this take full tuples).
+void shape_full(PackedBlock& out, std::size_t m, int arity) {
+  out.reshape(arity, m);
+  ir::mask_fill(out.elem_mask(), m);
+}
+
+// Lane l all undefined.
+void clear_lane(PackedBlock& b, std::size_t l) {
+  std::fill(b.data(l).begin(), b.data(l).end(), std::uint64_t{0});
+  std::fill(b.defined(l).begin(), b.defined(l).end(), std::uint64_t{0});
+  b.set_dtype(l, DType::i64);
 }
 
 }  // namespace
@@ -56,26 +119,33 @@ BinOpPtr make_op_sr2(BinOpPtr otimes, BinOpPtr oplus) {
                     oplus->name());
   const double ops = 2 * otimes->ops_cost() + oplus->ops_cost();
   ir::PackedBinFn packed;
-  if (otimes->has_packed() && oplus->has_packed()) {
-    packed = [pt = otimes->packed(), pp = oplus->packed()](
-                 const PackedBlock& a, const PackedBlock& b) {
-      COLOP_REQUIRE(a.size() == b.size(), "op_sr2: packed size mismatch");
-      if (a.is_wild() || b.is_wild()) return PackedBlock::wild(a.size());
+  if (otimes->has_packed_lane() && oplus->has_packed_lane()) {
+    packed = [pt = otimes->packed_lane(), pp = oplus->packed_lane()](
+                 const PackedBlock& a, const PackedBlock& b, PackedBlock& out) {
+      const std::size_t m = a.size();
+      COLOP_REQUIRE(m == b.size(), "op_sr2: packed size mismatch");
+      if (a.is_wild() || b.is_wild()) {
+        out = PackedBlock::wild(m);
+        return;
+      }
       COLOP_REQUIRE(a.arity() == 2 && b.arity() == 2,
                     "op_sr2: packed kernel expects pairs");
-      const PackedBlock x0 = pk::lane_scalar(a, 0);
-      const PackedBlock x1 = pk::lane_scalar(a, 1);
-      const PackedBlock y0 = pk::lane_scalar(b, 0);
-      const PackedBlock y1 = pk::lane_scalar(b, 1);
-      // Element mask a AND b, built in place.
-      PackedBlock out = PackedBlock::tuples(2, a.size());
-      const ir::MaskSpan elem = out.elem_mask();
-      std::copy(a.elem_mask().begin(), a.elem_mask().end(), elem.begin());
-      ir::mask_and_into(elem, b.elem_mask());
-      pk::set_lane(out, 0, pp(x0, pt(x1, y0)));
-      pk::set_lane(out, 1, pt(x1, y1));
+      if (&out != &a && &out != &b) out.reshape(2, m);
+      std::transform(a.elem_mask().begin(), a.elem_mask().end(), b.elem_mask().begin(),
+                     out.elem_mask().begin(), std::bit_and<>());
+      DType d0 = DType::i64, d1 = DType::i64;
+      by_chunks(m, [&](std::size_t lo, std::size_t n, Result r1y0) {
+        const ir::LaneView x0 = lane(a, 0, lo), x1 = lane(a, 1, lo);
+        Result o0(out, 0, lo), o1(out, 1, lo);
+        r1y0.set(pt, x1, lane(b, 0, lo), n);
+        o0.set(pp, x0, r1y0.view(), n);
+        o1.set(pt, x1, lane(b, 1, lo), n);
+        d0 = o0.dtype;
+        d1 = o1.dtype;
+      });
+      out.set_dtype(0, d0);
+      out.set_dtype(1, d1);
       out.canonicalize();
-      return out;
     };
   }
   return ir::BinOp::make({
@@ -111,25 +181,33 @@ ir::BalancedOp make_op_sr(BinOpPtr oplus, int elem_words) {
   };
   op.ops_cost = 4 * oplus->ops_cost();
   op.words = 2 * elem_words;
-  if (oplus->has_packed()) {
-    op.packed_combine = [po = oplus->packed()](const PackedBlock& a,
-                                               const PackedBlock& b) {
+  if (oplus->has_packed_lane()) {
+    op.packed_combine = [po = oplus->packed_lane()](const PackedBlock& a,
+                                                    const PackedBlock& b,
+                                                    PackedBlock& out) {
       COLOP_REQUIRE(a.size() == b.size(), "op_sr: packed size mismatch");
-      require_full_tuple(a, 2, "op_sr");
-      require_full_tuple(b, 2, "op_sr");
-      const PackedBlock x0 = pk::lane_scalar(a, 0);
-      const PackedBlock x1 = pk::lane_scalar(a, 1);
-      const PackedBlock y0 = pk::lane_scalar(b, 0);
-      const PackedBlock y1 = pk::lane_scalar(b, 1);
-      const PackedBlock uu = po(x1, y1);
-      return pk::tuple_of(a.elem_mask(), a.size(), po(po(x0, y0), x1),
-                          po(uu, uu));
+      if (!full_tuples(a, 2, "op_sr") || !full_tuples(b, 2, "op_sr")) {
+        out = PackedBlock::wild(0);
+        return;
+      }
+      const std::size_t m = a.size();
+      if (&out != &a && &out != &b) shape_full(out, m, 2);
+      Result o0(out, 0), o1(out, 1);
+      o0.set(po, lane(a, 0), lane(b, 0), m);
+      o0.set(po, o0.view(), lane(a, 1), m);
+      o1.set(po, lane(a, 1), lane(b, 1), m);  // uu
+      o1.set(po, o1.view(), o1.view(), m);
+      out.set_dtype(0, o0.dtype);
+      out.set_dtype(1, o1.dtype);
+      out.canonicalize();
     };
-    op.packed_unit = [po = oplus->packed()](PackedBlock v) {
-      require_full_tuple(v, 2, "op_sr");
-      const PackedBlock x1 = pk::lane_scalar(v, 1);
-      return pk::tuple_of(v.elem_mask(), v.size(), pk::lane_scalar(v, 0),
-                          po(x1, x1));
+    op.packed_unit = [po = oplus->packed_lane()](PackedBlock v) {
+      if (!full_tuples(v, 2, "op_sr")) return v;
+      Result o1(v, 1);
+      o1.set(po, lane(v, 1), lane(v, 1), v.size());
+      v.set_dtype(1, o1.dtype);
+      v.canonicalize();
+      return v;
     };
   }
   return op;
@@ -164,43 +242,52 @@ ir::BalancedOp2 make_op_ss(BinOpPtr oplus, int elem_words) {
   };
   op.ops_cost = 8 * oplus->ops_cost();
   op.words = 3 * elem_words;
-  if (oplus->has_packed()) {
-    op.packed_combine2 = [po = oplus->packed()](const PackedBlock& a,
-                                                const PackedBlock& b) {
+  if (oplus->has_packed_lane()) {
+    op.packed_combine2 = [po = oplus->packed_lane()](
+                             const PackedBlock& a, const PackedBlock& b,
+                             PackedBlock& lo, PackedBlock& hi) {
       COLOP_REQUIRE(a.size() == b.size(), "op_ss: packed size mismatch");
-      require_full_tuple(a, 4, "op_ss");
-      require_full_tuple(b, 4, "op_ss");
+      if (!full_tuples(a, 4, "op_ss") || !full_tuples(b, 4, "op_ss")) {
+        lo = hi = PackedBlock::wild(0);
+        return;
+      }
       const std::size_t m = a.size();
-      const ir::MaskView full = a.elem_mask();  // require_full_tuple
-      const PackedBlock x0 = pk::lane_scalar(a, 0);
-      const PackedBlock x1 = pk::lane_scalar(a, 1);
-      const PackedBlock x2 = pk::lane_scalar(a, 2);
-      const PackedBlock x3 = pk::lane_scalar(a, 3);
-      const PackedBlock y0 = pk::lane_scalar(b, 0);
-      const PackedBlock y1 = pk::lane_scalar(b, 1);
-      const PackedBlock y2 = pk::lane_scalar(b, 2);
-      const PackedBlock y3 = pk::lane_scalar(b, 3);
-      const PackedBlock ttu = po(po(x1, y1), x2);
-      const PackedBlock uu = po(x2, y2);
-      const PackedBlock uuuu = po(uu, uu);
-      const PackedBlock vv = po(x3, y3);
-      return std::make_pair(
-          pk::tuple_of(full, m, x0, ttu, uuuu, vv),
-          pk::tuple_of(full, m, po(po(y0, x1), x3), ttu, uuuu, po(uu, vv)));
+      const ir::LaneView x1 = lane(a, 1), x2 = lane(a, 2), x3 = lane(a, 3);
+      const ir::LaneView y0 = lane(b, 0), y1 = lane(b, 1), y2 = lane(b, 2),
+                         y3 = lane(b, 3);
+      if (&lo != &a) {
+        shape_full(lo, m, 4);
+        lo.copy_lane(0, a, 0);
+      }
+      if (&hi != &b) shape_full(hi, m, 4);
+      Result h0(hi, 0), l1(lo, 1), h2(hi, 2), l2(lo, 2), l3(lo, 3), h3(hi, 3);
+      h0.set(po, y0, x1, m);
+      h0.set(po, h0.view(), x3, m);
+      l1.set(po, x1, y1, m);  // ttu
+      l1.set(po, l1.view(), x2, m);
+      h2.set(po, x2, y2, m);  // uu, until uuuu overwrites it
+      l2.set(po, h2.view(), h2.view(), m);  // uuuu
+      l3.set(po, x3, y3, m);  // vv
+      h3.set(po, h2.view(), l3.view(), m);
+      lo.set_dtype(1, l1.dtype);
+      lo.set_dtype(2, l2.dtype);
+      lo.set_dtype(3, l3.dtype);
+      hi.set_dtype(0, h0.dtype);
+      hi.set_dtype(3, h3.dtype);
+      hi.copy_lane(1, lo, 1);
+      hi.copy_lane(2, lo, 2);
+      lo.canonicalize();
+      hi.canonicalize();
     };
     op.packed_degrade = [](PackedBlock v) {
-      require_full_tuple(v, 4, "op_ss");
-      const std::size_t m = v.size();
-      const PackedBlock undef = pk::undef_component(m);
-      return pk::tuple_of(v.elem_mask(), m, pk::lane_scalar(v, 0), undef,
-                          undef, undef);
+      if (!full_tuples(v, 4, "op_ss")) return v;
+      for (std::size_t l = 1; l < 4; ++l) clear_lane(v, l);
+      return v;
     };
     op.packed_strip = [](PackedBlock v) {
-      require_full_tuple(v, 4, "op_ss");
-      const std::size_t m = v.size();
-      return pk::tuple_of(v.elem_mask(), m, pk::undef_component(m),
-                          pk::lane_scalar(v, 1), pk::lane_scalar(v, 2),
-                          pk::lane_scalar(v, 3));
+      if (!full_tuples(v, 4, "op_ss")) return v;
+      clear_lane(v, 0);
+      return v;
     };
   }
   return op;
@@ -210,29 +297,27 @@ ir::ElemIdxFn make_op_comp_bs(BinOpPtr oplus) {
   ir::ElemIdxFn f;
   f.name = "op_comp_bs[" + oplus->name() + "]";
   f.fn = [o = oplus](int k, const Value& b) {
-    // pair; repeat(e,o) k; pi_1  with e(t,u)=(t,u+u), o(t,u)=(t+u,u+u)
+    // pair; repeat(e,o) k; pi_1  with e(t,u)=(t,u+u), o(t,u)=(t+u,u+u);
+    // the last digit's u+u is never read.
     Value t = b, u = b;
-    auto kk = static_cast<unsigned>(k);
-    while (kk != 0) {
+    for (auto kk = static_cast<unsigned>(k); kk != 0; kk >>= 1u) {
       if (kk & 1u) t = (*o)(t, u);
-      u = (*o)(u, u);
-      kk >>= 1u;
+      if (kk > 1u) u = (*o)(u, u);
     }
     return t;
   };
   f.ops_per_logp = 2 * oplus->ops_cost();
   if (oplus->has_packed()) {
-    // Same digit loop with whole blocks as the auxiliary variables; the
-    // base kernel enforces its own element shape (scalars, mat2 4-tuples).
+    // Same digit loop with whole blocks as the auxiliary variables, each
+    // combined in its own buffer; the base kernel enforces its own element
+    // shape (scalars, mat2 4-tuples).
     f.packed_fn = [po = oplus->packed()](int k, PackedBlock b) {
-      if (b.is_wild()) return b;
+      if (b.is_wild() || k == 0) return b;
       PackedBlock t = b;
-      PackedBlock u = std::move(b);
-      auto kk = static_cast<unsigned>(k);
-      while (kk != 0) {
-        if (kk & 1u) t = po(t, u);
-        u = po(u, u);
-        kk >>= 1u;
+      PackedBlock& u = b;
+      for (auto kk = static_cast<unsigned>(k); kk != 0; kk >>= 1u) {
+        if (kk & 1u) po(t, u, t);
+        if (kk > 1u) po(u, u, u);
       }
       return t;
     };
@@ -250,14 +335,13 @@ ir::ElemIdxFn make_op_comp_bss2(BinOpPtr otimes, BinOpPtr oplus) {
     // triple; repeat(e,o) k; pi_1 with
     //   e(s,t,u) = (s,          t+(t*u), u*u)
     //   o(s,t,u) = (t+(s*u),    t+(t*u), u*u)
+    // The last digit is odd and only its s is read.
     Value s = b, t = b, u = b;
-    auto kk = static_cast<unsigned>(k);
-    while (kk != 0) {
-      const Value t_new = (*op)(t, (*ot)(t, u));
+    for (auto kk = static_cast<unsigned>(k); kk != 0; kk >>= 1u) {
       if (kk & 1u) s = (*op)(t, (*ot)(s, u));
-      t = t_new;
+      if (kk == 1u) break;
+      t = (*op)(t, (*ot)(t, u));
       u = (*ot)(u, u);
-      kk >>= 1u;
     }
     return s;
   };
@@ -265,16 +349,18 @@ ir::ElemIdxFn make_op_comp_bss2(BinOpPtr otimes, BinOpPtr oplus) {
   if (otimes->has_packed() && oplus->has_packed()) {
     f.packed_fn = [pt = otimes->packed(), pp = oplus->packed()](
                       int k, PackedBlock b) {
-      if (b.is_wild()) return b;
-      PackedBlock s = b, t = b;
-      PackedBlock u = std::move(b);
-      auto kk = static_cast<unsigned>(k);
-      while (kk != 0) {
-        PackedBlock t_new = pp(t, pt(t, u));
-        if (kk & 1u) s = pp(t, pt(s, u));
-        t = std::move(t_new);
-        u = pt(u, u);
-        kk >>= 1u;
+      if (b.is_wild() || k == 0) return b;
+      PackedBlock s = b, t = b, tu;
+      PackedBlock& u = b;
+      for (auto kk = static_cast<unsigned>(k); kk != 0; kk >>= 1u) {
+        if (kk & 1u) {
+          pt(s, u, s);
+          pp(t, s, s);
+        }
+        if (kk == 1u) break;
+        pt(t, u, tu);
+        pp(t, tu, t);
+        pt(u, u, u);
       }
       return s;
     };
@@ -291,38 +377,40 @@ ir::ElemIdxFn make_op_comp_bss(BinOpPtr oplus) {
     // quadruple; repeat(e,o) k; pi_1 with (uu = u+u)
     //   e(s,t,u,v) = (s,       t+t+u, uu+uu, v+v)
     //   o(s,t,u,v) = (s+t+v,   t+t+u, uu+uu, uu+v+v)
+    // The last digit is odd and only its s is read.
     Value s = b, t = b, u = b, v = b;
-    auto kk = static_cast<unsigned>(k);
-    while (kk != 0) {
-      const Value uu = (*o)(u, u);
-      const Value t_new = (*o)((*o)(t, t), u);
-      const Value u_new = (*o)(uu, uu);
-      const Value v_new = (kk & 1u) ? (*o)((*o)(uu, v), v) : (*o)(v, v);
+    for (auto kk = static_cast<unsigned>(k); kk != 0; kk >>= 1u) {
       if (kk & 1u) s = (*o)((*o)(s, t), v);
-      t = t_new;
-      u = u_new;
-      v = v_new;
-      kk >>= 1u;
+      if (kk == 1u) break;
+      const Value uu = (*o)(u, u);
+      t = (*o)((*o)(t, t), u);
+      u = (*o)(uu, uu);
+      v = (kk & 1u) ? (*o)((*o)(uu, v), v) : (*o)(v, v);
     }
     return s;
   };
   f.ops_per_logp = 8 * oplus->ops_cost();
   if (oplus->has_packed()) {
     f.packed_fn = [po = oplus->packed()](int k, PackedBlock b) {
-      if (b.is_wild()) return b;
-      PackedBlock s = b, t = b, u = b;
-      PackedBlock v = std::move(b);
-      auto kk = static_cast<unsigned>(k);
-      while (kk != 0) {
-        const PackedBlock uu = po(u, u);
-        PackedBlock t_new = po(po(t, t), u);
-        PackedBlock u_new = po(uu, uu);
-        PackedBlock v_new = (kk & 1u) ? po(po(uu, v), v) : po(v, v);
-        if (kk & 1u) s = po(po(s, t), v);
-        t = std::move(t_new);
-        u = std::move(u_new);
-        v = std::move(v_new);
-        kk >>= 1u;
+      if (b.is_wild() || k == 0) return b;
+      PackedBlock s = b, t = b, u = b, uu;
+      PackedBlock& v = b;
+      for (auto kk = static_cast<unsigned>(k); kk != 0; kk >>= 1u) {
+        if (kk & 1u) {
+          po(s, t, s);
+          po(s, v, s);
+        }
+        if (kk == 1u) break;
+        po(u, u, uu);
+        po(t, t, t);
+        po(t, u, t);
+        po(uu, uu, u);
+        if (kk & 1u) {
+          po(uu, v, uu);  // uu is dead once u is
+          po(uu, v, v);
+        } else {
+          po(v, v, v);
+        }
       }
       return s;
     };
@@ -336,7 +424,10 @@ ir::ElemFn make_op_br(BinOpPtr oplus) {
   f.fn = [o = oplus](const Value& s) { return (*o)(s, s); };
   f.ops_cost = oplus->ops_cost();
   if (oplus->has_packed()) {
-    f.packed_fn = [po = oplus->packed()](PackedBlock v) { return po(v, v); };
+    f.packed_fn = [po = oplus->packed()](PackedBlock v) {
+      po(v, v, v);
+      return v;
+    };
   }
   return f;
 }
@@ -358,14 +449,24 @@ ir::ElemFn make_op_bsr2(BinOpPtr otimes, BinOpPtr oplus) {
     return make_tuple((*op)(x[0], (*ot)(x[0], x[1])), (*ot)(x[1], x[1]));
   };
   f.ops_cost = 2 * otimes->ops_cost() + oplus->ops_cost();
-  if (otimes->has_packed() && oplus->has_packed()) {
-    f.packed_fn = [pt = otimes->packed(), pp = oplus->packed()](
+  if (otimes->has_packed_lane() && oplus->has_packed_lane()) {
+    f.packed_fn = [pt = otimes->packed_lane(), pp = oplus->packed_lane()](
                       PackedBlock v) {
-      require_full_tuple(v, 2, "op_bsr2");
-      const PackedBlock x0 = pk::lane_scalar(v, 0);
-      const PackedBlock x1 = pk::lane_scalar(v, 1);
-      return pk::tuple_of(v.elem_mask(), v.size(), pp(x0, pt(x0, x1)),
-                          pt(x1, x1));
+      if (!full_tuples(v, 2, "op_bsr2")) return v;
+      DType d0 = DType::i64, d1 = DType::i64;
+      by_chunks(v.size(), [&](std::size_t lo, std::size_t n, Result st) {
+        const ir::LaneView x0 = lane(v, 0, lo), x1 = lane(v, 1, lo);
+        Result o0(v, 0, lo), o1(v, 1, lo);
+        st.set(pt, x0, x1, n);
+        o0.set(pp, x0, st.view(), n);
+        o1.set(pt, x1, x1, n);
+        d0 = o0.dtype;
+        d1 = o1.dtype;
+      });
+      v.set_dtype(0, d0);
+      v.set_dtype(1, d1);
+      v.canonicalize();
+      return v;
     };
   }
   return f;
@@ -392,14 +493,19 @@ ir::ElemFn make_op_bsr(BinOpPtr oplus) {
     return make_tuple((*o)((*o)(x[0], x[0]), x[1]), (*o)(uu, uu));
   };
   f.ops_cost = 4 * oplus->ops_cost();
-  if (oplus->has_packed()) {
-    f.packed_fn = [po = oplus->packed()](PackedBlock v) {
-      require_full_tuple(v, 2, "op_bsr");
-      const PackedBlock x0 = pk::lane_scalar(v, 0);
-      const PackedBlock x1 = pk::lane_scalar(v, 1);
-      const PackedBlock uu = po(x1, x1);
-      return pk::tuple_of(v.elem_mask(), v.size(), po(po(x0, x0), x1),
-                          po(uu, uu));
+  if (oplus->has_packed_lane()) {
+    f.packed_fn = [po = oplus->packed_lane()](PackedBlock v) {
+      if (!full_tuples(v, 2, "op_bsr")) return v;
+      const std::size_t m = v.size();
+      Result o0(v, 0), o1(v, 1);
+      o0.set(po, lane(v, 0), lane(v, 0), m);
+      o0.set(po, o0.view(), lane(v, 1), m);
+      o1.set(po, lane(v, 1), lane(v, 1), m);  // uu
+      o1.set(po, o1.view(), o1.view(), m);
+      v.set_dtype(0, o0.dtype);
+      v.set_dtype(1, o1.dtype);
+      v.canonicalize();
+      return v;
     };
   }
   return f;

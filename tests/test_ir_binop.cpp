@@ -10,6 +10,7 @@
 
 #include "colop/ir/binop.h"
 #include "colop/ir/packed.h"
+#include "colop/support/rng.h"
 
 namespace colop::ir {
 namespace {
@@ -148,6 +149,67 @@ TEST(BinOp, ModularOpsAreExactNearInt64Max) {
       EXPECT_EQ(sums[i].as_int(), sum);
       EXPECT_EQ(prods[i].as_int(), prod);
     }
+  }
+}
+
+// Operands in [0, m) take the fast paths: one conditional subtract for a
+// sum, a reciprocal computed once per operator for a product when m <= 2^32.
+// Every pair in [-2m, 3m) for small m (in range, negative and out of
+// range), every pair of boundary operands for moduli around 2^31 and 2^32,
+// and random in-range pairs at those moduli, on both planes, must equal
+// exact 128-bit reduction.
+TEST(BinOp, ModularFastPathsMatchExactReduction) {
+  __extension__ using i128 = __int128;
+  const auto reference = [](i128 r, std::int64_t m) {
+    const i128 q = r % m;
+    return static_cast<std::int64_t>(q < 0 ? q + m : q);
+  };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const auto check = [&](std::int64_t m, const Block& a, const Block& b) {
+    const auto ma = op_modadd(m);
+    const auto mm = op_modmul(m);
+    const PackedBlock pa = *PackedBlock::pack(a), pb = *PackedBlock::pack(b);
+    const Block sums = ma->packed()(pa, pb).unpack();
+    const Block prods = mm->packed()(pa, pb).unpack();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::int64_t x = a[i].as_int(), y = b[i].as_int();
+      const std::int64_t sum = reference(static_cast<i128>(x) + y, m);
+      const std::int64_t prod = reference(static_cast<i128>(x) * y, m);
+      ASSERT_EQ((*ma)(a[i], b[i]).as_int(), sum) << x << " + " << y << " mod " << m;
+      ASSERT_EQ((*mm)(a[i], b[i]).as_int(), prod) << x << " * " << y << " mod " << m;
+      ASSERT_EQ(sums[i].as_int(), sum) << x << " + " << y << " mod " << m;
+      ASSERT_EQ(prods[i].as_int(), prod) << x << " * " << y << " mod " << m;
+    }
+  };
+  for (std::int64_t m = 1; m <= 40; ++m) {
+    Block a, b;
+    for (std::int64_t x = -2 * m; x < 3 * m; ++x)
+      for (std::int64_t y = -2 * m; y < 3 * m; ++y) {
+        a.emplace_back(x);
+        b.emplace_back(y);
+      }
+    check(m, a, b);
+  }
+  constexpr std::int64_t k32 = std::int64_t{1} << 32;
+  Rng rng(61);
+  for (const std::int64_t m : {std::int64_t{65521}, std::int64_t{1000000007},
+                               (std::int64_t{1} << 31) - 1, std::int64_t{1} << 31,
+                               k32 - 5, k32 - 1, k32, k32 + 1, k32 + 15}) {
+    const std::vector<std::int64_t> xs{
+        0,  1,  2,      m / 2, m - 2,    m - 1, m,        m + 1, 2 * m - 1,
+        -1, -m, -m - 1, kMax,  kMax - 1, kMin,  kMin + 1};
+    Block a, b;
+    for (const std::int64_t x : xs)
+      for (const std::int64_t y : xs) {
+        a.emplace_back(x);
+        b.emplace_back(y);
+      }
+    for (int i = 0; i < 4096; ++i) {
+      a.emplace_back(rng.uniform(0, m - 1));
+      b.emplace_back(rng.uniform(0, m - 1));
+    }
+    check(m, a, b);
   }
 }
 

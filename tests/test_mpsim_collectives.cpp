@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "colop/mpsim/mpsim.h"
@@ -277,6 +278,58 @@ TEST(CollectivesTraffic, ScanButterflyMessageCount) {
         if ((r ^ (1 << k)) < p) ++expect;
     EXPECT_EQ(counters.messages, expect) << "p=" << p;
   }
+}
+
+// A scan applies only the combines its prefix needs.  The operator joins
+// adjacent rank ranges (so a wrong order or gap fails), and each rank counts
+// its applications.  Doubling combines once per message received.  The
+// butterfly combines its prefix at each exchange with a lower partner, and
+// its block total -- which equals the prefix until an upper partner's total
+// is appended -- only while a later exchange of its own still sends it.
+TEST(CollectivesOpCount, ScanAppliesOnlyTheCombinesItsPrefixNeeds) {
+  using Range = std::pair<int, int>;  // ranks [first, second)
+  for (const ScanAlgo algo : {ScanAlgo::butterfly, ScanAlgo::doubling})
+    for (int p = 1; p <= 9; ++p) {
+      std::vector<int> applied(static_cast<std::size_t>(p), 0);
+      const auto out = run_spmd_collect<Range>(p, [&](Comm& comm) {
+        const auto join = [&](const Range& a, const Range& b) {
+          ++applied[static_cast<std::size_t>(comm.rank())];
+          EXPECT_EQ(a.second, b.first) << "p=" << p;
+          return Range{a.first, b.second};
+        };
+        return scan(comm, Range{comm.rank(), comm.rank() + 1}, join, algo);
+      });
+      for (int r = 0; r < p; ++r) {
+        SCOPED_TRACE("p=" + std::to_string(p) + " rank " + std::to_string(r) +
+                     (algo == ScanAlgo::butterfly ? " butterfly" : " doubling"));
+        EXPECT_EQ(out[static_cast<std::size_t>(r)], Range(0, r + 1));
+        int want = 0;
+        if (algo == ScanAlgo::doubling) {
+          for (int d = 1; d < p; d <<= 1) want += r - d >= 0 ? 1 : 0;
+        } else {
+          const auto exchanges = [&](int k) { return (r ^ (1 << k)) < p; };
+          bool total_apart = false;
+          for (int k = 0; (1 << k) < p; ++k) {
+            if (!exchanges(k)) continue;
+            bool sent_later = false;
+            for (int j = k + 1; (1 << j) < p; ++j)
+              sent_later = sent_later || exchanges(j);
+            if ((r ^ (1 << k)) < r) {
+              want += 1 + (total_apart && sent_later ? 1 : 0);
+            } else if (sent_later) {
+              ++want;
+              total_apart = true;
+            }
+          }
+        }
+        EXPECT_EQ(applied[static_cast<std::size_t>(r)], want);
+      }
+      if (p == 2) {
+        // The lower rank needs nothing; the upper combines once.
+        EXPECT_EQ(applied[0], 0);
+        EXPECT_EQ(applied[1], 1);
+      }
+    }
 }
 
 TEST(CollectivesEdge, AllCollectivesAtPEqualsOne) {

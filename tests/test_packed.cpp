@@ -44,9 +44,9 @@ TEST(PackedMask, BasicOps) {
   EXPECT_EQ(m.size(), 3u);
   EXPECT_TRUE(mask_none(m));
   EXPECT_EQ(mask_popcount(m), 0u);
-  mask_set(m, 0, true);
-  mask_set(m, 64, true);
-  mask_set(m, 129, true);
+  m[0] |= 1u;                        // element 0
+  m[1] |= 1u;                        // element 64
+  m[2] |= std::uint64_t{1} << 1;     // element 129
   EXPECT_EQ(mask_popcount(m), 3u);
   EXPECT_TRUE(mask_get(m, 129));
   EXPECT_FALSE(mask_get(m, 128));
@@ -266,7 +266,7 @@ TEST(PackedStorage, CanonicalizeCollapsesToWildAtEverySize) {
     }
     // Undefining element 0 wholesale clears its lanes too.
     PackedBlock one = b;
-    mask_set(one.elem_mask(), 0, false);
+    one.elem_mask()[0] &= ~std::uint64_t{1};
     one.canonicalize();
     Block expect = b.unpack();
     expect[0] = U();
