@@ -7,11 +7,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "colop/exec/thread_executor.h"
 #include "colop/ir/binop.h"
+#include "colop/ir/packed.h"
 #include "colop/ir/parse.h"
 #include "colop/mpsim/mpsim.h"
 #include "colop/rules/derived_ops.h"
@@ -65,6 +67,28 @@ void BM_RunOnFibersSmall(benchmark::State& state) {
 }
 BENCHMARK(BM_RunOnFibersSmall)->Arg(2)->Arg(5)->Arg(9)
     ->Unit(benchmark::kMicrosecond);
+
+// One mailbox hop of the packed plane: a 2-element block (certification's
+// size) sent by a rank to itself and received back, its message already
+// queued, so the receive never blocks.  Arg telemetry:1 logs the hop in
+// the flight recorder, telemetry:0 runs with telemetry off.
+void BM_PackedHop(benchmark::State& state) {
+  rt::Config& cfg = rt::mutable_config();
+  const rt::Config saved = cfg;
+  cfg.enabled = state.range(0) != 0;
+  {
+    const mpsim::Comm comm(std::make_shared<mpsim::Group>(1), 0);
+    ir::PackedBlock block =
+        *ir::PackedBlock::pack(ir::Block{ir::Value(1), ir::Value(2)});
+    for (auto _ : state) {
+      comm.send(0, std::move(block));
+      block = comm.recv<ir::PackedBlock>(0);
+      benchmark::DoNotOptimize(block);
+    }
+  }
+  cfg = saved;
+}
+BENCHMARK(BM_PackedHop)->ArgName("telemetry")->Arg(1)->Arg(0);
 
 void BM_Bcast(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));

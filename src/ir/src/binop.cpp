@@ -18,6 +18,19 @@ Value numeric(const Value& a, const Value& b, IntFn fi, RealFn fr) {
   return Value(fr(a.number(), b.number()));
 }
 
+// int64 + and * wrap modulo 2^64 (two's complement), computed unsigned:
+// signed overflow is undefined behaviour, unsigned wraparound is not.
+// Both planes call these, so a sum or product that leaves int64 reads the
+// same boxed and packed.
+constexpr std::int64_t wrapping_add(std::int64_t x, std::int64_t y) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) +
+                                   static_cast<std::uint64_t>(y));
+}
+constexpr std::int64_t wrapping_mul(std::int64_t x, std::int64_t y) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) *
+                                   static_cast<std::uint64_t>(y));
+}
+
 __extension__ using i128 = __int128;
 __extension__ using u128 = unsigned __int128;
 
@@ -95,16 +108,18 @@ BinOpPtr op_add() {
       .fn =
           [](const Value& a, const Value& b) {
             return numeric(
-                a, b, [](auto x, auto y) { return x + y; },
+                a, b, [](auto x, auto y) { return wrapping_add(x, y); },
                 [](double x, double y) { return x + y; });
           },
       .associative = true,
       .commutative = true,
+      // "max"/"min": a + max(b, c) == max(a+b, a+c) only where no int sum
+      // wraps (a wrapped sum reorders).
       .distributes_over = {"first", "max", "min"},
       .ops_cost = 1.0,
       .unit = Value(std::int64_t{0}),
       .packed_lane = pk::lane_numeric(
-          [](std::int64_t x, std::int64_t y) { return x + y; },
+          [](std::int64_t x, std::int64_t y) { return wrapping_add(x, y); },
           [](double x, double y) { return x + y; }),
   });
   return op;
@@ -116,18 +131,19 @@ BinOpPtr op_mul() {
       .fn =
           [](const Value& a, const Value& b) {
             return numeric(
-                a, b, [](auto x, auto y) { return x * y; },
+                a, b, [](auto x, auto y) { return wrapping_mul(x, y); },
                 [](double x, double y) { return x * y; });
           },
       .associative = true,
       .commutative = true,
       // "gcd": a * gcd(b, c) == gcd(a*b, a*c) on the naturals, gcd's
-      // canonical carrier (gcd(ka, kb) = k * gcd(a, b) for k >= 0).
+      // canonical carrier (gcd(ka, kb) = k * gcd(a, b) for k >= 0), where
+      // no product wraps.
       .distributes_over = {"+", "f+", "first", "gcd"},
       .ops_cost = 1.0,
       .unit = Value(std::int64_t{1}),
       .packed_lane = pk::lane_numeric(
-          [](std::int64_t x, std::int64_t y) { return x * y; },
+          [](std::int64_t x, std::int64_t y) { return wrapping_mul(x, y); },
           [](double x, double y) { return x * y; }),
   });
   return op;

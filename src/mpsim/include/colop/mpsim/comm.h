@@ -75,26 +75,19 @@ class Comm {
   }
 
   void barrier() const {
+    if (rec_ != nullptr) rec_->log(rt::Ev::barrier_begin);
+    group_->barrier(rank_);
     if (rec_ != nullptr) {
-      rec_->log(rt::Ev::barrier_begin);
-      rt_stats_->blocked.store(1, std::memory_order_relaxed);
-      const std::uint64_t t0 = rec_->now_ns();
-      group_->barrier(rank_);
-      rt_stats_->barrier_wait_ns.fetch_add(rec_->now_ns() - t0,
-                                           std::memory_order_relaxed);
-      rt_stats_->blocked.store(0, std::memory_order_relaxed);
       rt_stats_->barriers.fetch_add(1, std::memory_order_relaxed);
       rec_->log(rt::Ev::barrier_end);
-    } else {
-      group_->barrier(rank_);
     }
   }
 
   /// This rank's flight recorder; nullptr when telemetry is disabled.
   [[nodiscard]] rt::Recorder* flight_recorder() const noexcept { return rec_; }
-  /// This rank's counters.  sends/send_bytes count every send; the wait,
-  /// barrier and queue fields move only while the recorder is non-null.
-  /// Null only for an invalid Comm.
+  /// This rank's counts (no times: waits come from the records).  sends and
+  /// send_bytes count every send; the rest move only while the recorder is
+  /// non-null.  Null only for an invalid Comm.
   [[nodiscard]] rt::RankStats* rank_stats() const noexcept { return rt_stats_; }
 
   /// MPI_Comm_split analogue.  Collective over the group.  Ranks passing
@@ -132,8 +125,6 @@ class Comm {
   [[nodiscard]] T recv_raw(int source, int tag) const {
     COLOP_REQUIRE(source >= 0 && source < size(),
                   "mpsim: recv from invalid rank");
-    if (rec_ != nullptr)
-      rec_->log(rt::Ev::recv_begin, source, 0, static_cast<std::uint64_t>(tag));
     Message msg = group_->mailbox(rank_).take(source, tag);
     if (rec_ != nullptr) {
       rec_->log(rt::Ev::recv_end, source, msg.bytes,

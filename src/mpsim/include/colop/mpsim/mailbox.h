@@ -46,14 +46,15 @@ class Mailbox {
   /// Install the group's abort flag (set once at group construction).
   void set_abort_flag(const std::atomic<bool>* aborted) { aborted_ = aborted; }
 
-  /// Name the owning rank and its group's telemetry.  put() then accounts
-  /// queue depth / bytes in flight in the rank's slot (when the fleet is
-  /// enabled), take() accounts blocked receive time, and a deadlocked
-  /// take() names the rank and its stage.
+  /// Name the owning rank and its group's telemetry.  When the fleet is
+  /// enabled, put() accounts queue depth / bytes in flight in the rank's
+  /// slot and a take() about to block (only then) logs recv_begin in the
+  /// rank's recorder.  A deadlocked take() names the rank and its stage.
   void set_owner(int rank, rt::Fleet& fleet) {
     owner_ = rank;
     fleet_ = &fleet;
     stats_ = fleet.enabled() ? fleet.stats(rank) : nullptr;
+    rec_ = fleet.recorder(rank);
   }
 
  private:
@@ -89,6 +90,7 @@ class Mailbox {
   int owner_ = 0;
   rt::Fleet* fleet_ = nullptr;
   rt::RankStats* stats_ = nullptr;
+  rt::Recorder* rec_ = nullptr;
 };
 
 }  // namespace colop::mpsim

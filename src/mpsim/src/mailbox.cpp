@@ -1,34 +1,16 @@
 #include "colop/mpsim/mailbox.h"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 
 #include "colop/mpsim/rank_pool.h"
 #include "colop/support/error.h"
 
 namespace colop::mpsim {
-namespace {
 
-// Monotone max for relaxed atomics (telemetry only; exactness under a lost
-// race is irrelevant, absence of data races is not).
-void relaxed_max(std::atomic<std::uint64_t>& slot, std::uint64_t v) noexcept {
-  std::uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-std::uint64_t steady_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
+constexpr auto kRelaxed = std::memory_order_relaxed;
 
 void Mailbox::put(Message msg) {
-  const std::size_t bytes = msg.bytes;
   {
     std::lock_guard lk(mutex_);
     Cell* cell = free_;
@@ -43,18 +25,20 @@ void Mailbox::put(Message msg) {
     (q.tail != nullptr ? q.tail->next : q.head) = cell;
     q.tail = cell;
     ++queued_;
+    if (stats_ != nullptr) {  // the queue fields change only under this lock
+      rt::RankStats& s = *stats_;
+      const std::uint64_t depth = queued_;
+      const std::uint64_t qb = s.queue_bytes.load(kRelaxed) + cell->msg.bytes;
+      s.queue_depth.store(depth, kRelaxed);
+      s.queue_bytes.store(qb, kRelaxed);
+      s.queue_depth_max.store(std::max(depth, s.queue_depth_max.load(kRelaxed)),
+                              kRelaxed);
+      s.queue_bytes_max.store(std::max(qb, s.queue_bytes_max.load(kRelaxed)), kRelaxed);
+      s.queue_depth_sum.fetch_add(depth, kRelaxed);
+      s.queued_total.fetch_add(1, kRelaxed);
+    }
   }
   detail::note_progress();
-  if (stats_ != nullptr) {
-    const std::uint64_t depth =
-        stats_->queue_depth.fetch_add(1, std::memory_order_relaxed) + 1;
-    relaxed_max(stats_->queue_depth_max, depth);
-    stats_->queue_depth_sum.fetch_add(depth, std::memory_order_relaxed);
-    stats_->queued_total.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t qb =
-        stats_->queue_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    relaxed_max(stats_->queue_bytes_max, qb);
-  }
   cv_.notify_all();
 }
 
@@ -70,19 +54,10 @@ Message Mailbox::take(int source, int tag) {
     return queued();
   };
   if (!ready()) {
-    // About to block: account the wait so per-rank blocked time and the
-    // watchdog's liveness view reflect real contention, not just traffic.
-    const detail::WaitSite site{owner_, fleet_, source, tag};
-    if (stats_ != nullptr) {
-      stats_->blocked.store(1, std::memory_order_relaxed);
-      const std::uint64_t t0 = steady_ns();
-      detail::wait_until(lk, cv_, ready, site);
-      stats_->recv_wait_ns.fetch_add(steady_ns() - t0,
-                                     std::memory_order_relaxed);
-      stats_->blocked.store(0, std::memory_order_relaxed);
-    } else {
-      detail::wait_until(lk, cv_, ready, site);
-    }
+    // About to block: the recv_end Comm logs next closes this wait.
+    if (rec_ != nullptr)
+      rec_->log(rt::Ev::recv_begin, source, 0, static_cast<std::uint64_t>(tag));
+    detail::wait_until(lk, cv_, ready, detail::WaitSite{owner_, fleet_, source, tag});
   }
   if (aborted_ && aborted_->load(std::memory_order_acquire) && !queued())
     throw Error("mpsim: group aborted while waiting in recv");
@@ -95,8 +70,8 @@ Message Mailbox::take(int source, int tag) {
   free_ = cell;
   --queued_;
   if (stats_ != nullptr) {
-    stats_->queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    stats_->queue_bytes.fetch_sub(msg.bytes, std::memory_order_relaxed);
+    stats_->queue_depth.store(queued_, kRelaxed);
+    stats_->queue_bytes.store(stats_->queue_bytes.load(kRelaxed) - msg.bytes, kRelaxed);
   }
   return msg;
 }

@@ -22,9 +22,9 @@ struct LiveRankRow {
   int stage = -1;             ///< current stage index, -1 between stages
   std::string stage_label;
   std::uint64_t stages_done = 0;
-  double busy_ms = 0;         ///< elapsed − comm − idle (clamped at 0)
-  double comm_ms = 0;         ///< blocked in recv
-  double idle_ms = 0;         ///< blocked in barrier
+  double busy_ms = 0;         ///< the analyzer's busy: between records, not waiting
+  double comm_ms = 0;         ///< blocked in recv (recv_begin..recv_end)
+  double idle_ms = 0;         ///< in barriers (barrier_begin..barrier_end)
   std::uint64_t queue_depth = 0;
   std::uint64_t sends = 0;
   std::uint64_t send_bytes = 0;

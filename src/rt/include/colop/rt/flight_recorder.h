@@ -10,7 +10,10 @@
 // thread; consumers (the stall watchdog, post-mortem dumps, rt reports,
 // the live sampler) only ever read — so the hot path is five relaxed
 // stores, a release fence and one release store of the head index: no
-// lock, no allocation, no syscall.
+// lock, no allocation, no syscall.  The records are the only measure of
+// time: rt::WaitFold (op_stream.h) folds them into busy and waits, and a
+// receive logs recv_begin only when it blocks, so an open begin as a
+// ring's newest record means "blocked".
 //
 // Concurrency contract (ThreadSanitizer-clean by construction):
 //   * every ring word is a std::atomic<uint64_t> written relaxed by the
@@ -60,7 +63,7 @@ enum class Ev : std::uint8_t {
   stage_begin,    ///< executor entered stage `stage`
   stage_end,      ///< executor left stage `stage`
   send,           ///< mailbox send: peer = dest, bytes, aux = tag
-  recv_begin,     ///< blocking receive posted: peer = source, aux = tag
+  recv_begin,     ///< receive about to block: peer = source, aux = tag
   recv_end,       ///< receive matched: peer = source, bytes, aux = tag
   barrier_begin,  ///< entered group barrier
   barrier_end,    ///< left group barrier
@@ -83,7 +86,7 @@ struct Record {
   static constexpr std::uint16_t kNoStage = 0xffff;
 };
 
-/// Per-rank counters updated with relaxed atomics on the hot path and read
+/// Per-rank counts updated with relaxed atomics on the hot path and read
 /// by the watchdog/report side.  sends/send_bytes are counted on every
 /// send, telemetry on or off (they are mpsim's traffic counters); the rest
 /// only while the fleet is enabled.  Cache-line aligned per rank.
@@ -91,9 +94,7 @@ struct alignas(64) RankStats {
   std::atomic<std::uint64_t> sends{0};
   std::atomic<std::uint64_t> send_bytes{0};
   std::atomic<std::uint64_t> recvs{0};
-  std::atomic<std::uint64_t> recv_wait_ns{0};     ///< time blocked in recv
   std::atomic<std::uint64_t> barriers{0};
-  std::atomic<std::uint64_t> barrier_wait_ns{0};  ///< time inside barrier
   // Inbound queue accounting (this rank's mailbox).
   std::atomic<std::uint64_t> queue_depth{0};      ///< current queued messages
   std::atomic<std::uint64_t> queue_depth_max{0};
@@ -102,8 +103,6 @@ struct alignas(64) RankStats {
   std::atomic<std::uint64_t> queue_bytes{0};      ///< bytes in flight now
   std::atomic<std::uint64_t> queue_bytes_max{0};
   // Liveness, read by the watchdog.
-  std::atomic<std::uint64_t> last_event_ns{0};
-  std::atomic<std::uint8_t> blocked{0};  ///< 1 while waiting in recv/barrier
   std::atomic<std::uint8_t> done{0};     ///< rank body returned
   std::atomic<std::uint8_t> stalled{0};  ///< the watchdog's stall verdict
   // Executor progress, read by the watchdog and the live sampler.
@@ -111,7 +110,8 @@ struct alignas(64) RankStats {
   std::atomic<std::uint64_t> stages_done{0};
 };
 
-/// Plain-value snapshot of RankStats.
+/// Plain-value snapshot of RankStats; the waits, last_event_ns and blocked
+/// are rt::WaitFold over the retained records (lower bounds if any dropped).
 struct RankStatsSnapshot {
   std::uint64_t sends = 0, send_bytes = 0;
   std::uint64_t recvs = 0, recv_wait_ns = 0;
@@ -119,8 +119,8 @@ struct RankStatsSnapshot {
   std::uint64_t queue_depth = 0, queue_depth_max = 0;
   std::uint64_t queue_depth_sum = 0, queued_total = 0;
   std::uint64_t queue_bytes = 0, queue_bytes_max = 0;
-  std::uint64_t last_event_ns = 0;
-  bool blocked = false, done = false;
+  std::uint64_t last_event_ns = 0;  ///< newest record, 0 if none
+  bool blocked = false, done = false;  ///< blocked: newest record opens a wait
 
   [[nodiscard]] double queue_depth_mean() const {
     return queued_total == 0
@@ -129,6 +129,15 @@ struct RankStatsSnapshot {
                      static_cast<double>(queued_total);
   }
 };
+
+/// steady_clock ns from `epoch` to now: a record's time.
+[[nodiscard]] inline std::uint64_t ns_since(
+    std::chrono::steady_clock::time_point epoch) noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - epoch)
+          .count());
+}
 
 /// Lock-free SPSC ring of Records.  The owning rank thread calls log();
 /// any other thread may call head()/snapshot() concurrently.
@@ -148,17 +157,10 @@ class Recorder {
                                                                      kWords);
   }
 
-  [[nodiscard]] std::uint64_t now_ns() const noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
-  }
-
   /// Producer only.  Zero allocation; relaxed stores + release head.
   void log(Ev kind, std::int32_t peer = -1, std::uint64_t bytes = 0,
            std::uint64_t aux = 0) noexcept {
-    const std::uint64_t t = now_ns();
+    const std::uint64_t t = ns_since(epoch_);
     const std::uint64_t seq = head_.load(std::memory_order_relaxed);
     // A consumer that sees any word of this record also sees the claim,
     // so it knows the record this slot held (seq - cap) is torn.
@@ -170,8 +172,6 @@ class Recorder {
     w[2].store(bytes, std::memory_order_relaxed);
     w[3].store(aux, std::memory_order_relaxed);
     head_.store(seq + 1, std::memory_order_release);
-    if (stats_ != nullptr)
-      stats_->last_event_ns.store(t, std::memory_order_relaxed);
   }
 
   /// Producer only: stage index stamped into subsequent records.
@@ -193,8 +193,6 @@ class Recorder {
   /// to `out`; advances `cursor` to the head.  Returns how many of those
   /// records the producer had overwritten before they could be copied.
   std::uint64_t drain(std::uint64_t& cursor, std::vector<Record>& out) const;
-
-  void set_stats(RankStats* stats) noexcept { stats_ = stats; }
 
   /// Forget every record and restart the clock at `epoch`, keeping the
   /// ring.  Only while no producer or consumer is attached.
@@ -221,7 +219,6 @@ class Recorder {
   std::atomic<std::uint64_t> head_{0};     ///< one past the newest record
   std::atomic<std::uint64_t> claimed_{0};  ///< head_, or head_ + 1 mid-log()
   std::uint16_t stage_ = Record::kNoStage;  // producer-thread private
-  RankStats* stats_ = nullptr;
 };
 
 /// One rank's decoded state as captured by Fleet::snapshot().
@@ -293,12 +290,6 @@ class Fleet {
 
   [[nodiscard]] std::chrono::steady_clock::time_point epoch() const noexcept {
     return epoch_;
-  }
-  [[nodiscard]] std::uint64_t now_ns() const noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
   }
 
   [[nodiscard]] FleetSnapshot snapshot() const;

@@ -8,9 +8,10 @@
 // (begin_run .. end_run), every SPMD launch attaches its group's rt::Fleet
 // for the length of the launch (LiveLaunch; one relaxed load per launch
 // when no run is active).  Each tick the sampler reads the attached
-// fleets: counters and per-rank rows from RankStats, as deltas of
-// monotone counters, so they are exact; per-kind record counts and stage
-// latencies from the records logged since the previous tick.  Detaching
+// fleets: message and stage counts from RankStats, as deltas of monotone
+// counters, so they are exact; record counts, stage latencies and each
+// rank's busy and waits from the records logged since the previous tick,
+// folded per rank by rt::WaitFold, as --rt-report's are.  Detaching
 // folds the launch's final state under the sampler's lock, before
 // Group::make can reset the group for reuse, so a launch shorter than one
 // sampling interval is still counted exactly once.
@@ -108,7 +109,6 @@ class LiveSampler : public obs::LiveView {
   std::vector<RankAgg> agg_;
   std::uint64_t events_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t last_event_ns_ = 0;
   std::vector<obs::Histogram*> stage_seconds_;  ///< by stage index
   std::vector<Record> records_;                 ///< fold() scratch
 

@@ -10,9 +10,9 @@
 // split, the critical path, and per-stage critical time labelled with the
 // optimizer rule that produced the stage.  On top of that Profile:
 //
-//   * per-rank counters the mailboxes measured — sends/bytes, recv-wait
-//     and barrier-wait time, inbound queue depth (max / mean) and bytes in
-//     flight, records logged and dropped;
+//   * per-rank counts — sends/bytes, inbound queue depth (max / mean) and
+//     bytes in flight, records logged and dropped — and recv-wait and
+//     barrier-wait time from the records (lower bounds if any dropped);
 //   * per-stage wall-vs-predicted drift.  A stage's wall time is the max
 //     (and mean) over ranks of the time its ops cover.  Wall clock is in
 //     nanoseconds and the model in abstract op units, so the comparison
@@ -44,12 +44,14 @@ struct RankReport {
   std::uint64_t sends = 0;
   std::uint64_t send_bytes = 0;
   std::uint64_t recvs = 0;
-  double recv_wait_ms = 0;       ///< measured blocked time in recv
-  double barrier_wait_ms = 0;    ///< measured time inside barriers
+  double recv_wait_ms = 0;       ///< recv_begin..recv_end, summed
+  double barrier_wait_ms = 0;    ///< barrier_begin..barrier_end, summed
   double busy_ms = 0;            ///< compute time in the profile
   std::uint64_t queue_depth_max = 0;
   double queue_depth_mean = 0;
   std::uint64_t queue_bytes_max = 0;
+  /// False when the ring dropped records: the waits are lower bounds.
+  [[nodiscard]] bool waits_exact() const noexcept { return dropped == 0; }
 };
 
 struct StageReport {

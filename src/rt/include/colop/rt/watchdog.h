@@ -3,9 +3,10 @@
 //
 // The watchdog is a sampling thread attached to one process group's rt
 // Fleet for the duration of an SPMD run.  Every poll it reads each rank's
-// recorder head (a single acquire load) and last-event timestamp; a rank
-// that is not done, has made no progress, and whose last event is older
-// than the deadline is a stall.  On the first stall the watchdog dumps a
+// recorder head (a single acquire load) and newest record; a rank that is
+// not done, has made no progress, and whose newest record is older than
+// the deadline is a stall, blocked if that record is an open begin.  On
+// the first stall the watchdog dumps a
 // post-mortem — the tail of every rank's flight recorder as text and,
 // when a dump path is configured, as the run's op stream in Chrome's
 // format (rt/op_stream.h: waits still open are closed at the dump, flow
@@ -32,7 +33,6 @@ namespace colop::rt {
 struct StallInfo {
   int rank = 0;
   std::uint64_t idle_ns = 0;      ///< now - last event
-  std::uint64_t last_event_ns = 0;
   bool blocked = false;           ///< was waiting in recv/barrier
   std::string stage;              ///< label of the stage it was in, if known
 };

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <memory>
 
+#include "colop/rt/op_stream.h"
+
 namespace colop::rt {
 namespace {
 
@@ -93,10 +95,8 @@ Fleet::Fleet(int ranks, const Config& cfg)
       stats_(static_cast<std::size_t>(ranks_)) {
   if (!cfg.enabled) return;
   recorders_.reserve(static_cast<std::size_t>(ranks_));
-  for (int r = 0; r < ranks_; ++r) {
+  for (int r = 0; r < ranks_; ++r)
     recorders_.push_back(std::make_unique<Recorder>(cfg.ring_capacity, epoch_));
-    recorders_.back()->set_stats(&stats_[static_cast<std::size_t>(r)]);
-  }
 }
 
 bool Fleet::built_from(const Config& cfg) const noexcept {
@@ -106,7 +106,7 @@ bool Fleet::built_from(const Config& cfg) const noexcept {
 void Fleet::reset() {
   epoch_ = std::chrono::steady_clock::now();
   for (auto& rec : recorders_) rec->reset(epoch_);
-  // Rebuilt in place: recorders and mailboxes hold pointers to the slots.
+  // Rebuilt in place: mailboxes and communicators hold pointers to them.
   for (RankStats& s : stats_) {
     std::destroy_at(&s);
     std::construct_at(&s);
@@ -133,18 +133,20 @@ FleetSnapshot Fleet::snapshot() const {
     rs.stats.sends = ld(s.sends);
     rs.stats.send_bytes = ld(s.send_bytes);
     rs.stats.recvs = ld(s.recvs);
-    rs.stats.recv_wait_ns = ld(s.recv_wait_ns);
     rs.stats.barriers = ld(s.barriers);
-    rs.stats.barrier_wait_ns = ld(s.barrier_wait_ns);
     rs.stats.queue_depth = ld(s.queue_depth);
     rs.stats.queue_depth_max = ld(s.queue_depth_max);
     rs.stats.queue_depth_sum = ld(s.queue_depth_sum);
     rs.stats.queued_total = ld(s.queued_total);
     rs.stats.queue_bytes = ld(s.queue_bytes);
     rs.stats.queue_bytes_max = ld(s.queue_bytes_max);
-    rs.stats.last_event_ns = ld(s.last_event_ns);
-    rs.stats.blocked = ld(s.blocked) != 0;
     rs.stats.done = ld(s.done) != 0;
+    WaitFold fold;
+    for (const Record& record : rs.records) fold.add(record);
+    rs.stats.recv_wait_ns = fold.recv_wait_ns;
+    rs.stats.barrier_wait_ns = fold.barrier_wait_ns;
+    rs.stats.last_event_ns = fold.last_ns;
+    rs.stats.blocked = fold.open();
     snap.per_rank.push_back(std::move(rs));
   }
   return snap;

@@ -7,19 +7,10 @@
 #include <utility>
 
 #include "colop/obs/metrics.h"
+#include "colop/rt/op_stream.h"
 
 namespace colop::rt {
 namespace {
-
-std::uint64_t steady_ns(std::chrono::steady_clock::time_point t) noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t.time_since_epoch())
-          .count());
-}
-
-std::uint64_t steady_now_ns() noexcept {
-  return steady_ns(std::chrono::steady_clock::now());
-}
 
 // The sampler every launch attaches to.  g_mutex orders attach/detach
 // against run edges and sampler destruction; g_active is the per-launch
@@ -38,8 +29,7 @@ struct LiveSampler::Seen {
   std::uint64_t stages_done = 0;
   std::uint64_t sends = 0;
   std::uint64_t send_bytes = 0;
-  std::uint64_t recv_wait_ns = 0;
-  std::uint64_t barrier_wait_ns = 0;
+  WaitFold waits;  ///< the records folded so far, an open begin included
   std::uint16_t open_stage = Record::kNoStage;  ///< last stage_begin seen
   std::uint64_t open_stage_ns = 0;
 };
@@ -54,8 +44,9 @@ struct LiveSampler::Attached {
 struct LiveSampler::RankAgg {
   int stage = -1;
   std::uint64_t stages_done = 0;
-  std::uint64_t comm_ns = 0;
-  std::uint64_t idle_ns = 0;
+  std::uint64_t busy_ns = 0;
+  std::uint64_t comm_ns = 0;  ///< receive wait
+  std::uint64_t idle_ns = 0;  ///< barrier wait
   std::uint64_t queue_depth = 0;
   std::uint64_t sends = 0;
   std::uint64_t send_bytes = 0;
@@ -85,13 +76,12 @@ void LiveSampler::begin_run(LiveRunInfo info) {
   ++run_.seq;
   run_.active = true;
   run_.repeat = 0;
-  run_.started_ns = steady_now_ns();
+  run_.started_ns = ns_since({});
   run_.ended_ns = 0;
   run_.info = std::move(info);
   agg_.clear();
   events_ = 0;
   dropped_ = 0;
-  last_event_ns_ = 0;
 }
 
 void LiveSampler::note_repeat(int repeat) {
@@ -115,7 +105,7 @@ void LiveSampler::end_run_locked() {
   attached_.clear();
   ++run_.seq;
   run_.active = false;
-  run_.ended_ns = steady_now_ns();
+  run_.ended_ns = ns_since({});
 }
 
 LiveSampler::RunState LiveSampler::run_state() const {
@@ -133,7 +123,8 @@ bool LiveSampler::attach(Fleet& fleet) {
   const std::lock_guard<std::mutex> lock(g_current->mutex_);
   Attached launch;
   launch.fleet = &fleet;
-  launch.epoch_ns = steady_ns(fleet.epoch());
+  launch.epoch_ns = static_cast<std::uint64_t>(
+      std::chrono::nanoseconds(fleet.epoch().time_since_epoch()).count());
   launch.seen.resize(static_cast<std::size_t>(fleet.ranks()));
   g_current->attached_.push_back(std::move(launch));
   return true;
@@ -191,16 +182,39 @@ void LiveSampler::fold(Attached& launch) {
     const std::uint64_t rank_stages = take(st.stages_done, seen.stages_done);
     const std::uint64_t rank_sends = take(st.sends, seen.sends);
     const std::uint64_t rank_bytes = take(st.send_bytes, seen.send_bytes);
-    const std::uint64_t comm = take(st.recv_wait_ns, seen.recv_wait_ns);
-    const std::uint64_t idle = take(st.barrier_wait_ns, seen.barrier_wait_ns);
     a.stages_done += rank_stages;
     a.sends += rank_sends;
     a.send_bytes += rank_bytes;
-    a.comm_ns += comm;
-    a.idle_ns += idle;
     stages += rank_stages;
     sends += rank_sends;
     send_bytes += rank_bytes;
+
+    records_.clear();
+    const std::uint64_t lost = fleet.recorder(r)->drain(seen.cursor, records_);
+    if (lost > 0) seen.waits.gap();
+    dropped += lost;
+    events_ += records_.size();
+    const WaitFold was = seen.waits;
+    for (const Record& rec : records_) {
+      seen.waits.add(rec);
+      const auto kind = static_cast<std::size_t>(rec.kind);
+      if (kind < kEvKinds) ++kinds[kind];
+      if (rec.kind == Ev::stage_begin) {
+        seen.open_stage = rec.stage;
+        seen.open_stage_ns = rec.t_ns;
+      } else if (rec.kind == Ev::stage_end && rec.stage == seen.open_stage) {
+        stage_seconds(rec.stage)
+            .observe(static_cast<double>(rec.t_ns - seen.open_stage_ns) / 1e9);
+        seen.open_stage = Record::kNoStage;
+      }
+    }
+    const std::uint64_t comm = seen.waits.recv_wait_ns - was.recv_wait_ns;
+    const std::uint64_t idle = seen.waits.barrier_wait_ns - was.barrier_wait_ns;
+    a.busy_ns += seen.waits.busy_ns - was.busy_ns;
+    a.comm_ns += comm;
+    a.idle_ns += idle;
+    if (!records_.empty())
+      a.last_event_ns = std::max(a.last_event_ns, launch.epoch_ns + seen.waits.last_ns);
     const obs::LabelSet rank_label{{"rank", std::to_string(r)}};
     if (comm > 0)
       registry_
@@ -217,28 +231,6 @@ void LiveSampler::fold(Attached& launch) {
     a.stage = stage == Record::kNoStage ? -1 : stage;
     a.queue_depth = st.queue_depth.load(std::memory_order_relaxed);
     a.stalled = st.stalled.load(std::memory_order_relaxed) != 0;
-    if (const std::uint64_t last =
-            st.last_event_ns.load(std::memory_order_relaxed);
-        last > 0) {
-      a.last_event_ns = std::max(a.last_event_ns, launch.epoch_ns + last);
-      last_event_ns_ = std::max(last_event_ns_, a.last_event_ns);
-    }
-
-    records_.clear();
-    dropped += fleet.recorder(r)->drain(seen.cursor, records_);
-    events_ += records_.size();
-    for (const Record& rec : records_) {
-      const auto kind = static_cast<std::size_t>(rec.kind);
-      if (kind < kEvKinds) ++kinds[kind];
-      if (rec.kind == Ev::stage_begin) {
-        seen.open_stage = rec.stage;
-        seen.open_stage_ns = rec.t_ns;
-      } else if (rec.kind == Ev::stage_end && rec.stage == seen.open_stage) {
-        stage_seconds(rec.stage)
-            .observe(static_cast<double>(rec.t_ns - seen.open_stage_ns) / 1e9);
-        seen.open_stage = Record::kNoStage;
-      }
-    }
   }
   dropped_ += dropped;
   for (std::size_t k = 0; k < kEvKinds; ++k)
@@ -317,7 +309,7 @@ void LiveSampler::refresh_snapshot() {
   s.events_total = events_;
   s.dropped_total = dropped_;
 
-  const std::uint64_t now = steady_now_ns();
+  const std::uint64_t now = ns_since({});
   const auto age_ms = [now](std::uint64_t t) {
     return static_cast<double>(now > t ? now - t : 0) / 1e6;
   };
@@ -326,7 +318,7 @@ void LiveSampler::refresh_snapshot() {
                      ? static_cast<double>(end - run_.started_ns) / 1e6
                      : 0;
   bool any_stalled = false;
-  std::uint64_t done = 0;
+  std::uint64_t done = 0, newest = 0;
   for (std::size_t r = 0; r < agg_.size(); ++r) {
     const RankAgg& a = agg_[r];
     obs::LiveRankRow row;
@@ -338,11 +330,12 @@ void LiveSampler::refresh_snapshot() {
     row.stages_done = a.stages_done;
     row.comm_ms = static_cast<double>(a.comm_ns) / 1e6;
     row.idle_ms = static_cast<double>(a.idle_ns) / 1e6;
-    row.busy_ms = std::max(0.0, s.elapsed_ms - row.comm_ms - row.idle_ms);
+    row.busy_ms = static_cast<double>(a.busy_ns) / 1e6;
     row.queue_depth = a.queue_depth;
     row.sends = a.sends;
     row.send_bytes = a.send_bytes;
     if (a.last_event_ns > 0) row.last_event_ms = age_ms(a.last_event_ns);
+    newest = std::max(newest, a.last_event_ns);
     row.stalled = a.stalled;
     any_stalled |= a.stalled;
     done += a.stages_done;
@@ -354,7 +347,7 @@ void LiveSampler::refresh_snapshot() {
   s.stages_total =
       stages * static_cast<std::uint64_t>(std::max(run_.info.repeats, 1)) *
       static_cast<std::uint64_t>(std::max(run_.info.ranks, 1));
-  if (last_event_ns_ > 0) s.heartbeat_ms = age_ms(last_event_ns_);
+  if (newest > 0) s.heartbeat_ms = age_ms(newest);
   if (run_.active && done > 0 && s.stages_total > done)
     s.eta_ms = s.elapsed_ms * static_cast<double>(s.stages_total - done) /
                static_cast<double>(done);

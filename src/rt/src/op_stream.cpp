@@ -98,9 +98,7 @@ struct Converter {
       const int stage = stage_of(r);
       // An end right after its begin: the call covers [t, at].  An end
       // without its begin (never logged, or dropped) waited zero time.
-      const bool paired =
-          (r.kind == Ev::recv_end && prev->kind == Ev::recv_begin) ||
-          (r.kind == Ev::barrier_end && prev->kind == Ev::barrier_begin);
+      const bool paired = closes_wait(prev->kind, r.kind);
       const double begin = paired ? t : at;
       if (!paired)
         emit(Kind::compute, t, at, -1, prev->stage == r.stage ? stage : -1);
@@ -132,9 +130,7 @@ struct Converter {
       prev = &r;
       t = at;
     }
-    const bool waiting =
-        prev->kind == Ev::recv_begin || prev->kind == Ev::barrier_begin;
-    if (close_at > t && waiting)
+    if (close_at > t && opens_wait(prev->kind))
       emit(Kind::recv_wait, t, close_at, -1, stage_of(*prev));
   }
 };

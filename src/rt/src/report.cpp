@@ -57,7 +57,7 @@ RtReport build_report(const FleetSnapshot& snap, const RtReportOptions& opts) {
     if (i < opts.provenance.size()) sp.rule = opts.provenance[i];
   }
 
-  // --- per rank: the mailboxes' counters, busy time from the profile ------
+  // --- per rank: counts, waits from the records, busy from the profile ---
   for (const RankSnapshot& rs : snap.per_rank) {
     RankReport rr;
     rr.rank = rs.rank;
@@ -133,7 +133,8 @@ std::string RtReport::render_text() const {
      << " ms\n";
   if (dropped_total > 0)
     os << "note    : ring dropped " << dropped_total
-       << " records; oldest events are missing\n";
+       << " records; oldest events are missing, and the waits of ranks "
+          "marked * are lower bounds\n";
 
   os << "\nper-rank accounting (measured):\n"
      << "  rank   busy_ms  recv_wait  barr_wait  sends      bytes  "
@@ -141,13 +142,14 @@ std::string RtReport::render_text() const {
   for (const RankReport& r : ranks) {
     char line[200];
     std::snprintf(line, sizeof line,
-                  "  %4d %9.3f %10.3f %10.3f %6llu %10llu %9llu/%-7.2f %11llu\n",
+                  "  %4d %9.3f %10.3f %10.3f %6llu %10llu %9llu/%-7.2f %11llu%s\n",
                   r.rank, r.busy_ms, r.recv_wait_ms, r.barrier_wait_ms,
                   static_cast<unsigned long long>(r.sends),
                   static_cast<unsigned long long>(r.send_bytes),
                   static_cast<unsigned long long>(r.queue_depth_max),
                   r.queue_depth_mean,
-                  static_cast<unsigned long long>(r.queue_bytes_max));
+                  static_cast<unsigned long long>(r.queue_bytes_max),
+                  r.waits_exact() ? "" : " *");
     os << line;
   }
 
@@ -207,6 +209,7 @@ void RtReport::write_json(std::ostream& os) const {
        << ",\"busy_ms\":" << js::number(r.busy_ms)
        << ",\"recv_wait_ms\":" << js::number(r.recv_wait_ms)
        << ",\"barrier_wait_ms\":" << js::number(r.barrier_wait_ms)
+       << ",\"waits_exact\":" << (r.waits_exact() ? "true" : "false")
        << ",\"queue_depth_max\":" << r.queue_depth_max
        << ",\"queue_depth_mean\":" << js::number(r.queue_depth_mean)
        << ",\"queue_bytes_max\":" << r.queue_bytes_max << "}";
@@ -247,7 +250,7 @@ void RtReport::write_html(std::ostream& os) const {
        << fixed(timing.stddev_ms) << " ms)";
   if (dropped_total > 0)
     os << "<br><b>note:</b> flight recorder dropped " << dropped_total
-       << " records";
+       << " records; the waits of ranks marked * are lower bounds";
   os << "</p>\n";
 
   // --- timeline: each rank's ops, coloured by stage, waits as strips -----
@@ -282,7 +285,8 @@ void RtReport::write_html(std::ostream& os) const {
      << "<th>sends</th><th>bytes</th><th>queue depth max</th>"
      << "<th>queue depth mean</th><th>queue bytes max</th></tr>\n";
   for (const RankReport& r : ranks)
-    os << "<tr><td>P" << r.rank << "</td><td>" << fixed(r.busy_ms) << "</td><td>"
+    os << "<tr><td>P" << r.rank << (r.waits_exact() ? "" : " *") << "</td><td>"
+       << fixed(r.busy_ms) << "</td><td>"
        << fixed(r.recv_wait_ms) << "</td><td>" << fixed(r.barrier_wait_ms)
        << "</td><td>" << r.sends << "</td><td>" << r.send_bytes << "</td><td>"
        << r.queue_depth_max << "</td><td>" << fixed(r.queue_depth_mean, 2)

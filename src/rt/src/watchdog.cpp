@@ -52,6 +52,7 @@ std::string Watchdog::describe() const {
 void Watchdog::run() {
   const int n = fleet_.ranks();
   std::vector<std::uint64_t> last_head(static_cast<std::size_t>(n), 0);
+  std::vector<Record> newest;
   // A Fleet used by const reference: heads/stats are atomics, reading them
   // from this thread is the designed consumer side of the SPSC contract.
   Fleet& fleet = const_cast<Fleet&>(fleet_);
@@ -63,7 +64,7 @@ void Watchdog::run() {
     std::this_thread::sleep_for(poll);
     if (stop_.load(std::memory_order_acquire)) return;
 
-    const std::uint64_t now = fleet.now_ns();
+    const std::uint64_t now = ns_since(fleet.epoch());
     std::vector<StallInfo> stalls;
     for (int r = 0; r < n; ++r) {
       Recorder* rec = fleet.recorder(r);
@@ -74,14 +75,19 @@ void Watchdog::run() {
       const bool progressed = head != last_head[static_cast<std::size_t>(r)];
       last_head[static_cast<std::size_t>(r)] = head;
       if (progressed) continue;
-      const std::uint64_t last = st->last_event_ns.load(std::memory_order_relaxed);
+      // The newest record dates the last event; an open begin there means
+      // blocked.  If that slot was overwritten meanwhile, the rank moved on.
+      std::uint64_t cursor = head > 0 ? head - 1 : 0;
+      newest.clear();
+      rec->drain(cursor, newest);
+      if (head > 0 && newest.empty()) continue;
+      const std::uint64_t last = newest.empty() ? 0 : newest.back().t_ns;
       const std::uint64_t idle = now > last ? now - last : 0;
       if (idle < deadline_ns) continue;
       StallInfo info;
       info.rank = r;
       info.idle_ns = idle;
-      info.last_event_ns = last;
-      info.blocked = st->blocked.load(std::memory_order_relaxed) != 0;
+      info.blocked = !newest.empty() && opens_wait(newest.back().kind);
       const std::uint16_t stage = st->stage.load(std::memory_order_relaxed);
       const auto& labels = fleet.stage_labels();
       if (stage != Record::kNoStage && stage < labels.size())
@@ -144,7 +150,7 @@ void write_post_mortem_text(const FleetSnapshot& snap, std::ostream& os,
 std::string dump_post_mortem(const Fleet& fleet, const std::string& reason,
                              const std::string& path) {
   const FleetSnapshot snap = fleet.snapshot();
-  const std::uint64_t now = fleet.now_ns();
+  const std::uint64_t now = ns_since(fleet.epoch());
   std::ostringstream text;
   write_post_mortem_text(snap, text, reason);
   std::cerr << text.str();

@@ -5,6 +5,7 @@
 // assertions both watch.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -52,6 +53,19 @@ void send(rt::Fleet& fleet, int rank, int dest, std::uint64_t bytes) {
   fleet.recorder(rank)->log(rt::Ev::send, dest, bytes);
   fleet.stats(rank)->sends.fetch_add(1);
   fleet.stats(rank)->send_bytes.fetch_add(bytes);
+}
+
+// One wait on a hand-built fleet: `begin`, then `end` about `ms` later,
+// as Mailbox::take and Comm::recv_raw (or Comm::barrier) log them.
+// Returns the time the two records span, in ns.
+std::uint64_t wait(rt::Fleet& fleet, int rank, rt::Ev begin, rt::Ev end,
+                   int ms) {
+  rt::Recorder& rec = *fleet.recorder(rank);
+  rec.log(begin);
+  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  rec.log(end);
+  const std::vector<rt::Record> records = rec.snapshot();
+  return records.back().t_ns - records[records.size() - 2].t_ns;
 }
 
 // scan(+) ; reduce(+) ; bcast on p blocks of two small integers.
@@ -113,8 +127,12 @@ TEST(LiveSampler, FoldsEventsIntoRegistryInstruments) {
     const rt::LiveLaunch launch(fleet);
     complete_stage(fleet, 0, 0);
     send(fleet, 0, 1, 512);
-    fleet.stats(1)->recv_wait_ns.store(3'000'000);
-    fleet.stats(1)->barrier_wait_ns.store(1'000'000);
+    const std::uint64_t recv_ns =
+        wait(fleet, 1, rt::Ev::recv_begin, rt::Ev::recv_end, 3);
+    const std::uint64_t barrier_ns =
+        wait(fleet, 1, rt::Ev::barrier_begin, rt::Ev::barrier_end, 1);
+    EXPECT_GE(recv_ns, 3'000'000u);
+    EXPECT_GE(barrier_ns, 1'000'000u);
     sampler.sample_once();
 
     EXPECT_EQ(reg.value("colop_live_events_total", {{"kind", "stage_end"}}), 1);
@@ -124,10 +142,10 @@ TEST(LiveSampler, FoldsEventsIntoRegistryInstruments) {
     EXPECT_EQ(reg.value("colop_live_send_bytes_total"), 512);
     EXPECT_NEAR(
         reg.value("colop_live_recv_wait_seconds_total", {{"rank", "1"}}),
-        0.003, 1e-9);
+        static_cast<double>(recv_ns) / 1e9, 1e-9);
     EXPECT_NEAR(
         reg.value("colop_live_barrier_wait_seconds_total", {{"rank", "1"}}),
-        0.001, 1e-9);
+        static_cast<double>(barrier_ns) / 1e9, 1e-9);
     EXPECT_EQ(reg.value("colop_live_running"), 1);
     EXPECT_EQ(reg.value("colop_live_progress_stages_done"), 1);
     EXPECT_EQ(reg.value("colop_live_progress_stages"), 4);  // 2 stages × 2 ranks
@@ -141,8 +159,9 @@ TEST(LiveSampler, FoldsEventsIntoRegistryInstruments) {
     ASSERT_EQ(snap.ranks.size(), 2u);
     EXPECT_EQ(snap.ranks[0].sends, 1u);
     EXPECT_EQ(snap.ranks[0].send_bytes, 512u);
-    EXPECT_NEAR(snap.ranks[1].comm_ms, 3.0, 1e-9);
-    EXPECT_NEAR(snap.ranks[1].idle_ms, 1.0, 1e-9);
+    EXPECT_NEAR(snap.ranks[1].comm_ms, static_cast<double>(recv_ns) / 1e6, 1e-9);
+    EXPECT_NEAR(snap.ranks[1].idle_ms, static_cast<double>(barrier_ns) / 1e6,
+                1e-9);
 
     // A second tick folds only what is new.
     sampler.sample_once();

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
@@ -31,8 +32,8 @@ struct ConfigGuard {
   ~ConfigGuard() { rt::mutable_config() = saved; }
 };
 
-// A launch whose traffic, counters and recorder heads are the same every
-// time: one ring shift and a barrier.
+// A launch whose traffic, counters and record counts (recv_begin aside)
+// are the same every time: one ring shift and a barrier.
 int ring_shift(Comm& comm) {
   const int p = comm.size();
   const int r = comm.rank();
@@ -58,15 +59,23 @@ LaunchState launch_ring_shift(const std::shared_ptr<Group>& group) {
   LaunchState state{traffic, {}};
   rt::Fleet& fleet = group->fleet();
   if (!fleet.enabled()) return state;
+  const rt::FleetSnapshot snap = fleet.snapshot();
   for (int r = 0; r < p; ++r) {
     const rt::RankStats& s = *fleet.stats(r);
     auto ld = [](const auto& a) {
       return static_cast<std::uint64_t>(a.load(std::memory_order_relaxed));
     };
+    // Records logged, less the recv_begin ones: a receive logs one only
+    // when its message is not queued yet, which depends on timing.
+    const auto& records = snap.per_rank[static_cast<std::size_t>(r)].records;
+    const auto blocked = static_cast<std::uint64_t>(
+        std::count_if(records.begin(), records.end(), [](const rt::Record& rec) {
+          return rec.kind == rt::Ev::recv_begin;
+        }));
     state.per_rank.push_back({ld(s.sends), ld(s.send_bytes), ld(s.recvs),
                               ld(s.barriers), ld(s.queued_total),
                               ld(s.queue_depth), ld(s.queue_bytes), ld(s.done),
-                              fleet.recorder(r)->head()});
+                              fleet.recorder(r)->head() - blocked});
   }
   return state;
 }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -379,6 +380,36 @@ TEST(PackedKernels, StandardOpsAgreeWithBoxed) {
     ASSERT_TRUE(pa && pb);
     const PackedBlock out = op->packed()(*pa, *pb);
     EXPECT_EQ(out.unpack(), boxed_apply2(*op, a, b)) << op->name();
+  }
+}
+
+// int64 + and * wrap modulo 2^64 on both planes.  Every pair of a sweep
+// of operands at and around the int64 limits, where sums and products
+// overflow, reads the same packed and boxed: the two's-complement result.
+TEST(PackedKernels, IntAddAndMulWrapAlikeOnOverflow) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::vector<std::int64_t> edge{
+      kMax,           kMax - 1, kMax / 2 + 1, kMin, kMin + 1, -1, 0, 1, 2,
+      3071704194050,  3717885,  std::int64_t{1} << 32, -(std::int64_t{1} << 33)};
+  Block a, b;
+  for (const std::int64_t x : edge)
+    for (const std::int64_t y : edge) {
+      a.emplace_back(x);
+      b.emplace_back(y);
+    }
+  const auto pa = PackedBlock::pack(a), pb = PackedBlock::pack(b);
+  ASSERT_TRUE(pa && pb);
+  for (const bool mul : {false, true}) {
+    const BinOpPtr op = mul ? op_mul() : op_add();
+    const Block boxed = boxed_apply2(*op, a, b);
+    EXPECT_EQ(op->packed()(*pa, *pb).unpack(), boxed) << op->name();
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      const auto x = static_cast<std::uint64_t>(a[j].as_int());
+      const auto y = static_cast<std::uint64_t>(b[j].as_int());
+      EXPECT_EQ(boxed[j].as_int(), static_cast<std::int64_t>(mul ? x * y : x + y))
+          << a[j].as_int() << ' ' << op->name() << ' ' << b[j].as_int();
+    }
   }
 }
 

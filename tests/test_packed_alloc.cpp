@@ -6,7 +6,9 @@
 // none, and so a packed collective allocates only the copies it sends.
 // A packed thread run must hand its output back in the input's own
 // blocks, not in a second boxed Dist.  This binary replaces the global
-// operator new to count calls and bytes.
+// operator new and operator new[] to count calls and bytes: PackedBlock
+// allocates with new[], which libstdc++ routes through operator new but
+// AddressSanitizer's runtime does not.
 
 #include <gtest/gtest.h>
 
@@ -40,9 +42,14 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
+void* operator new[](std::size_t n) { return ::operator new(n); }
 // Out of line, so GCC does not pair an inlined `new` with free().
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace colop::ir {
 namespace {
