@@ -183,29 +183,6 @@ void BM_RepeatBits(benchmark::State& state) {
 }
 BENCHMARK(BM_RepeatBits)->Arg(7)->Arg(63)->Arg(1023);
 
-void BM_BcastVdgVsWhole(benchmark::State& state) {
-  // Wall-clock contrast of vdg vs whole-block broadcast on the runtime
-  // (single core: measures per-message overhead, not bandwidth).
-  const int p = static_cast<int>(state.range(0));
-  const auto block = make_block(static_cast<std::size_t>(state.range(1)));
-  const bool vdg = state.range(2) != 0;
-  for (auto _ : state) {
-    mpsim::run_spmd(p, [&](mpsim::Comm& comm) {
-      if (vdg) {
-        benchmark::DoNotOptimize(
-            bcast_vdg(comm, comm.rank() == 0 ? block : std::vector<double>{}));
-      } else {
-        benchmark::DoNotOptimize(
-            bcast(comm, comm.rank() == 0 ? block : std::vector<double>{}));
-      }
-    });
-  }
-}
-BENCHMARK(BM_BcastVdgVsWhole)
-    ->Args({8, 4096, 0})
-    ->Args({8, 4096, 1})
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_ReduceBalanced(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   using TU = std::pair<i64, i64>;

@@ -61,7 +61,7 @@ double best_seconds(int reps, F&& f) {
 Block random_int_block(Rng& rng, std::size_t m) {
   Block b;
   b.reserve(m);
-  for (std::size_t j = 0; j < m; ++j) b.push_back(Value(rng.uniform(-40, 40)));
+  for (std::size_t j = 0; j < m; ++j) b.emplace_back(rng.uniform(-40, 40));
   return b;
 }
 
@@ -69,7 +69,7 @@ Block random_real_block(Rng& rng, std::size_t m) {
   Block b;
   b.reserve(m);
   for (std::size_t j = 0; j < m; ++j)
-    b.push_back(Value(1.0 + (rng.uniform01() - 0.5) * 1e-3));
+    b.emplace_back(1.0 + (rng.uniform01() - 0.5) * 1e-3);
   return b;
 }
 

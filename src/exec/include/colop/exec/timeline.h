@@ -27,8 +27,7 @@ struct SimTrace {
 /// Run `prog` once through run_on_simnet on a fresh, traced SimMachine —
 /// overlap windows priced exactly as the untraced run prices them.
 [[nodiscard]] SimTrace trace_on_simnet(const ir::Program& prog,
-                                       const model::Machine& mach,
-                                       SimSchedules sched = {});
+                                       const model::Machine& mach);
 
 /// ASCII Gantt chart: one row per processor, letters identify stages, '.'
 /// is idle/waiting time; a legend follows.  `width` is the number of time

@@ -14,8 +14,7 @@ using Kind = ir::Stage::Kind;
 // Simulate one stage's schedule on the virtual clocks.  Split-phase stages
 // run their blocking twin here; run_on_simnet's window loop then discounts
 // eligible windows by raising interior local work into the istart's span.
-void sim_stage(const ir::Stage& stage, simnet::SimMachine& mach, double m,
-               SimSchedules sched) {
+void sim_stage(const ir::Stage& stage, simnet::SimMachine& mach, double m) {
   const int p = mach.size();
   switch (stage.kind()) {
     case Kind::Map: {
@@ -45,45 +44,19 @@ void sim_stage(const ir::Stage& stage, simnet::SimMachine& mach, double m,
     case Kind::Reduce:
     case Kind::IStartReduce: {
       const auto& s = static_cast<const ir::ReduceStage&>(stage);
-      const double ops = s.op->ops_cost();
-      if (sched.reduce == SimSchedules::Reduce::binomial)
-        simnet::reduce_binomial(mach, m, s.words, ops);
-      else if (sched.reduce == SimSchedules::Reduce::vdg)
-        simnet::allreduce_vdg(mach, m, s.words, ops);
-      else
-        simnet::allreduce_butterfly(mach, m, s.words, ops);
+      simnet::allreduce_butterfly(mach, m, s.words, s.op->ops_cost());
       break;
     }
     case Kind::AllReduce:
     case Kind::IStartAllReduce: {
       const auto& s = static_cast<const ir::AllReduceStage&>(stage);
-      const double ops = s.op->ops_cost();
-      if (sched.reduce == SimSchedules::Reduce::vdg)
-        simnet::allreduce_vdg(mach, m, s.words, ops);
-      else
-        simnet::allreduce_butterfly(mach, m, s.words, ops);
+      simnet::allreduce_butterfly(mach, m, s.words, s.op->ops_cost());
       break;
     }
     case Kind::Bcast:
     case Kind::IStartBcast: {
       const auto& s = static_cast<const ir::BcastStage&>(stage);
-      switch (sched.bcast) {
-        case SimSchedules::Bcast::butterfly:
-          simnet::bcast_butterfly(mach, m, s.words, s.root);
-          break;
-        case SimSchedules::Bcast::binomial:
-          simnet::bcast_binomial(mach, m, s.words, s.root);
-          break;
-        case SimSchedules::Bcast::vdg:
-          simnet::bcast_vdg(mach, m, s.words);
-          break;
-        case SimSchedules::Bcast::pipelined:
-          simnet::bcast_pipelined(
-              mach, m, s.words,
-              simnet::optimal_segments(p, m * s.words, mach.net().ts,
-                                       mach.net().tw));
-          break;
-      }
+      simnet::bcast_butterfly(mach, m, s.words, s.root);
       break;
     }
     case Kind::ScanBalanced: {
@@ -132,7 +105,7 @@ double local_ops(const ir::Stage& stage, int rank) {
 }  // namespace
 
 void run_on_simnet(const ir::Program& prog, simnet::SimMachine& mach, double m,
-                   SimSchedules sched, std::vector<StageSpan>* spans) {
+                   std::vector<StageSpan>* spans) {
   const int p = mach.size();
   const auto windows = ir::overlap_windows(prog);
   auto w = windows.begin();
@@ -145,7 +118,7 @@ void run_on_simnet(const ir::Program& prog, simnet::SimMachine& mach, double m,
       for (int r = 0; r < p; ++r)
         issue[static_cast<std::size_t>(r)] = mach.clock(r);
     mach.set_stage(static_cast<int>(i));
-    sim_stage(prog.stage(i), mach, m, sched);
+    sim_stage(prog.stage(i), mach, m);
     if (window) {
       // Overlap window: after the collective, raise every rank's clock to
       // at least issue-time + its interior local work.  The window's span
@@ -178,27 +151,9 @@ void run_on_simnet(const ir::Program& prog, simnet::SimMachine& mach, double m,
   }
 }
 
-std::pair<SimSchedules::Bcast, double> best_bcast_schedule(
-    const model::Machine& mach) {
-  ir::Program prog;
-  prog.bcast();
-  SimSchedules::Bcast best = SimSchedules::Bcast::butterfly;
-  double best_time = run_on_simnet(prog, mach, {.bcast = best}).time;
-  for (auto cand : {SimSchedules::Bcast::binomial, SimSchedules::Bcast::vdg,
-                    SimSchedules::Bcast::pipelined}) {
-    const double t = run_on_simnet(prog, mach, {.bcast = cand}).time;
-    if (t < best_time) {
-      best = cand;
-      best_time = t;
-    }
-  }
-  return {best, best_time};
-}
-
-SimRunResult run_on_simnet(const ir::Program& prog, const model::Machine& mach,
-                           SimSchedules sched) {
+SimRunResult run_on_simnet(const ir::Program& prog, const model::Machine& mach) {
   simnet::SimMachine sim(mach.p, simnet::NetParams{mach.ts, mach.tw});
-  run_on_simnet(prog, sim, mach.m, sched);
+  run_on_simnet(prog, sim, mach.m);
   return {sim.makespan(), sim.messages(), sim.words_sent()};
 }
 

@@ -4,13 +4,12 @@
 
 namespace colop::exec {
 
-SimTrace trace_on_simnet(const ir::Program& prog, const model::Machine& mach,
-                         SimSchedules sched) {
+SimTrace trace_on_simnet(const ir::Program& prog, const model::Machine& mach) {
   simnet::SimMachine sim(mach.p, simnet::NetParams{mach.ts, mach.tw});
   SimTrace trace;
   trace.procs = mach.p;
   sim.set_trace(&trace.ops);
-  run_on_simnet(prog, sim, mach.m, sched, &trace.spans);
+  run_on_simnet(prog, sim, mach.m, &trace.spans);
   trace.makespan = sim.makespan();
   return trace;
 }

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <optional>
+#include <utility>
 
 #include "colop/ir/packed_kernels.h"
 
@@ -117,7 +119,7 @@ BinOpPtr op_add() {
       // wraps (a wrapped sum reorders).
       .distributes_over = {"first", "max", "min"},
       .ops_cost = 1.0,
-      .unit = Value(std::int64_t{0}),
+      .unit = std::optional<Value>(std::in_place, std::int64_t{0}),
       .packed_lane = pk::lane_numeric(
           [](std::int64_t x, std::int64_t y) { return wrapping_add(x, y); },
           [](double x, double y) { return x + y; }),
@@ -141,7 +143,7 @@ BinOpPtr op_mul() {
       // no product wraps.
       .distributes_over = {"+", "f+", "first", "gcd"},
       .ops_cost = 1.0,
-      .unit = Value(std::int64_t{1}),
+      .unit = std::optional<Value>(std::in_place, std::int64_t{1}),
       .packed_lane = pk::lane_numeric(
           [](std::int64_t x, std::int64_t y) { return wrapping_mul(x, y); },
           [](double x, double y) { return x * y; }),
@@ -197,7 +199,7 @@ BinOpPtr op_band() {
       .commutative = true,
       .distributes_over = {"band", "bor", "first"},
       .ops_cost = 1.0,
-      .unit = Value(std::int64_t{-1}),
+      .unit = std::optional<Value>(std::in_place, std::int64_t{-1}),
       .packed_lane = pk::lane_int(
           "band", [](std::int64_t x, std::int64_t y) { return x & y; }),
   });
@@ -212,7 +214,7 @@ BinOpPtr op_bor() {
       .commutative = true,
       .distributes_over = {"band", "bor", "first"},
       .ops_cost = 1.0,
-      .unit = Value(std::int64_t{0}),
+      .unit = std::optional<Value>(std::in_place, std::int64_t{0}),
       .packed_lane = pk::lane_int(
           "bor", [](std::int64_t x, std::int64_t y) { return x | y; }),
   });
@@ -230,7 +232,7 @@ BinOpPtr op_gcd() {
       .commutative = true,
       .distributes_over = {"first", "gcd"},
       .ops_cost = 1.0,
-      .unit = Value(std::int64_t{0}),
+      .unit = std::optional<Value>(std::in_place, std::int64_t{0}),
       .packed_lane = pk::lane_int(
           "gcd", [](std::int64_t x, std::int64_t y) { return std::gcd(x, y); }),
   });
@@ -249,7 +251,7 @@ BinOpPtr op_modadd(std::int64_t m) {
       .commutative = true,
       .distributes_over = {"first"},
       .ops_cost = 1.0,
-      .unit = Value(std::int64_t{0}),
+      .unit = std::optional<Value>(std::in_place, std::int64_t{0}),
       .packed_lane = pk::lane_int("+mod" + std::to_string(m),
                                   [mod](std::int64_t x, std::int64_t y) {
                                     return mod.add(x, y);
@@ -269,7 +271,7 @@ BinOpPtr op_modmul(std::int64_t m) {
       .commutative = true,
       .distributes_over = {"+mod" + std::to_string(m), "first"},
       .ops_cost = 1.0,
-      .unit = Value(std::int64_t{1}),
+      .unit = std::optional<Value>(std::in_place, std::int64_t{1}),
       .packed_lane = pk::lane_int("*mod" + std::to_string(m),
                                   [mod](std::int64_t x, std::int64_t y) {
                                     return mod.mul(x, y);
@@ -285,7 +287,7 @@ BinOpPtr op_fadd() {
       .commutative = true,
       .distributes_over = {"first", "max", "min"},
       .ops_cost = 1.0,
-      .unit = Value(0.0),
+      .unit = std::optional<Value>(std::in_place, 0.0),
       .packed_lane = pk::lane_real([](double x, double y) { return x + y; }),
   });
   return op;
@@ -299,7 +301,7 @@ BinOpPtr op_fmul() {
       .commutative = true,
       .distributes_over = {"+", "f+", "first"},
       .ops_cost = 1.0,
-      .unit = Value(1.0),
+      .unit = std::optional<Value>(std::in_place, 1.0),
       .packed_lane = pk::lane_real([](double x, double y) { return x * y; }),
   });
   return op;
@@ -333,7 +335,8 @@ BinOpPtr op_mat2() {
       .commutative = false,
       .distributes_over = {"first"},
       .ops_cost = 12.0,
-      .unit = Value(Tuple{Value(1), Value(0), Value(0), Value(1)}),
+      .unit = std::optional<Value>(
+          std::in_place, Tuple{Value(1), Value(0), Value(0), Value(1)}),
       .packed_fn = pk::bin_mat2(),
   });
   return op;

@@ -7,9 +7,10 @@
 //
 //   * simnet  — deterministic: run single-collective programs on the
 //     discrete-event simulator across a p × m grid and read the simulated
-//     makespans.  Round-trips the configured machine exactly (the
-//     butterfly schedules realize the closed forms at powers of two), so
-//     it doubles as an end-to-end self test of the whole calibration loop.
+//     makespans.  Every stage runs the butterfly schedule the fit assumes,
+//     and at powers of two it realizes the closed forms, so this
+//     round-trips the configured machine exactly and doubles as an
+//     end-to-end self test of the whole calibration loop.
 //   * mpsim   — wall-clock: time the thread-backed collectives with
 //     steady_clock.  Noisy and machine-dependent, but the only source of
 //     timings that says anything about the host this process runs on.
@@ -20,7 +21,6 @@
 
 #include <vector>
 
-#include "colop/exec/sim_executor.h"
 #include "colop/model/calib.h"
 #include "colop/model/machine.h"
 
@@ -32,8 +32,6 @@ struct CalibrateOptions {
   std::vector<int> procs = {2, 4, 8, 16};
   /// Block sizes to sample.
   std::vector<double> block_sizes = {1, 4, 16, 64};
-  /// Schedules for the simnet harness (the fit assumes butterflies).
-  exec::SimSchedules sched{};
   /// Wall-clock repetitions per mpsim sample (the minimum is kept, the
   /// standard noise-rejection for timing microbenchmarks).
   int repetitions = 5;

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "colop/exec/sim_executor.h"
 #include "colop/ir/program.h"
 #include "colop/model/calib.h"
 #include "colop/model/machine.h"
@@ -26,16 +25,16 @@ namespace colop::obs {
 
 /// Predicted total traffic of one program on p processors: the message
 /// and word counts implied by the schedule definitions the cost model
-/// assumes (butterfly family by default).  Exact for every p, not only
-/// powers of two.
+/// assumes (the butterfly family and the balanced trees), counted by
+/// twins written apart from simnet's schedules.  Exact for every p, not
+/// only powers of two.
 struct PredictedTraffic {
   std::uint64_t messages = 0;
   double words = 0;
 };
 
 [[nodiscard]] PredictedTraffic predicted_traffic(const ir::Program& prog,
-                                                 const model::Machine& mach,
-                                                 exec::SimSchedules sched = {});
+                                                 const model::Machine& mach);
 
 struct DriftRow {
   int p = 0;
@@ -64,7 +63,6 @@ struct DriftOptions {
   /// Relative tolerance on time; messages must match exactly and words
   /// within the same relative tolerance.
   double tolerance = 1e-9;
-  exec::SimSchedules sched{};
 };
 
 /// Run `prog` on the simnet machine for every processor count in

@@ -21,7 +21,6 @@
 namespace colop::obs {
 
 struct ProfileOptions {
-  exec::SimSchedules sched{};
   /// Per-stage provenance (rules::stage_provenance of an OptimizeResult);
   /// entries beyond the program's length are ignored.
   std::vector<std::string> provenance{};

@@ -6,6 +6,7 @@
 #include <limits>
 #include <vector>
 
+#include "colop/exec/sim_executor.h"
 #include "colop/ir/binop.h"
 #include "colop/ir/program.h"
 #include "colop/mpsim/collectives.h"
@@ -48,7 +49,7 @@ std::vector<model::Timing> measure_simnet_timings(const model::Machine& mach,
         model::Machine grid = mach;
         grid.p = p;
         grid.m = m;
-        const auto run = exec::run_on_simnet(prog, grid, opts.sched);
+        const auto run = exec::run_on_simnet(prog, grid);
         timings.push_back({what, p, m, run.time});
       }
   }

@@ -5,11 +5,11 @@
 #include <ostream>
 #include <sstream>
 
+#include "colop/exec/sim_executor.h"
 #include "colop/model/cost.h"
 #include "colop/mpsim/balanced_tree.h"
 #include "colop/obs/json.h"
 #include "colop/obs/trace_context.h"
-#include "colop/simnet/schedules.h"
 #include "colop/support/bits.h"
 #include "colop/support/table.h"
 
@@ -31,15 +31,10 @@ struct Count {
   }
 };
 
-// The counting twins of the simnet schedules: identical loop structure,
-// but only traffic is tallied.  Keeping them in lock-step with
+// Counting twins of the schedules the simulated stages run (the butterfly
+// family and the balanced trees): identical loop structure, but only
+// traffic is tallied.  Keeping them in lock-step with
 // simnet/src/schedules.cpp is what the drift tests pin down.
-
-void bcast_binomial(Count& c, int p, double words) {
-  for (int mask = 1; mask < p; mask <<= 1)
-    for (int vr = 0; vr < mask; ++vr)
-      if (vr + mask < p) c.send(words);
-}
 
 void butterfly_exchanges(Count& c, int p, double words) {
   for (int k = 0; (1 << k) < p; ++k)
@@ -50,41 +45,6 @@ void butterfly_exchanges(Count& c, int p, double words) {
     }
 }
 
-void bcast_vdg(Count& c, int p, double m, double w) {
-  if (p == 1) return;
-  const double seg = m / p;
-  for (int mask =
-           static_cast<int>(next_pow2(static_cast<std::uint64_t>(p)) / 2);
-       mask >= 1; mask >>= 1)
-    for (int vr = 0; vr + mask < p; vr += 2 * mask) {
-      const int span = std::min(2 * mask, p - vr);
-      const int ship = span - mask;
-      if (ship > 0) c.send(ship * seg * w);
-    }
-  for (int step = 1; step < p; step <<= 1) {
-    const int chunk = std::min(step, p - step);
-    for (int r = 0; r < p; ++r) c.send(chunk * seg * w);
-  }
-}
-
-void bcast_pipelined(Count& c, int p, double m, double w, double ts,
-                     double tw) {
-  if (p == 1) return;
-  const int segments = simnet::optimal_segments(p, m * w, ts, tw);
-  const double seg = m / segments * w;
-  for (int k = 0; k < segments; ++k)
-    for (int r = 0; r + 1 < p; ++r) c.send(seg);
-}
-
-void reduce_binomial(Count& c, int p, double words) {
-  for (int mask = 1; mask < p; mask <<= 1)
-    for (int r = 0; r < p; ++r) {
-      if ((r & ((mask << 1) - 1)) != 0) continue;
-      if (r + mask >= p) continue;
-      c.send(words);
-    }
-}
-
 void allreduce_butterfly(Count& c, int p, double words) {
   if (p == 1) return;
   const int q = 1 << log2_floor(static_cast<std::uint64_t>(p));
@@ -92,27 +52,6 @@ void allreduce_butterfly(Count& c, int p, double words) {
   for (int r = 0; r < 2 * rem; r += 2) c.send(words);  // pre-fold
   butterfly_exchanges(c, q, words);
   for (int r = 0; r < 2 * rem; r += 2) c.send(words);  // post-fold
-}
-
-void allreduce_vdg(Count& c, int p, double m, double w) {
-  if (p == 1) return;
-  const double seg = m / p;
-  if (is_pow2(static_cast<std::uint64_t>(p))) {
-    int len = p;
-    while (len > 1) {
-      const int half = len / 2;
-      for (int r = 0; r < p; ++r)
-        if ((r ^ half) > r) c.exchange(half * seg * w);
-      len = half;
-    }
-  } else {
-    for (int i = 1; i < p; ++i)
-      for (int r = 0; r < p; ++r) c.send(seg * w);
-  }
-  for (int step = 1; step < p; step <<= 1) {
-    const int chunk = std::min(step, p - step);
-    for (int r = 0; r < p; ++r) c.send(chunk * seg * w);
-  }
 }
 
 void reduce_balanced(Count& c, int p, double words) {
@@ -133,8 +72,7 @@ void allreduce_balanced(Count& c, int p, double words) {
 }  // namespace
 
 PredictedTraffic predicted_traffic(const ir::Program& prog,
-                                   const model::Machine& mach,
-                                   exec::SimSchedules sched) {
+                                   const model::Machine& mach) {
   using Kind = ir::Stage::Kind;
   const int p = mach.p;
   const double m = mach.m;
@@ -156,40 +94,19 @@ PredictedTraffic predicted_traffic(const ir::Program& prog,
         // An istart moves the same traffic as its blocking twin; only the
         // clock accounting differs (overlap), which traffic counts ignore.
         const int words = static_cast<const ir::ReduceStage&>(*stage).words;
-        if (sched.reduce == exec::SimSchedules::Reduce::binomial)
-          reduce_binomial(c, p, m * words);
-        else if (sched.reduce == exec::SimSchedules::Reduce::vdg)
-          allreduce_vdg(c, p, m, words);
-        else
-          allreduce_butterfly(c, p, m * words);
+        allreduce_butterfly(c, p, m * words);
         break;
       }
       case Kind::AllReduce:
       case Kind::IStartAllReduce: {
         const int words = static_cast<const ir::AllReduceStage&>(*stage).words;
-        if (sched.reduce == exec::SimSchedules::Reduce::vdg)
-          allreduce_vdg(c, p, m, words);
-        else
-          allreduce_butterfly(c, p, m * words);
+        allreduce_butterfly(c, p, m * words);
         break;
       }
       case Kind::Bcast:
       case Kind::IStartBcast: {
         const int words = static_cast<const ir::BcastStage&>(*stage).words;
-        switch (sched.bcast) {
-          case exec::SimSchedules::Bcast::butterfly:
-            butterfly_exchanges(c, p, m * words);
-            break;
-          case exec::SimSchedules::Bcast::binomial:
-            bcast_binomial(c, p, m * words);
-            break;
-          case exec::SimSchedules::Bcast::vdg:
-            bcast_vdg(c, p, m, words);
-            break;
-          case exec::SimSchedules::Bcast::pipelined:
-            bcast_pipelined(c, p, m, words, mach.ts, mach.tw);
-            break;
-        }
+        butterfly_exchanges(c, p, m * words);
         break;
       }
       case Kind::ScanBalanced: {
@@ -233,10 +150,10 @@ DriftReport drift_report(const ir::Program& prog, const model::Machine& mach,
     DriftRow row;
     row.p = p;
     row.model_time = model::program_time(prog, mp);
-    const auto sim = exec::run_on_simnet(prog, mp, opts.sched);
+    const auto sim = exec::run_on_simnet(prog, mp);
     row.sim_time = sim.time;
     row.time_rel_err = rel_err(sim.time, row.model_time);
-    const auto pred = predicted_traffic(prog, mp, opts.sched);
+    const auto pred = predicted_traffic(prog, mp);
     row.predicted_messages = pred.messages;
     row.sim_messages = sim.messages;
     row.predicted_words = pred.words;

@@ -7,7 +7,7 @@ namespace colop::obs {
 
 Profile profile_program(const ir::Program& prog, const model::Machine& mach,
                         const ProfileOptions& opts) {
-  exec::SimTrace trace = exec::trace_on_simnet(prog, mach, opts.sched);
+  exec::SimTrace trace = exec::trace_on_simnet(prog, mach);
   Profile prof = profile_events(std::move(trace.ops), mach.p, trace.makespan);
   prof.program = prog.show();
 
@@ -30,7 +30,7 @@ Profile profile_program(const ir::Program& prog, const model::Machine& mach,
     for (const auto& stage : stages) {
       ir::Program single;
       single.push(stage);
-      exec::run_on_simnet(single, blocking, mach.m, opts.sched);
+      exec::run_on_simnet(single, blocking, mach.m);
     }
     prof.blocking_makespan = blocking.makespan();
   }

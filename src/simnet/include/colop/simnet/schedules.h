@@ -1,6 +1,7 @@
 #pragma once
 // Collective-operation schedules on the simulated machine.  Each function
-// executes the same communication pattern as its mpsim counterpart,
+// executes the same communication pattern as its mpsim counterpart (the
+// van de Geijn schedules have none: only the ablation benches run them),
 // charging virtual time: one message of (m * w) words per link use and
 // (m * ops) compute units per operator sweep over a block of m elements.
 //
@@ -27,11 +28,6 @@ void bcast_butterfly(SimMachine& mach, double m, double w, int root = 0);
 void bcast_vdg(SimMachine& mach, double m, double w);
 /// van de Geijn allreduce: recursive-halving reduce-scatter + allgather.
 void allreduce_vdg(SimMachine& mach, double m, double w, double ops);
-/// Pipelined chain broadcast with `segments` chunks.
-void bcast_pipelined(SimMachine& mach, double m, double w, int segments);
-/// Latency/bandwidth-optimal chunk count for the chain pipeline:
-/// k* = sqrt((p-2) * m * tw / ts), at least 1.
-[[nodiscard]] int optimal_segments(int p, double m, double ts, double tw);
 
 // --- reduction -----------------------------------------------------------
 /// Binomial-tree reduce to rank 0 (MPICH-like): ops per element per level.

@@ -1,7 +1,6 @@
 #include "colop/simnet/schedules.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "colop/support/bits.h"
 
@@ -67,28 +66,6 @@ void bcast_vdg(SimMachine& mach, double m, double w) {
     for (int r = 0; r < p; ++r) mach.send(r, (r - step + p) % p, chunk * seg * w);
     for (int r = 0; r < p; ++r) mach.recv(r, (r + step) % p);
   }
-}
-
-void bcast_pipelined(SimMachine& mach, double m, double w, int segments) {
-  const int p = mach.size();
-  if (p == 1) return;
-  const double seg = m / segments * w;
-  // Clocks are per-processor, so posting chunk k through the whole chain
-  // before chunk k+1 still yields the pipelined makespan
-  // ~ (p - 2 + segments) * (ts + seg*tw).
-  for (int k = 0; k < segments; ++k) {
-    for (int r = 0; r + 1 < p; ++r) {
-      mach.send(r, r + 1, seg);
-      mach.recv(r + 1, r);
-    }
-  }
-}
-
-int optimal_segments(int p, double m, double ts, double tw) {
-  // Minimize (p - 2 + k) * (ts + (m/k)*tw) over k: k* = sqrt((p-2)*m*tw/ts).
-  if (p <= 2 || ts <= 0) return 1;
-  const double k = std::sqrt((p - 2) * m * tw / ts);
-  return std::max(1, static_cast<int>(k + 0.5));
 }
 
 void allreduce_vdg(SimMachine& mach, double m, double w, double ops) {

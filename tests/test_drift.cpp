@@ -65,23 +65,13 @@ TEST(Drift, PredictedTrafficClosedFormsOnOneStage) {
   mach.p = 16;
   const double m = mach.m;
   const auto bcast = predicted_traffic(ir::parse_program("bcast"), mach);
-  EXPECT_EQ(bcast.messages, 64u);  // p*log2(p), default butterfly
+  EXPECT_EQ(bcast.messages, 64u);  // p*log2(p) butterfly exchanges
   EXPECT_DOUBLE_EQ(bcast.words, 64 * m);
   const auto scan = predicted_traffic(ir::parse_program("scan(+)"), mach);
   EXPECT_EQ(scan.messages, 64u);
   const auto local = predicted_traffic(ir::parse_program("map(pair)"), mach);
   EXPECT_EQ(local.messages, 0u);
   EXPECT_DOUBLE_EQ(local.words, 0.0);
-
-  exec::SimSchedules binomial;
-  binomial.bcast = exec::SimSchedules::Bcast::binomial;
-  binomial.reduce = exec::SimSchedules::Reduce::binomial;
-  const auto btree =
-      predicted_traffic(ir::parse_program("bcast"), mach, binomial);
-  EXPECT_EQ(btree.messages, 15u);  // binomial tree: p-1
-  const auto rtree =
-      predicted_traffic(ir::parse_program("reduce(+)"), mach, binomial);
-  EXPECT_EQ(rtree.messages, 15u);
 }
 
 TEST(Drift, ReportFlagsDivergenceBeyondTolerance) {

@@ -22,8 +22,8 @@ Dist random_dist(int p, std::uint64_t seed, std::int64_t lo = -30,
   Rng rng(seed);
   Dist d(static_cast<std::size_t>(p));
   for (auto& b : d) {
-    b.resize(2);
-    for (auto& v : b) v = Value(rng.uniform(lo, hi));
+    b.reserve(2);
+    for (int j = 0; j < 2; ++j) b.emplace_back(rng.uniform(lo, hi));
   }
   return d;
 }

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 
 #include "colop/exec/thread_executor.h"
 #include "colop/ir/ir.h"
@@ -174,19 +175,25 @@ TEST(FailureInjection, InvalidRanksAreRejected) {
   }
 }
 
-TEST(FailureInjection, ScatterWrongBlockCountAbortsEveryone) {
-  // Root passes too few blocks; the others are blocked in recv.
+TEST(FailureInjection, RootWithBadBcastArgumentAbortsEveryone) {
+  // The root names a root out of range and throws; the others are blocked
+  // in recv, waiting for its first message.  The root's error surfaces.
   for (Ranks ranks : kBothModes) {
     SCOPED_TRACE(mode_name(ranks));
-    EXPECT_THROW(run_spmd(
-                     5,
-                     [](Comm& comm) {
-                       std::vector<int> blocks;
-                       if (comm.rank() == 0) blocks.assign(3, 1);  // needs 5
-                       (void)scatter(comm, std::move(blocks));
-                     },
-                     ranks),
-                 Error);
+    try {
+      run_spmd(
+          5,
+          [](Comm& comm) {
+            const int root = comm.rank() == 0 ? 5 : 0;
+            (void)bcast(comm, comm.rank(), root);
+          },
+          ranks);
+      FAIL() << "expected throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bcast: invalid root"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

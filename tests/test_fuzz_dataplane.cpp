@@ -30,9 +30,9 @@ Dist random_input(Rng& rng, int p, int m, int kind, double undef_prob) {
       if (rng.uniform01() < undef_prob) {
         blk.push_back(Value::undefined());
       } else if (kind == 0) {
-        blk.push_back(Value(rng.uniform(-40, 40)));
+        blk.emplace_back(rng.uniform(-40, 40));
       } else {
-        blk.push_back(Value(static_cast<double>(rng.uniform(-400, 400)) / 16));
+        blk.emplace_back(static_cast<double>(rng.uniform(-400, 400)) / 16);
       }
     }
     input.push_back(std::move(blk));
@@ -285,15 +285,18 @@ TEST(FuzzDataPlane, SerializationFuzz) {
       }
       if (arity == 0) {
         if (rng.uniform01() < 0.5)
-          blk.push_back(Value(rng.uniform(-1000, 1000)));
+          blk.emplace_back(rng.uniform(-1000, 1000));
         else
-          blk.push_back(Value(rng.uniform01()));
+          blk.emplace_back(rng.uniform01());
       } else {
         Tuple t;
-        for (int c = 0; c < arity; ++c)
-          t.push_back(rng.uniform01() < 0.2 ? Value::undefined()
-                                            : Value(rng.uniform(-50, 50)));
-        blk.push_back(Value(std::move(t)));
+        for (int c = 0; c < arity; ++c) {
+          if (rng.uniform01() < 0.2)
+            t.push_back(Value::undefined());
+          else
+            t.emplace_back(rng.uniform(-50, 50));
+        }
+        blk.emplace_back(std::move(t));
       }
     }
     const auto packed = PackedBlock::pack(blk);

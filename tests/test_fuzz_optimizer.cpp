@@ -61,8 +61,8 @@ Program random_program(Rng& rng) {
 Dist random_input(int p, Rng& rng) {
   Dist d(static_cast<std::size_t>(p));
   for (auto& b : d) {
-    b.resize(2);
-    for (auto& v : b) v = Value(rng.uniform(0, 96));
+    b.reserve(2);
+    for (int j = 0; j < 2; ++j) b.emplace_back(rng.uniform(0, 96));
   }
   return d;
 }

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -33,12 +32,6 @@ std::string cat(std::string a, const std::string& b) { return a += b; }
 
 std::string name(int r) { return "<" + std::to_string(r) + ">"; }
 
-std::string join(const std::vector<std::string>& xs) {
-  std::string out;
-  for (const auto& x : xs) out += x + ",";
-  return out;
-}
-
 i64 add(i64 a, i64 b) { return a + b; }
 
 // One rank's part of every collective; the result is what the rank holds.
@@ -58,34 +51,6 @@ std::vector<std::pair<const char*, Case>> collective_cases() {
        [](Comm& c) { return scan(c, name(c.rank()), cat, ScanAlgo::doubling); }},
       {"reduce", [](Comm& c) { return reduce(c, name(c.rank()), cat, c.size() / 2); }},
       {"allreduce", [](Comm& c) { return allreduce(c, name(c.rank()), cat); }},
-      {"exscan",
-       [](Comm& c) { return exscan(c, name(c.rank()), cat).value_or("none"); }},
-      {"reduce_scatter ordered",
-       [](Comm& c) {
-         std::vector<std::string> blocks;
-         for (int d = 0; d < c.size(); ++d) blocks.push_back(name(c.rank() * 10 + d));
-         return reduce_scatter(c, std::move(blocks), cat, /*commutative=*/false);
-       }},
-      {"reduce_scatter commutative",
-       [](Comm& c) {
-         std::vector<i64> blocks(static_cast<std::size_t>(c.size()), c.rank() + 1);
-         return std::to_string(reduce_scatter(c, std::move(blocks), add));
-       }},
-      {"scatter",
-       [](Comm& c) {
-         std::vector<std::string> blocks;
-         if (c.rank() == 0)
-           for (int d = 0; d < c.size(); ++d) blocks.push_back(name(d));
-         return scatter(c, std::move(blocks));
-       }},
-      {"gather", [](Comm& c) { return join(gather(c, name(c.rank()), c.size() - 1)); }},
-      {"allgather", [](Comm& c) { return join(allgather(c, name(c.rank()))); }},
-      {"alltoall",
-       [](Comm& c) {
-         std::vector<std::string> blocks;
-         for (int d = 0; d < c.size(); ++d) blocks.push_back(name(c.rank() * 10 + d));
-         return join(alltoall(c, std::move(blocks)));
-       }},
       {"reduce_balanced",
        [](Comm& c) {
          return reduce_balanced(c, name(c.rank()), cat,
@@ -115,13 +80,6 @@ std::vector<std::pair<const char*, Case>> collective_cases() {
          return std::to_string(comcast_naive(c, b, [](i64 v) { return v + 5; })) +
                 "," + std::to_string(comcast_repeat(c, b, init, e, o, fst)) + "," +
                 std::to_string(comcast_costopt(c, b, init, e, o, fst));
-       }},
-      {"vdg and pipelined",
-       [](Comm& c) {
-         std::vector<i64> block{c.rank(), 2 * c.rank(), 3, 4, 5};
-         return std::to_string(bcast_vdg(c, block, c.size() - 1)[1]) + "," +
-                std::to_string(bcast_pipelined(c, block, 3)[0]) + "," +
-                std::to_string(allreduce_vdg(c, block, add)[1]);
        }},
       {"irecv and split",
        [](Comm& c) {

@@ -32,25 +32,16 @@ const char* kPrograms[] = {
 };
 
 TEST(Profile, BusyCommIdleTileTheMakespanOnEveryTracedSchedule) {
-  using B = exec::SimSchedules::Bcast;
-  using R = exec::SimSchedules::Reduce;
-  for (const B b : {B::butterfly, B::binomial, B::vdg, B::pipelined})
-    for (const R r : {R::butterfly, R::binomial, R::vdg})
-      for (const char* text : kPrograms)
-        for (const int p : {2, 5, 8, 13}) {
-          model::Machine mach = kMach;
-          mach.p = p;
-          ProfileOptions opts;
-          opts.sched = {b, r};
-          const auto prof =
-              profile_program(ir::parse_program(text), mach, opts);
-          EXPECT_TRUE(prof.balanced())
-              << text << " p=" << p << " bcast=" << static_cast<int>(b)
-              << " reduce=" << static_cast<int>(r) << "\n"
-              << prof.render_text();
-          EXPECT_TRUE(prof.path_complete())
-              << text << " p=" << p << "\n" << prof.render_text();
-        }
+  for (const char* text : kPrograms)
+    for (const int p : {2, 5, 8, 13}) {
+      model::Machine mach = kMach;
+      mach.p = p;
+      const auto prof = profile_program(ir::parse_program(text), mach);
+      EXPECT_TRUE(prof.balanced())
+          << text << " p=" << p << "\n" << prof.render_text();
+      EXPECT_TRUE(prof.path_complete())
+          << text << " p=" << p << "\n" << prof.render_text();
+    }
 }
 
 TEST(Profile, RankBreakdownSumsExactly) {

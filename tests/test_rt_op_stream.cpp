@@ -200,8 +200,8 @@ ir::Dist small_input(int p) {
   Rng rng(0x0b5 + static_cast<std::uint64_t>(p));
   ir::Dist input(static_cast<std::size_t>(p));
   for (auto& b : input) {
-    b.resize(4);
-    for (auto& v : b) v = ir::Value(rng.uniform(-1, 1));
+    b.reserve(4);
+    for (int j = 0; j < 4; ++j) b.emplace_back(rng.uniform(-1, 1));
   }
   return input;
 }

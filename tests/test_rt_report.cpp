@@ -32,8 +32,8 @@ rt::RtReport table1_report(rt::FleetSnapshot* snap = nullptr) {
   Rng rng(0x51);
   ir::Dist input(kProcs);
   for (auto& b : input) {
-    b.resize(4);
-    for (auto& v : b) v = ir::Value(rng.uniform(-1, 1));
+    b.reserve(4);
+    for (int j = 0; j < 4; ++j) b.emplace_back(rng.uniform(-1, 1));
   }
   const auto run = exec::run_on_threads_instrumented(program, input);
 

@@ -23,8 +23,8 @@ Dist random_dist(int p, std::size_t block, std::int64_t lo, std::int64_t hi,
   Rng rng(seed);
   Dist d(static_cast<std::size_t>(p));
   for (auto& b : d) {
-    b.resize(block);
-    for (auto& v : b) v = Value(rng.uniform(lo, hi));
+    b.reserve(block);
+    for (std::size_t j = 0; j < block; ++j) b.emplace_back(rng.uniform(lo, hi));
   }
   return d;
 }

@@ -404,8 +404,6 @@ TEST(SimExecutor, UntracedMakespanEqualsProfiledMakespan) {
   // The untraced run takes the bulk round updates, the profiler's traced
   // run the per-message path: same makespan, on sources and on greedy
   // winners (which bring in the balanced collectives).
-  using B = exec::SimSchedules::Bcast;
-  using R = exec::SimSchedules::Reduce;
   Rng rng(0xB0B);
   for (int trial = 0; trial < 48; ++trial) {
     const int p = trial % 2 == 0
@@ -414,63 +412,90 @@ TEST(SimExecutor, UntracedMakespanEqualsProfiledMakespan) {
     const double m = trial % 3 == 0 ? 2.5 : static_cast<double>(1 << rng.uniform(0, 10));
     const model::Machine mach{
         .p = p, .m = m, .ts = static_cast<double>(rng.uniform(1, 1600)), .tw = 2};
-    // The alternative schedules (p^2 alltoall messages for a non-2^k vdg)
-    // only at small p, to keep the traced runs short.
-    exec::SimSchedules sched;
-    if (p <= 64) {
-      sched.bcast = static_cast<B>(rng.uniform(0, 3));
-      sched.reduce = static_cast<R>(rng.uniform(0, 2));
-    }
     const ir::Program source = random_program(rng, p);
     const ir::Program winner = rules::Optimizer(mach).optimize(source).program;
     for (const ir::Program* prog : {&source, &winner}) {
-      obs::ProfileOptions opts;
-      opts.sched = sched;
-      EXPECT_EQ(exec::run_on_simnet(*prog, mach, sched).time,
-                obs::profile_program(*prog, mach, opts).makespan)
+      EXPECT_EQ(exec::run_on_simnet(*prog, mach).time,
+                obs::profile_program(*prog, mach).makespan)
           << prog->show() << " p=" << p << " m=" << m;
     }
   }
 }
 
-TEST(SimExecutor, ScheduleChoiceChangesTrafficNotPhases) {
-  using ir::Program;
-  Program prog;
-  prog.bcast();
-  const model::Machine mach{.p = 16, .m = 10, .ts = 100, .tw = 2};
-  const auto butterfly = exec::run_on_simnet(
-      prog, mach, {.bcast = exec::SimSchedules::Bcast::butterfly});
-  const auto binomial = exec::run_on_simnet(
-      prog, mach, {.bcast = exec::SimSchedules::Bcast::binomial});
-  EXPECT_DOUBLE_EQ(butterfly.time, binomial.time);  // same log p phases
-  EXPECT_GT(butterfly.messages, binomial.messages); // pairwise exchanges cost
+TEST(SimSchedules, ScheduleChoiceChangesTrafficNotPhases) {
+  SimMachine butterfly(16, {.ts = 100, .tw = 2}), binomial(16, {.ts = 100, .tw = 2});
+  bcast_butterfly(butterfly, 10, 1);
+  bcast_binomial(binomial, 10, 1);
+  EXPECT_DOUBLE_EQ(butterfly.makespan(), binomial.makespan());  // log p phases
+  EXPECT_GT(butterfly.messages(), binomial.messages());  // pairwise exchanges cost
 }
 
-}  // namespace
-}  // namespace colop::simnet
+TEST(SimSchedules, BinomialTreesSendPMinusOneMessages) {
+  const double m = 12;
+  for (int p = 1; p <= 70; ++p) {
+    SimMachine bcast(p, kNet), reduce(p, kNet);
+    bcast_binomial(bcast, m, 1, p / 2);
+    reduce_binomial(reduce, m, 1, 1);
+    const auto tree = static_cast<std::uint64_t>(p - 1);
+    EXPECT_EQ(bcast.messages(), tree) << "p=" << p;
+    EXPECT_DOUBLE_EQ(bcast.words_sent(), static_cast<double>(tree) * m) << "p=" << p;
+    EXPECT_EQ(reduce.messages(), tree) << "p=" << p;
+    EXPECT_DOUBLE_EQ(reduce.words_sent(), static_cast<double>(tree) * m) << "p=" << p;
+  }
+}
 
-namespace colop::simnet {
-namespace {
-
-TEST(SimExecutor, VdgSchedulesBeatButterflyForHugeBlocks) {
-  using ir::Program;
-  Program prog;
-  prog.bcast().allreduce(ir::op_add());
-  const model::Machine mach{.p = 64, .m = 32000, .ts = 100, .tw = 2};
-  const auto butterfly = exec::run_on_simnet(prog, mach);
-  const auto vdg = exec::run_on_simnet(
-      prog, mach,
-      {.bcast = exec::SimSchedules::Bcast::vdg,
-       .reduce = exec::SimSchedules::Reduce::vdg});
-  EXPECT_LT(vdg.time, butterfly.time);
-
+TEST(SimSchedules, VdgBeatsButterflyForHugeBlocks) {
+  // bcast ; allreduce(+) with the van de Geijn schedules against the
+  // butterflies the stages run: fewer words win for huge blocks...
+  const NetParams net{.ts = 100, .tw = 2};
+  auto butterflies = [&](double m) {
+    SimMachine mach(64, net);
+    bcast_butterfly(mach, m, 1);
+    allreduce_butterfly(mach, m, 1, 1);
+    return mach.makespan();
+  };
+  auto vdg = [&](double m) {
+    SimMachine mach(64, net);
+    bcast_vdg(mach, m, 1);
+    allreduce_vdg(mach, m, 1, 1);
+    return mach.makespan();
+  };
+  EXPECT_LT(vdg(32000), butterflies(32000));
   // ...and lose for tiny blocks (more start-ups).
-  const model::Machine tiny{.p = 64, .m = 1, .ts = 100, .tw = 2};
-  EXPECT_GT(exec::run_on_simnet(prog, tiny,
-                                {.bcast = exec::SimSchedules::Bcast::vdg,
-                                 .reduce = exec::SimSchedules::Reduce::vdg})
-                .time,
-            exec::run_on_simnet(prog, tiny).time);
+  EXPECT_GT(vdg(1), butterflies(1));
+}
+
+TEST(SimSchedules, TracedRunsMatchUntracedRuns) {
+  // Tracing sends every message down the per-message path; the untraced
+  // run takes the bulk round updates.  Both must agree on the schedules
+  // only the ablations run, too.  A non-2^k vdg allreduce is an alltoall
+  // of p^2 messages: its traced runs stop at p = 64.
+  struct Case {
+    const char* name;
+    int max_p;
+    void (*run)(SimMachine&, int p);
+  };
+  const Case cases[] = {
+      {"bcast_binomial", 70,
+       [](SimMachine& mach, int p) { bcast_binomial(mach, 2.5, 1, p / 3); }},
+      {"reduce_binomial", 70,
+       [](SimMachine& mach, int) { reduce_binomial(mach, 2.5, 2, 3); }},
+      {"bcast_vdg", 64, [](SimMachine& mach, int) { bcast_vdg(mach, 2.5, 1); }},
+      {"allreduce_vdg", 64,
+       [](SimMachine& mach, int) { allreduce_vdg(mach, 2.5, 1, 2); }},
+  };
+  for (const Case& c : cases)
+    for (int p = 1; p <= c.max_p; ++p) {
+      SimMachine plain(p, kNet), traced(p, kNet);
+      std::vector<SimOp> ops;
+      traced.set_trace(&ops);
+      c.run(plain, p);
+      c.run(traced, p);
+      EXPECT_EQ(traced.makespan(), plain.makespan()) << c.name << " p=" << p;
+      EXPECT_EQ(traced.messages(), plain.messages()) << c.name << " p=" << p;
+      EXPECT_EQ(traced.words_sent(), plain.words_sent()) << c.name << " p=" << p;
+      EXPECT_EQ(ops.empty(), p == 1) << c.name << " p=" << p;
+    }
 }
 
 }  // namespace

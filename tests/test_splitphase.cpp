@@ -52,8 +52,8 @@ Dist random_dist(int p, std::size_t block, std::uint64_t seed) {
   Rng rng(seed);
   Dist d(static_cast<std::size_t>(p));
   for (auto& b : d) {
-    b.resize(block);
-    for (auto& v : b) v = Value(rng.uniform(-50, 50));
+    b.reserve(block);
+    for (std::size_t j = 0; j < block; ++j) b.emplace_back(rng.uniform(-50, 50));
   }
   return d;
 }
@@ -408,8 +408,6 @@ TEST(OverlapSimnet, WindowShortensTheMakespan) {
 // Every consumer prices, counts, simulates and shapes an istart exactly
 // like its blocking twin; only an overlap window's interior moves clocks.
 TEST(SplitPhaseTwins, EveryIstartSpellingEqualsItsBlockingTwin) {
-  using Bcast = exec::SimSchedules::Bcast;
-  using Reduce = exec::SimSchedules::Reduce;
   const std::pair<const char*, const char*> twins[] = {
       {"reduce(+)", "istart_reduce(+,h=1)"},
       {"reduce(+,root=3)", "istart_reduce(+,root=3,h=1)"},
@@ -439,21 +437,16 @@ TEST(SplitPhaseTwins, EveryIstartSpellingEqualsItsBlockingTwin) {
     EXPECT_TRUE(ir::check_shapes(split, pair).has_value());
 
     for (const int p : {1, 2, 3, 4, 5, 6, 7, 8, 9, 64}) {
-      for (const auto sched :
-           {exec::SimSchedules{}, exec::SimSchedules{Bcast::binomial, Reduce::binomial},
-            exec::SimSchedules{Bcast::vdg, Reduce::vdg},
-            exec::SimSchedules{Bcast::pipelined, Reduce::butterfly}}) {
-        const model::Machine mach{.p = p, .m = 48, .ts = 300, .tw = 3};
-        const auto tb = obs::predicted_traffic(blocking, mach, sched);
-        const auto ts = obs::predicted_traffic(split, mach, sched);
-        EXPECT_EQ(ts.messages, tb.messages) << "p=" << p;
-        EXPECT_EQ(ts.words, tb.words) << "p=" << p;
-        const auto rb = exec::run_on_simnet(blocking, mach, sched);
-        const auto rs = exec::run_on_simnet(split, mach, sched);
-        EXPECT_EQ(rs.time, rb.time) << "p=" << p;
-        EXPECT_EQ(rs.messages, rb.messages) << "p=" << p;
-        EXPECT_EQ(rs.words, rb.words) << "p=" << p;
-      }
+      const model::Machine mach{.p = p, .m = 48, .ts = 300, .tw = 3};
+      const auto tb = obs::predicted_traffic(blocking, mach);
+      const auto ts = obs::predicted_traffic(split, mach);
+      EXPECT_EQ(ts.messages, tb.messages) << "p=" << p;
+      EXPECT_EQ(ts.words, tb.words) << "p=" << p;
+      const auto rb = exec::run_on_simnet(blocking, mach);
+      const auto rs = exec::run_on_simnet(split, mach);
+      EXPECT_EQ(rs.time, rb.time) << "p=" << p;
+      EXPECT_EQ(rs.messages, rb.messages) << "p=" << p;
+      EXPECT_EQ(rs.words, rb.words) << "p=" << p;
     }
   }
 }

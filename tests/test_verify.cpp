@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "colop/ir/ir.h"
 #include "colop/ir/parse.h"
@@ -93,7 +95,8 @@ TEST(PropertyChecker, CatchesWrongUnit) {
        },
        .associative = true,
        .commutative = true,
-       .unit = Value(std::int64_t{1})});  // the unit of + is 0, not 1
+       // the unit of + is 0, not 1
+       .unit = std::optional<Value>(std::in_place, std::int64_t{1})});
   const Report r = check_binop(op, {}, fast());
   EXPECT_TRUE(has_code(r, "V104")) << r.render_text();
 }
