@@ -3,11 +3,11 @@
 // reduction family, rounding out the substrate (MPI_Exscan,
 // MPI_Reduce_scatter_block).
 
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "colop/mpsim/collectives/gatherscatter.h"
 #include "colop/mpsim/comm.h"
 #include "colop/support/bits.h"
 
@@ -43,7 +43,8 @@ template <typename T, typename Op>
 /// Schedules: recursive halving for p = 2^k — but halving interleaves
 /// non-contiguous rank sets, so (exactly as in MPICH) it is used only when
 /// the operator is declared COMMUTATIVE.  Non-commutative operators and
-/// non-powers of two use alltoall + a strictly rank-ordered local fold.
+/// non-powers of two use a pairwise exchange (p-1 messages per rank) and a
+/// strictly rank-ordered local fold.
 template <typename T, typename Op>
 [[nodiscard]] T reduce_scatter(const Comm& comm, std::vector<T> blocks, Op op,
                                bool commutative = true) {
@@ -90,8 +91,16 @@ template <typename T, typename Op>
     return std::move(mine[0]);
   }
 
-  // General p: alltoall then a rank-ordered local fold.
-  auto received = alltoall(comm, std::move(blocks));
+  // General p: direct pairwise exchange, then a rank-ordered local fold.
+  const int tag = comm.next_collective_tag();
+  std::vector<T> received(static_cast<std::size_t>(p));
+  received[static_cast<std::size_t>(r)] = std::move(blocks[static_cast<std::size_t>(r)]);
+  for (int i = 1; i < p; ++i) {
+    const int to = (r + i) % p;
+    const int from = (r - i + p) % p;
+    comm.send_raw(to, std::move(blocks[static_cast<std::size_t>(to)]), tag);
+    received[static_cast<std::size_t>(from)] = comm.recv_raw<T>(from, tag);
+  }
   T acc = std::move(received[0]);
   for (int i = 1; i < p; ++i)
     acc = op(std::move(acc), std::move(received[static_cast<std::size_t>(i)]));

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -51,6 +52,19 @@ std::vector<std::pair<const char*, Case>> collective_cases() {
        [](Comm& c) { return scan(c, name(c.rank()), cat, ScanAlgo::doubling); }},
       {"reduce", [](Comm& c) { return reduce(c, name(c.rank()), cat, c.size() / 2); }},
       {"allreduce", [](Comm& c) { return allreduce(c, name(c.rank()), cat); }},
+      {"exscan",
+       [](Comm& c) { return exscan(c, name(c.rank()), cat).value_or("none"); }},
+      {"reduce_scatter ordered",
+       [](Comm& c) {
+         std::vector<std::string> blocks;
+         for (int d = 0; d < c.size(); ++d) blocks.push_back(name(c.rank() * 10 + d));
+         return reduce_scatter(c, std::move(blocks), cat, /*commutative=*/false);
+       }},
+      {"reduce_scatter commutative",
+       [](Comm& c) {
+         std::vector<i64> blocks(static_cast<std::size_t>(c.size()), c.rank() + 1);
+         return std::to_string(reduce_scatter(c, std::move(blocks), add));
+       }},
       {"reduce_balanced",
        [](Comm& c) {
          return reduce_balanced(c, name(c.rank()), cat,
